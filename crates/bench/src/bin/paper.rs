@@ -1,0 +1,447 @@
+//! `paper <subcommand>` — the print-only tables, figures and ablations of
+//! the paper's evaluation (§IV–§VI), one subcommand each over a shared
+//! simulated-cluster sweep (4 cores per node, 8..128 cores; `--full`
+//! extends the x-axis to 512). Everything but `phase_split` runs on the
+//! deterministic simulator, so a subcommand's stdout is a function of its
+//! arguments alone.
+
+use macs_bench::{
+    apply_host_overrides, arg, core_series, cost_model_arg, full_scale, print_scaling,
+    print_state_table, print_steal_table, qap_size_arg, scale_row, sim_cp_macs, sim_cp_paccs,
+    topo_for, CommonFlag, ScaleRow,
+};
+use macs_core::{CpOutput, Solver, SolverConfig};
+use macs_engine::CompiledProblem;
+use macs_problems::{qap::QapInstance, qap_model, queens, QueensModel};
+use macs_runtime::{PollPolicy, ReleasePolicy, VictimSelect, WorkerState};
+use macs_sim::{simulate_macs, CostModel, SimConfig, SimReport};
+use macs_uts::{uts_sequential, GeoLaw, TreeShape, UtsProcessor, SLOT_WORDS};
+
+const SUBCOMMANDS: &[(&str, fn(), &str)] = &[
+    ("fig3", fig3, "Fig. 3 — worker-state shares, N-Queens"),
+    ("fig4", fig4, "Fig. 4 — N-Queens scaling, MaCS vs PaCCS"),
+    ("fig5", fig5, "Fig. 5 — worker-state shares, QAP"),
+    ("fig6", fig6, "Fig. 6 — QAP scaling, MaCS vs PaCCS"),
+    ("table1", table1, "Table I — steal counts, N-Queens"),
+    ("table2", table2, "Table II — steal counts, QAP"),
+    ("ablation_polling", ablation_polling, "§V — poll interval"),
+    (
+        "ablation_release_interval",
+        ablation_release_interval,
+        "§VI — release interval: MaCS(default) → MaCS(best)",
+    ),
+    ("ablation_victim", ablation_victim, "§IV — victim choice"),
+    ("phase_split", phase_split, "§VI — solve phases, threaded"),
+    ("uts_scaling", uts_scaling, "ref. [1] — UTS scaling"),
+];
+
+const FLAGS: &[(&str, &str)] = &[
+    (
+        "--n <N>",
+        "instance size: queens [default: 12; phase_split 11] or esc16e\n\
+         sub-instance, 2..=16 [default: 11; fig5/fig6 16 with --full]",
+    ),
+    (
+        "--cores <N>",
+        "simulated cores (ablation_polling, ablation_release_interval)\n[default: 64]",
+    ),
+    ("--workers <N>", "threads (phase_split) [default: 2]"),
+    ("--seed <N>", "tree seed (uts_scaling) [default: 3]"),
+    (
+        "--geo",
+        "geometric tree instead of the binomial default (uts_scaling)",
+    ),
+    ("--law <L>", "geometric shape law: linear, fixed or cyclic"),
+    ("--b0 <F>", "geometric root branching [default: 4.0]"),
+    ("--depth <N>", "geometric depth bound gen_mx [default: 14]"),
+];
+
+fn main() {
+    let subcommands: String = SUBCOMMANDS
+        .iter()
+        .map(|(name, _, about)| format!("\n    {name:<27}{about}"))
+        .collect();
+    let usage = macs_bench::usage(
+        "paper -- <SUBCOMMAND>",
+        &format!(
+            "regenerates one table, figure or ablation of the paper's evaluation.\n\
+             --cost-model and --detect-topo reach the three ablations only.\n\n\
+             SUBCOMMANDS:{subcommands}"
+        ),
+        FLAGS,
+        &[
+            CommonFlag::Full,
+            CommonFlag::CostModel,
+            CommonFlag::DetectTopo,
+        ],
+    );
+    macs_bench::maybe_help(&usage);
+    let sub = std::env::args().nth(1).unwrap_or_default();
+    match SUBCOMMANDS.iter().find(|(name, ..)| *name == sub) {
+        Some((_, run, _)) => run(),
+        None => {
+            eprintln!("unknown or missing subcommand {sub:?}\n\n{usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
+// --- the shared sweep -------------------------------------------------------
+
+fn queens_instance() -> (usize, CompiledProblem) {
+    let n: usize = arg("n", 12);
+    (n, queens(n, QueensModel::Pairwise))
+}
+
+fn esc16e_instance() -> (String, CompiledProblem) {
+    let inst =
+        QapInstance::esc16e().sub_instance(qap_size_arg("n", if full_scale() { 16 } else { 11 }));
+    let prob = qap_model(&inst);
+    (inst.name, prob)
+}
+
+/// The paper's cluster at `cores` (4 cores per node) under `costs`.
+fn cluster(cores: usize, costs: CostModel) -> SimConfig {
+    SimConfig::new(topo_for(cores)).with_cost_model(costs)
+}
+
+/// [`cluster`] with `--cost-model` / `--detect-topo` applied (ablations).
+fn host_cluster(cores: usize, costs: CostModel) -> SimConfig {
+    let mut cfg = cluster(cores, costs);
+    apply_host_overrides(&mut cfg);
+    cfg
+}
+
+/// Simulated MaCS on `prob` at every core count of the paper's x-axis.
+fn sweep(prob: &CompiledProblem, costs: CostModel) -> Vec<(usize, SimReport<CpOutput>)> {
+    core_series()
+        .into_iter()
+        .map(|cores| {
+            let r = sim_cp_macs(prob, &cluster(cores, costs));
+            eprintln!(
+                "  [{cores} cores done: {} nodes, best {}]",
+                r.total_items(),
+                r.incumbent
+            );
+            (cores, r)
+        })
+        .collect()
+}
+
+fn secs<O>(r: &SimReport<O>) -> f64 {
+    r.makespan_ns as f64 / 1e9
+}
+
+type Run<'a> = &'a dyn Fn(&SimConfig) -> SimReport<CpOutput>;
+
+/// The a/b/c panels of Fig. 4 and 6. `base` is the 1-core MaCS run (the
+/// ideal line and the invariant optimum); each series is its name, the
+/// 1-core seconds it is normalised by, and how to run it at a config.
+fn scaling(costs: CostModel, base: &SimReport<CpOutput>, series: &[(&str, f64, Run)]) {
+    let mut rows: Vec<Vec<ScaleRow>> = vec![Vec::new(); series.len()];
+    for cores in core_series() {
+        let cfg = cluster(cores, costs);
+        for (rows, (_, base_s, run)) in rows.iter_mut().zip(series) {
+            let r = run(&cfg);
+            assert_eq!(r.incumbent, base.incumbent, "optimum must be invariant");
+            rows.push(scale_row(cores, *base_s, &r));
+        }
+        eprintln!("  [{cores} cores done]");
+    }
+    let named: Vec<(&str, Vec<ScaleRow>)> = series.iter().map(|s| s.0).zip(rows).collect();
+    print_scaling(&named, base.total_items() as f64 / secs(base) / 1e6);
+}
+
+// --- figures and tables -----------------------------------------------------
+
+fn fig3() {
+    let (n, prob) = queens_instance();
+    println!(
+        "Fig. 3 — worker state breakdown, queens-{n} (simulated; paper: queens-17, 8..512 cores)\n"
+    );
+    print_state_table(&sweep(&prob, CostModel::paper_queens()));
+    println!(
+        "\nPaper shape: Working dominates; Releasing is the visible overhead at small\n\
+              scale and Poll grows with core count; all waiting states stay negligible."
+    );
+}
+
+fn fig4() {
+    let (n, prob) = queens_instance();
+    println!("Fig. 4 — queens-{n} scalability (simulated; paper: queens-17)\n");
+    let costs = CostModel::paper_queens();
+    let tuned = |cfg: &SimConfig| {
+        let mut best = cfg.clone();
+        best.release = ReleasePolicy::tuned();
+        sim_cp_macs(&prob, &best)
+    };
+    // Each system is normalised by its own sequential execution, as in the
+    // paper — except that both MaCS variants share the release-free 1-core
+    // run, so the default's extraneous-release cost shows up as an
+    // efficiency dip (paper: 91% at 8 cores, recovered by "best").
+    let one = cluster(1, costs);
+    let (base_best_s, base_paccs_s) = (secs(&tuned(&one)), secs(&sim_cp_paccs(&prob, &one)));
+    scaling(
+        costs,
+        &sim_cp_macs(&prob, &one),
+        &[
+            ("MaCS", base_best_s, &|cfg| sim_cp_macs(&prob, cfg)),
+            ("MaCS(best)", base_best_s, &tuned),
+            ("PaCCS", base_paccs_s, &|cfg| sim_cp_paccs(&prob, cfg)),
+        ],
+    );
+    println!(
+        "\nPaper shape: all three scale near-linearly; MaCS default efficiency dips\n\
+              (release overhead), MaCS(best) recovers to ~96%; PaCCS close behind."
+    );
+}
+
+fn fig5() {
+    let (name, prob) = esc16e_instance();
+    println!("Fig. 5 — worker state breakdown, {name} (simulated)\n");
+    print_state_table(&sweep(&prob, CostModel::paper_qap()));
+    println!(
+        "\nPaper shape: overhead stays low throughout, with polling the only state\n\
+              that grows as core count (and hence remote traffic) increases."
+    );
+}
+
+fn fig6() {
+    let (name, prob) = esc16e_instance();
+    println!("Fig. 6 — {name} scalability (simulated)\n");
+    let costs = CostModel::paper_qap();
+    let one = cluster(1, costs);
+    let base = sim_cp_macs(&prob, &one);
+    scaling(
+        costs,
+        &base,
+        &[
+            ("MaCS", secs(&base), &|cfg| sim_cp_macs(&prob, cfg)),
+            ("PaCCS", secs(&sim_cp_paccs(&prob, &one)), &|cfg| {
+                sim_cp_paccs(&prob, cfg)
+            }),
+        ],
+    );
+    println!(
+        "\nPaper shape: near-linear speed-ups, efficiency above ~90%, MaCS a whisker\n\
+              ahead of PaCCS at the largest scale; node counts grow mildly with cores."
+    );
+}
+
+fn table1() {
+    let (n, prob) = queens_instance();
+    print_steal_table(
+        &format!("Table I — work stealing, queens-{n} (simulated; paper: queens-17)"),
+        &sweep(&prob, CostModel::paper_queens()),
+    );
+    println!(
+        "\nPaper shape: steals (local and remote) grow with cores, remote slightly\n\
+              faster; total steals stay tiny relative to total nodes; remote failure\n\
+              rates exceed local ones."
+    );
+}
+
+fn table2() {
+    let inst = QapInstance::hypercube_like(arg("n", 11), 5);
+    print_steal_table(
+        &format!(
+            "Table II — work stealing, {} (simulated; paper: esc16e)",
+            inst.name
+        ),
+        &sweep(&qap_model(&inst), CostModel::paper_qap()),
+    );
+    println!(
+        "\nPaper shape: steal counts grow with cores but failure rates stay far\n\
+              below the N-Queens ones (zero at small scale), and total node counts\n\
+              drift slightly with core count (COP problem-size growth)."
+    );
+}
+
+// --- ablations --------------------------------------------------------------
+
+fn ablation_polling() {
+    let (n, prob) = queens_instance();
+    let cores: usize = arg("cores", 64);
+    println!("Polling-policy ablation, queens-{n} @ {cores} simulated cores\n");
+    println!(
+        "{:<18} {:>9} {:>8} {:>12} {:>12}",
+        "policy", "polls", "Poll%", "WaitRemote%", "makespan(s)"
+    );
+    for (label, policy) in [
+        ("fixed(4)", PollPolicy::Fixed(4)),
+        ("fixed(64)", PollPolicy::Fixed(64)),
+        ("fixed(1024)", PollPolicy::Fixed(1024)),
+        ("dynamic(2..64)", PollPolicy::Dynamic { min: 2, max: 64 }),
+        (
+            "dynamic(4..1024)",
+            PollPolicy::Dynamic { min: 4, max: 1024 },
+        ),
+    ] {
+        let mut cfg = host_cluster(cores, CostModel::paper_queens());
+        cfg.poll = policy;
+        let r = sim_cp_macs(&prob, &cfg);
+        let polls: u64 = r.workers.iter().map(|w| w.polls).sum();
+        let fr = r.state_fractions();
+        println!(
+            "{label:<18} {polls:>9} {:>7.2}% {:>11.2}% {:>12.4}",
+            fr[WorkerState::Poll as usize] * 100.0,
+            fr[WorkerState::WaitRemote as usize] * 100.0,
+            secs(&r)
+        );
+    }
+    println!(
+        "\nExpected: eager fixed polling wastes time in Poll; lazy fixed polling\n\
+              inflates WaitRemote (thieves starve); a dynamic interval with a sane\n\
+              ceiling (the shipped default) gets both ends right — and an\n\
+              over-generous ceiling shows why the ceiling matters."
+    );
+}
+
+fn ablation_release_interval() {
+    let (n, prob) = queens_instance();
+    let cores: usize = arg("cores", 64);
+    let mut one = cluster(1, CostModel::paper_queens());
+    if let Some(m) = cost_model_arg() {
+        one.costs = m;
+    }
+    let base_s = secs(&sim_cp_macs(&prob, &one));
+    println!("Release-interval ablation, queens-{n} @ {cores} simulated cores\n");
+    println!(
+        "{:>9} {:>10} {:>12} {:>11} {:>11}",
+        "interval", "releases", "Releasing%", "speed-up", "efficiency"
+    );
+    for interval in [1u32, 4, 16, 32, 128] {
+        let mut cfg = host_cluster(cores, CostModel::paper_queens());
+        cfg.release = ReleasePolicy {
+            interval,
+            ..ReleasePolicy::default()
+        };
+        let r = sim_cp_macs(&prob, &cfg);
+        let releases: u64 = r.workers.iter().map(|w| w.releases).sum();
+        let s = base_s / secs(&r);
+        println!(
+            "{interval:>9} {releases:>10} {:>11.2}% {:>11.2} {:>10.1}%",
+            r.state_fractions()[WorkerState::Releasing as usize] * 100.0,
+            s,
+            100.0 * s / cores as f64
+        );
+    }
+    println!(
+        "\nPaper shape: fewer releases → lower Releasing overhead → higher efficiency,\n\
+              until the interval is so large that thieves find empty shared regions."
+    );
+}
+
+fn ablation_victim() {
+    let (n, prob) = queens_instance();
+    println!("Victim-selection ablation, queens-{n}\n");
+    println!(
+        "{:>6} {:<10} {:>12} {:>10} {:>9} {:>12}",
+        "cores", "heuristic", "local steals", "failed", "items", "makespan(s)"
+    );
+    for cores in [8usize, 32, 128] {
+        for (label, sel) in [
+            ("greedy", VictimSelect::Greedy),
+            ("max-steal", VictimSelect::MaxSteal),
+        ] {
+            let mut cfg = host_cluster(cores, CostModel::paper_queens());
+            cfg.victim = sel;
+            let r = sim_cp_macs(&prob, &cfg);
+            let (lo, lf, _, _) = r.steal_totals();
+            let items: u64 = r.workers.iter().map(|w| w.local_steal_items).sum();
+            println!(
+                "{cores:>6} {label:<10} {lo:>12} {lf:>10} {items:>9} {:>12.4}",
+                secs(&r)
+            );
+        }
+    }
+    println!(
+        "\nExpected: max-steal moves more items per steal (fewer, fatter steals);\n\
+              greedy decides faster. End-to-end makespans stay close, as the paper\n\
+              implies by shipping both options."
+    );
+}
+
+/// "Propagation takes around 48%, splitting around 10% and restoring
+/// around 42%" for N-Queens, "80% / 5% / 15%" for the QAP — measured on
+/// the real threaded runtime (the one subcommand that is not simulated).
+fn phase_split() {
+    let n: usize = arg("n", 11);
+    let workers: usize = arg("workers", 2);
+    println!(
+        "Solve-phase split (threaded, {workers} workers); paper: 48/10/42 queens, 80/5/15 QAP\n"
+    );
+    println!(
+        "{:<16} {:>11} {:>9} {:>9}",
+        "problem", "propagate", "split", "restore"
+    );
+    for (label, prob) in [
+        (format!("queens-{n}"), queens(n, QueensModel::Pairwise)),
+        (
+            "qap-cube10".to_string(),
+            qap_model(&QapInstance::hypercube_like(10, 5)),
+        ),
+    ] {
+        let out = Solver::new(SolverConfig::with_workers(workers)).solve(&prob);
+        // propagate + split are measured inside the processor; "restore" is
+        // the worker time spent obtaining stores (Searching/Stealing).
+        let (mut prop, mut split, mut restore) = (0.0, 0.0, 0.0);
+        for w in &out.report.workers {
+            prop += w.phase.propagate.as_secs_f64();
+            split += w.phase.split.as_secs_f64();
+            restore += w.clock.totals[WorkerState::Searching as usize].as_secs_f64()
+                + w.clock.totals[WorkerState::Stealing as usize].as_secs_f64();
+        }
+        let total = prop + split + restore;
+        println!(
+            "{label:<16} {:>10.1}% {:>8.1}% {:>8.1}%   ({} nodes)",
+            100.0 * prop / total,
+            100.0 * split / total,
+            100.0 * restore / total,
+            out.nodes
+        );
+    }
+}
+
+fn uts_scaling() {
+    // Default: the near-critical binomial tree (the classic UTS stress
+    // shape); --geo with --law/--b0/--depth gives a geometric tree.
+    let seed: u32 = arg("seed", 3);
+    let shape = if std::env::args().any(|a| a == "--geo") {
+        TreeShape::Geometric {
+            b0: arg("b0", 4.0),
+            gen_mx: arg("depth", 14),
+            law: arg("law", GeoLaw::Linear),
+        }
+    } else {
+        TreeShape::medium_bin(seed)
+    };
+    let reference = uts_sequential(shape, seed);
+    println!(
+        "UTS tree {shape:?}: {} nodes, {} leaves, depth {}\n",
+        reference.nodes, reference.leaves, reference.max_depth
+    );
+    let run = |cores: usize| {
+        // UTS nodes are cheap: 1.5 µs each.
+        let cfg = cluster(cores, CostModel::woodcrest_ib(1_500));
+        simulate_macs(&cfg, SLOT_WORDS, &[UtsProcessor::root_item(seed)], |_| {
+            UtsProcessor::new(shape)
+        })
+    };
+    let base_s = secs(&run(1));
+    println!(
+        "{:>6} {:>11} {:>11} {:>9} {:>9} {:>9}",
+        "cores", "speed-up", "efficiency", "l.steals", "r.steals", "failed"
+    );
+    for cores in core_series() {
+        let r = run(cores);
+        assert_eq!(r.total_items(), reference.nodes, "tree conserved");
+        let (lo, lf, ro, rf) = r.steal_totals();
+        let s = base_s / secs(&r);
+        println!(
+            "{cores:>6} {s:>11.2} {:>10.1}% {lo:>9} {ro:>9} {:>9}",
+            100.0 * s / cores as f64,
+            lf + rf
+        );
+    }
+}

@@ -1,388 +1,154 @@
-//! The perf trajectory recorder.
+//! The virtual-time perf records: `--sim` → `BENCH_8.json`, `--service` →
+//! `BENCH_9.json`, `--calibration` → `BENCH_10.json` (`--help` says what
+//! each measures and gates). Wall-clock speed — a solve, a service drain,
+//! the per-layer ladder — is `benchmark/run.sh`'s job, against the parent
+//! commit; these three stay because their gated values do not depend on
+//! the host.
 //!
-//! Two trajectories live here:
-//!
-//! * the PR-6 record (`BENCH_6.json`, the default mode): sequential node
-//!   throughput (optimised kernel vs the frozen pre-PR reference),
-//!   work-pool steal latency (lock-free vs mutex baseline), and
-//!   propagation filter throughput;
-//! * the PR-8 record (`BENCH_8.json`, via `--sim`): simulator events/sec
-//!   and peak RSS per scale point — queens-14 at 4k→262k simulated cores
-//!   under both fabric models, plus esc16e\[11\] and UTS completeness
-//!   rows at 64k — with a same-seed determinism double-run at every
-//!   scale point (hard fail on any trace divergence);
-//! * the PR-9 record (`BENCH_9.json`, via `--service`): the multi-tenant
-//!   solve service on the simulator backend — throughput and sojourn
-//!   percentiles per scale point under both lease policies, 32 → 512
-//!   simulated cores up to 64 tenants, with a same-seed determinism
-//!   double-run at every point. The tracked trajectory is the set of
-//!   elastic/static policy ratios, which live entirely in virtual time
-//!   and are therefore machine-independent.
-//!
-//! Modes:
-//!
-//! * default — measure everything (medians of `--runs` repetitions for
-//!   the throughput metrics) and write the JSON record;
-//! * `--check <file>` — measure, then compare the machine-independent
-//!   ratios against a previously committed record; exit 1 on a >10%
-//!   regression. For the PR-6 record those are the optimised/reference
-//!   speed-ups; for `--sim` they are the events/sec ratios of each scale
-//!   point against the 4096-core base (how throughput *scales* is a
-//!   property of the event core; absolute events/sec is the host's).
-//!
-//! The node budgets restart the depth-first walk from the root if a tree
-//! is exhausted early; both kernels share the restart logic, so they
-//! always expand identical node sequences (checked at startup on small
-//! full trees).
+//! Every mode fills one [`Record`] — rows of named values plus the gated
+//! keys, each carrying its [`Gate`] — which [`write_json`] renders and
+//! [`check`] holds against a committed file. Simulated points are re-run
+//! with the same seed where the budget allows; a trace or digest
+//! divergence is a hard failure.
 
-use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use macs_bench::reference::{RefEngine, RefKernel, RefStep};
 use macs_bench::{arg, cost_model_arg, maybe_help, sim_cp_macs, usage};
-use macs_domain::bits;
-use macs_engine::{CompiledProblem, Engine, ScheduleSeed};
 use macs_gpi::MachineTopology;
-use macs_pool::{LockedPool, SplitPool};
 use macs_problems::{qap::QapInstance, qap_model, queens, QueensModel};
 use macs_runtime::Topology;
-use macs_search::{LocalIncumbent, NoBound, SearchKernel, StepOutcome, WorkItem};
 use macs_service::{
-    generate, JobScheduler, LeasePolicy, ServiceConfig, SimBackend, WorkloadConfig,
+    generate, JobScheduler, LeasePolicy, Oracle, ServiceConfig, SimBackend, WorkloadConfig,
 };
-use macs_sim::{simulate_macs, CostModel, FabricModel, SimConfig};
+use macs_sim::{simulate_macs, CostModel, FabricModel, SimConfig, SimReport};
 use macs_uts::{TreeShape, UtsProcessor, SLOT_WORDS};
 
-// ---------------------------------------------------------------------------
-// sequential node throughput
-// ---------------------------------------------------------------------------
+// The repo's one JSON value (writer and reader) lives with the benchmark.
+#[allow(dead_code)]
+#[path = "../../../../benchmark/src/json.rs"]
+mod json;
+use json::Json;
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Drive {
-    nodes: u64,
-    solutions: u64,
-    prop_runs: u64,
-    secs: f64,
+// --- the record: rows, gated keys, one writer, one comparator ----------------
+
+type Row = Vec<(&'static str, Json)>;
+
+fn int(n: u64) -> Json {
+    Json::Num(n as f64)
 }
 
-/// Expand up to `budget` nodes depth-first through the optimised kernel.
-fn drive_opt(prob: &CompiledProblem, budget: u64, optimise: bool) -> Drive {
-    let mut kernel = SearchKernel::new(prob);
-    // Throughput run: nothing reads the phase timers here, so take the
-    // timing-off fast path (the reference kernel has no such switch).
-    kernel.set_timing(false);
-    let inc = LocalIncumbent::new();
-    let mut stack: VecDeque<WorkItem> = VecDeque::new();
-    let root = kernel.alloc_root();
-    stack.push_back(root);
-    let mut out = Drive::default();
-    let t0 = Instant::now();
-    while out.nodes < budget {
-        let Some(mut store) = stack.pop_back() else {
-            if budget == u64::MAX {
-                break; // unbounded budget = run the whole tree once
+/// A float recorded to `decimals` places.
+fn fixed(x: f64, decimals: i32) -> Json {
+    let scale = 10f64.powi(decimals);
+    Json::Num((x * scale).round() / scale)
+}
+
+fn hex(h: u64) -> Json {
+    Json::str(format!("{h:#018x}"))
+}
+
+/// How a measured value is held against the recorded one.
+#[derive(Clone, Copy)]
+enum Gate {
+    /// measured ≥ factor × recorded (a ratio must not regress).
+    Floor(f64),
+    /// |measured − recorded| ≤ tolerance (a deterministic value must not drift).
+    Drift(f64),
+}
+
+impl Gate {
+    fn holds(self, measured: f64, recorded: f64) -> bool {
+        match self {
+            Gate::Floor(factor) => measured >= recorded * factor,
+            Gate::Drift(tolerance) => (measured - recorded).abs() <= tolerance,
+        }
+    }
+}
+
+struct Gated {
+    key: String,
+    value: f64,
+    gate: Gate,
+}
+
+fn gated(key: String, value: f64, gate: Gate) -> Gated {
+    Gated { key, value, gate }
+}
+
+struct Record {
+    /// `BENCH_<n>`: the committed file's stem and its `"record"` field.
+    name: &'static str,
+    mode: &'static str,
+    note: &'static str,
+    meta: Row,
+    rows: Vec<Row>,
+    gated: Vec<Gated>,
+}
+
+/// The one envelope all three records share.
+fn write_json(rec: &Record, quick: bool) -> String {
+    let rows = rec.rows.iter().map(|r| Json::obj(r.iter().cloned()));
+    let gated = rec
+        .gated
+        .iter()
+        .map(|g| (g.key.as_str(), fixed(g.value, 3)));
+    Json::obj([
+        ("record", Json::str(rec.name)),
+        ("bin", Json::str(format!("perf_record {}", rec.mode))),
+        ("quick", Json::Bool(quick)),
+        ("note", Json::str(rec.note)),
+        ("meta", Json::obj(rec.meta.iter().cloned())),
+        ("rows", Json::Arr(rows.collect())),
+        ("gated", Json::obj(gated)),
+    ])
+    .pretty()
+}
+
+/// Hold the measured gated keys against the committed record `text`.
+/// A key the record lacks is skipped (a full run checked against a quick
+/// record measures more than was recorded), but a check that compared
+/// nothing, a record of another mode, or a malformed record all fail.
+fn check(name: &str, measured: &[Gated], text: &str) -> Result<usize, String> {
+    let doc = Json::parse(text)?;
+    let recorded_name = doc.get("record");
+    if recorded_name != Some(&Json::str(name)) {
+        return Err(format!(
+            "this mode measures {name:?}, not {recorded_name:?}"
+        ));
+    }
+    let recorded = doc.get("gated").ok_or("record has no \"gated\" object")?;
+    let (mut compared, mut failures) = (0, Vec::new());
+    for g in measured {
+        let r = match recorded.get(&g.key) {
+            None => {
+                eprintln!("check: no \"{}\" in the record (skipped)", g.key);
+                continue;
             }
-            let root = kernel.alloc_root();
-            stack.push_back(root);
-            continue;
+            Some(v) => v
+                .as_f64()
+                .ok_or_else(|| format!("recorded \"{}\" is not a number", g.key))?,
         };
-        out.nodes += 1;
-        let step = if optimise {
-            kernel.step(&mut store, &inc)
+        compared += 1;
+        if g.gate.holds(g.value, r) {
+            eprintln!("check ok: {} = {:.3} (recorded {r:.3})", g.key, g.value);
         } else {
-            kernel.step(&mut store, &NoBound)
-        };
-        match step {
-            StepOutcome::Failed => {}
-            StepOutcome::Solution(s) => {
-                if s.cost.is_none() || s.improved {
-                    out.solutions += 1;
-                }
-            }
-            StepOutcome::Children(_) => kernel.push_children(&mut stack),
+            let bound = match g.gate {
+                Gate::Floor(f) => format!("fell below {f}x the recorded {r:.3}"),
+                Gate::Drift(d) => format!("drifted from the recorded {r:.3} by more than {d}"),
+            };
+            failures.push(format!("{} = {:.3} {bound}", g.key, g.value));
         }
-        kernel.recycle(store);
     }
-    out.secs = t0.elapsed().as_secs_f64();
-    out.prop_runs = kernel.prop_runs();
-    out
-}
-
-/// The same walk through the frozen pre-PR reference kernel.
-fn drive_ref(prob: &CompiledProblem, budget: u64, optimise: bool) -> Drive {
-    let mut kernel = RefKernel::new(prob);
-    let inc = LocalIncumbent::new();
-    let mut stack: VecDeque<WorkItem> = VecDeque::new();
-    let root = kernel.alloc_root();
-    stack.push_back(root);
-    let mut out = Drive::default();
-    let t0 = Instant::now();
-    while out.nodes < budget {
-        let Some(mut store) = stack.pop_back() else {
-            if budget == u64::MAX {
-                break; // unbounded budget = run the whole tree once
-            }
-            let root = kernel.alloc_root();
-            stack.push_back(root);
-            continue;
-        };
-        out.nodes += 1;
-        let step = if optimise {
-            kernel.step(&mut store, &inc)
-        } else {
-            kernel.step(&mut store, &NoBound)
-        };
-        match step {
-            RefStep::Failed => {}
-            RefStep::Solution(improved) => {
-                if improved {
-                    out.solutions += 1;
-                }
-            }
-            RefStep::Children(_) => kernel.push_children(&mut stack),
-        }
-        kernel.recycle(store);
+    if compared == 0 {
+        failures.push("no gated key of this run is in the record: nothing was compared".into());
     }
-    out.secs = t0.elapsed().as_secs_f64();
-    out.prop_runs = kernel.prop_runs();
-    out
+    failures
+        .is_empty()
+        .then_some(compared)
+        .ok_or_else(|| failures.join("\n"))
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
-}
-
-#[derive(Debug)]
-struct SeqRecord {
-    nodes: u64,
-    opt_nodes_per_sec: f64,
-    ref_nodes_per_sec: f64,
-    speedup: f64,
-    opt_prop_runs: u64,
-    ref_prop_runs: u64,
-}
-
-fn measure_seq(prob: &CompiledProblem, budget: u64, optimise: bool, runs: usize) -> SeqRecord {
-    let mut opt = Vec::with_capacity(runs);
-    let mut refr = Vec::with_capacity(runs);
-    let (mut opt_runs, mut ref_runs) = (0, 0);
-    for _ in 0..runs {
-        let o = drive_opt(prob, budget, optimise);
-        let r = drive_ref(prob, budget, optimise);
-        assert_eq!(
-            (o.nodes, o.solutions),
-            (r.nodes, r.solutions),
-            "kernels diverged on {}",
-            prob.name
-        );
-        opt.push(o.nodes as f64 / o.secs);
-        refr.push(r.nodes as f64 / r.secs);
-        opt_runs = o.prop_runs;
-        ref_runs = r.prop_runs;
-    }
-    let o = median(&mut opt);
-    let r = median(&mut refr);
-    SeqRecord {
-        nodes: budget,
-        opt_nodes_per_sec: o,
-        ref_nodes_per_sec: r,
-        speedup: o / r,
-        opt_prop_runs: opt_runs,
-        ref_prop_runs: ref_runs,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// propagation filter throughput
-// ---------------------------------------------------------------------------
-
-fn domain_popcount(prob: &CompiledProblem, words: &[u64]) -> u64 {
-    let l = &prob.layout;
-    (0..l.num_vars())
-        .map(|v| bits::count(&words[l.var_range(v)]) as u64)
-        .sum()
-}
-
-/// Filtered values per second when re-propagating the first branching
-/// decision of queens-n (alldifferent model): assign queen 0, seed the
-/// queue from that variable, count the values the fixpoint removes.
-fn prop_filter_throughput(prob: &CompiledProblem, iters: u64, reference: bool) -> f64 {
-    let mut engine = Engine::new(prob);
-    let mut ref_engine = RefEngine::new(prob);
-    let mut store = prob.root.clone();
-    let mut filtered = 0u64;
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        store.copy_from_words(prob.root.as_words());
-        bits::keep_only(store.dom_mut(&prob.layout, 0), 0);
-        let before = domain_popcount(prob, store.as_words());
-        let out = if reference {
-            ref_engine.propagate(prob, store.as_words_mut(), i64::MAX, ScheduleSeed::Var(0))
-        } else {
-            engine.propagate(prob, store.as_words_mut(), i64::MAX, ScheduleSeed::Var(0))
-        };
-        assert_eq!(out, macs_engine::PropOutcome::Fixpoint);
-        filtered += before - domain_popcount(prob, store.as_words());
-    }
-    filtered as f64 / t0.elapsed().as_secs_f64()
-}
-
-// ---------------------------------------------------------------------------
-// steal latency
-// ---------------------------------------------------------------------------
-
-/// The two pool variants behind one face so the latency harness is shared.
-trait BenchPool: Sync {
-    fn push(&self, item: &[u64]) -> bool;
-    fn pop_private(&self, dst: &mut [u64]) -> bool;
-    fn release(&self, k: u64) -> u64;
-    fn steal_up_to(&self, max: u64) -> u64;
-}
-
-impl BenchPool for SplitPool {
-    fn push(&self, item: &[u64]) -> bool {
-        SplitPool::push(self, item)
-    }
-    fn pop_private(&self, dst: &mut [u64]) -> bool {
-        SplitPool::pop_private(self, dst)
-    }
-    fn release(&self, k: u64) -> u64 {
-        SplitPool::release(self, k)
-    }
-    fn steal_up_to(&self, max: u64) -> u64 {
-        self.steal(max, |_| {})
-    }
-}
-
-impl BenchPool for LockedPool {
-    fn push(&self, item: &[u64]) -> bool {
-        LockedPool::push(self, item)
-    }
-    fn pop_private(&self, dst: &mut [u64]) -> bool {
-        LockedPool::pop_private(self, dst)
-    }
-    fn release(&self, k: u64) -> u64 {
-        LockedPool::release(self, k)
-    }
-    fn steal_up_to(&self, max: u64) -> u64 {
-        self.steal(max, |_| {})
-    }
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct Latency {
-    p50_ns: u64,
-    p99_ns: u64,
-    steals: u64,
-}
-
-/// One owner churns push/release/pop against `threads − 1` thieves, each
-/// timing its successful `steal` calls. Thread counts above the host's
-/// parallelism run oversubscribed — equally for both pool variants, so
-/// the comparison stays apples-to-apples.
-fn steal_latency<P: BenchPool>(pool: &P, threads: usize, dur: Duration) -> Latency {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let stop = AtomicBool::new(false);
-    let slot_words = 18; // queens-14 store: 4 header + 14 cells
-    let item = vec![1u64; slot_words];
-    let mut samples: Vec<Vec<u64>> = Vec::new();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 0..threads.saturating_sub(1) {
-            handles.push(s.spawn(|| {
-                let mut ns: Vec<u64> = Vec::with_capacity(1 << 14);
-                while !stop.load(Ordering::Relaxed) {
-                    let t0 = Instant::now();
-                    let n = pool.steal_up_to(4);
-                    if n > 0 {
-                        ns.push(t0.elapsed().as_nanos() as u64);
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                ns
-            }));
-        }
-        // Owner loop: keep the shared region stocked.
-        let mut out = vec![0u64; slot_words];
-        let deadline = Instant::now() + dur;
-        while Instant::now() < deadline {
-            for _ in 0..8 {
-                if !pool.push(&item) {
-                    pool.pop_private(&mut out);
-                }
-            }
-            pool.release(8);
-            pool.pop_private(&mut out);
-        }
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            samples.push(h.join().expect("thief panicked"));
-        }
-    });
-    let mut all: Vec<u64> = samples.into_iter().flatten().collect();
-    if all.is_empty() {
-        return Latency::default();
-    }
-    all.sort_unstable();
-    Latency {
-        p50_ns: all[all.len() / 2],
-        p99_ns: all[(all.len() * 99) / 100],
-        steals: all.len() as u64,
-    }
-}
-
-fn latency_pair(threads: usize, dur: Duration) -> (Latency, Latency) {
-    let lf = SplitPool::new(1024, 18);
-    let lk = LockedPool::new(1024, 18);
-    (
-        steal_latency(&lf, threads, dur),
-        steal_latency(&lk, threads, dur),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// record I/O (hand-rolled JSON: the repo deliberately has no serde)
-// ---------------------------------------------------------------------------
-
-fn fmt_latency(l: &Latency) -> String {
-    format!(
-        "{{\"p50_ns\": {}, \"p99_ns\": {}, \"steals\": {}}}",
-        l.p50_ns, l.p99_ns, l.steals
-    )
-}
-
-fn fmt_seq(s: &SeqRecord) -> String {
-    format!(
-        "{{\n      \"nodes\": {},\n      \"optimized_nodes_per_sec\": {:.0},\n      \"reference_nodes_per_sec\": {:.0},\n      \"speedup_vs_reference\": {:.3},\n      \"optimized_prop_runs\": {},\n      \"reference_prop_runs\": {}\n    }}",
-        s.nodes,
-        s.opt_nodes_per_sec,
-        s.ref_nodes_per_sec,
-        s.speedup,
-        s.opt_prop_runs,
-        s.ref_prop_runs
-    )
-}
-
-/// Pull `"key": <number>` out of the section of `text` that follows
-/// `section` (enough JSON parsing for the format this bin writes).
-fn json_number_after(text: &str, section: &str, key: &str) -> Option<f64> {
-    let start = text.find(&format!("\"{section}\""))?;
-    let rest = &text[start..];
-    let k = rest.find(&format!("\"{key}\""))?;
-    let after = &rest[k..];
-    let colon = after.find(':')?;
-    let tail = after[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-// ---------------------------------------------------------------------------
-// the PR-8 simulator trajectory (--sim): events/sec + peak RSS per scale
-// ---------------------------------------------------------------------------
+// --- --sim: events/sec + peak RSS per scale point ----------------------------
 
 /// Process-lifetime peak RSS in kB (`VmHWM`), 0 where /proc is absent.
 /// Monotone over the process: callers run scale points smallest-first so
@@ -399,450 +165,200 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-#[derive(Debug)]
-struct SimPoint {
-    workload: &'static str,
-    cores: usize,
-    fabric: String,
-    nodes: u64,
-    events: u64,
-    events_per_sec: f64,
-    wall_s: f64,
-    makespan_ms: f64,
-    peak_rss_kb: u64,
-    peak_live_items: u64,
-    trace_hash: u64,
-    determinism_runs: u32,
-}
-
-impl SimPoint {
-    fn json(&self) -> String {
-        format!(
-            "{{\"workload\": \"{}\", \"cores\": {}, \"fabric\": \"{}\", \"nodes\": {}, \"events\": {}, \"events_per_sec\": {:.0}, \"wall_s\": {:.2}, \"makespan_ms\": {:.3}, \"peak_rss_kb\": {}, \"peak_live_items\": {}, \"trace_hash\": \"{:#018x}\", \"determinism_runs\": {}}}",
-            self.workload,
-            self.cores,
-            self.fabric,
-            self.nodes,
-            self.events,
-            self.events_per_sec,
-            self.wall_s,
-            self.makespan_ms,
-            self.peak_rss_kb,
-            self.peak_live_items,
-            self.trace_hash,
-            self.determinism_runs
-        )
-    }
-}
-
-/// Run queens-14 at `cores` under `fabric`, `runs`× with the same seed
-/// (every repetition must replay bit-identically — hard fail otherwise);
-/// events/sec is the best repetition's.
-fn sim_point(prob: &CompiledProblem, cores: usize, fabric: FabricModel, runs: u32) -> SimPoint {
-    let mut cfg = SimConfig::new(Topology::clustered(cores, 4));
-    cfg.costs = CostModel::paper_queens();
-    cfg.fabric = fabric;
-    let mut best: Option<SimPoint> = None;
-    let mut first: Option<(u64, u64)> = None;
-    for _ in 0..runs.max(1) {
+/// Simulate one point `runs`× with the same seed (every repetition must
+/// replay bit-identically): its row, timed by the fastest repetition, and
+/// its events/sec.
+fn sim_point<O>(
+    kind: &str,
+    workload: &str,
+    cfg: &SimConfig,
+    runs: u32,
+    simulate: impl Fn(&SimConfig) -> SimReport<O>,
+) -> (Row, f64) {
+    let cores = cfg.topology.total_workers();
+    eprintln!(
+        "sim: {workload} @ {cores} cores, {} ({runs} run(s))...",
+        cfg.fabric
+    );
+    let (mut report, mut wall) = (None::<SimReport<O>>, f64::INFINITY);
+    for _ in 0..runs {
+        // Keep only the identity of the previous repetition: its report
+        // must not sit in this repetition's peak RSS.
+        let seen = report.take().map(|r| (r.trace_hash, r.digest()));
         let t0 = Instant::now();
-        let r = sim_cp_macs(prob, &cfg);
-        let wall = t0.elapsed().as_secs_f64();
-        match first {
-            None => first = Some((r.trace_hash, r.digest())),
-            Some(f) => assert_eq!(
-                f,
-                (r.trace_hash, r.digest()),
-                "NON-DETERMINISTIC: queens-14 @ {cores} {fabric} diverged between same-seed runs"
-            ),
-        }
-        let p = SimPoint {
-            workload: "queens-14",
-            cores,
-            fabric: fabric.to_string(),
-            nodes: r.total_items(),
-            events: r.events,
-            events_per_sec: r.events as f64 / wall,
-            wall_s: wall,
-            makespan_ms: r.makespan_ns as f64 / 1e6,
-            peak_rss_kb: peak_rss_kb(),
-            peak_live_items: r.peak_live_items,
-            trace_hash: r.trace_hash,
-            determinism_runs: runs.max(1),
-        };
-        if best
-            .as_ref()
-            .map(|b| p.events_per_sec > b.events_per_sec)
-            .unwrap_or(true)
-        {
-            best = Some(p);
-        }
+        let r = simulate(cfg);
+        wall = wall.min(t0.elapsed().as_secs_f64());
+        assert!(
+            seen.is_none_or(|id| id == (r.trace_hash, r.digest())),
+            "NON-DETERMINISTIC: {workload} @ {cores} {} diverged between same-seed runs",
+            cfg.fabric
+        );
+        report = Some(r);
     }
-    best.expect("at least one run")
+    let r = report.expect("at least one run");
+    let rate = r.events as f64 / wall;
+    let rss = peak_rss_kb();
+    eprintln!(
+        "     {rate:.0} events/s, wall {wall:.1}s, peak RSS {} MB",
+        rss / 1024
+    );
+    let row = vec![
+        ("kind", Json::str(kind)),
+        ("workload", Json::str(workload)),
+        ("cores", int(cores as u64)),
+        ("fabric", Json::str(cfg.fabric.to_string())),
+        ("nodes", int(r.total_items())),
+        ("events", int(r.events)),
+        ("events_per_sec", fixed(rate, 0)),
+        ("wall_s", fixed(wall, 2)),
+        ("makespan_ms", fixed(r.makespan_ns as f64 / 1e6, 3)),
+        ("peak_rss_kb", int(rss)),
+        ("peak_live_items", int(r.peak_live_items)),
+        ("trace_hash", hex(r.trace_hash)),
+        ("determinism_runs", int(runs as u64)),
+    ];
+    (row, rate)
 }
 
-fn run_sim_trajectory(quick: bool, out_path: &str, check_path: &str) {
-    let base_cores = 4_096usize;
+fn sim_record(quick: bool) -> Record {
+    const BASE_CORES: usize = 4_096;
     let scales: &[usize] = if quick {
-        &[4_096, 65_536]
+        &[BASE_CORES, 65_536]
     } else {
-        &[4_096, 65_536, 131_072, 262_144]
+        &[BASE_CORES, 65_536, 131_072, 262_144]
     };
-    let models = [
-        FabricModel::Latency,
-        "contention".parse::<FabricModel>().unwrap(),
-    ];
+    let cluster = |cores: usize, costs: CostModel, fabric: FabricModel| {
+        let mut cfg = SimConfig::new(Topology::clustered(cores, 4)).with_cost_model(costs);
+        cfg.fabric = fabric;
+        cfg
+    };
+    let contention: FabricModel = "contention".parse().expect("the default contention model");
     let q14 = queens(14, QueensModel::Pairwise);
 
-    let mut points: Vec<SimPoint> = Vec::new();
+    // Gated: events/sec at each point over the same-model base. Both
+    // sides move with the host, so the ratio is machine-independent.
+    let (mut rows, mut gates) = (Vec::new(), Vec::new());
+    let mut base_rate = [0.0f64; 2];
     for &cores in scales {
-        for fabric in models {
-            // Same-seed double-run at every point pins determinism where
-            // the test suite stops (it covers up to 32k); the contention
-            // model is double-checked at the base point only — the big
-            // points' budget goes to the latency series the scaling
-            // ratios are gated on.
-            let runs = if fabric.is_contention() && cores > base_cores && !quick {
-                1
+        for (base, fabric) in base_rate.iter_mut().zip([FabricModel::Latency, contention]) {
+            // The same-seed double-run pins determinism where the test
+            // suite stops (it covers up to 32k); the contention model is
+            // double-checked at the base point only — the big points'
+            // budget goes to the latency series.
+            let once = fabric.is_contention() && cores > BASE_CORES && !quick;
+            let runs = if once { 1 } else { 2 };
+            let cfg = cluster(cores, CostModel::paper_queens(), fabric);
+            let run = |c: &SimConfig| sim_cp_macs(&q14, c);
+            let (row, rate) = sim_point("scale_point", "queens-14", &cfg, runs, run);
+            rows.push(row);
+            if cores == BASE_CORES {
+                *base = rate;
             } else {
-                2
-            };
-            eprintln!("sim: queens-14 @ {cores} cores, {fabric} ({runs} run(s))...");
-            let p = sim_point(&q14, cores, fabric, runs);
-            eprintln!(
-                "     {:.0} events/s, wall {:.1}s, peak RSS {} MB",
-                p.events_per_sec,
-                p.wall_s,
-                p.peak_rss_kb / 1024
-            );
-            points.push(p);
-        }
-    }
-
-    // Scaling ratios: events/sec at each point over the same-model base.
-    // Machine-independent enough to gate: both sides move with the host.
-    let ratio_of = |fabric: &str, cores: usize| -> f64 {
-        let at = |c: usize| {
-            points
-                .iter()
-                .find(|p| p.fabric == fabric && p.cores == c)
-                .map(|p| p.events_per_sec)
-                .unwrap_or(0.0)
-        };
-        at(cores) / at(base_cores).max(1.0)
-    };
-    let mut ratios: Vec<(String, f64)> = Vec::new();
-    for fabric in ["latency", "contention"] {
-        for &cores in &scales[1..] {
-            ratios.push((format!("{fabric}_{cores}_vs_base"), ratio_of(fabric, cores)));
+                let key = format!("{fabric}_{cores}_vs_base");
+                gates.push(gated(key, rate / base.max(1.0), Gate::Floor(0.9)));
+            }
         }
     }
 
     // Completeness rows at 64k: the other two workload families the event
     // core must carry (recorded, not gated — different cost models).
-    let mut completeness: Vec<SimPoint> = Vec::new();
     if !quick {
-        eprintln!("sim: esc16e[11] @ 65536 cores (completeness row)...");
         let esc = qap_model(&QapInstance::esc16e().sub_instance(11));
-        let mut cfg = SimConfig::new(Topology::clustered(65_536, 4));
-        cfg.costs = CostModel::paper_qap();
-        let t0 = Instant::now();
-        let r = sim_cp_macs(&esc, &cfg);
-        let wall = t0.elapsed().as_secs_f64();
-        completeness.push(SimPoint {
-            workload: "esc16e11",
-            cores: 65_536,
-            fabric: "latency".into(),
-            nodes: r.total_items(),
-            events: r.events,
-            events_per_sec: r.events as f64 / wall,
-            wall_s: wall,
-            makespan_ms: r.makespan_ns as f64 / 1e6,
-            peak_rss_kb: peak_rss_kb(),
-            peak_live_items: r.peak_live_items,
-            trace_hash: r.trace_hash,
-            determinism_runs: 1,
-        });
-        eprintln!("sim: UTS binomial @ 65536 cores (completeness row)...");
+        let cfg = cluster(65_536, CostModel::paper_qap(), FabricModel::Latency);
+        let run = |c: &SimConfig| sim_cp_macs(&esc, c);
+        rows.push(sim_point("completeness_64k", "esc16e11", &cfg, 1, run).0);
         let seed = 3u32;
         let shape = TreeShape::medium_bin(seed);
-        let mut cfg = SimConfig::new(Topology::clustered(65_536, 4));
-        cfg.costs = CostModel::woodcrest_ib(1_500);
-        let t0 = Instant::now();
-        let r = simulate_macs(&cfg, SLOT_WORDS, &[UtsProcessor::root_item(seed)], |_| {
-            UtsProcessor::new(shape)
-        });
-        let wall = t0.elapsed().as_secs_f64();
-        completeness.push(SimPoint {
-            workload: "uts-bin",
-            cores: 65_536,
-            fabric: "latency".into(),
-            nodes: r.total_items(),
-            events: r.events,
-            events_per_sec: r.events as f64 / wall,
-            wall_s: wall,
-            makespan_ms: r.makespan_ns as f64 / 1e6,
-            peak_rss_kb: peak_rss_kb(),
-            peak_live_items: r.peak_live_items,
-            trace_hash: r.trace_hash,
-            determinism_runs: 1,
-        });
+        let cfg = cluster(65_536, CostModel::woodcrest_ib(1_500), FabricModel::Latency);
+        let root = [UtsProcessor::root_item(seed)];
+        let run = |c: &SimConfig| simulate_macs(c, SLOT_WORDS, &root, |_| UtsProcessor::new(shape));
+        rows.push(sim_point("completeness_64k", "uts-bin", &cfg, 1, run).0);
     }
 
-    for p in points.iter().chain(&completeness) {
-        println!(
-            "{:<10} @ {:>6} cores [{:<10}]: {:>9.0} events/s  wall {:>6.1}s  peak RSS {:>5} MB  ({} nodes)",
-            p.workload,
-            p.cores,
-            p.fabric,
-            p.events_per_sec,
-            p.wall_s,
-            p.peak_rss_kb / 1024,
-            p.nodes
-        );
+    let host_par = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Record {
+        name: "BENCH_8",
+        mode: "--sim",
+        note: "absolute events/sec and RSS are machine-dependent; the gated ratios (each point's events/sec over the same fabric's base_cores point) are the tracked trajectory. VmHWM is a process-lifetime high-water mark — points run smallest-first so each row approximates its own peak.",
+        meta: vec![
+            ("available_parallelism", int(host_par as u64)),
+            ("base_cores", int(BASE_CORES as u64)),
+        ],
+        rows,
+        gated: gates,
     }
-    for (k, v) in &ratios {
-        println!("scaling {k}: {v:.3}");
-    }
-
-    if !check_path.is_empty() {
-        let prev = std::fs::read_to_string(check_path)
-            .unwrap_or_else(|e| panic!("cannot read {check_path}: {e}"));
-        let mut failed = false;
-        for (key, measured) in &ratios {
-            let Some(recorded) = json_number_after(&prev, "scaling", key) else {
-                // Quick runs gate only the points they measured; a full
-                // record holds more ratio keys than a quick check needs.
-                eprintln!("check: no \"{key}\" under \"scaling\" in {check_path} (skipped)");
-                continue;
-            };
-            let floor = recorded * 0.9;
-            if *measured < floor {
-                eprintln!(
-                    "check FAILED: events/sec ratio {key} = {measured:.3} fell below 90% of the recorded {recorded:.3}"
-                );
-                failed = true;
-            } else {
-                eprintln!("check ok: {key} = {measured:.3} (recorded {recorded:.3})");
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!("sim check passed against {check_path}");
-        return;
-    }
-
-    let host_par = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut json = format!(
-        "{{\n  \"record\": \"BENCH_8\",\n  \"bin\": \"perf_record --sim\",\n  \"quick\": {quick},\n  \"host\": {{\n    \"available_parallelism\": {host_par},\n    \"note\": \"absolute events/sec and RSS are machine-dependent; the scaling ratios are the tracked trajectory. VmHWM is a process-lifetime high-water mark — points run smallest-first so each row approximates its own peak.\"\n  }},\n  \"scale_points\": [\n"
-    );
-    for (i, p) in points.iter().enumerate() {
-        let sep = if i + 1 < points.len() { "," } else { "" };
-        json.push_str(&format!("    {}{sep}\n", p.json()));
-    }
-    json.push_str("  ],\n  \"scaling\": {\n");
-    json.push_str(&format!("    \"base_cores\": {base_cores}"));
-    for (k, v) in &ratios {
-        json.push_str(&format!(",\n    \"{k}\": {v:.3}"));
-    }
-    json.push_str("\n  },\n  \"completeness_64k\": [\n");
-    for (i, p) in completeness.iter().enumerate() {
-        let sep = if i + 1 < completeness.len() { "," } else { "" };
-        json.push_str(&format!("    {}{sep}\n", p.json()));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
 }
 
-// ---------------------------------------------------------------------------
-// the PR-10 calibration trajectory (--calibration): calibrated vs default
-// ---------------------------------------------------------------------------
+// --- --calibration: calibrated vs default speedup curves ---------------------
 
 /// The calibrated model the record is pinned against: a real artifact of
-/// running the `calibrate` bin on a dev host, committed next to the bin.
-/// `--cost-model` overrides it.
-const COMMITTED_MODEL: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/data/calibrated_host.cost");
+/// running the `calibrate` bin on a dev host. `--cost-model` overrides it.
+const COMMITTED_MODEL: &str = "crates/bench/data/calibrated_host.cost";
 
-#[derive(Debug)]
-struct CalPoint {
-    workload: &'static str,
-    cores: usize,
-    default_ms: f64,
-    calibrated_ms: f64,
-    s_default: f64,
-    s_calibrated: f64,
-    err: f64,
-}
-
-/// Simulate `prob` at every width of the 2–32-core prefix under both the
-/// default constants and the calibrated model; the tracked numbers are
-/// the per-width relative errors between the two speedup curves. All
-/// quantities are virtual-time outputs of the bit-deterministic
-/// simulator, so the record is machine-independent and the check
-/// tolerance absorbs intentional cost-charging changes, not noise.
-fn run_calibration_trajectory(quick: bool, out_path: &str, check_path: &str) {
-    let model_path: String = std::env::args()
-        .skip_while(|a| a != "--cost-model")
-        .nth(1)
-        .unwrap_or_else(|| COMMITTED_MODEL.to_string());
+/// Each workload at every width of a flat 2–32-core host under both the
+/// default constants and the calibrated model; gated is the per-width
+/// relative error between the two speedup curves. All virtual time, so
+/// the tolerance absorbs intentional cost-charging changes, not noise.
+fn calibration_record(quick: bool) -> Record {
     let calibrated = cost_model_arg().unwrap_or_else(|| {
-        CostModel::load(std::path::Path::new(COMMITTED_MODEL))
-            .unwrap_or_else(|e| panic!("cannot load the committed model: {e}"))
+        include_str!("../../data/calibrated_host.cost")
+            .parse()
+            .unwrap_or_else(|e| panic!("the committed model {COMMITTED_MODEL} is malformed: {e}"))
     });
-    let default = CostModel::default();
     let widths: &[usize] = if quick { &[2, 8] } else { &[2, 4, 8, 16, 32] };
-    let workloads: Vec<(&'static str, CompiledProblem)> = vec![
+    let workloads = [
         ("queens11", queens(11, QueensModel::Pairwise)),
         ("esc16e9", qap_model(&QapInstance::esc16e().sub_instance(9))),
     ];
-
-    let mut points: Vec<CalPoint> = Vec::new();
+    let (mut rows, mut gates) = (Vec::new(), Vec::new());
     for (name, prob) in &workloads {
-        let mut rows: Vec<(usize, u64, u64)> = Vec::new();
+        // The host-shaped case: one shared-memory node, flat.
+        let makespan = |p: usize, costs: CostModel| {
+            let cfg = SimConfig::new(MachineTopology::flat(p)).with_cost_model(costs);
+            sim_cp_macs(prob, &cfg).makespan_ns.max(1) as f64
+        };
+        let (mut base_def, mut base_cal) = (0.0, 0.0);
         for &p in widths {
-            // The host-shaped case: one shared-memory node, flat.
-            let topo = MachineTopology::flat(p);
-            let def = sim_cp_macs(prob, &SimConfig::new(topo.clone()).with_cost_model(default));
-            let cal = sim_cp_macs(prob, &SimConfig::new(topo).with_cost_model(calibrated));
-            rows.push((p, def.makespan_ns.max(1), cal.makespan_ns.max(1)));
-        }
-        let (_, base_def, base_cal) = rows[0];
-        for (p, def_ns, cal_ns) in rows {
-            let s_default = base_def as f64 / def_ns as f64;
-            let s_calibrated = base_cal as f64 / cal_ns as f64;
-            points.push(CalPoint {
-                workload: name,
-                cores: p,
-                default_ms: def_ns as f64 / 1e6,
-                calibrated_ms: cal_ns as f64 / 1e6,
-                s_default,
-                s_calibrated,
-                err: (s_calibrated / s_default - 1.0).abs(),
-            });
-        }
-    }
-
-    for p in &points {
-        println!(
-            "{:<10} @ {:>2} cores: default {:>9.3} ms  calibrated {:>9.3} ms  S {:>5.2} vs {:>5.2}  err {:.3}",
-            p.workload, p.cores, p.default_ms, p.calibrated_ms, p.s_default, p.s_calibrated, p.err
-        );
-    }
-
-    if !check_path.is_empty() {
-        let prev = std::fs::read_to_string(check_path)
-            .unwrap_or_else(|e| panic!("cannot read {check_path}: {e}"));
-        let mut failed = false;
-        for p in &points {
-            let key = format!("err_{}_{}", p.workload, p.cores);
-            let Some(recorded) = json_number_after(&prev, "calibration", &key) else {
-                eprintln!("check: no \"{key}\" under \"calibration\" in {check_path} (skipped)");
-                continue;
-            };
-            // The sim is bit-deterministic: same code + same models give
-            // the recorded error exactly. The tolerance is headroom for
-            // intentional cost-charging changes that shift both curves.
-            if (p.err - recorded).abs() > 0.05 {
-                eprintln!(
-                    "check FAILED: curve error {key} = {:.3} drifted from the recorded {recorded:.3} by more than 0.05",
-                    p.err
-                );
-                failed = true;
-            } else {
-                eprintln!("check ok: {key} = {:.3} (recorded {recorded:.3})", p.err);
+            let (def, cal) = (makespan(p, CostModel::default()), makespan(p, calibrated));
+            if p == widths[0] {
+                (base_def, base_cal) = (def, cal);
             }
+            let (s_def, s_cal) = (base_def / def, base_cal / cal);
+            let err = (s_cal / s_def - 1.0).abs();
+            rows.push(vec![
+                ("workload", Json::str(*name)),
+                ("cores", int(p as u64)),
+                ("makespan_default_ms", fixed(def / 1e6, 3)),
+                ("makespan_calibrated_ms", fixed(cal / 1e6, 3)),
+                ("speedup_default", fixed(s_def, 3)),
+                ("speedup_calibrated", fixed(s_cal, 3)),
+                ("err", fixed(err, 3)),
+            ]);
+            gates.push(gated(format!("err_{name}_{p}"), err, Gate::Drift(0.05)));
         }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!("calibration check passed against {check_path}");
-        return;
     }
-
-    let mut json = format!(
-        "{{\n  \"record\": \"BENCH_10\",\n  \"bin\": \"perf_record --calibration\",\n  \"quick\": {quick},\n  \"model\": \"{model_path}\",\n  \"note\": \"speedup curves of the simulator under the committed calibrated model vs the built-in defaults, per width of a flat 2-32-core host prefix; every number is virtual-time and bit-deterministic, so the record is machine-independent. err = |S_cal/S_def - 1| per point.\",\n  \"points\": [\n"
-    );
-    for (i, p) in points.iter().enumerate() {
-        let sep = if i + 1 < points.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"cores\": {}, \"makespan_default_ms\": {:.3}, \"makespan_calibrated_ms\": {:.3}, \"speedup_default\": {:.3}, \"speedup_calibrated\": {:.3}, \"err\": {:.3}}}{sep}\n",
-            p.workload, p.cores, p.default_ms, p.calibrated_ms, p.s_default, p.s_calibrated, p.err
-        ));
-    }
-    json.push_str("  ],\n  \"calibration\": {");
-    for (i, p) in points.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        json.push_str(&format!(
-            "{sep}\n    \"err_{}_{}\": {:.3}",
-            p.workload, p.cores, p.err
-        ));
-    }
-    json.push_str("\n  }\n}\n");
-    std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
-}
-
-// ---------------------------------------------------------------------------
-// the PR-9 service trajectory (--service): lease policies under load
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct ServicePoint {
-    cores: usize,
-    tenants: usize,
-    jobs: usize,
-    policy: String,
-    completed: u64,
-    rejected: u64,
-    throughput_per_sec: f64,
-    p50_ns: u64,
-    p99_ns: u64,
-    p999_ns: u64,
-    max_queue_depth: usize,
-    fairness: f64,
-    makespan_ms: f64,
-    wall_s: f64,
-    digest: u64,
-}
-
-impl ServicePoint {
-    fn json(&self) -> String {
-        format!(
-            "{{\"cores\": {}, \"tenants\": {}, \"jobs\": {}, \"policy\": \"{}\", \"completed\": {}, \"rejected\": {}, \"throughput_per_sec\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_queue_depth\": {}, \"fairness\": {:.3}, \"makespan_ms\": {:.3}, \"wall_s\": {:.2}, \"digest\": \"{:#018x}\"}}",
-            self.cores,
-            self.tenants,
-            self.jobs,
-            self.policy,
-            self.completed,
-            self.rejected,
-            self.throughput_per_sec,
-            self.p50_ns,
-            self.p99_ns,
-            self.p999_ns,
-            self.max_queue_depth,
-            self.fairness,
-            self.makespan_ms,
-            self.wall_s,
-            self.digest
-        )
+    Record {
+        name: "BENCH_10",
+        mode: "--calibration",
+        note: "speedup curves of the simulator under the committed calibrated model vs the built-in defaults, per width of a flat 2-32-core host prefix; every number is virtual-time and bit-deterministic, so the record is machine-independent. err = |S_cal/S_def - 1| per point.",
+        meta: vec![("model", Json::str(arg("cost-model", COMMITTED_MODEL.to_string())))],
+        rows,
+        gated: gates,
     }
 }
+
+// --- --service: lease policies under load ------------------------------------
 
 /// Serve one trace at one scale under one policy, twice with the same
-/// seed — the service simulator must replay bit-identically (hard fail
-/// otherwise) — and hard-gate the scheduler invariants and the oracle.
+/// seed (it must replay bit-identically), hard-gating the scheduler
+/// invariants and the oracle: the row, jobs completed, peak queue depth.
 fn service_point(
-    nodes: usize,
-    tenants: usize,
-    jobs: usize,
+    (nodes, tenants, jobs): (usize, usize, usize),
     policy: LeasePolicy,
-    oracle: &mut macs_service::Oracle,
-) -> ServicePoint {
-    let cores_per_node = 4usize;
+    oracle: &mut Oracle,
+) -> (Row, u64, usize) {
+    let cores = nodes * 4;
+    eprintln!("service: {cores} cores, {tenants} tenants, {jobs} jobs, {policy}...");
     let trace = generate(&WorkloadConfig {
         jobs,
         tenants,
@@ -851,7 +367,7 @@ fn service_point(
     });
     let cfg = ServiceConfig {
         nodes,
-        cores_per_node,
+        cores_per_node: 4,
         queue_cap: (jobs / 4).max(4),
         policy,
         cost_model: Default::default(),
@@ -859,17 +375,14 @@ fn service_point(
     let t0 = Instant::now();
     let r = SimBackend::default().serve(&cfg, &trace);
     let wall = t0.elapsed().as_secs_f64();
-    let replay = SimBackend::default().serve(&cfg, &trace);
     assert_eq!(
         r.digest(),
-        replay.digest(),
-        "NON-DETERMINISTIC: service @ {} cores {policy} diverged between same-seed runs",
-        nodes * cores_per_node
+        SimBackend::default().serve(&cfg, &trace).digest(),
+        "NON-DETERMINISTIC: service @ {cores} cores {policy} diverged between same-seed runs"
     );
     assert!(
         r.violations.is_empty(),
-        "service @ {} cores {policy}: {:?}",
-        nodes * cores_per_node,
+        "service @ {cores} cores {policy}: {:?}",
         r.violations
     );
     for rec in r.records.iter().filter(|rec| !rec.rejected) {
@@ -877,26 +390,27 @@ fn service_point(
             .verify(rec.class, &rec.answer)
             .unwrap_or_else(|e| panic!("service @ {nodes} nodes job {}: {e}", rec.id));
     }
-    ServicePoint {
-        cores: nodes * cores_per_node,
-        tenants,
-        jobs,
-        policy: policy.to_string(),
-        completed: r.completed(),
-        rejected: r.rejected(),
-        throughput_per_sec: r.throughput_per_sec(),
-        p50_ns: r.sojourn_percentile_ns(50.0),
-        p99_ns: r.sojourn_percentile_ns(99.0),
-        p999_ns: r.sojourn_percentile_ns(99.9),
-        max_queue_depth: r.max_queue_depth,
-        fairness: r.fairness_ratio(),
-        makespan_ms: r.makespan_ns as f64 / 1e6,
-        wall_s: wall,
-        digest: r.digest(),
-    }
+    let row = vec![
+        ("cores", int(cores as u64)),
+        ("tenants", int(tenants as u64)),
+        ("jobs", int(jobs as u64)),
+        ("policy", Json::str(policy.to_string())),
+        ("completed", int(r.completed())),
+        ("rejected", int(r.rejected())),
+        ("throughput_per_sec", fixed(r.throughput_per_sec(), 1)),
+        ("p50_ns", int(r.sojourn_percentile_ns(50.0))),
+        ("p99_ns", int(r.sojourn_percentile_ns(99.0))),
+        ("p999_ns", int(r.sojourn_percentile_ns(99.9))),
+        ("max_queue_depth", int(r.max_queue_depth as u64)),
+        ("fairness", fixed(r.fairness_ratio(), 3)),
+        ("makespan_ms", fixed(r.makespan_ns as f64 / 1e6, 3)),
+        ("wall_s", fixed(wall, 2)),
+        ("digest", hex(r.digest())),
+    ];
+    (row, r.completed(), r.max_queue_depth)
 }
 
-fn run_service_trajectory(quick: bool, out_path: &str, check_path: &str) {
+fn service_record(quick: bool) -> Record {
     // (nodes, tenants, jobs): 32 → 512 simulated cores; the last point is
     // the 512-core × 64-tenant acceptance cell. Quick mode runs the end
     // points of the same series — the cells must be identical to the full
@@ -906,297 +420,181 @@ fn run_service_trajectory(quick: bool, out_path: &str, check_path: &str) {
     } else {
         &[(8, 8, 32), (32, 16, 48), (128, 64, 96)]
     };
-    let mut oracle = macs_service::Oracle::new();
-    let mut points: Vec<ServicePoint> = Vec::new();
-    for &(nodes, tenants, jobs) in scales {
-        for policy in [
-            LeasePolicy::Static {
-                nodes: (nodes / 4).max(1),
-            },
-            LeasePolicy::QueueDepth { min: 1, max: nodes },
-        ] {
-            eprintln!(
-                "service: {} cores, {tenants} tenants, {jobs} jobs, {policy}...",
-                nodes * 4
-            );
-            let p = service_point(nodes, tenants, jobs, policy, &mut oracle);
-            eprintln!(
-                "     {:.1} jobs/s, p99 {:.3} ms, {} rejected, wall {:.1}s",
-                p.throughput_per_sec,
-                p.p99_ns as f64 / 1e6,
-                p.rejected,
-                p.wall_s
-            );
-            points.push(p);
-        }
+    let mut oracle = Oracle::new();
+    let (mut rows, mut gates) = (Vec::new(), Vec::new());
+    for &scale in scales {
+        let (nodes, cores) = (scale.0, scale.0 * 4);
+        let lease = LeasePolicy::Static {
+            nodes: (nodes / 4).max(1),
+        };
+        let elastic = LeasePolicy::QueueDepth { min: 1, max: nodes };
+        let (s_row, s_completed, s_depth) = service_point(scale, lease, &mut oracle);
+        let (e_row, e_completed, e_depth) = service_point(scale, elastic, &mut oracle);
+        rows.extend([s_row, e_row]);
+        // Jobs the machine actually served: elastic admission over static
+        // (≥ 1 when elasticity absorbs the burst).
+        let served = e_completed as f64 / (s_completed as f64).max(1.0);
+        gates.push(gated(
+            format!("served_elastic_vs_static_{cores}"),
+            served,
+            Gate::Floor(0.9),
+        ));
+        // Worst-case queueing: static peak depth over elastic.
+        let depth = s_depth as f64 / (e_depth as f64).max(1.0);
+        gates.push(gated(
+            format!("queue_depth_static_vs_elastic_{cores}"),
+            depth,
+            Gate::Floor(0.9),
+        ));
     }
-
-    // The tracked trajectory: per-scale elastic/static ratios. Both sides
-    // are virtual-time quantities of a bit-deterministic simulation, so
-    // the ratios are machine-independent; the 10% check tolerance absorbs
-    // intentional cost-model drift, not noise.
-    let at = |cores: usize, elastic: bool| -> Option<&ServicePoint> {
-        points
-            .iter()
-            .find(|p| p.cores == cores && p.policy.starts_with("queue-depth") == elastic)
-    };
-    let mut ratios: Vec<(String, f64)> = Vec::new();
-    for &(nodes, _, _) in scales {
-        let cores = nodes * 4;
-        if let (Some(s), Some(e)) = (at(cores, false), at(cores, true)) {
-            // Jobs the machine actually served: elastic admission over
-            // static admission (≥ 1 when elasticity absorbs the burst).
-            ratios.push((
-                format!("served_elastic_vs_static_{cores}"),
-                e.completed as f64 / (s.completed as f64).max(1.0),
-            ));
-            // Worst-case queueing: static peak depth over elastic.
-            ratios.push((
-                format!("queue_depth_static_vs_elastic_{cores}"),
-                s.max_queue_depth as f64 / (e.max_queue_depth as f64).max(1.0),
-            ));
-        }
+    Record {
+        name: "BENCH_9",
+        mode: "--service",
+        note: "all throughput/sojourn/queue numbers are virtual-time quantities of the bit-deterministic service simulator; only wall_s is machine-dependent. The tracked trajectory is the elastic/static ratio set.",
+        meta: Vec::new(),
+        rows,
+        gated: gates,
     }
-
-    for p in &points {
-        println!(
-            "{:>4} cores x {:>2} tenants [{:<18}]: {:>8.1} jobs/s  p99 {:>8.3} ms  queue {:>3}  rej {:>3}  wall {:>5.2}s",
-            p.cores,
-            p.tenants,
-            p.policy,
-            p.throughput_per_sec,
-            p.p99_ns as f64 / 1e6,
-            p.max_queue_depth,
-            p.rejected,
-            p.wall_s
-        );
-    }
-    for (k, v) in &ratios {
-        println!("ratio {k}: {v:.3}");
-    }
-
-    if !check_path.is_empty() {
-        let prev = std::fs::read_to_string(check_path)
-            .unwrap_or_else(|e| panic!("cannot read {check_path}: {e}"));
-        let mut failed = false;
-        for (key, measured) in &ratios {
-            let Some(recorded) = json_number_after(&prev, "ratios", key) else {
-                eprintln!("check: no \"{key}\" under \"ratios\" in {check_path} (skipped)");
-                continue;
-            };
-            let floor = recorded * 0.9;
-            if *measured < floor {
-                eprintln!(
-                    "check FAILED: service ratio {key} = {measured:.3} fell below 90% of the recorded {recorded:.3}"
-                );
-                failed = true;
-            } else {
-                eprintln!("check ok: {key} = {measured:.3} (recorded {recorded:.3})");
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!("service check passed against {check_path}");
-        return;
-    }
-
-    let mut json = format!(
-        "{{\n  \"record\": \"BENCH_9\",\n  \"bin\": \"perf_record --service\",\n  \"quick\": {quick},\n  \"note\": \"all throughput/sojourn/queue numbers are virtual-time quantities of the bit-deterministic service simulator; only wall_s is machine-dependent. The tracked trajectory is the elastic/static ratio set.\",\n  \"service_points\": [\n"
-    );
-    for (i, p) in points.iter().enumerate() {
-        let sep = if i + 1 < points.len() { "," } else { "" };
-        json.push_str(&format!("    {}{sep}\n", p.json()));
-    }
-    json.push_str("  ],\n  \"ratios\": {");
-    for (i, (k, v)) in ratios.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        json.push_str(&format!("{sep}\n    \"{k}\": {v:.3}"));
-    }
-    json.push_str("\n  }\n}\n");
-    std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
 }
+
+type Mode = (&'static str, fn(bool) -> Record);
+const MODES: &[Mode] = &[
+    ("--sim", sim_record),
+    ("--service", service_record),
+    ("--calibration", calibration_record),
+];
 
 fn main() {
     let u = usage(
         "perf_record",
-        "records the PR-6 perf trajectory (BENCH_6.json): sequential node\nthroughput vs the frozen pre-PR kernel, lock-free vs mutex steal\nlatency, propagation filter throughput. With --sim, records the PR-8\nsimulator trajectory instead (BENCH_8.json): events/sec + peak RSS per\nscale point, 4k to 262k simulated cores, with a same-seed determinism\ndouble-run at every point. With --service, records the PR-9 service\ntrajectory (BENCH_9.json): lease-policy throughput/sojourn ratios at\n32 to 512 simulated cores, determinism double-run at every point. With\n--calibration, records the PR-10 trajectory (BENCH_10.json): the\nsimulator's speedup curves under the committed calibrated cost model\nvs the built-in defaults, per width of a flat 2-32-core host prefix.",
+        "records the three machine-independent perf trajectories (wall-clock\n\
+         speed is benchmark/run.sh's job). Exactly one mode flag is required.",
         &[
-            ("--out <FILE>", "where to write the record [default: BENCH_6.json,\nBENCH_8.json with --sim, BENCH_9.json with --service,\nBENCH_10.json with --calibration]"),
+            (
+                "--sim",
+                "BENCH_8: simulator events/sec + peak RSS per scale point, 4k to\n\
+                 262k simulated cores; gated: each point's events/sec ratio vs\n\
+                 the 4096-core base (floor 0.9x)",
+            ),
+            (
+                "--service",
+                "BENCH_9: lease-policy throughput/sojourn at 32 to 512 simulated\n\
+                 cores; gated: the elastic/static ratios (floor 0.9x)",
+            ),
+            (
+                "--calibration",
+                "BENCH_10: speedup curves under the committed calibrated cost\n\
+                 model (or --cost-model) vs the defaults; gated: the per-width\n\
+                 curve error (absolute drift 0.05)",
+            ),
+            (
+                "--out <FILE>",
+                "where to write the record [default: BENCH_<n>.json]",
+            ),
             (
                 "--check <FILE>",
-                "measure, then fail (exit 1) if a recorded ratio regressed\n>10%: optimised/reference speed-ups by default, per-scale-point\nevents/sec ratios vs the 4096-core base with --sim, elastic/static\npolicy ratios with --service, per-width curve errors (absolute\ndrift > 0.05) with --calibration",
+                "measure, then compare the gated keys against a committed record\n\
+                 instead of writing one; exit 1 on a regression, a record of\n\
+                 another mode, or when nothing could be compared",
             ),
-            ("--runs <N>", "repetitions per throughput metric (median) [default: 5]"),
-            ("--quick", "reduced budgets: smaller node/latency windows; with --sim\nonly the 4k and 64k scale points, with --service only the 32- and\n512-core points, with --calibration only the 2- and 8-core widths\n(CI smoke)"),
-            ("--sim", "record the simulator scale trajectory (BENCH_8.json)"),
-            ("--service", "record the multi-tenant service trajectory (BENCH_9.json)"),
-            ("--calibration", "record the calibrated-vs-default curve trajectory\n(BENCH_10.json); --cost-model overrides the committed model"),
+            (
+                "--quick",
+                "CI smoke: the 4k and 64k points with --sim, the 32- and 512-core\n\
+                 points with --service, the 2- and 8-core widths with --calibration",
+            ),
         ],
         &[macs_bench::CommonFlag::CostModel],
     );
     maybe_help(&u);
-
-    let runs = arg("runs", 5usize).max(1);
-    let quick = std::env::args().any(|a| a == "--quick");
-    let sim = std::env::args().any(|a| a == "--sim");
-    let service = std::env::args().any(|a| a == "--service");
-    let calibration = std::env::args().any(|a| a == "--calibration");
-    let out_path = arg(
-        "out",
-        if calibration {
-            "BENCH_10.json"
-        } else if service {
-            "BENCH_9.json"
-        } else if sim {
-            "BENCH_8.json"
-        } else {
-            "BENCH_6.json"
-        }
-        .to_string(),
-    );
-    let check_path: String = arg("check", String::new());
-
-    if calibration {
-        run_calibration_trajectory(quick, &out_path, &check_path);
-        return;
-    }
-    if service {
-        run_service_trajectory(quick, &out_path, &check_path);
-        return;
-    }
-    if sim {
-        run_sim_trajectory(quick, &out_path, &check_path);
-        return;
-    }
-
-    // Each propagation sample must cover tens of milliseconds (one
-    // fixpoint is sub-microsecond) or a single descheduling skews the
-    // ratio on a loaded host.
-    let (q_budget, qap_budget, prop_iters, lat_dur) = if quick {
-        (30_000u64, 15_000u64, 20_000u64, Duration::from_millis(60))
-    } else {
-        (
-            200_000u64,
-            80_000u64,
-            100_000u64,
-            Duration::from_millis(150),
-        )
+    let chosen: Vec<_> = MODES
+        .iter()
+        .filter(|(flag, _)| std::env::args().any(|a| a == *flag))
+        .collect();
+    let [(_, measure)] = chosen[..] else {
+        eprintln!("exactly one of --sim, --service, --calibration is required\n\n{u}");
+        std::process::exit(2);
     };
-
-    // -- cross-kernel sanity on small full trees ----------------------------
-    let small = queens(9, QueensModel::Pairwise);
-    let o = drive_opt(&small, u64::MAX, false);
-    let r = drive_ref(&small, u64::MAX, false);
-    assert_eq!(
-        (o.nodes, o.solutions),
-        (r.nodes, r.solutions),
-        "kernels must walk identical queens-9 trees"
-    );
-    assert_eq!(o.solutions, 352, "queens-9 solution count");
-    eprintln!(
-        "tree check: queens-9 identical ({} nodes, {} solutions); filtered prop runs {} vs wake-all {}",
-        o.nodes, o.solutions, o.prop_runs, r.prop_runs
-    );
-
-    // -- sequential throughput ----------------------------------------------
-    let q14 = queens(14, QueensModel::Pairwise);
-    eprintln!("measuring queens-14 ({q_budget} nodes × {runs} runs × 2 kernels)...");
-    let seq_q14 = measure_seq(&q14, q_budget, false, runs);
-    let esc = qap_model(&QapInstance::esc16e().sub_instance(11));
-    eprintln!("measuring esc16e[11] ({qap_budget} nodes × {runs} runs × 2 kernels)...");
-    let seq_esc = measure_seq(&esc, qap_budget, true, runs);
-
-    // -- propagation filter throughput --------------------------------------
-    let q14ad = queens(14, QueensModel::AllDiff);
-    eprintln!("measuring propagation filter throughput ({prop_iters} fixpoints)...");
-    // Warm up, then interleave the two engines run-for-run so clock or
-    // cache drift hits both sides alike.
-    let _ = prop_filter_throughput(&q14ad, prop_iters / 4 + 1, false);
-    let _ = prop_filter_throughput(&q14ad, prop_iters / 4 + 1, true);
-    let (mut opt_f, mut ref_f) = (Vec::new(), Vec::new());
-    for _ in 0..runs {
-        opt_f.push(prop_filter_throughput(&q14ad, prop_iters, false));
-        ref_f.push(prop_filter_throughput(&q14ad, prop_iters, true));
+    let quick = std::env::args().any(|a| a == "--quick");
+    let rec = measure(quick);
+    let json = write_json(&rec, quick);
+    print!("{json}");
+    let check_path: String = arg("check", String::new());
+    if check_path.is_empty() {
+        let out_path = arg("out", format!("{}.json", rec.name));
+        std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+        eprintln!("wrote {out_path}");
+        return;
     }
-    let (opt_fv, ref_fv) = (median(&mut opt_f), median(&mut ref_f));
-
-    // -- steal latency -------------------------------------------------------
-    eprintln!("measuring steal latency (8 and 32 threads, lock-free vs mutex)...");
-    let (lf8, lk8) = latency_pair(8, lat_dur);
-    let (lf32, lk32) = latency_pair(32, lat_dur);
-
-    let host_par = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let json = format!(
-        "{{\n  \"record\": \"BENCH_6\",\n  \"bin\": \"perf_record\",\n  \"runs_per_metric\": {runs},\n  \"quick\": {quick},\n  \"host\": {{\n    \"available_parallelism\": {host_par},\n    \"note\": \"thread counts above the host's parallelism are oversubscribed equally for both pool variants; absolute numbers are machine-dependent, the *_vs_reference ratios are the tracked trajectory\"\n  }},\n  \"sequential\": {{\n    \"queens14\": {},\n    \"esc16e11\": {}\n  }},\n  \"propagation\": {{\n    \"queens14_alldiff_assign0\": {{\n      \"optimized_filtered_values_per_sec\": {:.0},\n      \"reference_filtered_values_per_sec\": {:.0},\n      \"speedup_vs_reference\": {:.3}\n    }}\n  }},\n  \"steal_latency\": {{\n    \"threads_8\": {{\"splitpool\": {}, \"lockedpool\": {}}},\n    \"threads_32\": {{\"splitpool\": {}, \"lockedpool\": {}}}\n  }},\n  \"tree_check\": \"queens-9 full tree identical across kernels ({} nodes, 352 solutions)\"\n}}\n",
-        fmt_seq(&seq_q14),
-        fmt_seq(&seq_esc),
-        opt_fv,
-        ref_fv,
-        opt_fv / ref_fv,
-        fmt_latency(&lf8),
-        fmt_latency(&lk8),
-        fmt_latency(&lf32),
-        fmt_latency(&lk32),
-        o.nodes,
-    );
-
-    println!(
-        "queens-14:   {:>10.0} nodes/s optimized  {:>10.0} reference  ({:.2}x)",
-        seq_q14.opt_nodes_per_sec, seq_q14.ref_nodes_per_sec, seq_q14.speedup
-    );
-    println!(
-        "esc16e[11]:  {:>10.0} nodes/s optimized  {:>10.0} reference  ({:.2}x)",
-        seq_esc.opt_nodes_per_sec, seq_esc.ref_nodes_per_sec, seq_esc.speedup
-    );
-    println!(
-        "propagation: {:>10.0} filtered/s optimized  {:>10.0} reference  ({:.2}x)",
-        opt_fv,
-        ref_fv,
-        opt_fv / ref_fv
-    );
-    for (t, lf, lk) in [(8, lf8, lk8), (32, lf32, lk32)] {
-        println!(
-            "steal @{t:>2} threads: lock-free p50 {:>7} ns p99 {:>8} ns ({} steals) | mutex p50 {:>7} ns p99 {:>8} ns ({} steals)",
-            lf.p50_ns, lf.p99_ns, lf.steals, lk.p50_ns, lk.p99_ns, lk.steals
-        );
-    }
-
-    if !check_path.is_empty() {
-        let prev = std::fs::read_to_string(&check_path)
-            .unwrap_or_else(|e| panic!("cannot read {check_path}: {e}"));
-        let mut failed = false;
-        for (section, measured) in [
-            ("queens14", seq_q14.speedup),
-            ("esc16e11", seq_esc.speedup),
-            ("queens14_alldiff_assign0", opt_fv / ref_fv),
-        ] {
-            let Some(recorded) = json_number_after(&prev, section, "speedup_vs_reference") else {
-                eprintln!("check: no speedup_vs_reference under \"{section}\" in {check_path}");
-                failed = true;
-                continue;
-            };
-            let floor = recorded * 0.9;
-            if measured < floor {
-                eprintln!(
-                    "check FAILED: {section} speed-up {measured:.3} fell below 90% of the recorded {recorded:.3}"
-                );
-                failed = true;
-            } else {
-                eprintln!("check ok: {section} speed-up {measured:.3} (recorded {recorded:.3})");
-            }
-        }
-        if failed {
+    let text = std::fs::read_to_string(&check_path).map_err(|e| e.to_string());
+    match text.and_then(|text| check(rec.name, &rec.gated, &text)) {
+        Ok(n) => eprintln!("check passed: {n} gated key(s) within bounds of {check_path}"),
+        Err(e) => {
+            eprintln!("check FAILED against {check_path}:\n{e}");
             std::process::exit(1);
         }
-        eprintln!("check passed against {check_path}");
-        return;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A committed record holding `gated`, and a run that measured `measured`.
+    fn run(
+        recorded: &[(&str, f64)],
+        measured: &[(&str, f64)],
+        gate: Gate,
+    ) -> Result<usize, String> {
+        let keyed = |kv: &[(&str, f64)]| {
+            kv.iter()
+                .map(|(k, v)| gated(k.to_string(), *v, gate))
+                .collect()
+        };
+        let rec = Record {
+            name: "BENCH_T",
+            mode: "--test",
+            note: "a \"quoted\" note",
+            meta: Vec::new(),
+            rows: vec![vec![("digest", hex(7))]],
+            gated: keyed(recorded),
+        };
+        let measured: Vec<Gated> = keyed(measured);
+        check("BENCH_T", &measured, &write_json(&rec, true))
     }
 
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
+    #[test]
+    fn floor_gate_allows_a_tenth_below_and_anything_above() {
+        for (measured, ok) in [(1.81, true), (5.0, true), (1.79, false)] {
+            let got = run(&[("r", 2.0)], &[("r", measured)], Gate::Floor(0.9));
+            assert_eq!(got.is_ok(), ok, "{measured}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn drift_gate_is_two_sided() {
+        for (measured, ok) in [(0.15, true), (0.16, false), (0.05, false)] {
+            let got = run(&[("e", 0.106)], &[("e", measured)], Gate::Drift(0.05));
+            assert_eq!(got.is_ok(), ok, "{measured}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn a_key_the_record_lacks_is_skipped_but_zero_compared_fails() {
+        let floor = Gate::Floor(0.9);
+        assert_eq!(run(&[("a", 1.0)], &[("a", 1.0), ("b", 0.0)], floor), Ok(1));
+        assert!(run(&[("a", 1.0)], &[("b", 0.0)], floor).is_err());
+        assert!(run(&[], &[("a", 1.0)], floor).is_err());
+    }
+
+    #[test]
+    fn wrong_record_name_and_malformed_records_fail() {
+        let m = [gated("a".into(), 1.0, Gate::Floor(0.9))];
+        let good = "{\"record\": \"BENCH_T\", \"gated\": {\"a\": 1.0}}";
+        assert_eq!(check("BENCH_T", &m, good), Ok(1));
+        assert!(check("BENCH_8", &m, good).is_err());
+        assert!(check("BENCH_T", &m, &good.replace("1.0", "1.0.0")).is_err());
+        assert!(check("BENCH_T", &m, &good.replace("1.0", "\"fast\"")).is_err());
+        assert!(check("BENCH_T", &m, &good[..good.len() - 2]).is_err());
+        assert!(check("BENCH_T", &m, "{\"record\": \"BENCH_T\"}").is_err());
+    }
 }

@@ -64,8 +64,8 @@ fn main() {
         ));
     }
 
-    let cores_list: Vec<usize> = match std::env::args().position(|a| a == "--cores") {
-        Some(_) => vec![arg("cores", 512)],
+    let cores_list: Vec<usize> = match macs_bench::opt_arg("cores") {
+        Some(cores) => vec![cores],
         None => vec![8, 64, 512],
     };
 

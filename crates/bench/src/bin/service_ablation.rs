@@ -167,17 +167,7 @@ fn main() {
     let t0 = Instant::now();
     let check = std::env::args().any(|a| a == "--check");
     let seed: u64 = arg("seed", 0x5EEDC);
-    let only: Option<LeasePolicy> = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter().position(|a| a == "--lease-policy").map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("--lease-policy needs static[:N] or queue-depth[:MIN,MAX]");
-                    std::process::exit(2);
-                })
-        })
-    };
+    let only: Option<LeasePolicy> = macs_bench::opt_arg("lease-policy");
 
     let mut ok = true;
     let mut oracle = Oracle::new();

@@ -1,18 +1,16 @@
-//! Shared harness code for regenerating every table and figure of the
-//! paper's evaluation (§VI).
-//!
-//! Each `fig*`/`table*`/`ablation*` binary in `src/bin/` prints the same
-//! rows/series the paper reports, produced by the discrete-event simulator
-//! (for the 8–512-core series) or the threaded runtime (for host-scale
-//! measurements). See EXPERIMENTS.md for the experiment-by-experiment
-//! mapping and recorded outputs.
+//! Shared harness code for the bins in `src/bin/`: flag parsing and
+//! `--help` text, the paper's machine shapes, simulator drivers, and the
+//! table printers of the `paper` bin (which regenerates the tables and
+//! figures of the paper's evaluation, §VI, on the discrete-event
+//! simulator). Wall-clock measurement lives in `benchmark/`, not here.
 
-pub mod reference;
+use std::fmt::Display;
+use std::str::FromStr;
 
 use macs_core::{CpOutput, CpProcessor, SearchMode};
 use macs_engine::CompiledProblem;
 use macs_gpi::{MachineTopology, Topology};
-use macs_runtime::{WorkerState, NUM_STATES};
+use macs_runtime::WorkerState;
 use macs_search::{BoundPolicy, ChunkPolicy};
 use macs_sim::{simulate_macs, simulate_paccs, CostModel, FabricModel, SimConfig, SimReport};
 
@@ -37,7 +35,7 @@ pub enum CommonFlag {
     Fabric,
     /// `--cost-model <path>` (via [`cost_model_arg`]).
     CostModel,
-    /// `--detect-topo` (via [`detect_topo_flag`]).
+    /// `--detect-topo` (via [`apply_host_overrides`]).
     DetectTopo,
     /// `--full` (via [`full_scale`] / [`core_series`]).
     Full,
@@ -98,8 +96,10 @@ pub fn usage(bin: &str, about: &str, extra: &[(&str, &str)], common: &[CommonFla
         .max()
         .unwrap_or(0)
         .max("-h, --help".len());
+    // `bin` may carry its positional part ("paper -- <SUBCOMMAND>").
+    let name = bin.split_whitespace().next().unwrap_or(bin);
     let mut out = format!(
-        "{bin} — {about}\n\nUSAGE:\n    cargo run --release -p macs-bench --bin {bin} [OPTIONS]\n\nOPTIONS:\n"
+        "{name} — {about}\n\nUSAGE:\n    cargo run --release -p macs-bench --bin {bin} [OPTIONS]\n\nOPTIONS:\n"
     );
     let mut row = |flag: &str, desc: &str| {
         for (i, line) in desc.lines().enumerate() {
@@ -185,127 +185,102 @@ pub fn parse_shape(s: &str) -> Result<MachineTopology, String> {
     MachineTopology::try_new(&shape, prefix).map_err(|e| format!("invalid shape {s:?}: {e}"))
 }
 
-/// `--bound-policy immediate|periodic[:k]|hierarchical` from the process
-/// arguments, if present (`periodic` defaults to a 32-node refresh
-/// cadence). Malformed policies exit with a readable message (exit
-/// code 2). See [`macs_search::bounds`] for what each policy does.
+/// The one flag parser: the value following `--name` in `args`, run
+/// through `parse`. `Ok(None)` when the flag is absent; a missing or
+/// rejected value is an `Err` naming the flag, the value and what was
+/// expected — never a silent fall-back to a default.
+fn find_arg<T, E: Display>(
+    args: &[String],
+    name: &str,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> Result<Option<T>, String> {
+    let flag = format!("--{name}");
+    let Some(i) = args.iter().position(|a| *a == flag) else {
+        return Ok(None);
+    };
+    let Some(v) = args.get(i + 1) else {
+        return Err(format!("{flag} needs a value (see --help)"));
+    };
+    parse(v).map(Some).map_err(|e| format!("{flag} {v:?}: {e}"))
+}
+
+/// [`find_arg`] over the process arguments: `None` when `--name` is
+/// absent, exit code 2 with a readable message when its value is missing
+/// or rejected.
+fn parsed_arg<T, E: Display>(name: &str, parse: impl Fn(&str) -> Result<T, E>) -> Option<T> {
+    let args: Vec<String> = std::env::args().collect();
+    find_arg(&args, name, parse).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
+/// `FromStr` with the expected type named in the error.
+fn parse_as<T: FromStr<Err: Display>>(v: &str) -> Result<T, String> {
+    let expected = std::any::type_name::<T>();
+    v.parse()
+        .map_err(|e| format!("not a valid {expected} ({e})"))
+}
+
+/// `--name <value>` parsed as a `T`, if present.
+pub fn opt_arg<T: FromStr<Err: Display>>(name: &str) -> Option<T> {
+    parsed_arg(name, parse_as)
+}
+
+/// `--name <value>` parsed as a `T`, `default` when absent.
+pub fn arg<T: FromStr<Err: Display>>(name: &str, default: T) -> T {
+    opt_arg(name).unwrap_or(default)
+}
+
+/// `--bound-policy immediate|periodic[:k]|hierarchical`, if present
+/// (`periodic` defaults to a 32-node refresh cadence). See
+/// [`macs_search::bounds`] for what each policy does.
 pub fn bound_policy_arg() -> Option<BoundPolicy> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--bound-policy" {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("--bound-policy needs a value: immediate, periodic[:k] or hierarchical");
-                std::process::exit(2);
-            };
-            match v.parse::<BoundPolicy>() {
-                Ok(p) => return Some(p),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
+    opt_arg("bound-policy")
 }
 
-/// `--chunk-policy static|distance[:base,factor]|adaptive` from the
-/// process arguments, if present (`distance` defaults to `16,2`: the
-/// static 16-item cap near, doubling to 32 at the machine diameter).
-/// Malformed policies exit with a readable message (exit code 2). See
-/// [`macs_search::batch`] for what each policy does.
+/// `--chunk-policy static|distance[:base,factor]|adaptive`, if present
+/// (`distance` defaults to `16,2`: the static 16-item cap near, doubling
+/// to 32 at the machine diameter). See [`macs_search::batch`].
 pub fn chunk_policy_arg() -> Option<ChunkPolicy> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--chunk-policy" {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!(
-                    "--chunk-policy needs a value: static, distance[:base,factor] or adaptive"
-                );
-                std::process::exit(2);
-            };
-            match v.parse::<ChunkPolicy>() {
-                Ok(p) => return Some(p),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
+    opt_arg("chunk-policy")
 }
 
-/// `--fabric latency|contention[:PS[,CTRL[,HDR]]]` from the process
-/// arguments, if present. Malformed models exit with a readable message
-/// (exit code 2). See [`macs_sim::fabric`] for what each model prices.
+/// `--fabric latency|contention[:PS[,CTRL[,HDR]]]`, if present. See
+/// [`macs_sim::fabric`] for what each model prices.
 pub fn fabric_arg() -> Option<FabricModel> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--fabric" {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("--fabric needs a value: latency or contention[:PS[,CTRL[,HDR]]]");
-                std::process::exit(2);
-            };
-            match v.parse::<FabricModel>() {
-                Ok(m) => return Some(m),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
+    opt_arg("fabric")
 }
 
-/// `--cost-model <path>` from the process arguments, if present: the
-/// calibrated [`CostModel`] to run the simulator with (typically the
-/// file the `calibrate` bin emitted). Unreadable or malformed files
-/// exit with the codec's typed message (exit code 2).
+/// `--mode exhaustive|first-solution`, if present.
+pub fn mode_arg() -> Option<SearchMode> {
+    opt_arg("mode")
+}
+
+/// `--cost-model <path>`, if present: the calibrated [`CostModel`] to run
+/// the simulator with (typically the file the `calibrate` bin emitted).
+/// Unreadable or malformed files exit with the codec's typed message.
 pub fn cost_model_arg() -> Option<CostModel> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--cost-model" {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("--cost-model needs a path to a `macs-cost-model v1` file");
-                std::process::exit(2);
-            };
-            match CostModel::load(std::path::Path::new(v)) {
-                Ok(m) => return Some(m),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
+    parsed_arg("cost-model", |v| CostModel::load(std::path::Path::new(v)))
 }
 
-/// `--detect-topo` from the process arguments: this host's detected
-/// [`MachineTopology`] (sysfs on Linux, flat `available_parallelism`
-/// fallback elsewhere — detection never fails, see
-/// `MachineTopology::detect`).
-pub fn detect_topo_flag() -> Option<MachineTopology> {
-    if std::env::args().any(|a| a == "--detect-topo") {
-        Some(MachineTopology::detect())
-    } else {
-        None
-    }
+/// `--shape AxBxC[:prefix]`, if present (see [`parse_shape`]).
+pub fn shape_arg() -> Option<MachineTopology> {
+    parsed_arg("shape", parse_shape)
 }
 
 /// Apply the host-binding overrides to a built [`SimConfig`]: a
 /// `--cost-model` file replaces the built-in constants and
-/// `--detect-topo` replaces the declared shape with this host's. Bins
-/// call this at every `SimConfig` construction site so one flag reaches
-/// every cell of a sweep.
+/// `--detect-topo` replaces the declared shape with this host's (sysfs
+/// on Linux, flat `available_parallelism` fallback elsewhere — detection
+/// never fails). Bins call this at every `SimConfig` construction site so
+/// one flag reaches every cell of a sweep.
 pub fn apply_host_overrides(cfg: &mut SimConfig) {
     if let Some(m) = cost_model_arg() {
         cfg.costs = m;
     }
-    if let Some(t) = detect_topo_flag() {
-        cfg.topology = t;
+    if std::env::args().any(|a| a == "--detect-topo") {
+        cfg.topology = MachineTopology::detect();
     }
 }
 
@@ -318,50 +293,6 @@ pub fn maybe_help(usage: &str) {
         println!("{usage}");
         std::process::exit(0);
     }
-}
-
-/// `--mode exhaustive|first-solution` from the process arguments, if
-/// present. Malformed modes exit with a readable message (exit code 2).
-pub fn mode_arg() -> Option<SearchMode> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--mode" {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("--mode needs a value: exhaustive or first-solution");
-                std::process::exit(2);
-            };
-            match v.parse::<SearchMode>() {
-                Ok(m) => return Some(m),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// `--shape AxBxC[:prefix]` from the process arguments, if present;
-/// malformed shapes exit with a readable message (exit code 2).
-pub fn shape_arg() -> Option<MachineTopology> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--shape" {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("--shape needs a value, e.g. --shape 2x2x4:1");
-                std::process::exit(2);
-            };
-            match parse_shape(v) {
-                Ok(t) => return Some(t),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
 }
 
 /// Simulate MaCS solving `prob` under `cfg` (exhaustive).
@@ -401,19 +332,6 @@ pub fn sim_cp_paccs_mode(
         &[prob.root.as_words().to_vec()],
         |_| CpProcessor::new(prob, 1, mode),
     )
-}
-
-/// Parse `--name value` from the process arguments.
-pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == format!("--{name}") {
-            if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                return v;
-            }
-        }
-    }
-    default
 }
 
 /// Validate a QAP sub-instance size from `--n`-style arguments with a
@@ -459,65 +377,44 @@ pub fn xl_cells() -> Vec<(&'static str, MachineTopology)> {
     ]
 }
 
-/// Print the Fig. 3/5-style worker-state breakdown, one row per core
-/// count.
-pub fn print_state_table(rows: &[(usize, [f64; NUM_STATES], f64)]) {
+/// Print the Fig. 3/5-style worker-state breakdown, one row per
+/// `(cores, report)`.
+pub fn print_state_table<O>(rows: &[(usize, SimReport<O>)]) {
     print!("{:>6}", "cores");
     for s in WorkerState::ALL {
         print!("  {:>16}", s.name());
     }
     println!("  {:>9}", "Overhead");
-    for (cores, fr, overhead) in rows {
+    for (cores, r) in rows {
         print!("{cores:>6}");
-        for f in fr {
+        for f in r.state_fractions() {
             print!("  {:>15.2}%", f * 100.0);
         }
-        println!("  {:>8.2}%", overhead * 100.0);
+        println!("  {:>8.2}%", r.overhead_fraction() * 100.0);
     }
 }
 
-/// One row of a paper-style work-stealing table (Tables I and II).
-pub struct StealRow {
-    pub cores: usize,
-    pub total_nodes: u64,
-    pub local_total: u64,
-    pub local_failed: u64,
-    pub remote_total: u64,
-    pub remote_failed: u64,
-}
-
-/// Print Tables I/II with the paper's columns: total, per-core, failed and
-/// failure rate for local and remote steals.
-pub fn print_steal_table(title: &str, rows: &[StealRow]) {
+/// Print Tables I/II with the paper's columns — total, per-core, failed and
+/// failure rate for local and remote steals — one row per `(cores, report)`.
+pub fn print_steal_table<O>(title: &str, rows: &[(usize, SimReport<O>)]) {
     println!("{title}");
     println!(
-        "{:>6} {:>12} | {:>9} {:>9} {:>7} {:>6} | {:>9} {:>9} {:>7} {:>6}",
-        "Cores",
-        "Total Nodes",
-        "L.Total",
-        "L.p/core",
-        "L.Fail",
-        "Rate",
-        "R.Total",
-        "R.p/core",
-        "R.Fail",
-        "Rate"
+        " Cores  Total Nodes |   L.Total  L.p/core  L.Fail   Rate |   R.Total  R.p/core  R.Fail   Rate"
     );
-    for r in rows {
-        let lrate = pct(r.local_failed, r.local_total + r.local_failed);
-        let rrate = pct(r.remote_failed, r.remote_total + r.remote_failed);
+    for (cores, r) in rows {
+        let (local, local_failed, remote, remote_failed) = r.steal_totals();
         println!(
             "{:>6} {:>12} | {:>9} {:>9.2} {:>7} {:>5.2}% | {:>9} {:>9.2} {:>7} {:>5.2}%",
-            r.cores,
-            r.total_nodes,
-            r.local_total,
-            r.local_total as f64 / r.cores as f64,
-            r.local_failed,
-            lrate,
-            r.remote_total,
-            r.remote_total as f64 / r.cores as f64,
-            r.remote_failed,
-            rrate,
+            cores,
+            r.total_items(),
+            local,
+            local as f64 / *cores as f64,
+            local_failed,
+            pct(local_failed, local + local_failed),
+            remote,
+            remote as f64 / *cores as f64,
+            remote_failed,
+            pct(remote_failed, remote + remote_failed),
         );
     }
 }
@@ -545,6 +442,34 @@ mod tests {
             let err = parse_shape(bad).unwrap_err();
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
+    }
+
+    #[test]
+    fn find_arg_never_defaults_a_present_flag() {
+        let args = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
+        let n = |s: &str| find_arg(&args(s), "n", parse_as::<usize>);
+        assert_eq!(n("bin --cores 4"), Ok(None));
+        assert_eq!(n("bin --cores 4 --n 12"), Ok(Some(12)));
+        // Missing value, non-numeric, empty, trailing garbage, a flag
+        // where the value should be: each names the flag and the value.
+        for (bad, value) in [
+            ("bin --n", "needs a value"),
+            ("bin --n abc", "\"abc\""),
+            ("bin --n ", "\"\""),
+            ("bin --n 64x", "\"64x\""),
+            ("bin --n -3", "\"-3\""),
+            ("bin --n --full", "\"--full\""),
+        ] {
+            let err = n(bad).unwrap_err();
+            assert!(err.contains("--n") && err.contains(value), "{bad:?}: {err}");
+        }
+        assert!(n("bin --n 1.5").unwrap_err().contains("not a valid usize"));
+        // The parser's own message is carried for typed values.
+        let shape = find_arg(&args("bin --shape 2xx4"), "shape", parse_shape).unwrap_err();
+        assert!(
+            shape.contains("--shape") && shape.contains("bad level extent"),
+            "{shape}"
+        );
     }
 
     #[test]

@@ -52,9 +52,6 @@
 
 use macs_gpi::{Interconnect, Segment};
 
-mod locked;
-pub use locked::LockedPool;
-
 /// Metadata word offsets inside the pool segment.
 const META_HEAD: usize = 0;
 /// Packed `tail` (low 32 bits) | `split` (high 32 bits).

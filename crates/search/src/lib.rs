@@ -27,9 +27,7 @@
 //!   distance-scaled reservation (small near, large far — matching how
 //!   steal cost grows with topological distance), or the adaptive variant
 //!   whose [`AdaptiveBatch`] also tunes the response batch online from
-//!   reply thinness;
-//! * [`baseline`] — the pre-refactor allocate-per-child step, kept only as
-//!   the A/B reference for the arena micro-benchmark.
+//!   reply thinness.
 //!
 //! Every execution path — `macs-core`'s `CpProcessor` (threaded and
 //! simulated MaCS), `macs-paccs`'s agents, and the cross-solver tests —
@@ -69,7 +67,6 @@
 //! ```
 
 pub mod arena;
-pub mod baseline;
 pub mod batch;
 pub mod bounds;
 pub mod incumbent;
