@@ -14,6 +14,7 @@ use macs_core::{CpOutput, Solver, SolverConfig};
 use macs_engine::CompiledProblem;
 use macs_problems::{qap::QapInstance, qap_model, queens, QueensModel};
 use macs_runtime::{PollPolicy, ReleasePolicy, VictimSelect, WorkerState};
+use macs_search::SAMPLE_STRIDE;
 use macs_sim::{simulate_macs, CostModel, SimConfig, SimReport};
 use macs_uts::{uts_sequential, GeoLaw, TreeShape, UtsProcessor, SLOT_WORDS};
 
@@ -365,12 +366,16 @@ fn ablation_victim() {
 /// "Propagation takes around 48%, splitting around 10% and restoring
 /// around 42%" for N-Queens, "80% / 5% / 15%" for the QAP — measured on
 /// the real threaded runtime (the one subcommand that is not simulated).
+/// All three columns are sampled estimates: the kernel times one node in
+/// `SAMPLE_STRIDE`, and the worker's state clock is exact only for the
+/// block lengths (see ARCHITECTURE.md, "Worker-state accounting").
 fn phase_split() {
     let n: usize = arg("n", 11);
     let workers: usize = arg("workers", 2);
     println!(
-        "Solve-phase split (threaded, {workers} workers); paper: 48/10/42 queens, 80/5/15 QAP\n"
+        "Solve-phase split (threaded, {workers} workers); paper: 48/10/42 queens, 80/5/15 QAP"
     );
+    println!("(estimates: one node in {SAMPLE_STRIDE} is timed and scaled)\n");
     println!(
         "{:<16} {:>11} {:>9} {:>9}",
         "problem", "propagate", "split", "restore"
@@ -384,7 +389,9 @@ fn phase_split() {
     ] {
         let out = Solver::new(SolverConfig::with_workers(workers)).solve(&prob);
         // propagate + split are measured inside the processor; "restore" is
-        // the worker time spent obtaining stores (Searching/Stealing).
+        // the worker time spent obtaining stores from other workers
+        // (Searching/Stealing). Popping the worker's own pool is part of
+        // the hot loop and is not timed apart.
         let (mut prop, mut split, mut restore) = (0.0, 0.0, 0.0);
         for w in &out.report.workers {
             prop += w.phase.propagate.as_secs_f64();

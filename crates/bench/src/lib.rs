@@ -378,7 +378,10 @@ pub fn xl_cells() -> Vec<(&'static str, MachineTopology)> {
 }
 
 /// Print the Fig. 3/5-style worker-state breakdown, one row per
-/// `(cores, report)`.
+/// `(cores, report)`. These are *simulated* reports: their shares are
+/// virtual time and exact. A threaded run's `RunReport::state_fractions`
+/// has the same shape but samples the split among the hot-loop states
+/// (ARCHITECTURE.md, "Worker-state accounting").
 pub fn print_state_table<O>(rows: &[(usize, SimReport<O>)]) {
     print!("{:>6}", "cores");
     for s in WorkerState::ALL {

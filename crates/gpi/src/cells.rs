@@ -1,13 +1,23 @@
 //! A small register file in global memory.
 
 use crate::interconnect::Interconnect;
-use crate::segment::Segment;
+use crate::segment::{Segment, LINE_WORDS};
 
 /// Well-known registers shared by every worker of a run: the outstanding-
 /// work counter for termination detection, the branch-and-bound incumbent,
 /// and whatever else a computation needs. Conceptually these live in the
 /// global-memory partition of node 0; workers on other nodes reach them
 /// with remote atomics.
+///
+/// Every register has a 64-byte cache line to itself (register `i` is
+/// word `i * LINE_WORDS` of a line-aligned segment). The registers have
+/// disjoint writers and readers at very different rates — the
+/// termination counter takes a `fetch_add` per *push* from every worker,
+/// the cancel flag and the lease width are loaded by every worker every
+/// node and written almost never, the incumbent is read on a cadence —
+/// so packed eight to a line, each push invalidated the line every other
+/// worker's next cancel check needed. Register *indices* are unchanged:
+/// the spacing is private to the accessors below.
 #[derive(Debug)]
 pub struct GlobalCells {
     seg: Segment,
@@ -198,8 +208,20 @@ impl CellBlock {
 
 impl GlobalCells {
     pub fn new(count: usize) -> Self {
-        let seg = Segment::new(count.max(CELL_USER));
-        GlobalCells { seg }
+        GlobalCells {
+            seg: Segment::new(count.max(CELL_USER) * LINE_WORDS),
+        }
+    }
+
+    /// Segment word holding register `idx`.
+    #[inline]
+    fn word(idx: usize) -> usize {
+        idx * LINE_WORDS
+    }
+
+    /// Address of register `idx` (layout tests).
+    pub fn cell_addr(&self, idx: usize) -> usize {
+        self.seg.word_addr(Self::word(idx))
     }
 
     /// A register file of at least `min_cells` registers with one bound
@@ -252,7 +274,7 @@ impl GlobalCells {
 
     /// Number of registers.
     pub fn len(&self) -> usize {
-        self.seg.len()
+        self.seg.len() / LINE_WORDS
     }
 
     pub fn is_empty(&self) -> bool {
@@ -261,37 +283,37 @@ impl GlobalCells {
 
     #[inline]
     pub fn load(&self, idx: usize) -> u64 {
-        self.seg.load_notify(idx)
+        self.seg.load_notify(Self::word(idx))
     }
 
     #[inline]
     pub fn store(&self, idx: usize, v: u64) {
-        self.seg.store_notify(idx, v)
+        self.seg.store_notify(Self::word(idx), v)
     }
 
     #[inline]
     pub fn load_i64(&self, idx: usize) -> i64 {
-        self.seg.load_notify(idx) as i64
+        self.seg.load_notify(Self::word(idx)) as i64
     }
 
     #[inline]
     pub fn store_i64(&self, idx: usize, v: i64) {
-        self.seg.store_notify(idx, v as u64)
+        self.seg.store_notify(Self::word(idx), v as u64)
     }
 
     #[inline]
     pub fn fetch_add_i64(&self, idx: usize, delta: i64) -> i64 {
-        self.seg.fetch_add_i64(idx, delta)
+        self.seg.fetch_add_i64(Self::word(idx), delta)
     }
 
     #[inline]
     pub fn fetch_add(&self, idx: usize, delta: u64) -> u64 {
-        self.seg.fetch_add(idx, delta)
+        self.seg.fetch_add(Self::word(idx), delta)
     }
 
     #[inline]
     pub fn fetch_min_i64(&self, idx: usize, v: i64) -> i64 {
-        self.seg.fetch_min_i64(idx, v)
+        self.seg.fetch_min_i64(Self::word(idx), v)
     }
 
     // Remote flavours: same operation, charged against the interconnect.
@@ -409,6 +431,44 @@ mod tests {
         assert_eq!(cells.load(a.lease()), 8);
         // ... without touching B.
         assert_eq!(cells.load(b.lease()), u64::MAX);
+    }
+
+    #[test]
+    fn every_register_of_every_job_has_its_own_cache_line() {
+        let nodes = 3;
+        let cells = GlobalCells::with_job_blocks(2, nodes);
+        assert_eq!(cells.cell_addr(0) % 64, 0, "register file is line-aligned");
+        let registers = |b: CellBlock| {
+            let mut r = vec![
+                b.outstanding(),
+                b.incumbent(),
+                b.solutions(),
+                b.cancel(),
+                b.win_ns(),
+                b.lease(),
+                b.parked(),
+            ];
+            for n in 0..nodes {
+                r.push(b.node_bound(n));
+                r.push(b.node_cancel(n));
+            }
+            r
+        };
+        // The hot pair the layout exists for, then everything else: no two
+        // registers of one job, and no two registers of different jobs,
+        // on one line.
+        let a = CellBlock::for_job(0, nodes);
+        let line = |idx: usize| cells.cell_addr(idx) / 64;
+        assert_ne!(line(a.outstanding()), line(a.cancel()));
+        let mut lines: Vec<usize> = registers(a)
+            .into_iter()
+            .chain(registers(CellBlock::for_job(1, nodes)))
+            .map(line)
+            .collect();
+        let all = lines.len();
+        lines.sort_unstable();
+        lines.dedup();
+        assert_eq!(lines.len(), all);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod topology;
 pub use barrier::GpiBarrier;
 pub use cells::{CellBlock, GlobalCells};
 pub use interconnect::{Interconnect, LatencyModel, TrafficCounters};
-pub use segment::Segment;
+pub use segment::{Segment, LINE_WORDS};
 pub use topology::Topology;
 
 // The N-level machine model this layer's `Topology` is a 2-level alias

@@ -16,27 +16,68 @@ use crate::interconnect::Interconnect;
 /// writes.
 #[derive(Debug)]
 pub struct Segment {
-    words: Box<[AtomicU64]>,
+    /// Backing allocation, [`LINE_WORDS`]` - 1` words longer than the
+    /// segment so that a line-aligned window of `len` words always fits.
+    alloc: Box<[AtomicU64]>,
+    /// Index in `alloc` of word 0: the first word on a 64-byte boundary.
+    base: usize,
+    len: usize,
 }
 
+/// Words per cache line (64 bytes). Word `k * LINE_WORDS` of any segment
+/// starts a line, so a layout that places two words `LINE_WORDS` apart
+/// has placed them on different lines.
+pub const LINE_WORDS: usize = 8;
+
 impl Segment {
-    /// Allocate a zeroed segment of `words` 64-bit words.
+    /// Allocate a zeroed segment of `words` 64-bit words whose word 0 is
+    /// 64-byte aligned.
     pub fn new(words: usize) -> Self {
-        let mut v = Vec::with_capacity(words);
-        v.resize_with(words, || AtomicU64::new(0));
+        let mut v = Vec::with_capacity(words + LINE_WORDS - 1);
+        v.resize_with(words + LINE_WORDS - 1, || AtomicU64::new(0));
+        let alloc = v.into_boxed_slice();
+        // The heap block never moves, so the offset found here holds for
+        // the segment's life. `AtomicU64` is 8-aligned: the distance to
+        // the next line boundary is a whole number of words.
+        let misalign = alloc.as_ptr() as usize % (LINE_WORDS * 8);
+        let base = (LINE_WORDS * 8 - misalign) % (LINE_WORDS * 8) / 8;
         Segment {
-            words: v.into_boxed_slice(),
+            alloc,
+            base,
+            len: words,
         }
+    }
+
+    /// Word `off`. One add on top of the slice's own bounds check; an
+    /// index into the alignment slack past `len` is a caller bug that
+    /// only debug builds name.
+    #[inline]
+    fn word(&self, off: usize) -> &AtomicU64 {
+        debug_assert!(off < self.len, "word {off} of a {}-word segment", self.len);
+        &self.alloc[self.base + off]
+    }
+
+    /// Words `[off, off + n)`: one bounds check for the whole run.
+    #[inline]
+    fn run(&self, off: usize, n: usize) -> &[AtomicU64] {
+        debug_assert!(off + n <= self.len);
+        &self.alloc[self.base + off..self.base + off + n]
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.len
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.len == 0
+    }
+
+    /// Address of word `off` (layout tests: which cache line a word is
+    /// on).
+    pub fn word_addr(&self, off: usize) -> usize {
+        self.word(off) as *const AtomicU64 as usize
     }
 
     // ----- local (shared-memory) access ------------------------------------
@@ -44,27 +85,28 @@ impl Segment {
     /// Copy `dst.len()` words starting at `off` out of the segment.
     #[inline]
     pub fn read_local(&self, off: usize, dst: &mut [u64]) {
-        for (i, d) in dst.iter_mut().enumerate() {
-            *d = self.words[off + i].load(Ordering::Relaxed);
+        let src = self.run(off, dst.len());
+        for (d, w) in dst.iter_mut().zip(src) {
+            *d = w.load(Ordering::Relaxed);
         }
     }
 
     /// Copy `src` into the segment at `off`.
     #[inline]
     pub fn write_local(&self, off: usize, src: &[u64]) {
-        for (i, &s) in src.iter().enumerate() {
-            self.words[off + i].store(s, Ordering::Relaxed);
+        for (&s, w) in src.iter().zip(self.run(off, src.len())) {
+            w.store(s, Ordering::Relaxed);
         }
     }
 
     #[inline]
     pub fn load(&self, off: usize) -> u64 {
-        self.words[off].load(Ordering::Relaxed)
+        self.word(off).load(Ordering::Relaxed)
     }
 
     #[inline]
     pub fn store(&self, off: usize, v: u64) {
-        self.words[off].store(v, Ordering::Relaxed);
+        self.word(off).store(v, Ordering::Relaxed);
     }
 
     /// Acquire-load of a notification word: everything written before the
@@ -72,37 +114,38 @@ impl Segment {
     /// matching value.
     #[inline]
     pub fn load_notify(&self, off: usize) -> u64 {
-        self.words[off].load(Ordering::Acquire)
+        self.word(off).load(Ordering::Acquire)
     }
 
     /// Release-store of a notification word (publishes preceding payload
     /// writes).
     #[inline]
     pub fn store_notify(&self, off: usize, v: u64) {
-        self.words[off].store(v, Ordering::Release);
+        self.word(off).store(v, Ordering::Release);
     }
 
     /// Compare-and-swap (acquire-release), local flavour.
     #[inline]
     pub fn cas(&self, off: usize, current: u64, new: u64) -> Result<u64, u64> {
-        self.words[off].compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)
+        self.word(off)
+            .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)
     }
 
     #[inline]
     pub fn fetch_add(&self, off: usize, delta: u64) -> u64 {
-        self.words[off].fetch_add(delta, Ordering::AcqRel)
+        self.word(off).fetch_add(delta, Ordering::AcqRel)
     }
 
     /// Signed fetch-add on a cell interpreted as `i64`.
     #[inline]
     pub fn fetch_add_i64(&self, off: usize, delta: i64) -> i64 {
-        self.words[off].fetch_add(delta as u64, Ordering::AcqRel) as i64
+        self.word(off).fetch_add(delta as u64, Ordering::AcqRel) as i64
     }
 
     /// Atomically lower a cell interpreted as `i64` to `min(current, v)`;
     /// returns the previous value.
     pub fn fetch_min_i64(&self, off: usize, v: i64) -> i64 {
-        let cell = &self.words[off];
+        let cell = self.word(off);
         let mut cur = cell.load(Ordering::Acquire) as i64;
         while v < cur {
             match cell.compare_exchange_weak(
@@ -188,6 +231,20 @@ mod tests {
     use super::*;
     use crate::interconnect::LatencyModel;
     use std::sync::Arc;
+
+    #[test]
+    fn word_zero_is_line_aligned_and_lines_are_eight_words() {
+        // Odd sizes included: the allocator is free to hand back any
+        // 8-aligned block, the segment must find the boundary itself.
+        for words in [1, 7, 8, 9, 64, 1000] {
+            let s = Segment::new(words);
+            assert_eq!(s.len(), words);
+            assert_eq!(s.word_addr(0) % 64, 0, "{words}-word segment");
+            assert_eq!(s.word_addr(words - 1), s.word_addr(0) + 8 * (words - 1));
+        }
+        let s = Segment::new(2 * LINE_WORDS);
+        assert_eq!(s.word_addr(LINE_WORDS) / 64, s.word_addr(0) / 64 + 1);
+    }
 
     #[test]
     fn read_write_round_trip() {

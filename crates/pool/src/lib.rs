@@ -44,22 +44,41 @@
 //!
 //! Positions are monotone and must stay below `2^32` over a pool's
 //! lifetime (4.3 G items per worker pool per run) so that the packed
-//! halves never wrap; `push` carries a debug assertion.
+//! halves never wrap. The budget is enforced in every build: at
+//! [`POSITION_BUDGET`] `push` refuses (the caller spills, exactly as for a
+//! full ring) and [`SplitPool::room`] reports no room for in-place
+//! writes, so an exhausted pool degrades to its owner's private overflow
+//! stack instead of wrapping a packed half.
 //!
 //! The slots and metadata live in a [`Segment`], i.e. in simulated GPI
 //! global memory; all remote accesses go through the [`Interconnect`] cost
 //! model.
+//!
+//! # Cache lines
+//!
+//! The segment is 64-byte aligned and the metadata words sit on three
+//! lines by who writes them — `head` (owner, every push/pop), the packed
+//! `tail|split` (CAS by owner and thieves; read by every idle thief's
+//! scan), the `REQ`/`RESP` mailbox (remote thief and victim) — with the
+//! slots starting on a fourth. Moving a word changes which line an access
+//! pulls, not its ordering. The full map, with readers, is in
+//! ARCHITECTURE.md beside the happens-before argument.
 
-use macs_gpi::{Interconnect, Segment};
+use macs_gpi::{Interconnect, Segment, LINE_WORDS};
 
-/// Metadata word offsets inside the pool segment.
+/// Metadata word offsets inside the pool segment: one cache line per
+/// writer (see the module docs).
 const META_HEAD: usize = 0;
 /// Packed `tail` (low 32 bits) | `split` (high 32 bits).
-const META_TS: usize = 1;
-const META_REQ: usize = 3;
-const META_RESP: usize = 4;
+const META_TS: usize = LINE_WORDS;
+const META_REQ: usize = 2 * LINE_WORDS;
+const META_RESP: usize = 2 * LINE_WORDS + 1;
 /// First slot word.
-const META_WORDS: usize = 8;
+const META_WORDS: usize = 3 * LINE_WORDS;
+
+/// Positions handed out over a pool's lifetime stay below this, so the
+/// packed 32-bit halves never wrap.
+pub const POSITION_BUDGET: u64 = u32::MAX as u64;
 
 /// `RESP` value meaning "no response yet".
 pub const RESP_PENDING: u64 = 0;
@@ -197,8 +216,24 @@ impl SplitPool {
     /// Number of owner-private items.
     #[inline]
     pub fn private_len(&self) -> u64 {
-        let m = self.meta();
-        m.head.saturating_sub(m.split)
+        self.lens().0
+    }
+
+    /// `(private, shared)` item counts from one load of the packed word
+    /// and one of `head` — what a release decision needs, without the
+    /// mailbox word [`SplitPool::meta`] also reads.
+    #[inline]
+    pub fn lens(&self) -> (u64, u64) {
+        let (tail, split) = self.ts();
+        (self.head().saturating_sub(split), split - tail)
+    }
+
+    /// Slots a victim may write in place at this pool's head, given the
+    /// snapshot `m` of it: the free ring space, cut to what is left of
+    /// the position budget.
+    #[inline]
+    pub fn room(&self, m: &PoolMeta) -> u64 {
+        (self.capacity - m.len()).min(POSITION_BUDGET.saturating_sub(m.head))
     }
 
     /// Total items in the pool.
@@ -216,8 +251,8 @@ impl SplitPool {
     // ----- owner operations (no CAS, no lock) --------------------------------
 
     /// Push one item at the head (owner only). Returns `false` if the ring
-    /// is full; the caller keeps the item (the runtime spills to a local
-    /// overflow stack).
+    /// is full or the position budget is spent; the caller keeps the item
+    /// (the runtime spills to a local overflow stack).
     ///
     /// A momentarily stale `tail` is conservative (`≤` the true tail), so
     /// the capacity check can refuse a push that would have fit but never
@@ -225,9 +260,8 @@ impl SplitPool {
     pub fn push(&self, item: &[u64]) -> bool {
         debug_assert_eq!(item.len(), self.slot_words);
         let head = self.head();
-        debug_assert!(head < u32::MAX as u64, "pool position budget exhausted");
         let (tail, _) = self.ts();
-        if head - tail >= self.capacity {
+        if head - tail >= self.capacity || head >= POSITION_BUDGET {
             return false;
         }
         self.seg.write_local(self.slot_off(head), item);
@@ -422,6 +456,12 @@ impl SplitPool {
     pub fn read_slot(&self, pos: u64, dst: &mut [u64]) {
         self.seg.read_local(self.slot_off(pos), dst);
     }
+
+    /// Addresses of `[head, tail|split, REQ, RESP, slot 0]` (layout
+    /// tests).
+    pub fn word_addrs(&self) -> [usize; 5] {
+        [META_HEAD, META_TS, META_REQ, META_RESP, META_WORDS].map(|w| self.seg.word_addr(w))
+    }
 }
 
 #[cfg(test)]
@@ -461,6 +501,73 @@ mod tests {
         let mut buf = [0u64];
         assert!(p.pop_private(&mut buf));
         assert!(p.push(&[100]));
+    }
+
+    #[test]
+    fn metadata_words_and_slots_lie_on_separate_cache_lines() {
+        // Odd slot widths and capacities: alignment must not depend on
+        // the segment's size.
+        for (cap, words) in [(4, 1), (8, 3), (4096, 13)] {
+            let p = SplitPool::new(cap, words);
+            let [head, ts, req, resp, slot0] = p.word_addrs();
+            assert_eq!(head % 64, 0, "segment base is line-aligned");
+            let mut lines = [head / 64, ts / 64, req / 64, slot0 / 64];
+            lines.sort_unstable();
+            assert!(lines.windows(2).all(|w| w[0] != w[1]), "{lines:?}");
+            assert_eq!(req / 64, resp / 64, "the mailbox is one line");
+        }
+    }
+
+    /// A pool whose positions all sit at `pos` (empty), as if `pos` items
+    /// had already passed through it.
+    fn pool_at(pos: u64, capacity: usize, slot_words: usize) -> SplitPool {
+        let p = SplitPool::new(capacity, slot_words);
+        p.seg.store_notify(META_HEAD, pos);
+        p.seg.store_notify(META_TS, pack(pos, pos));
+        p
+    }
+
+    #[test]
+    fn position_budget_refuses_pushes_instead_of_wrapping() {
+        // Three positions short of the budget: three pushes land, the
+        // fourth is refused although the ring has room (a checked
+        // refusal, so it holds in release builds).
+        let p = pool_at(POSITION_BUDGET - 3, 8, 1);
+        for v in 0..3 {
+            assert!(p.push(&[v]));
+        }
+        assert!(!p.push(&[99]), "budget spent");
+        assert_eq!(p.meta().head, POSITION_BUDGET);
+        // Nothing wrapped: release publishes all three, a thief gets the
+        // oldest, the owner pops the rest, and the refusal is permanent
+        // only for positions — a pop frees one to be handed out again.
+        assert_eq!(p.release(2), 2);
+        let mut got = vec![];
+        assert_eq!(p.steal(1, |s| got.push(s[0])), 1);
+        assert_eq!(got, vec![0]);
+        assert_eq!(p.lens(), (1, 1));
+        let mut buf = [0u64];
+        assert!(p.pop_private(&mut buf));
+        assert_eq!(buf[0], 2);
+        assert!(p.push(&[7]));
+        assert!(!p.push(&[8]));
+        // In-place writes see the same wall.
+        let m = p.meta();
+        assert_eq!(p.room(&m), 0);
+        let near = pool_at(POSITION_BUDGET - 2, 8, 1);
+        assert_eq!(near.room(&near.meta()), 2);
+        assert_eq!(SplitPool::new(8, 1).room(&PoolMeta::default()), 8);
+    }
+
+    #[test]
+    fn lens_agree_with_the_single_counts() {
+        let p = SplitPool::new(8, 1);
+        for i in 0..5 {
+            p.push(&[i]);
+        }
+        p.release(2);
+        assert_eq!(p.lens(), (3, 2));
+        assert_eq!(p.lens(), (p.private_len(), p.shared_len()));
     }
 
     #[test]

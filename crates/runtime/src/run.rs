@@ -52,7 +52,9 @@ impl<O> RunReport<O> {
     }
 
     /// Fraction of aggregate worker time spent in each state (the paper's
-    /// Fig. 3/5 bars).
+    /// Fig. 3/5 bars). Exact for the rare states; the split among
+    /// `Working`, `Releasing` and `Poll` is sampled (see
+    /// [`StateClock`](crate::stats::StateClock)).
     pub fn state_fractions(&self) -> [f64; NUM_STATES] {
         let mut totals = [0.0f64; NUM_STATES];
         let mut sum = 0.0;

@@ -396,19 +396,28 @@ impl<'a, P: Processor> Worker<'a, P> {
         self.stats.clock.set(WorkerState::Barrier);
         self.world.barrier.wait();
 
-        let mut have = self.acquire_local();
+        let mut have = false;
         loop {
-            if !have && !self.restore() {
-                break; // global termination
+            // One lease read per iteration (leased runs; free otherwise).
+            let mut parked = self.lease_parked();
+            if !have {
+                // The worker's own pool first: the common case after a
+                // leaf, and no state change — so no clock read.
+                if parked || !self.acquire_local() {
+                    if !self.restore() {
+                        break; // global termination
+                    }
+                    parked = self.lease_parked();
+                }
             }
-            if self.lease_parked() {
+            if parked {
                 // The lease shrank below our id. Hand the in-hand item
                 // back (it is already counted outstanding, so a plain
                 // push keeps the termination invariant — an active worker
                 // will steal and finish it), publish the pool, and serve
                 // thieves until regrown or terminated. At this point
                 // `current` always holds an item: either `have` was true
-                // or `restore` just acquired one.
+                // or one was just acquired.
                 if !self.my_pool.push(&self.current) {
                     self.overflow.push(self.current.clone().into_boxed_slice());
                     self.stats.overflow_spills += 1;
@@ -513,7 +522,7 @@ impl<'a, P: Processor> Worker<'a, P> {
     // ----- inner cycle ------------------------------------------------------
 
     fn process_current(&mut self) -> bool {
-        self.stats.clock.set(WorkerState::Working);
+        self.stats.clock.tick(WorkerState::Working);
         if self.cfg.mode.is_race() {
             self.race_ring.record(self.world.elapsed_ns());
         }
@@ -562,11 +571,10 @@ impl<'a, P: Processor> Worker<'a, P> {
                 break;
             }
         }
-        let private = self.my_pool.private_len();
-        let shared = self.my_pool.shared_len();
+        let (private, shared) = self.my_pool.lens();
         let pol = &self.cfg.release;
         if private > pol.min_private && shared < pol.share_target {
-            self.stats.clock.set(WorkerState::Releasing);
+            self.stats.clock.hot(WorkerState::Releasing);
             let k = ((private - pol.min_private) / 2).max(1);
             let m = self.my_pool.release(k);
             self.stats.releases += 1;
@@ -580,7 +588,7 @@ impl<'a, P: Processor> Worker<'a, P> {
         if hit {
             self.serve_request();
         } else {
-            self.stats.clock.set(WorkerState::Poll);
+            self.stats.clock.hot(WorkerState::Poll);
             self.stats.polls += 1;
         }
         self.poll_interval = self.cfg.poll.next(self.poll_interval, hit);
@@ -588,13 +596,10 @@ impl<'a, P: Processor> Worker<'a, P> {
 
     // ----- the restore procedure (§V) ---------------------------------------
 
-    /// Obtain a new work item by any means; `false` means the whole
-    /// computation terminated.
+    /// Obtain a new work item from somewhere other than the worker's own
+    /// pool (the run loop has just found that empty, or the worker
+    /// parked); `false` means the whole computation terminated.
     fn restore(&mut self) -> bool {
-        self.stats.clock.set(WorkerState::Searching);
-        if !self.lease_parked() && self.acquire_local() {
-            return true;
-        }
         let mut idle_rounds: u32 = 0;
         loop {
             // A raced run that is already won has nothing left to steal
@@ -626,6 +631,7 @@ impl<'a, P: Processor> Worker<'a, P> {
             }
             // Idle: flush, check termination, serve requests, back off.
             self.stats.clock.set(WorkerState::Idle);
+            self.stats.idle_rounds += 1;
             self.term.flush();
             if self.term.finished() {
                 return false;
@@ -899,7 +905,7 @@ impl<'a, P: Processor> Worker<'a, P> {
         // policy the batch ceiling follows this worker's own reply
         // thinness instead of the static knob.
         let tm = thief_pool.meta_remote(ic);
-        let free = thief_pool.capacity() as u64 - (tm.head - tm.tail);
+        let free = thief_pool.room(&tm);
         let cap = self.chunk_cap(self.world.topology.distance(self.id, thief));
         let max_chunks = if self.cfg.chunk_policy.is_adaptive() {
             self.adaptive.batch() as u64

@@ -38,11 +38,38 @@ pub enum StepOutcome {
     Children(usize),
 }
 
-/// Accumulated propagate/split wall time (the paper's §VI phase split).
+/// Accumulated propagate/split wall time (the paper's §VI phase split):
+/// an estimate from every [`SAMPLE_STRIDE`]-th node, see
+/// [`SearchKernel::take_timers`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct KernelTimers {
     pub propagate: Duration,
     pub split: Duration,
+}
+
+/// One hot-loop iteration in this many reads the clock: the kernel times
+/// the phases of every `SAMPLE_STRIDE`-th node, and the runtime's
+/// `StateClock` timestamps the transitions of every `SAMPLE_STRIDE`-th
+/// worker-loop iteration. `Instant::now()` costs about 30 ns, a CP node
+/// 300–1100 ns; at four to six reads a node the instrument was a fifth to
+/// half of what it measured. Prime, so the sample does not lock onto the
+/// power-of-two cadences of the loop it observes (release interval 32,
+/// poll intervals 2–64): a stride of 64 would see a release on every
+/// sampled iteration or on none.
+pub const SAMPLE_STRIDE: u32 = 61;
+
+/// Charge the phase that began at `t0` to `timer`, `weight` times over,
+/// less what the clock itself took. The window `[t0, t1]` contains one
+/// clock read's worth of time (the back half of the read that produced
+/// `t0`, the front half of the one producing `t1`); an immediate third
+/// read measures exactly that much and is subtracted. Unsubtracted, two
+/// ~40 ns reads on a ~1 µs node, scaled by the stride, put the phase sum
+/// above the worker's whole `Working` time.
+#[inline]
+fn charge(timer: &mut Duration, t0: Instant, weight: u32) {
+    let t1 = Instant::now();
+    let read = t1.elapsed();
+    *timer += (t1 - t0).saturating_sub(read) * weight;
 }
 
 /// The node-processing kernel: one engine, one scratch buffer, one child
@@ -58,10 +85,15 @@ pub struct SearchKernel<'a> {
     slab: StoreSlab,
     timers: KernelTimers,
     /// Whether [`KernelTimers`] are collected. On by default (the phase
-    /// aggregation in the processors depends on it); throughput harnesses
-    /// that don't read the timers can switch it off and save four
-    /// `Instant::now` calls per node.
+    /// aggregation in the processors depends on it) and sampled, so it
+    /// costs six `Instant::now` calls per [`SAMPLE_STRIDE`] nodes;
+    /// harnesses that time the kernel from outside switch it off to
+    /// measure a step with no clock read in it at all.
     timing: bool,
+    /// Steps since the last timed one, this one included.
+    since_timed: u32,
+    /// Steps whose phases were timed.
+    timed_nodes: u64,
 }
 
 impl<'a> SearchKernel<'a> {
@@ -75,6 +107,8 @@ impl<'a> SearchKernel<'a> {
             slab: StoreSlab::new(words),
             timers: KernelTimers::default(),
             timing: true,
+            since_timed: 0,
+            timed_nodes: 0,
         }
     }
 
@@ -106,9 +140,36 @@ impl<'a> SearchKernel<'a> {
     }
 
     /// Accumulated phase timers, resetting them (drained by callers that
-    /// aggregate per-worker statistics).
+    /// aggregate per-worker statistics). The figures are estimates: the
+    /// first node and then every [`SAMPLE_STRIDE`]-th are timed, and each
+    /// timed node is charged once for every node since the previous timed
+    /// one (itself included). The nodes after the last sample are not
+    /// charged, so the sum never exceeds what timing every node would
+    /// report and falls short of it by less than one stride of nodes — on
+    /// a run shorter than a stride, by all but the first node.
     pub fn take_timers(&mut self) -> KernelTimers {
         std::mem::take(&mut self.timers)
+    }
+
+    /// Steps whose phases were timed: `ceil(steps / SAMPLE_STRIDE)` while
+    /// timing is on.
+    pub fn timed_nodes(&self) -> u64 {
+        self.timed_nodes
+    }
+
+    /// How many nodes this step's phase times stand for; 0 when the step
+    /// is not timed.
+    #[inline]
+    fn sample_weight(&mut self) -> u32 {
+        if !self.timing {
+            return 0;
+        }
+        self.since_timed += 1;
+        if self.timed_nodes > 0 && self.since_timed < SAMPLE_STRIDE {
+            return 0;
+        }
+        self.timed_nodes += 1;
+        std::mem::take(&mut self.since_timed)
     }
 
     /// Return a dead store buffer to the kernel's arena.
@@ -145,21 +206,22 @@ impl<'a> SearchKernel<'a> {
         };
 
         // --- step 1: propagation ------------------------------------------
-        let t0 = self.timing.then(Instant::now);
+        let weight = self.sample_weight();
+        let t0 = (weight > 0).then(Instant::now);
         let outcome = self.engine.propagate(prob, buf, bound, seed);
         if let Some(t0) = t0 {
-            self.timers.propagate += t0.elapsed();
+            charge(&mut self.timers.propagate, t0, weight);
         }
         if outcome == PropOutcome::Failed {
             return StepOutcome::Failed;
         }
 
         // --- step 2: splitting (or a solution) -----------------------------
-        let t0 = self.timing.then(Instant::now);
+        let t0 = (weight > 0).then(Instant::now);
         let var = prob.brancher.choose_var(layout, buf);
         let Some(var) = var else {
             if let Some(t0) = t0 {
-                self.timers.split += t0.elapsed();
+                charge(&mut self.timers.split, t0, weight);
             }
             // All variables assigned: a solution.
             let view = StoreView::new(layout, buf);
@@ -195,7 +257,7 @@ impl<'a> SearchKernel<'a> {
             c[1] = bound as u64;
         }
         if let Some(t0) = t0 {
-            self.timers.split += t0.elapsed();
+            charge(&mut self.timers.split, t0, weight);
         }
         debug_assert!(n >= 1);
         StepOutcome::Children(n)
@@ -345,6 +407,34 @@ mod tests {
         let view = |w: &[u64]| macs_domain::StoreView::new(&prob.layout, w).value(0);
         assert_eq!(view(&buf), Some(0), "first child continues in place");
         assert_eq!(view(rest.last().unwrap()), Some(1));
+    }
+
+    /// The clock-read budget as a count: one node in `SAMPLE_STRIDE` is
+    /// timed, the first one included, and none with timing off.
+    #[test]
+    fn one_node_in_a_stride_is_timed() {
+        let queens8 = macs_problems::queens(8, macs_problems::QueensModel::Pairwise);
+        let stride = u64::from(SAMPLE_STRIDE);
+        for nodes in [1, stride - 1, stride, stride + 1, 663] {
+            for timing in [true, false] {
+                let mut kernel = SearchKernel::new(&queens8);
+                kernel.set_timing(timing);
+                let mut stack: VecDeque<WorkItem> = VecDeque::new();
+                let root = kernel.alloc_root();
+                stack.push_back(root);
+                for _ in 0..nodes {
+                    let mut store = stack.pop_back().expect("queens-8 has 663 nodes");
+                    if let StepOutcome::Children(_) = kernel.step(&mut store, &NoBound) {
+                        kernel.push_children(&mut stack);
+                    }
+                    kernel.recycle(store);
+                }
+                let want = if timing { nodes.div_ceil(stride) } else { 0 };
+                assert_eq!(kernel.timed_nodes(), want, "{nodes} nodes, timing {timing}");
+                let t = kernel.take_timers();
+                assert_eq!(t.propagate + t.split > Duration::ZERO, timing);
+            }
+        }
     }
 
     #[test]

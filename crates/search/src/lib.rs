@@ -77,5 +77,5 @@ pub use arena::StoreSlab;
 pub use batch::{AdaptiveBatch, ChunkPolicy, WorkBatch, WorkItem};
 pub use bounds::{BoundFanout, BoundPath, BoundPolicy, BroadcastTree, RefreshGate};
 pub use incumbent::{AtomicIncumbent, IncumbentSource, LocalIncumbent, NoBound};
-pub use kernel::{KernelTimers, SearchKernel, SolutionReport, StepOutcome};
+pub use kernel::{KernelTimers, SearchKernel, SolutionReport, StepOutcome, SAMPLE_STRIDE};
 pub use mode::{RaceRing, SearchMode};
