@@ -117,7 +117,7 @@ fn main() {
                         let mut cfg = SimConfig::new(topo.clone());
                         cfg.costs = *costs;
                         macs_bench::apply_host_overrides(&mut cfg);
-                        cfg.chunk_policy = policy;
+                        cfg.steal.chunk_policy = policy;
                         cfg.seed = seed;
                         let r = sim_cp_macs(prob, &cfg);
                         ms += r.makespan_ns as f64 / 1e6;
@@ -192,7 +192,7 @@ fn main() {
                 let mut cfg = SimConfig::new(topo.clone());
                 cfg.costs = *costs;
                 macs_bench::apply_host_overrides(&mut cfg);
-                cfg.chunk_policy = policy;
+                cfg.steal.chunk_policy = policy;
                 let r = sim_cp_macs(prob, &cfg);
                 let cell = Cell {
                     policy,

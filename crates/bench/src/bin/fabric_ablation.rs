@@ -37,7 +37,7 @@ fn cfg_for(cores: usize, costs: CostModel, fabric: FabricModel) -> SimConfig {
     macs_bench::apply_host_overrides(&mut cfg);
     cfg.fabric = fabric;
     if let Some(c) = chunk_policy_arg() {
-        cfg.chunk_policy = c;
+        cfg.steal.chunk_policy = c;
     }
     cfg
 }

@@ -173,7 +173,7 @@ fn fig4() {
     let costs = CostModel::paper_queens();
     let tuned = |cfg: &SimConfig| {
         let mut best = cfg.clone();
-        best.release = ReleasePolicy::tuned();
+        best.steal.release = ReleasePolicy::tuned();
         sim_cp_macs(&prob, &best)
     };
     // Each system is normalised by its own sequential execution, as in the
@@ -279,7 +279,7 @@ fn ablation_polling() {
         ),
     ] {
         let mut cfg = host_cluster(cores, CostModel::paper_queens());
-        cfg.poll = policy;
+        cfg.steal.poll = policy;
         let r = sim_cp_macs(&prob, &cfg);
         let polls: u64 = r.workers.iter().map(|w| w.polls).sum();
         let fr = r.state_fractions();
@@ -313,7 +313,7 @@ fn ablation_release_interval() {
     );
     for interval in [1u32, 4, 16, 32, 128] {
         let mut cfg = host_cluster(cores, CostModel::paper_queens());
-        cfg.release = ReleasePolicy {
+        cfg.steal.release = ReleasePolicy {
             interval,
             ..ReleasePolicy::default()
         };
@@ -346,7 +346,7 @@ fn ablation_victim() {
             ("max-steal", VictimSelect::MaxSteal),
         ] {
             let mut cfg = host_cluster(cores, CostModel::paper_queens());
-            cfg.victim = sel;
+            cfg.steal.victim_select = sel;
             let r = sim_cp_macs(&prob, &cfg);
             let (lo, lf, _, _) = r.steal_totals();
             let items: u64 = r.workers.iter().map(|w| w.local_steal_items).sum();

@@ -9,7 +9,8 @@
 //! keys, each carrying its [`Gate`] — which [`write_json`] renders and
 //! [`check`] holds against a committed file. Simulated points are re-run
 //! with the same seed where the budget allows; a trace or digest
-//! divergence is a hard failure.
+//! divergence is a hard failure, and `--check` holds each re-measured
+//! point's trace hash or digest to the committed row's, bit for bit.
 
 use std::time::Instant;
 
@@ -104,11 +105,52 @@ fn write_json(rec: &Record, quick: bool) -> String {
     .pretty()
 }
 
-/// Hold the measured gated keys against the committed record `text`.
-/// A key the record lacks is skipped (a full run checked against a quick
-/// record measures more than was recorded), but a check that compared
-/// nothing, a record of another mode, or a malformed record all fail.
-fn check(name: &str, measured: &[Gated], text: &str) -> Result<usize, String> {
+/// What a deterministic replay must reproduce exactly: the row field
+/// holding the run's identity, and the fields that name the row.
+const PINNED: [(&str, &[&str]); 2] = [
+    ("trace_hash", &["workload", "cores", "fabric"]),
+    ("digest", &["cores", "policy"]),
+];
+
+/// Hold every measured row's pinned identity against the recorded row of
+/// the same key: any difference means the run no longer replays the
+/// recorded behaviour. A row the record lacks is reported and skipped.
+fn check_pinned(rows: &[Row], recorded: &[Json], failures: &mut Vec<String>) {
+    let field =
+        |row: &Row, name: &str| row.iter().find(|(k, _)| *k == name).map(|(_, v)| v.clone());
+    for row in rows {
+        let Some((pin, hash, keys)) = PINNED
+            .iter()
+            .find_map(|&(pin, keys)| Some((pin, field(row, pin)?, keys)))
+        else {
+            continue;
+        };
+        let key: Vec<Option<Json>> = keys.iter().map(|k| field(row, k)).collect();
+        let label = key
+            .iter()
+            .flatten()
+            .map(Json::compact)
+            .collect::<Vec<_>>()
+            .join(" ");
+        let same_key = |r: &&Json| keys.iter().zip(&key).all(|(k, v)| r.get(k) == v.as_ref());
+        match recorded.iter().find(same_key).and_then(|r| r.get(pin)) {
+            None => eprintln!("check: no {pin} for {label} in the record (skipped)"),
+            Some(r) if *r == hash => eprintln!("check ok: {pin} of {label} = {}", r.compact()),
+            Some(r) => failures.push(format!(
+                "{pin} of {label} is {}, the record pins {}: not the recorded behaviour",
+                hash.compact(),
+                r.compact()
+            )),
+        }
+    }
+}
+
+/// Hold the measured gated keys, and the measured rows' pinned hashes,
+/// against the committed record `text`. A key or row the record lacks is
+/// skipped (a full run checked against a quick record measures more than
+/// was recorded), but a check that compared nothing, a record of another
+/// mode, or a malformed record all fail.
+fn check(name: &str, measured: &[Gated], rows: &[Row], text: &str) -> Result<usize, String> {
     let doc = Json::parse(text)?;
     let recorded_name = doc.get("record");
     if recorded_name != Some(&Json::str(name)) {
@@ -118,6 +160,9 @@ fn check(name: &str, measured: &[Gated], text: &str) -> Result<usize, String> {
     }
     let recorded = doc.get("gated").ok_or("record has no \"gated\" object")?;
     let (mut compared, mut failures) = (0, Vec::new());
+    if let Some(Json::Arr(recorded_rows)) = doc.get("rows") {
+        check_pinned(rows, recorded_rows, &mut failures);
+    }
     for g in measured {
         let r = match recorded.get(&g.key) {
             None => {
@@ -526,7 +571,7 @@ fn main() {
         return;
     }
     let text = std::fs::read_to_string(&check_path).map_err(|e| e.to_string());
-    match text.and_then(|text| check(rec.name, &rec.gated, &text)) {
+    match text.and_then(|text| check(rec.name, &rec.gated, &rec.rows, &text)) {
         Ok(n) => eprintln!("check passed: {n} gated key(s) within bounds of {check_path}"),
         Err(e) => {
             eprintln!("check FAILED against {check_path}:\n{e}");
@@ -559,7 +604,46 @@ mod tests {
             gated: keyed(recorded),
         };
         let measured: Vec<Gated> = keyed(measured);
-        check("BENCH_T", &measured, &write_json(&rec, true))
+        check("BENCH_T", &measured, &[], &write_json(&rec, true))
+    }
+
+    #[test]
+    fn a_one_nibble_hash_change_fails_and_a_missing_row_is_skipped() {
+        let sim = |cores: u64, hash: u64| -> Row {
+            vec![
+                ("workload", Json::str("queens-14")),
+                ("cores", int(cores)),
+                ("fabric", Json::str("latency")),
+                ("trace_hash", hex(hash)),
+            ]
+        };
+        let service = |policy: &str, hash: u64| -> Row {
+            vec![
+                ("cores", int(32)),
+                ("policy", Json::str(policy)),
+                ("digest", hex(hash)),
+            ]
+        };
+        let rec = Record {
+            name: "BENCH_T",
+            mode: "--test",
+            note: "",
+            meta: Vec::new(),
+            rows: vec![
+                sim(4096, 0xeb21_0518_25bf_419f),
+                service("static:2", 0x8311),
+            ],
+            gated: vec![gated("r".into(), 1.0, Gate::Floor(0.9))],
+        };
+        let text = write_json(&rec, true);
+        let run = |rows: &[Row]| check("BENCH_T", &rec.gated, rows, &text);
+        assert_eq!(run(&rec.rows), Ok(1), "the recorded hashes reproduce");
+        let err = run(&[sim(4096, 0xeb21_0518_25bf_419e)]).unwrap_err();
+        assert!(err.contains("trace_hash") && err.contains("4096"), "{err}");
+        assert!(run(&[service("static:2", 0x8312)]).is_err());
+        // Rows the record does not hold — another scale, another policy —
+        // are reported and skipped, like a gated key it lacks.
+        assert_eq!(run(&[sim(65_536, 1), service("queue-depth:1,8", 2)]), Ok(1));
     }
 
     #[test]
@@ -590,11 +674,12 @@ mod tests {
     fn wrong_record_name_and_malformed_records_fail() {
         let m = [gated("a".into(), 1.0, Gate::Floor(0.9))];
         let good = "{\"record\": \"BENCH_T\", \"gated\": {\"a\": 1.0}}";
-        assert_eq!(check("BENCH_T", &m, good), Ok(1));
-        assert!(check("BENCH_8", &m, good).is_err());
-        assert!(check("BENCH_T", &m, &good.replace("1.0", "1.0.0")).is_err());
-        assert!(check("BENCH_T", &m, &good.replace("1.0", "\"fast\"")).is_err());
-        assert!(check("BENCH_T", &m, &good[..good.len() - 2]).is_err());
-        assert!(check("BENCH_T", &m, "{\"record\": \"BENCH_T\"}").is_err());
+        let check = |name, text: &str| check(name, &m, &[], text);
+        assert_eq!(check("BENCH_T", good), Ok(1));
+        assert!(check("BENCH_8", good).is_err());
+        assert!(check("BENCH_T", &good.replace("1.0", "1.0.0")).is_err());
+        assert!(check("BENCH_T", &good.replace("1.0", "\"fast\"")).is_err());
+        assert!(check("BENCH_T", &good[..good.len() - 2]).is_err());
+        assert!(check("BENCH_T", "{\"record\": \"BENCH_T\"}").is_err());
     }
 }

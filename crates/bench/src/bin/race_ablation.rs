@@ -102,7 +102,7 @@ fn main() {
                         macs_bench::apply_host_overrides(&mut cfg);
                         cfg.seed = seed;
                         if let Some(c) = chunk_policy_arg() {
-                            cfg.chunk_policy = c;
+                            cfg.steal.chunk_policy = c;
                         }
                         let r = sim_cp_macs_mode(prob, &cfg, mode);
                         // Work-unit conservation, raced or not.

@@ -57,9 +57,12 @@ fn drive(
     if let Some(p) = policy {
         threaded_cfg.runtime.bound_policy = p;
     }
+    // One steal policy for the threaded and the simulated run alike.
+    let mut steal = threaded_cfg.runtime.steal;
     if let Some(c) = chunk {
-        threaded_cfg.runtime.chunk_policy = c;
+        steal.chunk_policy = c;
     }
+    threaded_cfg.runtime.steal = steal;
     threaded_cfg.mode = mode;
     let threaded = Solver::new(threaded_cfg).solve(prob);
     let mut paccs_cfg = PaccsConfig::with_workers(1);
@@ -76,9 +79,7 @@ fn drive(
     if let Some(p) = policy {
         cfg.bound_policy = p;
     }
-    if let Some(c) = chunk {
-        cfg.chunk_policy = c;
-    }
+    cfg.steal = steal;
     macs_bench::apply_host_overrides(&mut cfg);
     let sim = sim_cp_macs_mode(prob, &cfg, mode);
     let psim = sim_cp_paccs_mode(prob, &cfg, mode);

@@ -53,7 +53,7 @@ fn deep_cfg(cores: usize) -> SimConfig {
         cfg.bound_policy = p;
     }
     if let Some(c) = chunk_policy_arg() {
-        cfg.chunk_policy = c;
+        cfg.steal.chunk_policy = c;
     }
     cfg
 }
@@ -80,14 +80,14 @@ fn main() {
     for &cores in &series {
         println!("{cores} cores:");
         let mut flat = deep_cfg(cores);
-        flat.scan_order = ScanOrder::Flat;
-        flat.response_batch = 1;
+        flat.steal.scan_order = ScanOrder::Flat;
+        flat.steal.response_batch = 1;
         let rf = sim_cp_macs(&prob, &flat);
         row("flat", &rf);
 
         let mut aware = deep_cfg(cores);
-        aware.scan_order = ScanOrder::DistanceAware;
-        aware.response_batch = 1;
+        aware.steal.scan_order = ScanOrder::DistanceAware;
+        aware.steal.response_batch = 1;
         let ra = sim_cp_macs(&prob, &aware);
         row("distance-aware", &ra);
         speedups.push((
@@ -126,13 +126,13 @@ fn main() {
                 let mut cfg = SimConfig::new(topo.clone());
                 cfg.costs = costs;
                 macs_bench::apply_host_overrides(&mut cfg);
-                cfg.response_batch = batch;
+                cfg.steal.response_batch = batch;
                 cfg.seed = seed;
                 if let Some(p) = bound_policy_arg() {
                     cfg.bound_policy = p;
                 }
                 if let Some(c) = chunk_policy_arg() {
-                    cfg.chunk_policy = c;
+                    cfg.steal.chunk_policy = c;
                 }
                 let r = sim_cp_macs(prob, &cfg);
                 let (served, chunks, multi) = r.response_batching();
@@ -160,12 +160,12 @@ fn main() {
             println!("{name} ({topo}):");
             let mut flat = SimConfig::new(topo.clone());
             flat.costs = CostModel::paper_queens();
-            flat.scan_order = ScanOrder::Flat;
+            flat.steal.scan_order = ScanOrder::Flat;
             let rf = sim_cp_macs(&xl_prob, &flat);
             row("flat", &rf);
             let mut aware = SimConfig::new(topo);
             aware.costs = CostModel::paper_queens();
-            aware.scan_order = ScanOrder::DistanceAware;
+            aware.steal.scan_order = ScanOrder::DistanceAware;
             let ra = sim_cp_macs(&xl_prob, &aware);
             row("distance-aware", &ra);
             if rf.total_items() != ra.total_items() || rf.total_solutions() != ra.total_solutions()

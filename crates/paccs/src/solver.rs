@@ -13,15 +13,11 @@ use std::time::{Duration, Instant};
 use macs_domain::Val;
 use macs_engine::CompiledProblem;
 use macs_gpi::{Interconnect, LatencyModel, MachineTopology, StealHistogram, TopoError, Topology};
+use macs_search::steal::LEADER_REFRESH;
 use macs_search::{
     AtomicIncumbent, BoundPolicy, BroadcastTree, ChunkPolicy, IncumbentSource, RaceRing,
     RefreshGate, SearchKernel, SearchMode, StepOutcome, WorkBatch, WorkItem,
 };
-
-/// How often (in processed stores) a node-leader agent refreshes its
-/// node's incumbent mirror from the controller under
-/// [`BoundPolicy::Hierarchical`].
-const LEADER_REFRESH: u32 = 8;
 
 /// Configuration of a PaCCS run.
 #[derive(Clone, Debug)]

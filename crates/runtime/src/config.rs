@@ -1,120 +1,11 @@
-//! Runtime configuration: topology, stealing heuristics, polling and
-//! release policies.
+//! Runtime configuration: topology, the steal protocol's knobs
+//! ([`StealPolicy`], shared with the simulator), bound dissemination and
+//! thread placement.
 
-use macs_gpi::{LatencyModel, MachineTopology, ScanOrder, TopoError, Topology};
-pub use macs_search::{BoundPolicy, ChunkPolicy, SearchMode};
-
-/// Local-steal victim selection (paper §V, "Local Work Stealing"):
-/// MaCS ships a cheap *greedy* variant and a better-informed but costlier
-/// *max steal* variant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum VictimSelect {
-    /// "the first victim found with available work is chosen" (scan starts
-    /// at a random peer to avoid convoys).
-    #[default]
-    Greedy,
-    /// "the thief checks all n−1 possible victims and chooses the one with
-    /// the largest shared region".
-    MaxSteal,
-}
-
-/// How often a worker checks its request mailbox (paper §V, "dynamic
-/// polling strategy"). Intervals are counted in processed work items.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PollPolicy {
-    /// Poll every `n` items.
-    Fixed(u32),
-    /// Start at `min`; a poll that finds no request doubles the interval
-    /// (up to `max`), a poll that finds one halves it (down to `min`) —
-    /// "if the poll fails, the polling interval grows …; if a poll
-    /// succeeds, the opposite happens".
-    Dynamic { min: u32, max: u32 },
-}
-
-impl Default for PollPolicy {
-    fn default() -> Self {
-        // The ceiling must stay low enough that a waiting thief is served
-        // within a few node-processing times, or "Wait remote" — negligible
-        // in the paper's Fig. 3/5 — starts to dominate at scale.
-        PollPolicy::Dynamic { min: 2, max: 64 }
-    }
-}
-
-impl PollPolicy {
-    pub fn initial(&self) -> u32 {
-        match *self {
-            PollPolicy::Fixed(n) => n.max(1),
-            PollPolicy::Dynamic { min, .. } => min.max(1),
-        }
-    }
-
-    /// Next interval after a poll that found (`hit = true`) or did not find
-    /// a pending request.
-    pub fn next(&self, current: u32, hit: bool) -> u32 {
-        match *self {
-            PollPolicy::Fixed(n) => n.max(1),
-            PollPolicy::Dynamic { min, max } => {
-                let min = min.max(1);
-                if hit {
-                    (current / 2).max(min)
-                } else {
-                    current.saturating_mul(2).min(max.max(min))
-                }
-            }
-        }
-    }
-}
-
-/// When and how much private work a worker publishes into the shared region
-/// of its pool. The *interval* is the paper's "work release interval" — the
-/// knob that turns MaCS(default) into MaCS(best) on N-Queens.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReleasePolicy {
-    /// Attempt a release every `interval` processed items (1 = the paper's
-    /// eager default).
-    pub interval: u32,
-    /// Never share below this many private items (keeps the owner fed).
-    pub min_private: u64,
-    /// Only lock and move the split pointer when the shared region has
-    /// fewer items than this (avoids extraneous releases).
-    pub share_target: u64,
-}
-
-impl Default for ReleasePolicy {
-    fn default() -> Self {
-        // The paper's default: release on *every* work-loop iteration,
-        // unconditionally — the "extraneous" release operations whose cost
-        // §VI identifies as the limiter on N-Queens scalability.
-        ReleasePolicy {
-            interval: 1,
-            min_private: 2,
-            share_target: u64::MAX,
-        }
-    }
-}
-
-impl ReleasePolicy {
-    /// The tuned variant the paper calls MaCS(best): "simply based on the
-    /// reduction of the number of (extraneous) release operations" — an
-    /// order of magnitude fewer release operations.
-    pub fn tuned() -> Self {
-        ReleasePolicy {
-            interval: 32,
-            min_private: 2,
-            share_target: u64::MAX,
-        }
-    }
-
-    /// A demand-driven variant (only lock when the shared region runs
-    /// low) for ablation studies.
-    pub fn demand_driven(interval: u32) -> Self {
-        ReleasePolicy {
-            interval,
-            min_private: 2,
-            share_target: 4,
-        }
-    }
-}
+use macs_gpi::{LatencyModel, MachineTopology, TopoError, Topology};
+pub use macs_search::{
+    BoundPolicy, ChunkPolicy, PollPolicy, ReleasePolicy, SearchMode, StealPolicy, VictimSelect,
+};
 
 /// The threaded runtime's default bound-dissemination policy (paper §VI
 /// discussion and future work: "a more efficient dissemination of the
@@ -144,38 +35,17 @@ pub enum SeedMode {
 pub struct RuntimeConfig {
     /// The machine's level structure; stealing inside a node is
     /// shared-memory, across nodes it pays the interconnect, and victim
-    /// scans walk the levels nearest-first (see `scan_order`).
+    /// scans walk the levels nearest-first (see `steal.scan_order`).
     pub topology: MachineTopology,
     /// Interconnect cost model.
     pub latency: LatencyModel,
-    /// Victim ordering: level-by-level (socket before node before
-    /// cluster, with last-steal affinity) or the original flat scan.
-    pub scan_order: ScanOrder,
-    /// Maximum number of victim pools contributing chunks to one remote
-    /// steal response (1 = the original single-chunk reply). The
-    /// response's total size stays capped at `max_steal_chunk`; batching
-    /// means several co-located pools may *fill* that cap together, so a
-    /// thief's round trip delivers full value instead of one pool's thin
-    /// chunk. Under [`ChunkPolicy::Adaptive`] this is only the starting
-    /// point — each victim's reply-thinness EWMA takes over.
-    pub response_batch: u32,
+    /// The steal protocol's knobs — release, poll, victim selection, scan
+    /// order, chunking, reply batching, remote probing — the same struct
+    /// `SimConfig` embeds, read by the one rulebook in
+    /// [`macs_search::steal`].
+    pub steal: StealPolicy,
     /// Slots per worker pool (rounded up to a power of two).
     pub pool_capacity: usize,
-    pub release: ReleasePolicy,
-    pub victim_select: VictimSelect,
-    pub poll: PollPolicy,
-    /// Upper bound on items moved by one steal (local or remote). This is
-    /// the *static* reference cap; `chunk_policy` maps it and the steal's
-    /// topological distance to the effective per-steal cap.
-    pub max_steal_chunk: u64,
-    /// Steal-chunk granularity: a flat cap (`Static`, the original
-    /// behaviour), a distance-scaled reservation (small same-socket
-    /// chunks, up to `factor ×` for cross-cluster steals), or `Adaptive`,
-    /// which also tunes `response_batch` online from reply thinness. See
-    /// [`ChunkPolicy`].
-    pub chunk_policy: ChunkPolicy,
-    /// Remote victim *nodes* examined per remote-steal round.
-    pub remote_node_attempts: u32,
     /// When incumbent improvements reach other workers (see
     /// [`BoundPolicy`]). The default is `Periodic { every: 32 }` — the
     /// cheap cadence the pre-hierarchical runtime shipped with.
@@ -248,15 +118,8 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             topology: MachineTopology::flat(1),
             latency: LatencyModel::zero(),
-            scan_order: ScanOrder::default(),
-            response_batch: 2,
+            steal: StealPolicy::default(),
             pool_capacity: 4096,
-            release: ReleasePolicy::default(),
-            victim_select: VictimSelect::default(),
-            poll: PollPolicy::default(),
-            max_steal_chunk: 16,
-            chunk_policy: ChunkPolicy::default(),
-            remote_node_attempts: 2,
             bound_policy: default_bound_policy(),
             mode: SearchMode::Exhaustive,
             seed_mode: SeedMode::default(),
@@ -273,6 +136,8 @@ impl Default for RuntimeConfig {
 mod tests {
     use super::*;
 
+    // The poll and release policies live in `macs_search::steal`; these
+    // three pin them through this crate's re-exported paths.
     #[test]
     fn dynamic_poll_interval_adapts() {
         let p = PollPolicy::Dynamic { min: 2, max: 64 };

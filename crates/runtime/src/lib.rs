@@ -32,7 +32,8 @@ pub mod worker;
 
 pub use affinity::pin_current_thread;
 pub use config::{
-    BoundPolicy, ChunkPolicy, PollPolicy, ReleasePolicy, RuntimeConfig, SeedMode, VictimSelect,
+    BoundPolicy, ChunkPolicy, PollPolicy, ReleasePolicy, RuntimeConfig, SeedMode, StealPolicy,
+    VictimSelect,
 };
 pub use processor::{Incumbent, NoIncumbent, ProcCtx, Processor, Step, WorkSink};
 pub use rng::SplitMix64;

@@ -374,7 +374,7 @@ mod tests {
     fn hierarchical_topology_uses_remote_steals() {
         let cfg_seq = RuntimeConfig::single_node(1);
         let mut cfg = RuntimeConfig::clustered(4, 2); // 2 nodes × 2 cores
-        cfg.poll = PollPolicy::Dynamic { min: 2, max: 64 };
+        cfg.steal.poll = PollPolicy::Dynamic { min: 2, max: 64 };
         // As in the single-node agreement test: retry with a deeper tree
         // until the off-node workers were scheduled in time to steal.
         for depth in 10..=13 {
@@ -420,8 +420,8 @@ mod tests {
     #[test]
     fn max_steal_and_tuned_release_work() {
         let mut cfg = RuntimeConfig::single_node(4);
-        cfg.victim_select = VictimSelect::MaxSteal;
-        cfg.release = ReleasePolicy::tuned();
+        cfg.steal.victim_select = VictimSelect::MaxSteal;
+        cfg.steal.release = ReleasePolicy::tuned();
         let (report, leaves, _) = run_tree(&cfg, 9, Some(3));
         assert_eq!(leaves, 3u64.pow(9));
         let releases: u64 = report.workers.iter().map(|w| w.releases).sum();
@@ -457,7 +457,7 @@ mod tests {
         let cfg_seq = RuntimeConfig::single_node(1);
         let (_, leaves1, sum1) = run_tree(&cfg_seq, 10, Some(3));
         let mut cfg = RuntimeConfig::hierarchical(&[2, 2, 2], 1).unwrap();
-        cfg.scan_order = ScanOrder::Flat;
+        cfg.steal.scan_order = ScanOrder::Flat;
         let (_, leaves, sum) = run_tree(&cfg, 10, Some(3));
         assert_eq!(leaves, leaves1);
         assert_eq!(sum, sum1);
@@ -468,7 +468,7 @@ mod tests {
         let cfg_seq = RuntimeConfig::single_node(1);
         let (_, leaves1, sum1) = run_tree(&cfg_seq, 10, Some(3));
         let mut cfg = RuntimeConfig::clustered(6, 3);
-        cfg.response_batch = 1;
+        cfg.steal.response_batch = 1;
         let (report, leaves, sum) = run_tree(&cfg, 10, Some(3));
         assert_eq!(leaves, leaves1);
         assert_eq!(sum, sum1);

@@ -5,21 +5,16 @@
 use std::cell::Cell;
 use std::time::Instant;
 
-use macs_gpi::{CellBlock, GlobalCells, Interconnect, ScanOrder, VictimOrder, World};
+use macs_gpi::{CellBlock, GlobalCells, Interconnect, VictimOrder, World};
 use macs_pool::{SplitPool, RESP_FAIL, RESP_PENDING};
-use macs_search::{AdaptiveBatch, BoundPolicy, RefreshGate, WorkBatch};
+use macs_search::steal::{backoff_factor, PoolView, LEADER_REFRESH, UNLEASED};
+use macs_search::{AdaptiveBatch, BoundPolicy, RefreshGate};
 
-use crate::config::{RuntimeConfig, VictimSelect};
+use crate::config::RuntimeConfig;
 use crate::processor::{Incumbent, ProcCtx, Processor, Step, WorkSink};
 use crate::rng::SplitMix64;
 use crate::stats::{RaceRing, WorkerState, WorkerStats};
 use crate::term::TermHandle;
-
-/// How often (in processed items) a node leader refreshes its node's
-/// incumbent mirror from the root cell under the hierarchical policy. One
-/// fabric read per node per cadence replaces one per *worker* per item —
-/// the leveled GPI cell path.
-const LEADER_REFRESH: u32 = 8;
 
 /// Worker-local view of the global branch-and-bound incumbent, with a
 /// cache refreshed according to the dissemination policy. The root
@@ -33,7 +28,7 @@ const LEADER_REFRESH: u32 = 8;
 /// its own partition (`node_bound_cell`); submitters `fetch_min` both
 /// their mirror (local) and the root (fabric), members read only the
 /// mirror (local), and the node's leader — alone — refreshes the mirror
-/// from the root every `LEADER_REFRESH` items. The pull cadence is the
+/// from the root every [`LEADER_REFRESH`] items. The pull cadence is the
 /// threaded realisation of the leader exchange: identical staleness
 /// semantics to a push relay, with no extra broadcaster thread.
 pub struct GlobalIncumbent<'a> {
@@ -184,6 +179,25 @@ impl WorkSink for PoolSink<'_, '_> {
     }
 }
 
+/// The reply rule's view of this node's pools: shared lengths read off
+/// the real `SplitPool`s, granted items appended to the flat buffer the
+/// response is written from.
+struct ReplyPools<'b> {
+    pools: &'b [SplitPool],
+    flat: &'b mut Vec<u64>,
+}
+
+impl PoolView for ReplyPools<'_> {
+    fn shared_len(&self, w: usize) -> u64 {
+        self.pools[w].shared_len()
+    }
+
+    fn take(&mut self, w: usize, k: u64) -> u64 {
+        let flat = &mut *self.flat;
+        self.pools[w].steal(k, |item| flat.extend_from_slice(item))
+    }
+}
+
 /// One worker thread's state.
 pub(crate) struct Worker<'a, P: Processor> {
     id: usize,
@@ -208,13 +222,6 @@ pub(crate) struct Worker<'a, P: Processor> {
     since_release: u32,
     since_poll: u32,
     poll_interval: u32,
-    /// Local victim rings, nearest level first (each excludes `id`). A
-    /// flat scan collapses them into a single ring of all co-located
-    /// peers.
-    local_rings: Vec<Vec<usize>>,
-    /// Remote victim *nodes* by distance ring, nearest first (flat scan:
-    /// one ring of every other node).
-    node_rings: Vec<Vec<usize>>,
     /// Last-successful-steal affinity per distance ring.
     victim_order: VictimOrder,
     /// This node's cancel/winner mirror register.
@@ -248,10 +255,6 @@ impl<'a, P: Processor> Worker<'a, P> {
         let node = topo.node_of(id);
         let remote_from_zero = node != 0;
         let slot_words = pools[id].slot_words();
-        // Distance-aware: one local ring per intra-node level (socket
-        // before node …) and remote nodes grouped by how many levels a
-        // steal crosses. Flat: the original one-ring-each scan.
-        let (local_rings, node_rings) = cfg.scan_order.victim_rings(topo, id);
         let victim_order = VictimOrder::new(topo, id);
         let leader = id == topo.peers_of(id).start;
         Worker {
@@ -286,9 +289,7 @@ impl<'a, P: Processor> Worker<'a, P> {
             slot_words,
             since_release: 0,
             since_poll: 0,
-            poll_interval: cfg.poll.initial(),
-            local_rings,
-            node_rings,
+            poll_interval: cfg.steal.poll.initial(),
             victim_order,
             cancel_mirror: world.block.node_cancel(node),
             leader,
@@ -296,49 +297,28 @@ impl<'a, P: Processor> Worker<'a, P> {
             since_winner_refresh: 0,
             observed_win: false,
             race_ring: RaceRing::new(),
-            adaptive: AdaptiveBatch::starting_at(cfg.response_batch),
+            adaptive: AdaptiveBatch::starting_at(cfg.steal.response_batch),
         }
-    }
-
-    /// The per-steal reservation cap for a victim/thief pair `distance`
-    /// levels apart — the chunk policy's decision point.
-    fn chunk_cap(&self, distance: usize) -> u64 {
-        self.cfg.chunk_policy.cap_for(
-            distance,
-            self.world.topology.levels(),
-            self.cfg.max_steal_chunk,
-        )
     }
 
     // ----- worker-set leases (multi-tenant service runs) --------------------
 
-    /// The job's current lease width in workers (`u64::MAX` when this
-    /// world is not leased — every worker is always in-lease). A local
-    /// load: the lease register sits in the job's own cell block.
+    /// The job's current lease width in workers ([`UNLEASED`] when this
+    /// world is not leased). A local load: the lease register sits in the
+    /// job's own cell block.
     #[inline]
     fn lease_width(&self) -> u64 {
         if self.world.leased {
             self.world.cells.load(self.world.block.lease())
         } else {
-            u64::MAX
+            UNLEASED
         }
     }
 
     /// Is this worker parked — outside the job's current lease?
     #[inline]
     fn lease_parked(&self) -> bool {
-        self.world.leased && (self.id as u64) >= self.world.cells.load(self.world.block.lease())
-    }
-
-    /// How many shared items worker `w`'s pool must retain under lease
-    /// width `lease`. In-lease victims keep one item (the PR-5 retention
-    /// clamp, so a granted steal never idles the victim); a parked victim
-    /// retains nothing — it will not process work anyway, and waiving the
-    /// clamp is what lets active workers drain a shrunken lease's pools
-    /// down to the last item instead of deadlocking on it.
-    #[inline]
-    fn retained(w: usize, lease: u64) -> u64 {
-        u64::from((w as u64) < lease)
+        (self.id as u64) >= self.lease_width()
     }
 
     /// Parked: publish everything we hold, serve thieves, and wait until
@@ -363,13 +343,7 @@ impl<'a, P: Processor> Worker<'a, P> {
         let mut idle_rounds: u32 = 0;
         loop {
             self.stats.clock.set(WorkerState::Releasing);
-            while !self.overflow.is_empty() {
-                if self.my_pool.push(self.overflow.last().unwrap()) {
-                    self.overflow.pop();
-                } else {
-                    break;
-                }
-            }
+            self.drain_overflow();
             let private = self.my_pool.private_len();
             if private > 0 {
                 self.stats.releases += 1;
@@ -445,7 +419,7 @@ impl<'a, P: Processor> Worker<'a, P> {
             have = self.process_current();
 
             self.since_release += 1;
-            if self.since_release >= self.cfg.release.interval {
+            if self.since_release >= self.cfg.steal.release.interval {
                 self.since_release = 0;
                 self.maybe_release();
             }
@@ -559,23 +533,20 @@ impl<'a, P: Processor> Worker<'a, P> {
         }
     }
 
-    /// Publish private work into the shared region when it runs low — the
-    /// *release* operation whose frequency the paper tunes.
-    fn maybe_release(&mut self) {
-        // Drain overflow spill back into the ring first, if space opened up.
-        while !self.overflow.is_empty() {
-            let ok = self.my_pool.push(self.overflow.last().unwrap());
-            if ok {
-                self.overflow.pop();
-            } else {
-                break;
-            }
+    /// Move overflow spill back into the ring while space is open.
+    #[inline]
+    fn drain_overflow(&mut self) {
+        while self.overflow.last().is_some_and(|it| self.my_pool.push(it)) {
+            self.overflow.pop();
         }
+    }
+
+    /// The *release* operation, when the rulebook asks for one.
+    fn maybe_release(&mut self) {
+        self.drain_overflow();
         let (private, shared) = self.my_pool.lens();
-        let pol = &self.cfg.release;
-        if private > pol.min_private && shared < pol.share_target {
+        if let Some(k) = self.cfg.steal.release_amount(private, shared) {
             self.stats.clock.hot(WorkerState::Releasing);
-            let k = ((private - pol.min_private) / 2).max(1);
             let m = self.my_pool.release(k);
             self.stats.releases += 1;
             self.stats.released_items += m;
@@ -591,7 +562,7 @@ impl<'a, P: Processor> Worker<'a, P> {
             self.stats.clock.hot(WorkerState::Poll);
             self.stats.polls += 1;
         }
-        self.poll_interval = self.cfg.poll.next(self.poll_interval, hit);
+        self.poll_interval = self.cfg.steal.poll.next(self.poll_interval, hit);
     }
 
     // ----- the restore procedure (§V) ---------------------------------------
@@ -658,7 +629,7 @@ impl<'a, P: Processor> Worker<'a, P> {
             return true;
         }
         if self.my_pool.shared_len() > 0 {
-            self.my_pool.reacquire(self.cfg.max_steal_chunk);
+            self.my_pool.reacquire(self.cfg.steal.reacquire_width());
             if self.my_pool.pop_private(&mut self.current) {
                 return true;
             }
@@ -667,52 +638,27 @@ impl<'a, P: Processor> Worker<'a, P> {
     }
 
     fn try_local_steal(&mut self) -> bool {
-        if self.local_rings.iter().all(|r| r.is_empty()) {
+        let topo = &self.world.topology;
+        if topo.node_size() < 2 {
             return false;
         }
         self.stats.clock.set(WorkerState::Searching);
-        // Walk the rings nearest level first (affinity victim ahead of its
-        // ring); within a ring apply the configured selection heuristic.
-        // The surplus estimate discounts the item the victim must retain:
-        // a pool with a single shared item can never be granted from, so
-        // scanning it would only buy a failed steal. Parked victims
-        // (outside the current lease) retain nothing — their last item is
-        // fair game, or a shrunken lease could never drain.
         let lease = self.lease_width();
-        let pools = self.pools;
-        let rng = &mut self.rng;
-        let victim = match self.cfg.victim_select {
-            VictimSelect::Greedy => {
-                // First victim with visible surplus, scanning each ring
-                // from a random start to avoid convoys.
-                self.victim_order.pick_first(
-                    &self.local_rings,
-                    |n| rng.below_usize(n),
-                    |w| {
-                        pools[w]
-                            .shared_len()
-                            .saturating_sub(Self::retained(w, lease))
-                    },
-                )
-            }
-            VictimSelect::MaxSteal => {
-                // Inspect every candidate of the nearest non-empty ring,
-                // pick the largest shared region.
-                self.victim_order.pick_max(&self.local_rings, |w| {
-                    pools[w]
-                        .shared_len()
-                        .saturating_sub(Self::retained(w, lease))
-                })
-            }
-        };
-        let Some((v, _)) = victim else {
+        let (pools, rng) = (self.pools, &mut self.rng);
+        let (victim, _) = self.cfg.steal.pick_local(
+            topo,
+            &self.victim_order,
+            lease,
+            |n| rng.below_usize(n),
+            |w| pools[w].shared_len(),
+        );
+        let Some(v) = victim else {
             return false;
         };
 
         self.stats.clock.set(WorkerState::Stealing);
         let shared = self.pools[v].shared_len();
-        let cap = self.chunk_cap(self.world.topology.distance(self.id, v));
-        let want = WorkBatch::share_ceil(shared, cap);
+        let want = self.cfg.steal.local_grant(topo, self.id, v, shared, lease);
         let current = &mut self.current;
         let overflow = &mut self.overflow;
         let my_pool = self.my_pool;
@@ -735,34 +681,30 @@ impl<'a, P: Processor> Worker<'a, P> {
             } else {
                 self.stats.local_steals += 1;
                 self.stats.local_steal_items += n;
-                self.record_steal_outcome(v, true);
+                self.count_steal(v, true);
             }
             true
         } else {
             // The victim looked loaded but the lock-time check found
             // nothing: a failed (local) steal.
             self.stats.local_steal_failures += 1;
-            self.record_steal_outcome(v, false);
+            self.count_steal(v, false);
             false
         }
     }
 
-    /// Update the distance histogram and the per-ring affinity. The flat
-    /// scan keeps no affinity — it is the pre-topology baseline.
-    fn record_steal_outcome(&mut self, victim: usize, success: bool) {
+    /// Count a settled steal: the distance histogram, and the rulebook's
+    /// affinity update.
+    fn count_steal(&mut self, victim: usize, success: bool) {
         let topo = &self.world.topology;
         if success {
             self.stats
                 .steals_by_distance
                 .record(topo.distance(self.id, victim));
         }
-        if self.cfg.scan_order == ScanOrder::DistanceAware {
-            if success {
-                self.victim_order.record_success(topo, victim);
-            } else {
-                self.victim_order.record_failure(topo, victim);
-            }
-        }
+        self.cfg
+            .steal
+            .record_outcome(topo, &mut self.victim_order, victim, success);
     }
 
     fn try_remote_steal(&mut self) -> RemoteOutcome {
@@ -770,50 +712,20 @@ impl<'a, P: Processor> Worker<'a, P> {
         let ic = &self.world.interconnect;
         self.stats.clock.set(WorkerState::SearchingRemote);
 
-        // Find a victim: read the pool state of whole remote nodes
-        // one-sidedly and pick the worker with the largest surplus — "the
-        // request is only sent to a worker that has a surplus of work".
-        // Node rings are walked nearest level first, so a same-cluster
-        // node is probed before a cross-cluster one; within a ring the
-        // node that last yielded work (affinity) is probed first, then
-        // random candidates.
-        let mut victim: Option<usize> = None;
-        'rings: for (ri, ring) in self.node_rings.iter().enumerate() {
-            if ring.is_empty() {
-                continue;
-            }
-            let ring_d = topo.local_distance_max() + 1 + ri;
-            let attempts = self.cfg.remote_node_attempts.max(1) as usize;
-            let rot = self.rng.below_usize(ring.len());
-            for cand_node in self
-                .victim_order
-                .node_probe_order(topo, ring, ring_d, rot)
-                .take(attempts)
-            {
-                let mut best: Option<(u64, usize)> = None;
-                let lease = self.lease_width();
-                for w in topo.workers_on(cand_node) {
-                    let meta = self.pools[w].meta_remote(ic);
-                    // Skip pools with a pending request (mailbox busy) and
-                    // pools with a single shared item — the retention
-                    // clamp makes them unservable, so posting there buys a
-                    // guaranteed-refused round trip. A parked victim
-                    // retains nothing, so even its last item is worth the
-                    // request.
-                    if meta.req == 0 {
-                        let s = meta.shared_len();
-                        if s > Self::retained(w, lease) && best.map(|(b, _)| s > b).unwrap_or(true)
-                        {
-                            best = Some((s, w));
-                        }
-                    }
-                }
-                if let Some((_, w)) = best {
-                    victim = Some(w);
-                    break 'rings;
-                }
-            }
-        }
+        // One-sided scan of remote nodes (each probe pays the fabric).
+        // The lease register is read once per round.
+        let lease = self.lease_width();
+        let (pools, rng) = (self.pools, &mut self.rng);
+        let (victim, _) = self.cfg.steal.pick_remote(
+            topo,
+            &self.victim_order,
+            lease,
+            |n| rng.below_usize(n),
+            |w| {
+                let meta = pools[w].meta_remote(ic);
+                (meta.req == 0).then(|| meta.shared_len())
+            },
+        );
         let Some(v) = victim else {
             return RemoteOutcome::Nothing;
         };
@@ -846,7 +758,7 @@ impl<'a, P: Processor> Worker<'a, P> {
                 RESP_FAIL => {
                     self.my_pool.reset_response();
                     self.stats.remote_steal_failures += 1;
-                    self.record_steal_outcome(v, false);
+                    self.count_steal(v, false);
                     return RemoteOutcome::Nothing;
                 }
                 n => {
@@ -865,7 +777,7 @@ impl<'a, P: Processor> Worker<'a, P> {
                     } else {
                         self.stats.remote_steals += 1;
                         self.stats.remote_steal_items += n;
-                        self.record_steal_outcome(v, true);
+                        self.count_steal(v, true);
                     }
                     let got = self.my_pool.pop_private(&mut self.current);
                     debug_assert!(got, "adopted items must be poppable");
@@ -877,127 +789,45 @@ impl<'a, P: Processor> Worker<'a, P> {
 
     // ----- victim side -------------------------------------------------------
 
-    /// Serve a pending remote steal request, if any: reserve work from our
-    /// shared region and — up to `response_batch` chunks — from co-located
-    /// workers' regions too, write everything in place into the thief's
-    /// pool and notify once. Batching several victims' chunks into the one
-    /// response amortises the thief's round-trip (the RTT floor is paid
-    /// per response, not per chunk). Refuse with `RESP_FAIL` when nothing
-    /// can be found anywhere on the node.
+    /// Serve a pending remote steal request, if any: let the rulebook
+    /// assemble the reply from this node's pools, write everything in
+    /// place into the thief's pool and notify once — or refuse with
+    /// `RESP_FAIL` when nothing can be found anywhere on the node.
     fn serve_request(&mut self) {
         let Some(thief) = self.my_pool.pending_request() else {
             return;
         };
         self.stats.clock.set(WorkerState::Poll);
         self.stats.polls += 1;
-        debug_assert_ne!(thief, self.id);
         let ic = &self.world.interconnect;
         let thief_pool = &self.pools[thief];
 
-        // How many slots the thief can accept at its head. One response
-        // carries at most the chunk policy's per-steal cap — static, or
-        // scaled by the thief's topological distance (a far thief's
-        // expensive round trip carries a proportionally bigger
-        // reservation) — but up to `response_batch` co-located pools may
-        // contribute chunks to fill it: a reply assembled from several
-        // small surpluses instead of one thin (or failed) chunk, so the
-        // thief's round trip delivers full value. Under the adaptive
-        // policy the batch ceiling follows this worker's own reply
-        // thinness instead of the static knob.
+        // How many slots the thief can accept at its head.
         let tm = thief_pool.meta_remote(ic);
-        let free = thief_pool.room(&tm);
-        let cap = self.chunk_cap(self.world.topology.distance(self.id, thief));
-        let max_chunks = if self.cfg.chunk_policy.is_adaptive() {
-            self.adaptive.batch() as u64
-        } else {
-            self.cfg.response_batch.max(1) as u64
-        };
-        let reply_cap = free.min(cap);
-        let mut budget = reply_cap;
-        let lease = self.lease_width();
-
         self.steal_flat.clear();
-        let flat = &mut self.steal_flat;
-        let mut chunks: u64 = 0;
-        let mut served_by_proxy = false;
-        let mut n = 0u64;
-
-        // Chunk 1: our own shared region (shrinking it from the tail, as
-        // the paper describes the reservation). A parked server gives its
-        // whole region away — it is not coming back for it.
-        if budget > 0 {
-            let shared = self.my_pool.shared_len();
-            let own_half = if Self::retained(self.id, lease) == 0 {
-                shared.min(budget)
-            } else {
-                WorkBatch::share_ceil(shared, budget)
-            };
-            let got = self
-                .my_pool
-                .steal(own_half, |item| flat.extend_from_slice(item));
-            if got > 0 {
-                chunks += 1;
-                n += got;
-                budget -= got;
-            }
-        }
-
-        // Further chunks: proxy fulfilment from co-located workers with
-        // surplus, largest first, one chunk each — but only while the
-        // reply is *thin* (under `WorkBatch::thin_threshold`, which never
-        // exceeds the cap). A healthy single-pool chunk ships as-is; a
-        // dribble of a reply, which would send the thief straight back
-        // into another round trip, gets topped up from the node's other
-        // pools. With `response_batch` = 1 this runs only when our own
-        // region was empty — the original single-chunk proxy behaviour.
-        // The gate stays anchored to the *static* cap even when the
-        // chunk policy grants a far thief a bigger reservation: scaling
-        // the gate with the cap over-exports from the serving node, and
-        // the drained pools' owners then turn remote themselves
-        // (measured in `chunk_ablation` — the same failure mode PR-2
-        // found for aggressive batching).
-        let gate_cap = reply_cap.min(self.cfg.max_steal_chunk);
-        let top_up_below = WorkBatch::thin_threshold(gate_cap);
-        let mut taken: Vec<usize> = Vec::new();
-        while budget > 0 && (n == 0 || (n < top_up_below && chunks < max_chunks)) {
-            let peers = self.world.topology.peers_of(self.id);
-            let cand = peers
-                .filter(|&w| w != self.id && w != thief && !taken.contains(&w))
-                .map(|w| (self.pools[w].shared_len(), w))
-                // A lone shared item cannot be granted from an in-lease
-                // pool (retention) but drains freely from a parked one.
-                .filter(|&(s, w)| s > Self::retained(w, lease))
-                .max();
-            let Some((shared, w)) = cand else {
-                break;
-            };
-            taken.push(w);
-            let half = if Self::retained(w, lease) == 0 {
-                shared.min(budget)
-            } else {
-                WorkBatch::share_ceil(shared, budget)
-            };
-            let got = self.pools[w].steal(half, |item| flat.extend_from_slice(item));
-            if got > 0 {
-                chunks += 1;
-                n += got;
-                budget -= got;
-                served_by_proxy = true;
-            }
-        }
+        let reply = self.cfg.steal.assemble_reply(
+            &self.world.topology,
+            self.id,
+            thief,
+            thief_pool.room(&tm),
+            self.lease_width(),
+            &mut self.adaptive,
+            &mut ReplyPools {
+                pools: self.pools,
+                flat: &mut self.steal_flat,
+            },
+        );
+        let (n, chunks) = (reply.items, reply.chunks);
 
         if n > 0 {
             thief_pool.write_slots_remote(ic, tm.head, &self.steal_flat);
             thief_pool.write_response_remote(ic, n);
-            if self.cfg.chunk_policy.is_adaptive() {
-                self.adaptive.observe(n, gate_cap);
-            }
             self.stats.requests_served += 1;
             self.stats.response_chunks += chunks;
             if chunks > 1 {
                 self.stats.batched_responses += 1;
             }
-            if served_by_proxy {
+            if reply.proxy {
                 self.stats.proxy_serves += 1;
             }
         } else {
@@ -1009,7 +839,7 @@ impl<'a, P: Processor> Worker<'a, P> {
 
     fn backoff(round: u32) {
         if round < 8 {
-            for _ in 0..(1u32 << round.min(6)) {
+            for _ in 0..backoff_factor(round) {
                 std::hint::spin_loop();
             }
         } else {

@@ -24,7 +24,7 @@ const READS_PER_RUN: u64 = 8;
 
 fn solve(prob: &CompiledProblem, workers: usize, release: ReleasePolicy) -> SolveOutcome {
     let mut cfg = SolverConfig::with_workers(workers);
-    cfg.runtime.release = release;
+    cfg.runtime.steal.release = release;
     solve_parallel(prob, &cfg)
 }
 

@@ -27,7 +27,10 @@
 //!   distance-scaled reservation (small near, large far — matching how
 //!   steal cost grows with topological distance), or the adaptive variant
 //!   whose [`AdaptiveBatch`] also tunes the response batch online from
-//!   reply thinness.
+//!   reply thinness;
+//! * [`steal`] — the MaCS steal rulebook: [`StealPolicy`] (the §V
+//!   protocol's knobs, one struct for threaded and simulated runs) and
+//!   every protocol decision as a pure function both executions call.
 //!
 //! Every execution path — `macs-core`'s `CpProcessor` (threaded and
 //! simulated MaCS), `macs-paccs`'s agents, and the cross-solver tests —
@@ -72,6 +75,7 @@ pub mod bounds;
 pub mod incumbent;
 pub mod kernel;
 pub mod mode;
+pub mod steal;
 
 pub use arena::StoreSlab;
 pub use batch::{AdaptiveBatch, ChunkPolicy, WorkBatch, WorkItem};
@@ -79,3 +83,4 @@ pub use bounds::{BoundFanout, BoundPath, BoundPolicy, BroadcastTree, RefreshGate
 pub use incumbent::{AtomicIncumbent, IncumbentSource, LocalIncumbent, NoBound};
 pub use kernel::{KernelTimers, SearchKernel, SolutionReport, StepOutcome, SAMPLE_STRIDE};
 pub use mode::{RaceRing, SearchMode};
+pub use steal::{PollPolicy, PoolView, ReleasePolicy, Reply, StealPolicy, VictimSelect};

@@ -28,12 +28,11 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use macs_runtime::{
-    BoundPolicy, ChunkPolicy, MachineTopology, PhaseTimers, PollPolicy, ProcCtx, Processor,
-    ReleasePolicy, ScanOrder, SplitMix64, Step, Topology, VictimOrder, VictimSelect, WorkSink,
-    WorkerState,
+    BoundPolicy, MachineTopology, PhaseTimers, ProcCtx, Processor, ScanOrder, SplitMix64, Step,
+    Topology, VictimOrder, WorkSink, WorkerState,
 };
-use macs_search::{AdaptiveBatch, WorkBatch};
-use macs_topo::{NodeRing, PeerRing};
+use macs_search::steal::{backoff_factor, PoolView, UNLEASED};
+use macs_search::{AdaptiveBatch, StealPolicy, WorkBatch};
 
 use crate::cost::{CostModel, CostModelError, NodeCost};
 use crate::fabric::{FabricModel, NetFabric};
@@ -55,26 +54,9 @@ pub enum SimMode {
 pub struct SimConfig {
     pub topology: MachineTopology,
     pub costs: CostModel,
-    pub release: ReleasePolicy,
-    pub poll: PollPolicy,
-    pub victim: VictimSelect,
-    /// Victim ordering: level-by-level with affinity, or the flat scan.
-    pub scan_order: ScanOrder,
-    pub max_steal_chunk: u64,
-    /// Steal-chunk granularity: the flat `max_steal_chunk` cap
-    /// (`Static`), a distance-scaled reservation (small same-socket
-    /// chunks, bigger cross-cluster ones — and the per-level latencies
-    /// plus per-byte transfer cost price those big far chunks honestly),
-    /// or `Adaptive`, which also tunes the response batch online from
-    /// reply thinness. See [`ChunkPolicy`].
-    pub chunk_policy: ChunkPolicy,
-    /// Maximum number of victim pools contributing chunks to fill one
-    /// remote steal response (1 = single-chunk replies; the response's
-    /// total size stays capped at the per-steal cap either way). Under
-    /// `ChunkPolicy::Adaptive` this is only the starting point — each
-    /// victim's reply-thinness EWMA takes over.
-    pub response_batch: u32,
-    pub remote_node_attempts: u32,
+    /// The steal protocol's knobs — the same struct `RuntimeConfig`
+    /// embeds, read by the one rulebook in [`macs_search::steal`].
+    pub steal: StealPolicy,
     /// When incumbent improvements reach other virtual workers:
     /// `Immediate` (flat eager broadcast — the default, and the
     /// pre-hierarchical behaviour), `Periodic` (cached reads), or
@@ -98,14 +80,7 @@ impl SimConfig {
         SimConfig {
             topology: topology.into(),
             costs: CostModel::default(),
-            release: ReleasePolicy::default(),
-            poll: PollPolicy::default(),
-            victim: VictimSelect::Greedy,
-            scan_order: ScanOrder::default(),
-            max_steal_chunk: 16,
-            chunk_policy: ChunkPolicy::default(),
-            response_batch: 2,
-            remote_node_attempts: 2,
+            steal: StealPolicy::default(),
             bound_policy: BoundPolicy::Immediate,
             bound_delay_ns: None,
             fabric: FabricModel::default(),
@@ -362,10 +337,10 @@ impl VPool {
     }
 
     /// Steal the `m` oldest shared items.
-    fn steal(&mut self, max: usize) -> Vec<u32> {
+    fn steal(&mut self, max: usize) -> impl Iterator<Item = u32> + '_ {
         let m = max.min(self.split);
         self.split -= m;
-        self.ids.drain(..m).collect()
+        self.ids.drain(..m)
     }
 
     /// PaCCS-style steal: oldest items regardless of the split.
@@ -380,45 +355,30 @@ impl VPool {
 // shared worker plumbing
 // ---------------------------------------------------------------------------
 
-/// A steal response travelling as arena slot ids: the id-level mirror of
-/// [`WorkBatch`] (whose `share_ceil`/`share_floor`/`thin_threshold`
-/// arithmetic the assembly sites still use).
-#[derive(Debug, Default)]
-struct SimBatch {
+/// The reply rule's view of the virtual pools: granted items leave as
+/// arena slot ids collected into the reply.
+struct ReplyPools<'a, P: Processor> {
+    workers: &'a mut [VW<P>],
     ids: Vec<u32>,
-    chunks: u32,
 }
 
-impl SimBatch {
-    fn from_chunk(ids: Vec<u32>) -> Self {
-        let chunks = if ids.is_empty() { 0 } else { 1 };
-        SimBatch { ids, chunks }
+impl<P: Processor> PoolView for ReplyPools<'_, P> {
+    fn shared_len(&self, w: usize) -> u64 {
+        self.workers[w].pool.shared() as u64
     }
 
-    fn push_chunk(&mut self, ids: Vec<u32>) {
-        if !ids.is_empty() {
-            self.chunks += 1;
-            self.ids.extend(ids);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    fn chunks(&self) -> usize {
-        self.chunks as usize
+    fn take(&mut self, w: usize, k: u64) -> u64 {
+        let before = self.ids.len();
+        self.ids.extend(self.workers[w].pool.steal(k as usize));
+        (self.ids.len() - before) as u64
     }
 }
 
 enum Resp {
-    /// A steal reply: the (possibly multi-chunk) batch and the serving
-    /// victim, so the thief can account distance and affinity.
-    Work(SimBatch, usize),
+    /// A steal reply: the (possibly multi-chunk) batch of arena slot ids
+    /// and the serving victim, so the thief can account distance and
+    /// affinity.
+    Work(Vec<u32>, usize),
     /// A refusal, with the refusing victim (the thief drops any affinity
     /// pinned to it, mirroring the threaded runtime).
     Fail(usize),
@@ -672,17 +632,6 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         self.win.is_some() && self.win_seen[wi] <= t
     }
 
-    /// The per-steal reservation cap for workers `a` and `b` — the chunk
-    /// policy's decision point (distance-scaled policies grant far
-    /// thieves bigger reservations; the transfer cost and per-level
-    /// latency then price those chunks).
-    fn chunk_cap(&self, a: usize, b: usize) -> u64 {
-        let topo = &self.cfg.topology;
-        self.cfg
-            .chunk_policy
-            .cap_for(topo.distance(a, b), topo.levels(), self.cfg.max_steal_chunk)
-    }
-
     /// Raise the winner flag at instant `t` from `origin` (first cancel
     /// wins) and price its delivery to every worker over the hierarchical
     /// node-leader route.
@@ -782,15 +731,13 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         if self.mode == SimMode::Macs {
             // Release policy.
             self.workers[wi].since_release += 1;
-            if self.workers[wi].since_release >= self.cfg.release.interval {
+            if self.workers[wi].since_release >= self.cfg.steal.release.interval {
                 self.workers[wi].since_release = 0;
-                let pol = &self.cfg.release;
                 let (private, shared) = {
                     let p = &self.workers[wi].pool;
                     (p.private() as u64, p.shared() as u64)
                 };
-                if private > pol.min_private && shared < pol.share_target {
-                    let k = ((private - pol.min_private) / 2).max(1);
+                if let Some(k) = self.cfg.steal.release_amount(private, shared) {
                     let release_ns = self.cfg.costs.release_ns;
                     self.charge(wi, WorkerState::Releasing, release_ns, &mut now);
                     let m = self.workers[wi].pool.release(k as usize);
@@ -808,8 +755,11 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                     self.charge(wi, WorkerState::Poll, poll_ns, &mut now);
                     self.workers[wi].stats.polls += 1;
                 }
-                self.workers[wi].poll_interval =
-                    self.cfg.poll.next(self.workers[wi].poll_interval, hit);
+                self.workers[wi].poll_interval = self
+                    .cfg
+                    .steal
+                    .poll
+                    .next(self.workers[wi].poll_interval, hit);
             }
         } else {
             // PaCCS: MPI progress — a message check every node completion,
@@ -852,8 +802,8 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         if self.mode == SimMode::Macs && self.workers[wi].pool.shared() > 0 {
             let release_ns = self.cfg.costs.release_ns;
             self.charge(wi, WorkerState::Searching, release_ns, &mut now);
-            let chunk = self.cfg.max_steal_chunk as usize;
-            self.workers[wi].pool.reacquire(chunk);
+            let width = self.cfg.steal.reacquire_width() as usize;
+            self.workers[wi].pool.reacquire(width);
             if let Some(id) = self.workers[wi].pool.pop_private() {
                 self.adopt(wi, id);
                 self.start_node(wi, now);
@@ -868,53 +818,8 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
 
     fn enter_idle(&mut self, wi: usize, now: u64, round: u32) {
         let base = self.cfg.costs.idle_backoff_ns.max(1);
-        let backoff = base << round.min(6);
+        let backoff = base * backoff_factor(round);
         self.schedule(wi, now + backoff, WorkerState::Idle, Phase::Idle { round });
-    }
-
-    // ----- victim rings (lazy O(1) views) -----------------------------------
-
-    /// Number of local victim rings `wi` scans, nearest level first (flat
-    /// scan: one ring of all co-located peers).
-    fn local_ring_count(&self) -> usize {
-        match self.cfg.scan_order {
-            ScanOrder::DistanceAware => self.cfg.topology.local_distance_max(),
-            ScanOrder::Flat => 1,
-        }
-    }
-
-    /// The `ri`-th local victim ring of `wi` — computed from the shape's
-    /// arithmetic, enumerating the same IDs in the same order as the
-    /// materialised rings [`ScanOrder::victim_rings`] builds for the
-    /// threaded runtime.
-    fn local_ring(&self, wi: usize, ri: usize) -> PeerRing {
-        let topo = &self.cfg.topology;
-        match self.cfg.scan_order {
-            ScanOrder::DistanceAware => topo.peers_at(wi, ri + 1),
-            ScanOrder::Flat => PeerRing::hole(topo.peers_of(wi), wi),
-        }
-    }
-
-    /// Number of remote node rings `wi` probes (flat scan: one ring of
-    /// every other node; none on single-node machines).
-    fn node_ring_count(&self) -> usize {
-        let topo = &self.cfg.topology;
-        if topo.nodes() <= 1 {
-            return 0;
-        }
-        match self.cfg.scan_order {
-            ScanOrder::DistanceAware => topo.node_prefix(),
-            ScanOrder::Flat => 1,
-        }
-    }
-
-    /// The `ri`-th remote node ring of `wi`, nearest first.
-    fn node_ring(&self, wi: usize, ri: usize) -> NodeRing {
-        let topo = &self.cfg.topology;
-        match self.cfg.scan_order {
-            ScanOrder::DistanceAware => topo.node_ring_at(wi, topo.local_distance_max() + 1 + ri),
-            ScanOrder::Flat => NodeRing::hole(0..topo.nodes(), topo.node_of(wi)),
-        }
     }
 
     /// The `pos`-th victim of `wi`'s PaCCS sweep: the distance rings
@@ -941,7 +846,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     /// (the original single-tier fabric); distance-aware runs charge each
     /// further level.
     fn fabric_latency(&self, a: usize, b: usize) -> u64 {
-        if self.cfg.scan_order == ScanOrder::Flat {
+        if self.cfg.steal.scan_order == ScanOrder::Flat {
             return self.cfg.costs.remote_latency_ns;
         }
         let topo = &self.cfg.topology;
@@ -984,57 +889,28 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             self.enter_idle(wi, now, 0);
             return;
         }
-        // Local victim scan, ring by ring (nearest level first; the flat
-        // scan has a single ring). The affinity victim is probed before
-        // the rest of its ring; every probed candidate costs a metadata
-        // read.
-        // Pool states cannot change within one event, so the metadata
-        // reads are charged in one sum after the scan — same virtual time,
-        // no per-candidate allocation on this hottest of paths.
-        let mut victim = None;
-        let mut inspected = 0u64;
-        'local: for ri in 0..self.local_ring_count() {
-            let d = ri + 1;
-            let ring = self.local_ring(wi, ri);
-            match self.cfg.victim {
-                VictimSelect::Greedy => {
-                    let rot = self.workers[wi].rng.below_usize(ring.len().max(1));
-                    for v in self.workers[wi].vorder.ring_order(&ring, d, rot) {
-                        inspected += 1;
-                        // A single shared item can never be granted (the
-                        // victim retains one): only ≥ 2 is viable surplus.
-                        if self.workers[v].pool.shared() > 1 {
-                            victim = Some(v);
-                            break 'local;
-                        }
-                    }
-                }
-                VictimSelect::MaxSteal => {
-                    // Inspect the whole ring, take the largest shared
-                    // region (≥ 2 — one retained item is not stealable);
-                    // only move a level out if the ring is dry.
-                    let mut best = 1usize;
-                    for v in ring.clone() {
-                        inspected += 1;
-                        let s = self.workers[v].pool.shared();
-                        if s > best {
-                            best = s;
-                            victim = Some(v);
-                        }
-                    }
-                    if victim.is_some() {
-                        break 'local;
-                    }
-                }
-            }
-        }
+        // Local victim scan (R4); every candidate read costs a metadata
+        // read. Pool states cannot change within one event, so the reads
+        // are charged in one sum after the scan — same virtual time, no
+        // per-candidate allocation on this hottest of paths.
+        let cfg = self.cfg;
+        let workers = &self.workers;
+        let mut rng = workers[wi].rng.clone();
+        let (victim, inspected) = cfg.steal.pick_local(
+            &cfg.topology,
+            &workers[wi].vorder,
+            UNLEASED,
+            |n| rng.below_usize(n),
+            |v| workers[v].pool.shared() as u64,
+        );
+        self.workers[wi].rng = rng;
         let scan_ns = self.cfg.costs.pool_op_ns * inspected;
         self.charge(wi, WorkerState::Searching, scan_ns, &mut now);
         if let Some(v) = victim {
             // The lock delay is the race window: the steal applies later.
             // The flat baseline keeps the original distance-blind lock
             // cost, mirroring `fabric_latency`.
-            let lock_ns = match self.cfg.scan_order {
+            let lock_ns = match self.cfg.steal.scan_order {
                 ScanOrder::Flat => self.cfg.costs.steal_local_ns,
                 ScanOrder::DistanceAware => self
                     .cfg
@@ -1049,46 +925,24 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             );
             return;
         }
-        // Remote: scan whole nodes one-sidedly, nearest ring first (the
-        // last node that yielded work ahead of random candidates), post
-        // to the best mailbox found.
-        // As with the local scan, pool states are fixed within the event,
-        // so the one-sided node scans are charged in one sum afterwards.
-        let mut target = None;
-        let mut probes = 0u64;
-        'rings: for ri in 0..self.node_ring_count() {
-            let ring = self.node_ring(wi, ri);
-            if ring.is_empty() {
-                continue;
-            }
-            let ring_d = self.cfg.topology.local_distance_max() + 1 + ri;
-            let attempts = (self.cfg.remote_node_attempts.max(1) as usize).min(ring.len());
-            let rot = self.workers[wi].rng.below_usize(ring.len());
-            for cand in self.workers[wi]
-                .vorder
-                .node_probe_order(&self.cfg.topology, &ring, ring_d, rot)
-                .take(attempts)
-            {
-                probes += 1;
-                let mut best: Option<(usize, usize)> = None;
-                for v in self.cfg.topology.workers_on(cand) {
-                    // s > 1: a single shared item is unservable under the
-                    // retention clamp — posting there buys a guaranteed
-                    // refusal.
-                    let s = self.workers[v].pool.shared();
-                    if s > 1
-                        && self.workers[v].pending_req.is_none()
-                        && best.map(|(b, _)| s > b).unwrap_or(true)
-                    {
-                        best = Some((s, v));
-                    }
-                }
-                if let Some((_, v)) = best {
-                    target = Some(v);
-                    break 'rings;
-                }
-            }
-        }
+        // Remote: the one-sided node scan (R5), charged in one sum
+        // afterwards like the local one.
+        let workers = &self.workers;
+        let mut rng = workers[wi].rng.clone();
+        let (target, probes) = cfg.steal.pick_remote(
+            &cfg.topology,
+            &workers[wi].vorder,
+            UNLEASED,
+            |n| rng.below_usize(n),
+            |v| {
+                // An empty pool has no surplus whatever its mailbox holds:
+                // skip that second read (most probes at scale end here).
+                let w = &workers[v];
+                let shared = w.pool.shared() as u64;
+                (shared == 0 || w.pending_req.is_none()).then_some(shared)
+            },
+        );
+        self.workers[wi].rng = rng;
         let find_ns = self.cfg.costs.find_remote_ns * probes;
         self.charge(wi, WorkerState::SearchingRemote, find_ns, &mut now);
         if let Some(v) = target {
@@ -1115,40 +969,49 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             self.enter_acquire(wi, now);
             return;
         }
+        let cfg = self.cfg;
         let shared = self.workers[v].pool.shared() as u64;
-        let want = WorkBatch::share_ceil(shared, self.chunk_cap(wi, v)) as usize;
-        let items = self.workers[v].pool.steal(want);
-        let d = self.cfg.topology.distance(wi, v);
+        let want = cfg
+            .steal
+            .local_grant(&cfg.topology, wi, v, shared, UNLEASED);
+        let items: Vec<u32> = self.workers[v].pool.steal(want as usize).collect();
+        self.count_steal(wi, v, !items.is_empty());
         if items.is_empty() {
             // The victim looked loaded at scan time but was drained: a
             // failed local steal (the race the paper counts).
             self.workers[wi].stats.local_steal_failures += 1;
-            if self.cfg.scan_order == ScanOrder::DistanceAware {
-                let topo = &self.cfg.topology;
-                self.workers[wi].vorder.record_failure(topo, v);
-            }
             self.try_steal_macs(wi, now);
             return;
         }
         let per_item = self.cfg.costs.per_item_ns * items.len() as u64;
         self.charge(wi, WorkerState::Stealing, per_item, &mut now);
-        if self.cfg.scan_order == ScanOrder::DistanceAware {
-            let topo = &self.cfg.topology;
-            self.workers[wi].vorder.record_success(topo, v);
+        let w = &mut self.workers[wi];
+        w.stats.local_steals += 1;
+        w.stats.local_steal_items += items.len() as u64;
+        self.adopt_batch(wi, items);
+        self.start_node(wi, now);
+    }
+
+    /// Count a settled steal of `wi` from `victim`: the distance
+    /// histogram, and the rulebook's affinity update.
+    fn count_steal(&mut self, wi: usize, victim: usize, success: bool) {
+        let topo = &self.cfg.topology;
+        let w = &mut self.workers[wi];
+        if success {
+            w.stats.steals_by_distance.record(topo.distance(wi, victim));
         }
-        {
-            let w = &mut self.workers[wi];
-            w.stats.local_steals += 1;
-            w.stats.local_steal_items += items.len() as u64;
-            w.stats.steals_by_distance.record(d);
-        }
-        let mut it = items.into_iter();
+        self.cfg
+            .steal
+            .record_outcome(topo, &mut w.vorder, victim, success);
+    }
+
+    /// Take a non-empty stolen batch: the oldest item into `wi`'s hand,
+    /// the rest into its pool.
+    fn adopt_batch(&mut self, wi: usize, ids: Vec<u32>) {
+        let mut it = ids.into_iter();
         let first = it.next().expect("non-empty steal");
         self.adopt(wi, first);
-        for rest in it {
-            self.workers[wi].pool.push(rest);
-        }
-        self.start_node(wi, now);
+        self.workers[wi].pool.ids.extend(it);
     }
 
     /// Victim side: serve the (single) pending MaCS request, with proxy
@@ -1166,65 +1029,25 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         self.charge(wi, WorkerState::Poll, poll_ns, now);
         self.workers[wi].stats.polls += 1;
 
-        // Assemble the batched response: one response carries at most the
-        // chunk policy's per-steal cap — static, or scaled by the thief's
-        // topological distance so a far thief's expensive round trip
-        // carries a proportionally bigger reservation — but up to
-        // `response_batch` co-located pools may contribute chunks to fill
-        // it: our own chunk first, then the peers with the most surplus
-        // (proxy fulfilment generalised). All chunks travel in the one
-        // reply, so the thief's single round trip delivers full value
-        // even when no one pool had enough. Under the adaptive policy the
-        // batch ceiling follows this victim's own reply-thinness EWMA.
-        let chunk = self.chunk_cap(wi, thief);
-        let max_chunks = if self.cfg.chunk_policy.is_adaptive() {
-            self.workers[wi].adaptive.batch() as u64
-        } else {
-            self.cfg.response_batch.max(1) as u64
+        // The rulebook assembles the reply (R6); a virtual thief's pool
+        // has no capacity limit, so its room is unbounded.
+        let cfg = self.cfg;
+        let mut adaptive = self.workers[wi].adaptive;
+        let mut pools = ReplyPools {
+            workers: &mut self.workers,
+            ids: Vec::new(),
         };
-        let mut budget = chunk;
-        let mut batch = SimBatch::default();
-        let mut proxy = false;
-        let own_share =
-            WorkBatch::share_ceil(self.workers[wi].pool.shared() as u64, budget) as usize;
-        batch.push_chunk(self.workers[wi].pool.steal(own_share));
-        budget -= (batch.len() as u64).min(budget);
-        // Top up only while the reply is *thin* (below the shared
-        // threshold, which never exceeds the cap): a healthy single-pool
-        // chunk ships as-is, but a dribble of a reply — which would send
-        // the thief straight back into another round trip — gets filled
-        // from the node's other pools. The gate stays anchored to the
-        // *static* cap even when the policy grants a far thief a bigger
-        // reservation: a gate that scales with the cap over-exports from
-        // the serving node (the drained pools' owners turn remote
-        // themselves — measured in `chunk_ablation`, the same failure
-        // mode PR-2 found for aggressive batching).
-        let gate_cap = chunk.min(self.cfg.max_steal_chunk);
-        let top_up_below = WorkBatch::thin_threshold(gate_cap);
-        let mut taken: Vec<usize> = Vec::new();
-        while budget > 0
-            && (batch.is_empty()
-                || ((batch.len() as u64) < top_up_below && (batch.chunks() as u64) < max_chunks))
-        {
-            let cand = self
-                .cfg
-                .topology
-                .peers_of(wi)
-                .filter(|&p| p != wi && p != thief && !taken.contains(&p))
-                .map(|p| (self.workers[p].pool.shared(), p))
-                // s > 1: a lone shared item cannot be granted (retention).
-                .filter(|&(s, _)| s > 1)
-                .max();
-            let Some((s, p)) = cand else {
-                break;
-            };
-            taken.push(p);
-            let share = WorkBatch::share_ceil(s as u64, budget) as usize;
-            let before = batch.len();
-            batch.push_chunk(self.workers[p].pool.steal(share));
-            budget -= ((batch.len() - before) as u64).min(budget);
-            proxy |= batch.len() > before;
-        }
+        let reply = cfg.steal.assemble_reply(
+            &cfg.topology,
+            wi,
+            thief,
+            u64::MAX,
+            UNLEASED,
+            &mut adaptive,
+            &mut pools,
+        );
+        let batch = pools.ids;
+        self.workers[wi].adaptive = adaptive;
 
         let resp_ns = self.cfg.costs.write_response_ns;
         self.charge(wi, WorkerState::Poll, resp_ns, now);
@@ -1234,19 +1057,11 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             self.workers[thief].inbox = Some(Resp::Fail(wi));
             self.schedule(thief, t, WorkerState::WaitRemote, Phase::Wait);
         } else {
-            if self.cfg.chunk_policy.is_adaptive() {
-                self.workers[wi]
-                    .adaptive
-                    .observe(batch.len() as u64, gate_cap);
-            }
-            self.workers[wi].stats.requests_served += 1;
-            self.workers[wi].stats.response_chunks += batch.chunks() as u64;
-            if batch.chunks() > 1 {
-                self.workers[wi].stats.batched_responses += 1;
-            }
-            if proxy {
-                self.workers[wi].stats.proxy_serves += 1;
-            }
+            let stats = &mut self.workers[wi].stats;
+            stats.requests_served += 1;
+            stats.response_chunks += reply.chunks;
+            stats.batched_responses += u64::from(reply.chunks > 1);
+            stats.proxy_serves += u64::from(reply.proxy);
             let bytes = (batch.len() * self.slot_words * 8) as u64;
             let t = self.send_payload(wi, thief, bytes, *now);
             self.workers[thief].inbox = Some(Resp::Work(batch, wi));
@@ -1277,7 +1092,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                 self.workers[wi].stats.drain_steals += 1;
                 self.outstanding -= batch.len() as i64;
                 self.abandoned += batch.len() as u64;
-                for id in batch.ids {
+                for id in batch {
                     self.arena.release(id);
                 }
                 if self.outstanding == 0 {
@@ -1289,33 +1104,16 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             Some(Resp::Work(batch, victim)) => {
                 let per_item = self.cfg.costs.per_item_ns * batch.len() as u64;
                 self.charge(wi, WorkerState::Stealing, per_item, &mut now);
-                let d = self.cfg.topology.distance(wi, victim);
-                if self.cfg.scan_order == ScanOrder::DistanceAware {
-                    let topo = &self.cfg.topology;
-                    self.workers[wi].vorder.record_success(topo, victim);
-                }
-                {
-                    let w = &mut self.workers[wi];
-                    w.stats.remote_steals += 1;
-                    w.stats.remote_steal_items += batch.len() as u64;
-                    w.stats.steals_by_distance.record(d);
-                }
-                let mut it = batch.ids.into_iter();
-                let first = it.next().expect("non-empty work reply");
-                self.adopt(wi, first);
-                for rest in it {
-                    self.workers[wi].pool.push(rest);
-                }
+                self.count_steal(wi, victim, true);
+                let w = &mut self.workers[wi];
+                w.stats.remote_steals += 1;
+                w.stats.remote_steal_items += batch.len() as u64;
+                self.adopt_batch(wi, batch);
                 self.start_node(wi, now);
             }
             Some(Resp::Fail(victim)) => {
                 self.workers[wi].stats.remote_steal_failures += 1;
-                // Mirror the threaded runtime: a refusal clears any
-                // affinity pinned to the drained victim.
-                if self.cfg.scan_order == ScanOrder::DistanceAware {
-                    let topo = &self.cfg.topology;
-                    self.workers[wi].vorder.record_failure(topo, victim);
-                }
+                self.count_steal(wi, victim, false);
                 match self.mode {
                     SimMode::Macs => self.enter_idle(wi, now, 0),
                     SimMode::Paccs => {
@@ -1379,7 +1177,8 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                 return;
             }
             self.workers[wi].req_queue.pop_front();
-            let local = self.cfg.topology.is_local(wi, thief);
+            let (cfg, topo) = (self.cfg, &self.cfg.topology);
+            let local = topo.is_local(wi, thief);
             if !local {
                 self.net.deliver();
             }
@@ -1388,7 +1187,8 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             self.workers[wi].stats.polls += 1;
 
             let have = self.workers[wi].pool.len();
-            let give = WorkBatch::share_floor(have as u64, self.chunk_cap(wi, thief)) as usize;
+            let cap = cfg.steal.chunk_cap(topo, topo.distance(wi, thief));
+            let give = WorkBatch::share_floor(have as u64, cap) as usize;
             if give == 0 {
                 self.workers[wi].stats.requests_refused += 1;
                 let t = if local {
@@ -1399,10 +1199,9 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                 self.workers[thief].inbox = Some(Resp::Fail(wi));
                 self.schedule(thief, t, WorkerState::WaitRemote, Phase::Wait);
             } else {
-                let items = self.workers[wi].pool.steal_any(give);
+                let batch = self.workers[wi].pool.steal_any(give);
                 self.workers[wi].stats.requests_served += 1;
-                let batch = SimBatch::from_chunk(items);
-                self.workers[wi].stats.response_chunks += batch.chunks() as u64;
+                self.workers[wi].stats.response_chunks += 1;
                 let bytes = (batch.len() * self.slot_words * 8) as u64;
                 let t = if local {
                     *now + self.cfg.costs.poll_ns.max(200) + self.cfg.costs.transfer_ns(bytes)
@@ -1493,32 +1292,19 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             self.enter_acquire(wi, now);
             return;
         }
+        // Retry the full steal ladder; it either schedules a steal
+        // (ApplySteal/Wait) or re-idles at round 0, and that event is
+        // already queued — record the grown round in its phase so the
+        // *next* wake backs off from there.
         match self.mode {
-            SimMode::Macs => {
-                // Retry the full steal ladder; it either schedules a steal
-                // (ApplySteal/Wait) or re-idles at round 0 — patch the
-                // round so the exponential backoff keeps growing.
-                self.try_steal_macs(wi, now);
-                if let Phase::Idle { .. } = self.workers[wi].phase {
-                    self.patch_idle_round(wi, round.saturating_add(1));
-                }
-            }
-            SimMode::Paccs => {
-                self.sweep_paccs(wi, now);
-                if let Phase::Idle { .. } = self.workers[wi].phase {
-                    self.patch_idle_round(wi, round.saturating_add(1));
-                }
-            }
+            SimMode::Macs => self.try_steal_macs(wi, now),
+            SimMode::Paccs => self.sweep_paccs(wi, now),
         }
-    }
-
-    /// The idle event just scheduled used round 0; keep the exponential
-    /// backoff by rescheduling is not possible (event already queued), so
-    /// we simply record the grown round for the *next* wake.
-    fn patch_idle_round(&mut self, wi: usize, round: u32) {
-        self.workers[wi].phase = Phase::Idle {
-            round: round.min(16),
-        };
+        if let Phase::Idle { .. } = self.workers[wi].phase {
+            self.workers[wi].phase = Phase::Idle {
+                round: round.saturating_add(1).min(16),
+            };
+        }
     }
 
     /// Messages sitting unconsumed in mailboxes/queues at drain time —
@@ -1598,12 +1384,12 @@ where
             cursor: 0,
             since_release: 0,
             since_poll: 0,
-            poll_interval: cfg.poll.initial(),
+            poll_interval: cfg.steal.poll.initial(),
             pending_req: None,
             req_queue: VecDeque::new(),
             inbox: None,
             sweep_pos: 0,
-            adaptive: AdaptiveBatch::starting_at(cfg.response_batch),
+            adaptive: AdaptiveBatch::starting_at(cfg.steal.response_batch),
         })
         .collect();
 

@@ -81,5 +81,5 @@ pub use cost::{CostModel, CostModelError, NodeCost};
 pub use engine_sim::{simulate_macs, simulate_paccs, SimConfig, SimMode};
 pub use fabric::{ContentionParams, FabricModel, FabricReport, WireParams};
 pub use incumbent::{BoundFabric, SimIncumbent};
-pub use macs_search::{BoundPolicy, ChunkPolicy, SearchMode};
+pub use macs_search::{BoundPolicy, ChunkPolicy, SearchMode, StealPolicy};
 pub use report::{SimReport, SimWorkerStats};

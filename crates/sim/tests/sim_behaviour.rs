@@ -217,7 +217,7 @@ fn chunk_policies_agree_on_counts_and_optimum() {
     let topo = MachineTopology::try_new(&[2, 2, 4], 1).unwrap();
     for policy in ChunkPolicy::ALL {
         let mut cfg = SimConfig::new(topo.clone());
-        cfg.chunk_policy = policy;
+        cfg.steal.chunk_policy = policy;
         let r = simulate_macs(
             &cfg,
             prob.layout.store_words(),
@@ -233,7 +233,7 @@ fn chunk_policies_agree_on_counts_and_optimum() {
         );
         assert_eq!(p.total_solutions(), seq.solutions, "{policy} paccs count");
         let mut qcfg = SimConfig::new(topo.clone());
-        qcfg.chunk_policy = policy;
+        qcfg.steal.chunk_policy = policy;
         qcfg.costs = CostModel::woodcrest_ib(8_000);
         let q = simulate_macs(
             &qcfg,
@@ -250,14 +250,14 @@ fn release_interval_reduces_releases() {
     let prob = queens(9, QueensModel::Pairwise);
     let root = prob.root.as_words().to_vec();
     let mut cfg = queens_cfg(8, 4);
-    cfg.release = macs_runtime::ReleasePolicy::default(); // interval 1
+    cfg.steal.release = macs_runtime::ReleasePolicy::default(); // interval 1
     let eager = simulate_macs(
         &cfg,
         prob.layout.store_words(),
         std::slice::from_ref(&root),
         |_| CpProcessor::new(&prob, 0, SearchMode::Exhaustive),
     );
-    cfg.release = macs_runtime::ReleasePolicy::tuned(); // interval 32
+    cfg.steal.release = macs_runtime::ReleasePolicy::tuned(); // interval 32
     let tuned = simulate_macs(&cfg, prob.layout.store_words(), &[root], |_| {
         CpProcessor::new(&prob, 0, SearchMode::Exhaustive)
     });

@@ -296,6 +296,7 @@ impl MachineTopology {
     /// The ring of workers at distance exactly `d` from `w`
     /// (`1 <= d <= levels`): the group at prefix `levels - d` minus the
     /// group at prefix `levels - d + 1`, i.e. two contiguous ID ranges.
+    #[inline]
     pub fn peers_at(&self, w: usize, d: usize) -> PeerRing {
         debug_assert!(d >= 1 && d <= self.levels());
         let outer = self.group_range(w, self.levels() - d);
@@ -341,6 +342,7 @@ impl MachineTopology {
     /// node-ID image of [`peers_at`](Self::peers_at). Above the node
     /// boundary every group is a whole number of nodes, so the two worker
     /// ranges map to two node ranges.
+    #[inline]
     pub fn node_ring_at(&self, w: usize, d: usize) -> NodeRing {
         debug_assert!(d > self.local_distance_max() && d <= self.levels());
         let ns = self.node_size().max(1);
@@ -360,8 +362,8 @@ impl fmt::Display for MachineTopology {
     }
 }
 
-/// Iterator over a distance ring: the two contiguous ID ranges on either
-/// side of the excluded inner group.
+/// O(1) view of (and iterator over) a distance ring: the two contiguous
+/// ID ranges on either side of the excluded inner group.
 #[derive(Clone, Debug)]
 pub struct PeerRing {
     pub(crate) before: Range<usize>,
@@ -369,9 +371,11 @@ pub struct PeerRing {
 }
 
 impl PeerRing {
-    /// The ring `range \ {hole}`: every worker in a contiguous range
-    /// except one. This is the *flat* local scan — all co-located peers
-    /// of `hole` in one ring — expressed without materialising it.
+    /// The ring `range \ {hole}`: every ID in a contiguous range except
+    /// one. This is the *flat* scan — all co-located peers of a worker, or
+    /// every node but the caller's own, in one ring — expressed without
+    /// materialising it.
+    #[inline]
     pub fn hole(range: Range<usize>, hole: usize) -> PeerRing {
         debug_assert!(range.contains(&hole));
         PeerRing {
@@ -380,7 +384,8 @@ impl PeerRing {
         }
     }
 
-    /// Number of workers in the ring.
+    /// Number of IDs in the ring.
+    #[inline]
     pub fn len(&self) -> usize {
         (self.before.end - self.before.start) + (self.after.end - self.after.start)
     }
@@ -391,6 +396,7 @@ impl PeerRing {
 
     /// The `i`-th member of the ring (ID order), for rotation-based scans
     /// without materialising the ring.
+    #[inline]
     pub fn get(&self, i: usize) -> usize {
         let nb = self.before.end - self.before.start;
         if i < nb {
@@ -401,6 +407,7 @@ impl PeerRing {
     }
 
     /// O(1) membership test.
+    #[inline]
     pub fn contains(&self, w: usize) -> bool {
         self.before.contains(&w) || self.after.contains(&w)
     }
@@ -421,64 +428,10 @@ impl Iterator for PeerRing {
 
 impl ExactSizeIterator for PeerRing {}
 
-/// O(1) view of a ring of remote *node* IDs: like [`PeerRing`], two
-/// contiguous ranges on either side of the excluded inner group.
-#[derive(Clone, Debug)]
-pub struct NodeRing {
-    pub(crate) before: Range<usize>,
-    pub(crate) after: Range<usize>,
-}
-
-impl NodeRing {
-    /// The ring `range \ {hole}` over node IDs: the flat remote scan
-    /// (every node but the caller's own) without materialising it.
-    pub fn hole(range: Range<usize>, hole: usize) -> NodeRing {
-        debug_assert!(range.contains(&hole));
-        NodeRing {
-            before: range.start..hole,
-            after: hole + 1..range.end,
-        }
-    }
-
-    /// Number of nodes in the ring.
-    pub fn len(&self) -> usize {
-        (self.before.end - self.before.start) + (self.after.end - self.after.start)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th node of the ring (ID order).
-    pub fn get(&self, i: usize) -> usize {
-        let nb = self.before.end - self.before.start;
-        if i < nb {
-            self.before.start + i
-        } else {
-            self.after.start + (i - nb)
-        }
-    }
-
-    /// O(1) membership test.
-    pub fn contains(&self, n: usize) -> bool {
-        self.before.contains(&n) || self.after.contains(&n)
-    }
-}
-
-impl Iterator for NodeRing {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        self.before.next().or_else(|| self.after.next())
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.len();
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for NodeRing {}
+/// O(1) view of a ring of remote *node* IDs: the same two-range shape as
+/// a ring of workers, one level up (see
+/// [`MachineTopology::node_ring_at`]).
+pub type NodeRing = PeerRing;
 
 #[cfg(test)]
 mod tests {

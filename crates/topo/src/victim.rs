@@ -4,10 +4,10 @@ use crate::machine::{MachineTopology, NodeRing, PeerRing};
 
 /// An indexable set of victim candidates (worker or node IDs). The
 /// ordering machinery is generic over this so callers can scan either a
-/// materialised `Vec<usize>` (the threaded runtime, where rings are built
-/// once per OS thread) or an O(1) range view like [`PeerRing`] /
-/// [`NodeRing`] (the simulator, where materialising per-worker rings
-/// would cost O(workers²) memory at 10⁵+ simulated cores).
+/// materialised `Vec<usize>` (tests, the benchmark's ladder) or an O(1)
+/// range view like [`PeerRing`] / [`NodeRing`] (both executions of the
+/// steal protocol: materialising per-worker rings would cost O(workers²)
+/// memory at 10⁵+ simulated cores).
 pub trait Ring {
     fn len(&self) -> usize;
     /// The `i`-th member in ID order (`i < len()`).
@@ -18,51 +18,31 @@ pub trait Ring {
     }
 }
 
-impl Ring for [usize] {
+/// Materialised rings: slices, `Vec`s and references to either.
+impl<T: AsRef<[usize]> + ?Sized> Ring for T {
     fn len(&self) -> usize {
-        <[usize]>::len(self)
+        self.as_ref().len()
     }
     fn get(&self, i: usize) -> usize {
-        self[i]
+        self.as_ref()[i]
     }
     fn contains(&self, v: usize) -> bool {
-        <[usize]>::contains(self, &v)
-    }
-}
-
-impl Ring for Vec<usize> {
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-    fn get(&self, i: usize) -> usize {
-        self[i]
-    }
-    fn contains(&self, v: usize) -> bool {
-        Ring::contains(self.as_slice(), v)
+        self.as_ref().contains(&v)
     }
 }
 
 impl Ring for PeerRing {
+    #[inline]
     fn len(&self) -> usize {
         PeerRing::len(self)
     }
+    #[inline]
     fn get(&self, i: usize) -> usize {
         PeerRing::get(self, i)
     }
+    #[inline]
     fn contains(&self, v: usize) -> bool {
         PeerRing::contains(self, v)
-    }
-}
-
-impl Ring for NodeRing {
-    fn len(&self) -> usize {
-        NodeRing::len(self)
-    }
-    fn get(&self, i: usize) -> usize {
-        NodeRing::get(self, i)
-    }
-    fn contains(&self, v: usize) -> bool {
-        NodeRing::contains(self, v)
     }
 }
 
@@ -80,34 +60,33 @@ pub enum ScanOrder {
 }
 
 impl ScanOrder {
-    /// Build one thief's victim rings: local co-located workers (nearest
-    /// level first) and remote *nodes* by distance ring. The flat scan
-    /// collapses each side into a single ring (or none, when the machine
-    /// has no remote nodes). Shared by the threaded runtime and the
-    /// simulator so both model the same machine.
-    pub fn victim_rings(
-        &self,
-        topo: &MachineTopology,
-        w: usize,
-    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    /// Worker `w`'s `ri`-th local victim ring, nearest level first, as an
+    /// O(1) range view (excludes `w`); `None` past the last. One ring per
+    /// intra-node level, or — flat scan — a single ring of every
+    /// co-located peer. Both executions of the steal protocol scan these
+    /// same views; materialising them per worker would cost O(workers²)
+    /// memory at 10⁵+ simulated cores.
+    #[inline]
+    pub fn local_ring(self, topo: &MachineTopology, w: usize, ri: usize) -> Option<PeerRing> {
         match self {
             ScanOrder::DistanceAware => {
-                let local = (1..=topo.local_distance_max())
-                    .map(|d| topo.peers_at(w, d).collect())
-                    .collect();
-                (local, topo.node_rings(w))
+                (ri < topo.local_distance_max()).then(|| topo.peers_at(w, ri + 1))
             }
-            ScanOrder::Flat => {
-                let local = vec![topo.peers_of(w).filter(|&p| p != w).collect()];
-                let me = topo.node_of(w);
-                let remote: Vec<usize> = (0..topo.nodes()).filter(|&n| n != me).collect();
-                let remote = if remote.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![remote]
-                };
-                (local, remote)
-            }
+            ScanOrder::Flat => (ri == 0).then(|| PeerRing::hole(topo.peers_of(w), w)),
+        }
+    }
+
+    /// Worker `w`'s `ri`-th remote *node* ring, nearest first; `None` past
+    /// the last. One ring per level above the node boundary, or — flat
+    /// scan — a single ring of every other node; a single-node machine
+    /// has none under either order.
+    #[inline]
+    pub fn node_ring(self, topo: &MachineTopology, w: usize, ri: usize) -> Option<NodeRing> {
+        match self {
+            _ if topo.nodes() <= 1 => None,
+            ScanOrder::DistanceAware => (ri < topo.node_prefix())
+                .then(|| topo.node_ring_at(w, topo.local_distance_max() + 1 + ri)),
+            ScanOrder::Flat => (ri == 0).then(|| NodeRing::hole(0..topo.nodes(), topo.node_of(w))),
         }
     }
 }
@@ -128,6 +107,8 @@ pub struct VictimOrder {
     affinity: Vec<Option<usize>>,
 }
 
+// The picks (and the ring accessors they call) are `#[inline]` by
+// measurement: outlined, the simulator's scan costs +15 % host time an event.
 impl VictimOrder {
     pub fn new(topo: &MachineTopology, me: usize) -> Self {
         VictimOrder {
@@ -166,41 +147,42 @@ impl VictimOrder {
 
     /// Rank one ring of candidates: affinity first, then the ring rotated
     /// by `rot` (the caller passes a random rotation to avoid convoys),
-    /// affinity not repeated. Returns candidates paired with distance `d`.
+    /// affinity not repeated.
+    #[inline]
     pub fn ring_order<'a, R: Ring + ?Sized>(
         &self,
         ring: &'a R,
         d: usize,
         rot: usize,
     ) -> impl Iterator<Item = usize> + 'a {
-        let warm = self.affinity_at(d).filter(|&w| ring.contains(w));
-        let n = ring.len();
-        warm.into_iter().chain(
-            (0..n)
-                .map(move |k| ring.get((rot + k) % n.max(1)))
-                .filter(move |&v| Some(v) != warm),
-        )
+        warm_first(ring, self.affinity_at(d), rot)
     }
 
     /// Greedy pick over ordered rings: the first candidate (nearest ring,
     /// affinity first) whose `surplus` estimate is non-zero. `rot_for`
     /// supplies the scan start for a ring of the given length (draw it
     /// uniformly per ring — a shared rotation reduced mod ring length
-    /// would bias the start). Returns `(victim, distance)`.
-    pub fn pick_first(
+    /// would bias the start). Returns `(victim, inspected)`: the pick and
+    /// how many candidates' surplus was read to reach it (what a
+    /// simulated thief is charged for).
+    #[inline]
+    pub fn pick_first<R: Ring>(
         &self,
-        rings: &[Vec<usize>],
+        rings: impl IntoIterator<Item = R>,
         mut rot_for: impl FnMut(usize) -> usize,
         mut surplus: impl FnMut(usize) -> u64,
-    ) -> Option<(usize, usize)> {
-        for (i, ring) in rings.iter().enumerate() {
-            let d = i + 1;
+    ) -> (Option<usize>, u64) {
+        let mut inspected = 0;
+        for (i, ring) in rings.into_iter().enumerate() {
             let rot = rot_for(ring.len().max(1));
-            if let Some(v) = self.ring_order(ring, d, rot).find(|&v| surplus(v) > 0) {
-                return Some((v, d));
+            for v in self.ring_order(&ring, i + 1, rot) {
+                inspected += 1;
+                if surplus(v) > 0 {
+                    return (Some(v), inspected);
+                }
             }
         }
-        None
+        (None, inspected)
     }
 
     /// Repeat-free probe order over one ring of remote *nodes*: the node
@@ -208,6 +190,7 @@ impl VictimOrder {
     /// by `rot` with the warm node not repeated. Taking `k` candidates
     /// from this probes `k` distinct nodes — a duplicate random draw can
     /// never burn an attempt.
+    #[inline]
     pub fn node_probe_order<'a, R: Ring + ?Sized>(
         &self,
         topo: &MachineTopology,
@@ -215,41 +198,83 @@ impl VictimOrder {
         d: usize,
         rot: usize,
     ) -> impl Iterator<Item = usize> + 'a {
-        let warm = self
-            .affinity_at(d)
-            .map(|w| topo.node_of(w))
-            .filter(|&n| ring.contains(n));
-        let n = ring.len();
-        warm.into_iter().chain(
-            (0..n)
-                .map(move |k| ring.get((rot + k) % n.max(1)))
-                .filter(move |&v| Some(v) != warm),
-        )
+        warm_first(ring, self.affinity_at(d).map(|w| topo.node_of(w)), rot)
+    }
+
+    /// Remote pick over ordered rings of *nodes*: ring by ring (empty
+    /// rings skipped), probe up to `attempts` distinct nodes in
+    /// [`node_probe_order`](Self::node_probe_order) and settle on the
+    /// first node where `best_on(node)` names a worker worth asking.
+    /// `rot_for` is drawn once per non-empty ring. Returns
+    /// `(victim, probes)` — the pick and how many nodes were scanned.
+    #[inline]
+    pub fn pick_node<R: Ring>(
+        &self,
+        topo: &MachineTopology,
+        rings: impl IntoIterator<Item = R>,
+        attempts: usize,
+        mut rot_for: impl FnMut(usize) -> usize,
+        mut best_on: impl FnMut(usize) -> Option<usize>,
+    ) -> (Option<usize>, u64) {
+        let mut probes = 0;
+        for (i, ring) in rings.into_iter().enumerate() {
+            if ring.is_empty() {
+                continue;
+            }
+            let d = topo.local_distance_max() + 1 + i;
+            let rot = rot_for(ring.len());
+            for node in self.node_probe_order(topo, &ring, d, rot).take(attempts) {
+                probes += 1;
+                if let Some(w) = best_on(node) {
+                    return (Some(w), probes);
+                }
+            }
+        }
+        (None, probes)
     }
 
     /// Max-surplus pick: inspect every candidate of the nearest non-empty
     /// ring (by surplus) and take the largest; only if a whole ring is dry
-    /// move one ring out. Returns `(victim, distance)`.
-    pub fn pick_max(
+    /// move one ring out. Returns `(victim, inspected)` like
+    /// [`pick_first`](Self::pick_first).
+    #[inline]
+    pub fn pick_max<R: Ring>(
         &self,
-        rings: &[Vec<usize>],
+        rings: impl IntoIterator<Item = R>,
         mut surplus: impl FnMut(usize) -> u64,
-    ) -> Option<(usize, usize)> {
-        for (i, ring) in rings.iter().enumerate() {
-            let d = i + 1;
-            let warm = self.affinity_at(d);
-            let best = ring
-                .iter()
-                .map(|&v| (surplus(v), Some(v) == warm, v))
+    ) -> (Option<usize>, u64) {
+        let mut inspected = 0;
+        for (i, ring) in rings.into_iter().enumerate() {
+            let warm = self.affinity_at(i + 1);
+            inspected += ring.len() as u64;
+            let best = (0..ring.len())
+                .map(|k| ring.get(k))
+                .map(|v| (surplus(v), Some(v) == warm, v))
                 .filter(|&(s, _, _)| s > 0)
                 // Affinity breaks surplus ties.
                 .max_by_key(|&(s, warm, _)| (s, warm));
             if let Some((_, _, v)) = best {
-                return Some((v, d));
+                return (Some(v), inspected);
             }
         }
-        None
+        (None, inspected)
     }
+}
+
+/// `warm` (if it is a member of `ring`) first, then the ring from index
+/// `rot` round, `warm` not repeated.
+fn warm_first<R: Ring + ?Sized>(
+    ring: &R,
+    warm: Option<usize>,
+    rot: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    let warm = warm.filter(|&w| ring.contains(w));
+    let n = ring.len();
+    warm.into_iter().chain(
+        (0..n)
+            .map(move |k| ring.get((rot + k) % n.max(1)))
+            .filter(move |&v| Some(v) != warm),
+    )
 }
 
 #[cfg(test)]
@@ -296,12 +321,11 @@ mod tests {
         let vo = VictimOrder::new(&t, 0);
         let rings = t.rings(0);
         // Everyone has surplus: nearest ring wins.
-        let (v, d) = vo.pick_first(&rings, |_| 0, |_| 1).unwrap();
-        assert_eq!((v, d), (1, 1));
-        // Only a far worker has surplus.
-        let (v, d) = vo.pick_first(&rings, |_| 0, |w| (w == 5) as u64).unwrap();
-        assert_eq!((v, d), (5, 3));
-        assert!(vo.pick_first(&rings, |_| 0, |_| 0).is_none());
+        assert_eq!(vo.pick_first(&rings, |_| 0, |_| 1), (Some(1), 1));
+        // Only a far worker has surplus: every nearer candidate was read.
+        let pick = vo.pick_first(&rings, |_| 0, |w| (w == 5) as u64);
+        assert_eq!(pick, (Some(5), 5));
+        assert_eq!(vo.pick_first(&rings, |_| 0, |_| 0), (None, 7));
     }
 
     #[test]
@@ -345,22 +369,113 @@ mod tests {
         }
     }
 
+    /// One thief's victim rings materialised the way the threaded runtime
+    /// used to build them once per OS thread — the independent reference
+    /// the lazy [`ScanOrder`] views are held to.
+    fn eager_rings(
+        order: ScanOrder,
+        topo: &MachineTopology,
+        w: usize,
+    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        match order {
+            ScanOrder::DistanceAware => {
+                let local = (1..=topo.local_distance_max())
+                    .map(|d| topo.peers_at(w, d).collect())
+                    .collect();
+                (local, topo.node_rings(w))
+            }
+            ScanOrder::Flat => {
+                let local = vec![topo.peers_of(w).filter(|&p| p != w).collect()];
+                let me = topo.node_of(w);
+                let remote: Vec<usize> = (0..topo.nodes()).filter(|&n| n != me).collect();
+                let remote = if remote.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![remote]
+                };
+                (local, remote)
+            }
+        }
+    }
+
+    fn local_views(
+        order: ScanOrder,
+        topo: &MachineTopology,
+        w: usize,
+    ) -> impl Iterator<Item = PeerRing> + '_ {
+        (0..).map_while(move |ri| order.local_ring(topo, w, ri))
+    }
+
+    fn node_views(
+        order: ScanOrder,
+        topo: &MachineTopology,
+        w: usize,
+    ) -> impl Iterator<Item = NodeRing> + '_ {
+        (0..).map_while(move |ri| order.node_ring(topo, w, ri))
+    }
+
+    fn view_rings(
+        order: ScanOrder,
+        topo: &MachineTopology,
+        w: usize,
+    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        (
+            local_views(order, topo, w).map(|r| r.collect()).collect(),
+            node_views(order, topo, w).map(|r| r.collect()).collect(),
+        )
+    }
+
     #[test]
-    fn victim_rings_match_scan_order() {
+    fn scan_order_views_and_picks_match_the_eager_rings() {
         let t = topo();
-        let (local, remote) = ScanOrder::DistanceAware.victim_rings(&t, 0);
+        let (local, remote) = view_rings(ScanOrder::DistanceAware, &t, 0);
         assert_eq!(local, vec![vec![1], vec![2, 3]]);
         assert_eq!(remote, vec![vec![1]]);
-        let (local, remote) = ScanOrder::Flat.victim_rings(&t, 0);
+        let (local, remote) = view_rings(ScanOrder::Flat, &t, 0);
         assert_eq!(local, vec![vec![1, 2, 3]]);
         assert_eq!(remote, vec![vec![1]]);
         // No remote nodes → no remote rings under either order.
         let flat1 = MachineTopology::flat(4);
-        assert!(ScanOrder::Flat.victim_rings(&flat1, 0).1.is_empty());
-        assert!(ScanOrder::DistanceAware
-            .victim_rings(&flat1, 0)
-            .1
-            .is_empty());
+        assert!(view_rings(ScanOrder::Flat, &flat1, 0).1.is_empty());
+        assert!(view_rings(ScanOrder::DistanceAware, &flat1, 0).1.is_empty());
+
+        // Every pick returns the same victim and the same inspected /
+        // probe count over materialised rings and over the lazy views.
+        for (shape, prefix) in [(&[2usize, 2, 2][..], 1), (&[2, 2, 2, 2][..], 2)] {
+            let t = MachineTopology::try_new(shape, prefix).unwrap();
+            for order in [ScanOrder::DistanceAware, ScanOrder::Flat] {
+                for w in 0..t.total_workers() {
+                    let (local, remote) = eager_rings(order, &t, w);
+                    assert_eq!(view_rings(order, &t, w), (local.clone(), remote.clone()));
+                    let mut vo = VictimOrder::new(&t, w);
+                    for salt in 0..4usize {
+                        let surplus = |v: usize| ((v * 7 + w + salt) % 3) as u64;
+                        let greedy = vo.pick_first(&local, |n| salt % n, surplus);
+                        let views = local_views(order, &t, w);
+                        assert_eq!(greedy, vo.pick_first(views, |n| salt % n, surplus));
+                        let max = vo.pick_max(&local, surplus);
+                        assert_eq!(max, vo.pick_max(local_views(order, &t, w), surplus));
+                        let best_on = |n: usize| {
+                            t.workers_on(n)
+                                .filter(|&v| surplus(v) > 0)
+                                .max_by_key(|&v| surplus(v))
+                        };
+                        for attempts in 1..=2 {
+                            let far = vo.pick_node(&t, &remote, attempts, |n| salt % n, best_on);
+                            let views = node_views(order, &t, w);
+                            assert_eq!(
+                                far,
+                                vo.pick_node(&t, views, attempts, |n| salt % n, best_on)
+                            );
+                        }
+                        // Warm the rings so the next round ranks affinity.
+                        for v in [greedy.0, max.0].into_iter().flatten() {
+                            vo.record_success(&t, v);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -376,7 +491,22 @@ mod tests {
             4..=7 => 100,
             _ => 0,
         };
-        let (v, d) = vo.pick_max(&rings, surplus).unwrap();
-        assert_eq!((v, d), (3, 2));
+        assert_eq!(vo.pick_max(&rings, surplus), (Some(3), 3));
+    }
+
+    #[test]
+    fn pick_max_breaks_surplus_ties_by_affinity() {
+        let t = topo();
+        let mut vo = VictimOrder::new(&t, 0);
+        let rings = t.rings(0);
+        // Workers 2 and 3 (ring d=2) hold equal surplus; 2 is warm.
+        vo.record_success(&t, 2);
+        assert_eq!(vo.pick_max(&rings, |w| (w >= 2) as u64 * 4).0, Some(2));
+        // Without affinity the tie falls to the last of the ring.
+        vo.record_failure(&t, 2);
+        assert_eq!(vo.pick_max(&rings, |w| (w >= 2) as u64 * 4).0, Some(3));
+        // A strictly larger pool still beats the warm one.
+        vo.record_success(&t, 2);
+        assert_eq!(vo.pick_max(&rings, |w| [0, 0, 4, 5][w.min(3)]).0, Some(3));
     }
 }

@@ -190,11 +190,12 @@ fn victim_order_ranks_are_lawful_on_random_machines() {
 
         // A pick never returns me, and always a worker with surplus.
         let loaded: Vec<u64> = (0..total).map(|_| rng.next() % 3).collect();
-        let pick = vo.pick_first(&rings, |n| rng.below(n), |w| loaded[w]);
-        if let Some((v, d)) = pick {
+        let (pick, inspected) = vo.pick_first(&rings, |n| rng.below(n), |w| loaded[w]);
+        assert!(inspected < total as u64, "a scan never reads me");
+        if let Some(v) = pick {
+            let d = t.distance(me, v);
             assert_ne!(v, me);
             assert!(loaded[v] > 0);
-            assert_eq!(t.distance(me, v), d);
             // Nothing with surplus sits strictly nearer.
             for (u, &l) in loaded.iter().enumerate() {
                 if u != me && l > 0 {
@@ -216,7 +217,8 @@ fn victim_order_ranks_are_lawful_on_random_machines() {
         }
 
         // pick_max picks the max of the nearest non-empty ring.
-        if let Some((v, d)) = vo.pick_max(&rings, |w| loaded[w]) {
+        if let (Some(v), _) = vo.pick_max(&rings, |w| loaded[w]) {
+            let d = t.distance(me, v);
             assert!(loaded[v] > 0);
             for &u in &rings[d - 1] {
                 assert!(loaded[u] <= loaded[v], "not the ring maximum");

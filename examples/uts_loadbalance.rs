@@ -40,7 +40,7 @@ fn main() {
         ("max-steal", VictimSelect::MaxSteal),
     ] {
         let mut cfg = RuntimeConfig::single_node(4);
-        cfg.victim_select = sel;
+        cfg.steal.victim_select = sel;
         let (stats, report) = uts_parallel(shape, seed, &cfg);
         assert_eq!(stats.checksum, reference.checksum);
         let (ls, lf, _, _) = report.steal_totals();

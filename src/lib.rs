@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`domain`] | `macs-domain` | bitmap finite domains, the relocatable [`Store`](domain::Store) |
 //! | [`engine`] | `macs-engine` | propagators, fixpoint engine, models, branching, sequential oracle |
-//! | [`search`] | `macs-search` | **the** node-processing kernel: [`SearchKernel`](search::SearchKernel), [`IncumbentSource`](search::IncumbentSource), the [`StoreSlab`](search::StoreSlab) arena, [`WorkBatch`](search::WorkBatch) |
+//! | [`search`] | `macs-search` | **the** node-processing kernel: [`SearchKernel`](search::SearchKernel), [`IncumbentSource`](search::IncumbentSource), the [`StoreSlab`](search::StoreSlab) arena, [`WorkBatch`](search::WorkBatch), and the steal rulebook ([`StealPolicy`](search::StealPolicy)) both MaCS executions run |
 //! | [`topo`] | `macs-topo` | the N-level machine model: [`MachineTopology`](topo::MachineTopology) distances/rings, [`VictimOrder`](topo::VictimOrder) |
 //! | [`gpi`] | `macs-gpi` | the simulated GPI/PGAS layer: topology, segments, one-sided ops |
 //! | [`pool`] | `macs-pool` | the split private/shared work pool |
@@ -70,7 +70,7 @@ pub mod prelude {
         QapInstance, QueensModel,
     };
     pub use macs_runtime::{
-        BoundPolicy, PollPolicy, ReleasePolicy, RuntimeConfig, SeedMode, VictimSelect,
+        BoundPolicy, PollPolicy, ReleasePolicy, RuntimeConfig, SeedMode, StealPolicy, VictimSelect,
     };
     pub use macs_search::{
         IncumbentSource, LocalIncumbent, SearchKernel, SearchMode, StepOutcome, StoreSlab,

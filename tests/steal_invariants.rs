@@ -1,7 +1,9 @@
 //! Regression net for [`StealHistogram`]: whatever the scan order and
 //! machine depth, (a) the per-distance buckets sum to exactly the number
 //! of successful steals, and (b) no recorded distance can exceed the
-//! machine's level count (the topology's ultrametric diameter).
+//! machine's level count (the topology's ultrametric diameter) — plus the
+//! lease-boundary drain: a lease that shrinks *inside* a node must still
+//! let the remaining worker steal a parked pool's last item.
 
 use macs::prelude::*;
 use macs::solver::CpProcessor;
@@ -33,7 +35,7 @@ fn histogram_sums_and_depth_bounds_hold_for_both_scan_orders() {
         let topo = MachineTopology::try_new(shape, prefix).unwrap();
         for order in [ScanOrder::DistanceAware, ScanOrder::Flat] {
             let mut cfg = SimConfig::new(topo.clone());
-            cfg.scan_order = order;
+            cfg.steal.scan_order = order;
             let r = simulate_macs(
                 &cfg,
                 prob.layout.store_words(),
@@ -54,7 +56,7 @@ fn threaded_runtime_histograms_obey_the_same_invariants() {
         let topo = MachineTopology::try_new(&[2, 2, 2], 1).unwrap();
         let mut cfg = SolverConfig::with_workers(1);
         cfg.runtime.topology = topo.clone();
-        cfg.runtime.scan_order = order;
+        cfg.runtime.steal.scan_order = order;
         let out = Solver::new(cfg).solve(&prob);
         let mut hist = StealHistogram::new();
         for w in &out.report.workers {
@@ -216,5 +218,55 @@ fn cotenant_histograms_conserve_steals_when_a_lease_shrinks() {
     );
     for w in &shrunk.workers[4..] {
         assert_eq!(w.items, 0, "parked worker {} processed items", w.id);
+    }
+}
+
+/// A lease boundary inside a node: worker 1 of a flat two-worker world is
+/// shut out mid-run, parks, and publishes whatever it held. Worker 0 must
+/// drain that pool to the *last* item — a parked victim retains nothing,
+/// and the local steal has to ask it for that item the same way a served
+/// request would. (It used to ask for `share_ceil(1, cap) = 0` items,
+/// every round, forever.) The shrink instant sweeps across the run's first
+/// milliseconds so some trials park worker 1 with work in hand; each trial
+/// must finish, with every solution, inside the watchdog.
+#[test]
+fn a_lease_shrinking_inside_a_node_drains_to_the_last_item() {
+    use macs::gpi::{CellBlock, GlobalCells, World};
+    use macs::runtime::run_parallel_on;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    let prob = Arc::new(queens(10, QueensModel::Pairwise));
+    for trial in 0..20u64 {
+        let (done, watchdog) = mpsc::channel();
+        let job = Arc::clone(&prob);
+        // Detached on purpose: a hung trial cannot be joined, only timed out.
+        std::thread::spawn(move || {
+            let topo = MachineTopology::flat(2);
+            let cells = Arc::new(GlobalCells::with_job_blocks(1, 1));
+            let block = CellBlock::for_job(0, 1);
+            let world = World::leased_on(topo.clone(), LatencyModel::zero(), cells.clone(), block);
+            let rt = RuntimeConfig {
+                topology: topo,
+                seed: 0x1EA5E + trial,
+                ..Default::default()
+            };
+            let root = job.root.as_words().to_vec();
+            let report = std::thread::scope(|s| {
+                s.spawn(|| {
+                    std::thread::sleep(Duration::from_micros(1_500 + 400 * trial));
+                    cells.store(block.lease(), 1);
+                });
+                run_parallel_on(&world, &rt, job.layout.store_words(), &[root], |_| {
+                    CpProcessor::new(&job, 0, SearchMode::Exhaustive)
+                })
+            });
+            let solutions: u64 = report.outputs.iter().map(|o| o.solutions).sum();
+            let _ = done.send(solutions);
+        });
+        match watchdog.recv_timeout(Duration::from_secs(15)) {
+            Ok(solutions) => assert_eq!(solutions, 724, "trial {trial}: queens-10 truncated"),
+            Err(_) => panic!("trial {trial}: no termination 15 s after the lease shrank to 1"),
+        }
     }
 }
