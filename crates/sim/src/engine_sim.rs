@@ -5,24 +5,32 @@
 //! The simulator is built to run 64k–262k virtual workers in minutes, so
 //! every per-event and per-worker cost is bounded:
 //!
-//! * **Indexed min-heap** (`EventHeap`): each worker has at most one
-//!   live event, keyed `(time, seq)` with a globally monotone sequence
-//!   id — a strict total order, so same-time events fire in schedule
-//!   order and every same-seed run replays bit-identically (the
-//!   `prop_determinism` suite pins this via the event-trace hash).
-//!   Rescheduling updates the worker's slot in place; no stale entries
-//!   accumulate, and pop order equals the old lazy-deletion heap's order
-//!   over live events.
+//! * **Indexed 4-ary min-heap** (`EventHeap`): each worker has at most
+//!   one live event, keyed `(time, seq)` with a globally monotone
+//!   sequence id — a strict total order with unique keys, so same-time
+//!   events fire in schedule order, every same-seed run replays
+//!   bit-identically (the `prop_determinism` suite pins this via the
+//!   event-trace hash), and the pop sequence does not depend on the
+//!   queue's shape. The packed key sits in the heap array itself;
+//!   rescheduling re-keys the worker's slot in place, so no stale
+//!   entries accumulate.
 //! * **Slot arena** (`SlotArena`): work items live in one flat `u64`
 //!   buffer of fixed `slot_words` slots; pools and steal responses move
 //!   `u32` slot ids, not boxed allocations.
+//! * **One line per probe** (`Probe`): what other workers read of a
+//!   worker — its pool and MaCS mailbox — is a dense array of
+//!   line-aligned records beside the (1 KB) per-worker state, so a
+//!   failed steal round, nine events in ten at scale, reads the node's
+//!   four adjacent lines and two remote nodes' four each.
 //! * **Lazy rings**: victim rings are O(1) range views computed from the
 //!   topology's mixed-radix arithmetic ([`MachineTopology::peers_at`],
 //!   [`MachineTopology::node_ring_at`]) — materialising them per worker
 //!   would cost O(workers²) memory, tens of GB at 64k cores.
 //! * **Lazy processors**: a worker's real search kernel is only built on
 //!   the first node it actually expands; at 64k cores most workers never
-//!   touch the (small) tree.
+//!   touch the (small) tree during the run. (Teardown still builds a
+//!   transient one per untouched worker for its empty output — the known
+//!   remaining per-worker cost.)
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -116,107 +124,110 @@ impl SimConfig {
 
 const ABSENT: u32 = u32::MAX;
 
-/// Indexed binary min-heap with one slot per worker, keyed by
-/// `(due instant, monotone sequence id)`. The sequence id is bumped on
-/// every schedule, so keys are unique and the pop order is a strict,
-/// reproducible total order; rescheduling a worker updates its key in
-/// place (O(log n)), which is the event-superseding rule the old
-/// epoch-tagged `BinaryHeap` expressed with lazy deletion.
+/// Indexed 4-ary min-heap with one slot per worker, keyed by
+/// `(due instant, monotone sequence id)` packed into one `u128` that
+/// lives *in* the heap array — a sift compares adjacent words, not
+/// `key[heap[i]]`. The sequence id is bumped on every schedule, so keys
+/// are unique and `(due, seq)` is a strict total order: the pop sequence
+/// is fixed by the keys alone, whatever the queue's arity or layout (why
+/// every trace hash survives a change of queue). Rescheduling a worker
+/// re-keys its slot in place (O(log₄ n)) — the event-superseding rule.
 struct EventHeap {
-    /// Worker ids in heap order.
-    heap: Vec<u32>,
-    /// `pos[w]` = index of `w` in `heap`, or [`ABSENT`].
+    /// `due << 64 | seq` of each live event, in heap order.
+    keys: Vec<u128>,
+    /// `who[i]` = the worker whose event sits in slot `i`.
+    who: Vec<u32>,
+    /// `pos[w]` = slot of `w`'s live event, or [`ABSENT`].
     pos: Vec<u32>,
-    /// `key[w]` = (due time, sequence id) of `w`'s live event.
-    key: Vec<(u64, u64)>,
 }
 
 impl EventHeap {
+    const ARITY: usize = 4;
+
     fn new(n: usize) -> Self {
         assert!(n < ABSENT as usize, "too many workers for the event heap");
         EventHeap {
-            heap: Vec::with_capacity(n),
+            keys: Vec::with_capacity(n),
+            who: Vec::with_capacity(n),
             pos: vec![ABSENT; n],
-            key: vec![(0, 0); n],
         }
-    }
-
-    #[inline]
-    fn less(&self, a: u32, b: u32) -> bool {
-        self.key[a as usize] < self.key[b as usize]
     }
 
     /// Insert or reschedule worker `w`'s (single) event.
     fn schedule(&mut self, w: usize, t: u64, seq: u64) {
-        self.key[w] = (t, seq);
-        let i = self.pos[w];
-        if i == ABSENT {
-            let i = self.heap.len();
-            self.heap.push(w as u32);
-            self.pos[w] = i as u32;
-            self.sift_up(i);
-        } else {
-            let i = i as usize;
-            if !self.sift_up(i) {
-                self.sift_down(i);
+        let key = (t as u128) << 64 | seq as u128;
+        let i = match self.pos[w] {
+            ABSENT => {
+                self.keys.push(key);
+                self.who.push(w as u32);
+                self.keys.len() - 1
             }
+            i => i as usize,
+        };
+        if i > 0 && key < self.keys[(i - 1) / Self::ARITY] {
+            self.sift_up(i, key, w as u32);
+        } else {
+            self.sift_down(i, key, w as u32);
         }
     }
 
     fn pop(&mut self) -> Option<(u64, usize)> {
-        let &w = self.heap.first()?;
-        let w = w as usize;
-        let last = self.heap.pop().expect("non-empty");
-        self.pos[w] = ABSENT;
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last as usize] = 0;
-            self.sift_down(0);
+        let (&top, &w) = (self.keys.first()?, self.who.first()?);
+        self.pos[w as usize] = ABSENT;
+        let (key, last) = (self.keys.pop()?, self.who.pop()?);
+        if !self.keys.is_empty() {
+            self.sift_down(0, key, last);
         }
-        Some((self.key[w].0, w))
+        Some(((top >> 64) as u64, w as usize))
     }
 
+    /// Store `(key, w)` in slot `i`.
     #[inline]
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a] as usize] = a as u32;
-        self.pos[self.heap[b] as usize] = b as u32;
+    fn place(&mut self, i: usize, key: u128, w: u32) {
+        self.keys[i] = key;
+        self.who[i] = w;
+        self.pos[w as usize] = i as u32;
     }
 
-    fn sift_up(&mut self, mut i: usize) -> bool {
-        let mut moved = false;
+    /// Move the hole at `i` rootwards past every larger ancestor, then
+    /// fill it with `(key, w)`: one store a level.
+    fn sift_up(&mut self, mut i: usize, key: u128, w: u32) {
         while i > 0 {
-            let p = (i - 1) / 2;
-            if self.less(self.heap[i], self.heap[p]) {
-                self.swap(i, p);
-                i = p;
-                moved = true;
-            } else {
+            let p = (i - 1) / Self::ARITY;
+            if key >= self.keys[p] {
                 break;
             }
+            self.place(i, self.keys[p], self.who[p]);
+            i = p;
         }
-        moved
+        self.place(i, key, w);
     }
 
-    fn sift_down(&mut self, mut i: usize) {
+    /// Move the hole at `i` leafwards past its smallest child while that
+    /// child is smaller than `key`, then fill it with `(key, w)`.
+    fn sift_down(&mut self, mut i: usize, key: u128, w: u32) {
+        let n = self.keys.len();
         loop {
-            let l = 2 * i + 1;
-            if l >= self.heap.len() {
-                break;
-            }
-            let r = l + 1;
-            let c = if r < self.heap.len() && self.less(self.heap[r], self.heap[l]) {
-                r
+            let c = Self::ARITY * i + 1;
+            let m = if c + Self::ARITY <= n {
+                // A full family: a branch-free tournament (each pick is a
+                // conditional move; which child wins is unpredictable).
+                let k = &self.keys[c..c + Self::ARITY];
+                let a = if k[1] < k[0] { 1 } else { 0 };
+                let b = if k[3] < k[2] { 3 } else { 2 };
+                c + if k[b] < k[a] { b } else { a }
+            } else if c < n {
+                (c + 1..n).fold(c, |m, j| if self.keys[j] < self.keys[m] { j } else { m })
             } else {
-                l
+                break;
             };
-            if self.less(self.heap[c], self.heap[i]) {
-                self.swap(i, c);
-                i = c;
-            } else {
+            if self.keys[m] >= key {
                 break;
             }
+            self.place(i, self.keys[m], self.who[m]);
+            i = m;
         }
+        self.place(i, key, w);
     }
 }
 
@@ -351,25 +362,37 @@ impl VPool {
     }
 }
 
+/// What *other* workers read of a worker — its pool and its MaCS mailbox
+/// — kept out of [`VW`] in one dense array, one cache line each: a victim
+/// scan loads the probed worker's line and nothing else of it, and a
+/// remote node's pools are adjacent lines.
+#[derive(Default)]
+#[repr(align(64))]
+struct Probe {
+    pool: VPool,
+    /// MaCS: at most one pending remote request (thief, arrival time).
+    pending_req: Option<(usize, u64)>,
+}
+
 // ---------------------------------------------------------------------------
 // shared worker plumbing
 // ---------------------------------------------------------------------------
 
 /// The reply rule's view of the virtual pools: granted items leave as
 /// arena slot ids collected into the reply.
-struct ReplyPools<'a, P: Processor> {
-    workers: &'a mut [VW<P>],
+struct ReplyPools<'a> {
+    probes: &'a mut [Probe],
     ids: Vec<u32>,
 }
 
-impl<P: Processor> PoolView for ReplyPools<'_, P> {
+impl PoolView for ReplyPools<'_> {
     fn shared_len(&self, w: usize) -> u64 {
-        self.workers[w].pool.shared() as u64
+        self.probes[w].pool.shared() as u64
     }
 
     fn take(&mut self, w: usize, k: u64) -> u64 {
         let before = self.ids.len();
-        self.ids.extend(self.workers[w].pool.steal(k as usize));
+        self.ids.extend(self.probes[w].pool.steal(k as usize));
         (self.ids.len() - before) as u64
     }
 }
@@ -421,13 +444,32 @@ fn phase_tag(p: Phase) -> u64 {
     }
 }
 
-/// One FNV-1a step over a `u64`.
-#[inline]
-fn fnv1a(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// `FNV_PRIME^k` (wrapping) for `k` in `0..=8`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
     }
-    h
+    pow
+};
+
+/// FNV-1a over the eight little-endian bytes of `v`. A zero byte's step
+/// is `h * P` (xor with 0 is the identity), so the zero high bytes of a
+/// small `v` — most of a worker id, a phase tag, an instant — fold into
+/// one multiply by a power of `P`: the textbook value, without the dead
+/// dependent multiplies (three folds an event: 24 of them become ~10).
+#[inline]
+fn fnv1a(mut h: u64, mut v: u64) -> u64 {
+    let live = (71 - v.leading_zeros() as usize) / 8;
+    for _ in 0..live {
+        h = (h ^ (v & 0xff)).wrapping_mul(FNV_PRIME);
+        v >>= 8;
+    }
+    h.wrapping_mul(FNV_PRIME_POW[8 - live])
 }
 
 struct SimSink<'a> {
@@ -463,7 +505,6 @@ struct Win {
 }
 
 struct VW<P: Processor> {
-    pool: VPool,
     /// The in-hand work item (`slot_words` long; live iff `has_cur`).
     /// Kept as an owned buffer, not an arena slot: `process()` mutates it
     /// in place while the sink allocates new slots from the same arena.
@@ -486,8 +527,6 @@ struct VW<P: Processor> {
     since_release: u32,
     since_poll: u32,
     poll_interval: u32,
-    /// MaCS: at most one pending remote request (thief, arrival time).
-    pending_req: Option<(usize, u64)>,
     /// PaCCS: a queue of pending requests.
     req_queue: VecDeque<(usize, u64)>,
     inbox: Option<Resp>,
@@ -509,6 +548,8 @@ struct Sim<'c, P: Processor, F: FnMut(usize) -> P> {
     slot_words: usize,
     factory: F,
     workers: Vec<VW<P>>,
+    /// `probes[w]` = worker `w`'s pool and mailbox (see [`Probe`]).
+    probes: Vec<Probe>,
     arena: SlotArena,
     events: EventHeap,
     /// Monotone event sequence — the deterministic tie-break.
@@ -579,7 +620,8 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         // a solution this very step submits does not count its own
         // discovering expansion as stale.
         let ref_min = self.fabric.submitted_min(t_bound);
-        let t_real = std::time::Instant::now();
+        let t_real =
+            matches!(self.cfg.costs.node, NodeCost::Measured { .. }).then(std::time::Instant::now);
         let (step, seen) = {
             let Sim {
                 workers,
@@ -605,7 +647,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             };
             (step, inc.take_last_seen())
         };
-        if let NodeCost::Measured { num, den } = self.cfg.costs.node {
+        if let (NodeCost::Measured { num, den }, Some(t_real)) = (self.cfg.costs.node, t_real) {
             cost = (t_real.elapsed().as_nanos() as u64).max(50) * num / den.max(1);
         }
         self.workers[wi].staged_step = step;
@@ -649,16 +691,15 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     /// abandon path of an observed win. Returns `true` if the whole
     /// computation just ended.
     fn drain_observed(&mut self, wi: usize, now: u64) -> bool {
-        let Sim { workers, arena, .. } = self;
-        let w = &mut workers[wi];
-        let n = w.pool.len() as i64;
-        for id in w.pool.ids.drain(..) {
-            arena.release(id);
+        let pool = &mut self.probes[wi].pool;
+        let n = pool.len() as i64;
+        for id in pool.ids.drain(..) {
+            self.arena.release(id);
         }
-        w.pool.split = 0;
+        pool.split = 0;
         self.outstanding -= n;
         self.abandoned += n as u64;
-        if std::mem::take(&mut w.has_cur) {
+        if std::mem::take(&mut self.workers[wi].has_cur) {
             self.outstanding -= 1;
             self.abandoned += 1;
         }
@@ -691,18 +732,20 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                 self.nodes_after_win += 1;
             }
         }
-        let staged: Vec<u32> = std::mem::take(&mut self.workers[wi].staged);
-        if self.observed_win(wi, now) {
+        let observed = self.observed_win(wi, now);
+        let w = &mut self.workers[wi];
+        let children = w.staged.len();
+        w.stats.pushes += children as u64;
+        // `drain` empties the child buffer and keeps its capacity for the
+        // next node.
+        if observed {
             // Children die before ever entering a pool; the unit in hand
             // completed if it was a leaf, and is abandoned mid-chain
             // otherwise.
-            let w = &mut self.workers[wi];
-            w.stats.pushes += staged.len() as u64;
-            self.abandoned += staged.len() as u64;
-            for id in staged {
+            self.abandoned += children as u64;
+            for id in w.staged.drain(..) {
                 self.arena.release(id);
             }
-            let w = &mut self.workers[wi];
             if w.staged_step == Step::Leaf {
                 self.completed += 1;
             } else {
@@ -711,12 +754,8 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             w.has_cur = false;
             self.outstanding -= 1;
         } else {
-            self.outstanding += staged.len() as i64;
-            let w = &mut self.workers[wi];
-            for id in staged {
-                w.pool.push(id);
-                w.stats.pushes += 1;
-            }
+            self.outstanding += children as i64;
+            self.probes[wi].pool.ids.extend(w.staged.drain(..));
             if w.staged_step == Step::Leaf {
                 w.has_cur = false;
                 self.outstanding -= 1;
@@ -734,13 +773,13 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             if self.workers[wi].since_release >= self.cfg.steal.release.interval {
                 self.workers[wi].since_release = 0;
                 let (private, shared) = {
-                    let p = &self.workers[wi].pool;
+                    let p = &self.probes[wi].pool;
                     (p.private() as u64, p.shared() as u64)
                 };
                 if let Some(k) = self.cfg.steal.release_amount(private, shared) {
                     let release_ns = self.cfg.costs.release_ns;
                     self.charge(wi, WorkerState::Releasing, release_ns, &mut now);
-                    let m = self.workers[wi].pool.release(k as usize);
+                    let m = self.probes[wi].pool.release(k as usize);
                     self.workers[wi].stats.releases += 1;
                     self.workers[wi].stats.released_items += m as u64;
                 }
@@ -790,21 +829,21 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         let pool_op = self.cfg.costs.pool_op_ns;
         self.charge(wi, WorkerState::Searching, pool_op, &mut now);
         let popped = if self.mode == SimMode::Macs {
-            self.workers[wi].pool.pop_private()
+            self.probes[wi].pool.pop_private()
         } else {
-            self.workers[wi].pool.pop_any()
+            self.probes[wi].pool.pop_any()
         };
         if let Some(id) = popped {
             self.adopt(wi, id);
             self.start_node(wi, now);
             return;
         }
-        if self.mode == SimMode::Macs && self.workers[wi].pool.shared() > 0 {
+        if self.mode == SimMode::Macs && self.probes[wi].pool.shared() > 0 {
             let release_ns = self.cfg.costs.release_ns;
             self.charge(wi, WorkerState::Searching, release_ns, &mut now);
             let width = self.cfg.steal.reacquire_width() as usize;
-            self.workers[wi].pool.reacquire(width);
-            if let Some(id) = self.workers[wi].pool.pop_private() {
+            self.probes[wi].pool.reacquire(width);
+            if let Some(id) = self.probes[wi].pool.pop_private() {
                 self.adopt(wi, id);
                 self.start_node(wi, now);
                 return;
@@ -894,16 +933,14 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         // are charged in one sum after the scan — same virtual time, no
         // per-candidate allocation on this hottest of paths.
         let cfg = self.cfg;
-        let workers = &self.workers;
-        let mut rng = workers[wi].rng.clone();
+        let (w, probes) = (&mut self.workers[wi], &self.probes);
         let (victim, inspected) = cfg.steal.pick_local(
             &cfg.topology,
-            &workers[wi].vorder,
+            &w.vorder,
             UNLEASED,
-            |n| rng.below_usize(n),
-            |v| workers[v].pool.shared() as u64,
+            |n| w.rng.below_usize(n),
+            |v| probes[v].pool.shared() as u64,
         );
-        self.workers[wi].rng = rng;
         let scan_ns = self.cfg.costs.pool_op_ns * inspected;
         self.charge(wi, WorkerState::Searching, scan_ns, &mut now);
         if let Some(v) = victim {
@@ -927,29 +964,27 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         }
         // Remote: the one-sided node scan (R5), charged in one sum
         // afterwards like the local one.
-        let workers = &self.workers;
-        let mut rng = workers[wi].rng.clone();
-        let (target, probes) = cfg.steal.pick_remote(
+        let (w, probes) = (&mut self.workers[wi], &self.probes);
+        let (target, probed) = cfg.steal.pick_remote(
             &cfg.topology,
-            &workers[wi].vorder,
+            &w.vorder,
             UNLEASED,
-            |n| rng.below_usize(n),
+            |n| w.rng.below_usize(n),
             |v| {
                 // An empty pool has no surplus whatever its mailbox holds:
                 // skip that second read (most probes at scale end here).
-                let w = &workers[v];
-                let shared = w.pool.shared() as u64;
-                (shared == 0 || w.pending_req.is_none()).then_some(shared)
+                let p = &probes[v];
+                let shared = p.pool.shared() as u64;
+                (shared == 0 || p.pending_req.is_none()).then_some(shared)
             },
         );
-        self.workers[wi].rng = rng;
-        let find_ns = self.cfg.costs.find_remote_ns * probes;
+        let find_ns = self.cfg.costs.find_remote_ns * probed;
         self.charge(wi, WorkerState::SearchingRemote, find_ns, &mut now);
         if let Some(v) = target {
             let post_ns = self.cfg.costs.post_request_ns;
             self.charge(wi, WorkerState::FindRemote, post_ns, &mut now);
             let arrival = self.send_ctrl(wi, v, now);
-            self.workers[v].pending_req = Some((wi, arrival));
+            self.probes[v].pending_req = Some((wi, arrival));
             // Park: the victim's response event will wake us.
             self.workers[wi].phase = Phase::Wait;
             self.workers[wi].charge_state = WorkerState::WaitRemote;
@@ -970,11 +1005,11 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             return;
         }
         let cfg = self.cfg;
-        let shared = self.workers[v].pool.shared() as u64;
+        let shared = self.probes[v].pool.shared() as u64;
         let want = cfg
             .steal
             .local_grant(&cfg.topology, wi, v, shared, UNLEASED);
-        let items: Vec<u32> = self.workers[v].pool.steal(want as usize).collect();
+        let items: Vec<u32> = self.probes[v].pool.steal(want as usize).collect();
         self.count_steal(wi, v, !items.is_empty());
         if items.is_empty() {
             // The victim looked loaded at scan time but was drained: a
@@ -1011,19 +1046,19 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         let mut it = ids.into_iter();
         let first = it.next().expect("non-empty steal");
         self.adopt(wi, first);
-        self.workers[wi].pool.ids.extend(it);
+        self.probes[wi].pool.ids.extend(it);
     }
 
     /// Victim side: serve the (single) pending MaCS request, with proxy
     /// fulfilment. Returns true if a request was found.
     fn serve_request_macs(&mut self, wi: usize, now: &mut u64) -> bool {
-        let Some((thief, arrival)) = self.workers[wi].pending_req else {
+        let Some((thief, arrival)) = self.probes[wi].pending_req else {
             return false;
         };
         if arrival > *now {
             return false;
         }
-        self.workers[wi].pending_req = None;
+        self.probes[wi].pending_req = None;
         self.net.deliver();
         let poll_ns = self.cfg.costs.poll_ns;
         self.charge(wi, WorkerState::Poll, poll_ns, now);
@@ -1034,7 +1069,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         let cfg = self.cfg;
         let mut adaptive = self.workers[wi].adaptive;
         let mut pools = ReplyPools {
-            workers: &mut self.workers,
+            probes: &mut self.probes,
             ids: Vec::new(),
         };
         let reply = cfg.steal.assemble_reply(
@@ -1186,7 +1221,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             self.charge(wi, WorkerState::Poll, poll_ns, now);
             self.workers[wi].stats.polls += 1;
 
-            let have = self.workers[wi].pool.len();
+            let have = self.probes[wi].pool.len();
             let cap = cfg.steal.chunk_cap(topo, topo.distance(wi, thief));
             let give = WorkBatch::share_floor(have as u64, cap) as usize;
             if give == 0 {
@@ -1199,7 +1234,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                 self.workers[thief].inbox = Some(Resp::Fail(wi));
                 self.schedule(thief, t, WorkerState::WaitRemote, Phase::Wait);
             } else {
-                let batch = self.workers[wi].pool.steal_any(give);
+                let batch = self.probes[wi].pool.steal_any(give);
                 self.workers[wi].stats.requests_served += 1;
                 self.workers[wi].stats.response_chunks += 1;
                 let bytes = (batch.len() * self.slot_words * 8) as u64;
@@ -1221,7 +1256,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         self.outstanding = roots.len() as i64;
         for r in roots {
             let id = self.arena.alloc(r);
-            self.workers[0].pool.push(id);
+            self.probes[0].pool.push(id);
         }
         for wi in 0..self.workers.len() {
             self.schedule(wi, 0, WorkerState::Barrier, Phase::Boot);
@@ -1288,7 +1323,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     /// From an idle wake: try to acquire again (pool may have refilled via
     /// an in-place response in MaCS, or we retry the steal paths).
     fn enter_acquire_or_retry(&mut self, wi: usize, now: u64, round: u32) {
-        if self.workers[wi].pool.len() > 0 || self.workers[wi].has_cur {
+        if self.probes[wi].pool.len() > 0 || self.workers[wi].has_cur {
             self.enter_acquire(wi, now);
             return;
         }
@@ -1312,11 +1347,9 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     /// the fabric: PaCCS same-node traffic never did).
     fn undelivered(&self) -> u64 {
         let topo = &self.cfg.topology;
-        let mut n = 0u64;
+        let posted = self.probes.iter().filter(|p| p.pending_req.is_some());
+        let mut n = posted.count() as u64;
         for (wi, w) in self.workers.iter().enumerate() {
-            if w.pending_req.is_some() {
-                n += 1;
-            }
             for &(thief, _) in &w.req_queue {
                 if !topo.is_local(wi, thief) {
                     n += 1;
@@ -1367,7 +1400,6 @@ where
     let workers: Vec<VW<P>> = (0..n)
         .map(|wi| VW {
             vorder: VictimOrder::new(&cfg.topology, wi),
-            pool: VPool::default(),
             cur: vec![0u64; words.max(1)].into_boxed_slice(),
             has_cur: false,
             staged: Vec::new(),
@@ -1385,7 +1417,6 @@ where
             since_release: 0,
             since_poll: 0,
             poll_interval: cfg.steal.poll.initial(),
-            pending_req: None,
             req_queue: VecDeque::new(),
             inbox: None,
             sweep_pos: 0,
@@ -1409,6 +1440,7 @@ where
         slot_words,
         factory,
         workers,
+        probes: (0..n).map(|_| Probe::default()).collect(),
         arena: SlotArena::new(words),
         events: EventHeap::new(n),
         seq: 0,
@@ -1441,11 +1473,11 @@ where
         .workers
         .into_iter()
         .enumerate()
-        .map(|(wi, mut w)| {
+        .map(|(wi, w)| {
             // Workers that never expanded a node get a transient
             // processor just to produce their (empty) output.
-            let proc = w.proc.take().unwrap_or_else(|| factory(wi));
-            (w.stats.clone(), proc.finish())
+            let proc = w.proc.unwrap_or_else(|| factory(wi));
+            (w.stats, proc.finish())
         })
         .unzip();
     SimReport {
@@ -1525,6 +1557,99 @@ mod tests {
         assert_eq!(h.pop(), Some((10, 1)));
         assert_eq!(h.pop(), Some((1_000, 0)));
         assert_eq!(h.pop(), None);
+    }
+
+    /// Every slot's worker points back at the slot, absent workers at
+    /// nothing, and no child is smaller than its parent.
+    fn assert_heap_consistent(h: &EventHeap) {
+        assert_eq!(h.keys.len(), h.who.len());
+        for (i, &w) in h.who.iter().enumerate() {
+            assert_eq!(h.pos[w as usize], i as u32, "slot {i} ↔ pos[{w}]");
+            assert!(i == 0 || h.keys[(i - 1) / EventHeap::ARITY] < h.keys[i]);
+        }
+        let live = h.pos.iter().filter(|&&p| p != ABSENT).count();
+        assert_eq!(live, h.who.len());
+    }
+
+    #[test]
+    fn event_heap_matches_a_sorted_model() {
+        use std::collections::BTreeSet;
+        // 1–6 and 17 cover every partial last family of a 4-ary heap.
+        for n in [1usize, 2, 3, 4, 5, 6, 17, 4096] {
+            let mut rng = SplitMix64::new(0xE7E27 ^ n as u64);
+            let mut h = EventHeap::new(n);
+            let mut model: BTreeSet<(u64, u64, usize)> = BTreeSet::new();
+            let mut key_of: Vec<Option<(u64, u64)>> = vec![None; n];
+            let mut seq = 0u64;
+            for _ in 0..(40 * n).clamp(400, 20_000) {
+                if rng.below(3) == 0 {
+                    let want = model.pop_first().map(|(t, _, w)| (t, w));
+                    if let Some((_, w)) = want {
+                        key_of[w] = None;
+                    }
+                    assert_eq!(h.pop(), want, "n={n}");
+                } else {
+                    // A fresh worker, or a reschedule to an earlier, a
+                    // later or an equal time.
+                    let w = rng.below_usize(n);
+                    let t = match (key_of[w], rng.below(4)) {
+                        (Some((t, _)), 0) => t,
+                        (Some((t, _)), 1) => t.saturating_sub(rng.below(50)),
+                        (Some((t, _)), 2) => t + rng.below(50),
+                        // Few distinct instants: ties broken by `seq`.
+                        _ => rng.below(1 + n as u64 / 2) * 10,
+                    };
+                    seq += 1;
+                    if let Some((t0, s0)) = key_of[w].replace((t, seq)) {
+                        model.remove(&(t0, s0, w));
+                    }
+                    model.insert((t, seq, w));
+                    h.schedule(w, t, seq);
+                }
+                assert_heap_consistent(&h);
+            }
+            while let Some((t, _, w)) = model.pop_first() {
+                assert_eq!(h.pop(), Some((t, w)), "n={n}");
+                assert_heap_consistent(&h);
+            }
+            assert_eq!(h.pop(), None);
+        }
+    }
+
+    #[test]
+    fn fnv1a_is_the_textbook_byte_loop() {
+        fn textbook(mut h: u64, v: u64) -> u64 {
+            for b in v.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+            h
+        }
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut values = vec![0, 1, 0xff, 0x100, 1 << 56, u64::MAX];
+        for k in 1..8 {
+            // Either side of every k-byte boundary, and a zero byte
+            // *below* the top one (only the tail may be folded).
+            values.extend([(1u64 << (8 * k)) - 1, 1 << (8 * k), 1 << (8 * k + 7)]);
+        }
+        for &v in &values {
+            for h in [0, OFFSET, u64::MAX] {
+                assert_eq!(fnv1a(h, v), textbook(h, v), "h={h:#x} v={v:#x}");
+            }
+        }
+        let mut rng = SplitMix64::new(0xF17A);
+        for _ in 0..10_000 {
+            // Uniform in the number of live bytes, not in magnitude.
+            let (h, v) = (rng.next_u64(), rng.next_u64() >> rng.below(64));
+            assert_eq!(fnv1a(h, v), textbook(h, v), "h={h:#x} v={v:#x}");
+        }
+    }
+
+    #[test]
+    fn a_probe_is_one_cache_line() {
+        // A victim scan reads `probes[v]` and nothing else of `v`: a field
+        // added to `Probe` must not push that read over a line.
+        assert!(std::mem::size_of::<Probe>() <= 64);
+        assert_eq!(std::mem::align_of::<Probe>(), 64);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Distance-aware victim ordering with last-steal affinity.
 
-use crate::machine::{MachineTopology, NodeRing, PeerRing};
+use crate::machine::{MachineTopology, NodeRing, PeerRing, MAX_LEVELS};
 
 /// An indexable set of victim candidates (worker or node IDs). The
 /// ordering machinery is generic over this so callers can scan either a
@@ -103,17 +103,27 @@ impl ScanOrder {
 #[derive(Clone, Debug)]
 pub struct VictimOrder {
     me: usize,
-    /// `affinity[d - 1]` = last successful victim at distance `d`.
-    affinity: Vec<Option<usize>>,
+    /// `affinity[d - 1]` = last successful victim at distance `d`, or
+    /// [`COLD`]. Held inline: both executions read it once per ring of
+    /// every scan, and the simulator keeps one per virtual worker.
+    affinity: [u32; MAX_LEVELS],
 }
+
+/// "No warm victim at this distance" (never a worker id: `new` refuses
+/// machines that large).
+const COLD: u32 = u32::MAX;
 
 // The picks (and the ring accessors they call) are `#[inline]` by
 // measurement: outlined, the simulator's scan costs +15 % host time an event.
 impl VictimOrder {
     pub fn new(topo: &MachineTopology, me: usize) -> Self {
+        assert!(
+            topo.total_workers() <= COLD as usize,
+            "worker ids must fit the inline affinity"
+        );
         VictimOrder {
             me,
-            affinity: vec![None; topo.max_distance()],
+            affinity: [COLD; MAX_LEVELS],
         }
     }
 
@@ -125,14 +135,17 @@ impl VictimOrder {
     /// The warm victim for distance `d`, if any.
     #[inline]
     pub fn affinity_at(&self, d: usize) -> Option<usize> {
-        self.affinity.get(d.wrapping_sub(1)).copied().flatten()
+        match self.affinity.get(d.wrapping_sub(1)) {
+            Some(&v) if v != COLD => Some(v as usize),
+            _ => None,
+        }
     }
 
     /// Record a successful steal from `victim`.
     pub fn record_success(&mut self, topo: &MachineTopology, victim: usize) {
         let d = topo.distance(self.me, victim);
         if d >= 1 {
-            self.affinity[d - 1] = Some(victim);
+            self.affinity[d - 1] = victim as u32;
         }
     }
 
@@ -140,8 +153,8 @@ impl VictimOrder {
     /// pointed there (a drained victim must not be pinned).
     pub fn record_failure(&mut self, topo: &MachineTopology, victim: usize) {
         let d = topo.distance(self.me, victim);
-        if d >= 1 && self.affinity[d - 1] == Some(victim) {
-            self.affinity[d - 1] = None;
+        if d >= 1 && self.affinity[d - 1] == victim as u32 {
+            self.affinity[d - 1] = COLD;
         }
     }
 
@@ -270,9 +283,12 @@ fn warm_first<R: Ring + ?Sized>(
 ) -> impl Iterator<Item = usize> + '_ {
     let warm = warm.filter(|&w| ring.contains(w));
     let n = ring.len();
+    // Callers draw `rot < n`; reduced once here, every index `< 2n` wraps
+    // with one subtract instead of a division per candidate.
+    let rot = if rot < n { rot } else { rot % n.max(1) };
     warm.into_iter().chain(
-        (0..n)
-            .map(move |k| ring.get((rot + k) % n.max(1)))
+        (rot..rot + n)
+            .map(move |i| ring.get(if i < n { i } else { i - n }))
             .filter(move |&v| Some(v) != warm),
     )
 }
@@ -313,6 +329,30 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, ring);
+    }
+
+    #[test]
+    fn ring_order_is_the_rotation_it_always_was() {
+        for n in 0..=9usize {
+            let ring: Vec<usize> = (0..n).map(|i| 10 + 3 * i).collect();
+            let mut warms = vec![None, Some(7)]; // 7 is in no ring
+            warms.extend(ring.iter().map(|&v| Some(v)));
+            for warm in warms {
+                let member = warm.filter(|&w| ring.as_slice().contains(&w));
+                for rot in 0..(2 * n).max(1) {
+                    let want: Vec<usize> = member
+                        .into_iter()
+                        .chain(
+                            (0..n)
+                                .map(|k| ring[(rot + k) % n])
+                                .filter(|&v| Some(v) != member),
+                        )
+                        .collect();
+                    let got: Vec<usize> = warm_first(&ring, warm, rot).collect();
+                    assert_eq!(got, want, "n={n} warm={warm:?} rot={rot}");
+                }
+            }
+        }
     }
 
     #[test]
