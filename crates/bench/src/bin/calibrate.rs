@@ -86,7 +86,7 @@ fn measure_node(runs: usize, quick: bool) -> NodeCost {
     let ns = median(samples.clone());
     let spread = samples.iter().max().unwrap() - samples.iter().min().unwrap();
     let jitter_pct = ((100 * spread / (2 * ns)).min(100) as u8).max(1);
-    NodeCost::Fixed { ns, jitter_pct }
+    NodeCost { ns, jitter_pct }
 }
 
 /// Median ns per pool push/pop pair (halved: one pointer operation).
@@ -303,10 +303,7 @@ fn main() {
     }
 
     println!("\n{:<18} {:>10} {:>10}", "key", "default", "measured");
-    let node_row = |n: NodeCost| match n {
-        NodeCost::Fixed { ns, jitter_pct } => format!("fixed:{ns},{jitter_pct}"),
-        NodeCost::Measured { num, den } => format!("measured:{num},{den}"),
-    };
+    let node_row = |n: NodeCost| format!("fixed:{},{}", n.ns, n.jitter_pct);
     println!(
         "{:<18} {:>10} {:>10}",
         "node",

@@ -104,7 +104,7 @@ fn main() {
                 Some(t) => vec![("explicit", t)],
                 None => vec![
                     ("deep", macs_bench::deep_topo_for(cores)),
-                    ("2-level", macs_bench::topo_for(cores).into()),
+                    ("2-level", macs_bench::topo_for(cores)),
                 ],
             };
             for (shape_name, topo) in shapes {

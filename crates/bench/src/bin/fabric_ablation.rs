@@ -28,11 +28,11 @@ use macs_bench::{
     CommonFlag,
 };
 use macs_problems::{qap::QapInstance, qap_model, queens, QueensModel};
-use macs_runtime::Topology;
+use macs_runtime::MachineTopology;
 use macs_sim::{CostModel, FabricModel, SimConfig, SimReport};
 
 fn cfg_for(cores: usize, costs: CostModel, fabric: FabricModel) -> SimConfig {
-    let mut cfg = SimConfig::new(Topology::clustered(cores.max(4), 4));
+    let mut cfg = SimConfig::new(MachineTopology::clustered(cores.max(4), 4));
     cfg.costs = costs;
     macs_bench::apply_host_overrides(&mut cfg);
     cfg.fabric = fabric;

@@ -17,7 +17,6 @@ use std::time::Instant;
 use macs_bench::{arg, cost_model_arg, maybe_help, sim_cp_macs, usage};
 use macs_gpi::MachineTopology;
 use macs_problems::{qap::QapInstance, qap_model, queens, QueensModel};
-use macs_runtime::Topology;
 use macs_service::{
     generate, JobScheduler, LeasePolicy, Oracle, ServiceConfig, SimBackend, WorkloadConfig,
 };
@@ -273,7 +272,7 @@ fn sim_record(quick: bool) -> Record {
         &[BASE_CORES, 65_536, 131_072, 262_144]
     };
     let cluster = |cores: usize, costs: CostModel, fabric: FabricModel| {
-        let mut cfg = SimConfig::new(Topology::clustered(cores, 4)).with_cost_model(costs);
+        let mut cfg = SimConfig::new(MachineTopology::clustered(cores, 4)).with_cost_model(costs);
         cfg.fabric = fabric;
         cfg
     };

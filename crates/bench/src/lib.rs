@@ -9,7 +9,7 @@ use std::str::FromStr;
 
 use macs_core::{CpOutput, CpProcessor, SearchMode};
 use macs_engine::CompiledProblem;
-use macs_gpi::{MachineTopology, Topology};
+use macs_gpi::MachineTopology;
 use macs_runtime::WorkerState;
 use macs_search::{BoundPolicy, ChunkPolicy};
 use macs_sim::{simulate_macs, simulate_paccs, CostModel, FabricModel, SimConfig, SimReport};
@@ -119,11 +119,11 @@ pub fn usage(bin: &str, about: &str, extra: &[(&str, &str)], common: &[CommonFla
 
 /// The paper's cluster shape: 4 cores per node; fewer than 4 cores means a
 /// single node.
-pub fn topo_for(cores: usize) -> Topology {
+pub fn topo_for(cores: usize) -> MachineTopology {
     if cores >= 4 && cores.is_multiple_of(4) {
-        Topology::clustered(cores, 4)
+        MachineTopology::clustered(cores, 4)
     } else {
-        Topology::single_node(cores)
+        MachineTopology::flat(cores)
     }
 }
 
@@ -135,7 +135,7 @@ pub fn deep_topo_for(cores: usize) -> MachineTopology {
     if cores >= 8 && cores.is_multiple_of(8) {
         MachineTopology::try_new(&[cores / 8, 2, 4], 1).expect("valid deep shape")
     } else {
-        topo_for(cores).into()
+        topo_for(cores)
     }
 }
 

@@ -316,23 +316,23 @@ impl GlobalCells {
         self.seg.fetch_min_i64(Self::word(idx), v)
     }
 
-    // Remote flavours: same operation, charged against the interconnect.
+    // Root-register flavours: the same operation from a worker that may
+    // sit off node 0 — `via` is the interconnect to charge, `None` for a
+    // worker on the register's own node.
 
     #[inline]
-    pub fn load_i64_remote(&self, ic: &Interconnect, idx: usize) -> i64 {
-        ic.charge_read(8);
+    pub fn load_i64_via(&self, via: Option<&Interconnect>, idx: usize) -> i64 {
+        if let Some(ic) = via {
+            ic.charge_read(8);
+        }
         self.load_i64(idx)
     }
 
     #[inline]
-    pub fn fetch_add_i64_remote(&self, ic: &Interconnect, idx: usize, delta: i64) -> i64 {
-        ic.charge_atomic();
-        self.fetch_add_i64(idx, delta)
-    }
-
-    #[inline]
-    pub fn fetch_min_i64_remote(&self, ic: &Interconnect, idx: usize, v: i64) -> i64 {
-        ic.charge_atomic();
+    pub fn fetch_min_i64_via(&self, via: Option<&Interconnect>, idx: usize, v: i64) -> i64 {
+        if let Some(ic) = via {
+            ic.charge_atomic();
+        }
         self.fetch_min_i64(idx, v)
     }
 }
@@ -487,11 +487,16 @@ mod tests {
     fn remote_flavours_charge() {
         let c = GlobalCells::new(16);
         let ic = Interconnect::new(LatencyModel::zero());
-        c.fetch_add_i64_remote(&ic, CELL_OUTSTANDING, 1);
-        c.load_i64_remote(&ic, CELL_OUTSTANDING);
-        c.fetch_min_i64_remote(&ic, CELL_INCUMBENT, 1);
+        c.store_i64(CELL_INCUMBENT, 9);
+        // From the register's own node: the plain operation, no charge.
+        assert_eq!(c.load_i64_via(None, CELL_INCUMBENT), 9);
+        assert_eq!(c.fetch_min_i64_via(None, CELL_INCUMBENT, 5), 9);
+        assert_eq!(ic.counters.snapshot().remote_reads, 0);
+        assert_eq!(ic.counters.snapshot().remote_atomics, 0);
+        assert_eq!(c.load_i64_via(Some(&ic), CELL_INCUMBENT), 5);
+        assert_eq!(c.fetch_min_i64_via(Some(&ic), CELL_INCUMBENT, 1), 5);
         let s = ic.counters.snapshot();
-        assert_eq!(s.remote_atomics, 2);
+        assert_eq!(s.remote_atomics, 1);
         assert_eq!(s.remote_reads, 1);
     }
 }

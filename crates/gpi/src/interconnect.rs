@@ -53,18 +53,6 @@ impl LatencyModel {
         }
     }
 
-    /// A deliberately slow fabric for stress-testing overlap and the
-    /// dynamic polling policy.
-    pub const fn slow_ethernet() -> Self {
-        LatencyModel {
-            read_base_ns: 30_000,
-            write_base_ns: 25_000,
-            byte_ps: 8_000,
-            atomic_ns: 35_000,
-            post_overhead_ns: 400,
-        }
-    }
-
     #[inline]
     fn transfer_ns(&self, bytes: usize) -> u64 {
         (self.byte_ps.saturating_mul(bytes as u64)) / 1000

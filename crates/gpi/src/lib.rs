@@ -10,8 +10,8 @@
 //! This crate reproduces that programming model inside one process:
 //!
 //! * [`MachineTopology`] (from `macs-topo`) — the N-level machine
-//!   structure; [`Topology`] is the classic 2-level node/core alias
-//!   (workers on the same node are "close"; others are "remote");
+//!   structure (workers on the same node are "close"; others are
+//!   "remote");
 //! * [`Segment`] — a partition of global memory: a word array supporting
 //!   one-sided reads, writes, and atomics, in *local* (plain shared-memory)
 //!   and *remote* flavours, the latter charged against the interconnect
@@ -36,16 +36,14 @@ pub mod barrier;
 pub mod cells;
 pub mod interconnect;
 pub mod segment;
-pub mod topology;
 
 pub use barrier::GpiBarrier;
 pub use cells::{CellBlock, GlobalCells};
 pub use interconnect::{Interconnect, LatencyModel, TrafficCounters};
 pub use segment::{Segment, LINE_WORDS};
-pub use topology::Topology;
 
-// The N-level machine model this layer's `Topology` is a 2-level alias
-// of; re-exported so runtime/sim/paccs share one set of topology types.
+// The N-level machine model, re-exported so runtime/sim/paccs share one
+// set of topology types.
 pub use macs_topo::{
     detect_machine, DetectedMachine, MachineTopology, PeerRing, ScanOrder, StealHistogram,
     TopoError, VictimOrder, MAX_LEVELS,
@@ -82,12 +80,7 @@ impl World {
     /// shared-memory node (see [`cells::CELL_NODE_BOUND_BASE`]),
     /// initialised to "no incumbent", so hierarchical bound dissemination
     /// works on any world.
-    pub fn new(
-        topology: impl Into<MachineTopology>,
-        latency: LatencyModel,
-        cell_count: usize,
-    ) -> Arc<Self> {
-        let topology = topology.into();
+    pub fn new(topology: MachineTopology, latency: LatencyModel, cell_count: usize) -> Arc<Self> {
         let total = topology.total_workers();
         let nodes = topology.nodes();
         let cells = Arc::new(GlobalCells::with_node_mirrors(nodes, cell_count));
@@ -110,12 +103,11 @@ impl World {
     /// The block is reset for a fresh run with the lease width set to
     /// the sub-topology's full worker count.
     pub fn leased_on(
-        topology: impl Into<MachineTopology>,
+        topology: MachineTopology,
         latency: LatencyModel,
         cells: Arc<GlobalCells>,
         block: CellBlock,
     ) -> Arc<Self> {
-        let topology = topology.into();
         let total = topology.total_workers();
         assert!(
             topology.nodes() <= block.mirror_nodes(),

@@ -10,11 +10,18 @@
 //! neighbourhood until it encompasses the whole parallel search system."
 //!
 //! This crate reproduces that architecture with two-sided message passing
-//! (crossbeam channels standing in for MPI, cross-node messages charged to
+//! (std `mpsc` channels standing in for MPI, cross-node messages charged to
 //! the same [`Interconnect`](macs_gpi::Interconnect) model MaCS uses):
 //!
-//! * a **controller** collects solutions, redistributes bound improvements
-//!   and broadcasts termination;
+//! * a **controller** collects solutions, detects termination and
+//!   broadcasts it. The state it *holds* — the best bound, the
+//!   first-solution winner flag and win instant — is the root register
+//!   block of a [`World`](macs_gpi::World) on node 0, exactly what a MaCS
+//!   run keeps there: agents read and publish bounds through the
+//!   runtime's [`GlobalIncumbent`](macs_runtime::GlobalIncumbent) and
+//!   watch the race through its [`WinnerGate`](macs_runtime::WinnerGate),
+//!   so a threaded MaCS-vs-PaCCS number compares two *work* protocols
+//!   over one bound fabric, not two bound fabrics;
 //! * **search agents** run the same propagate/split kernel as MaCS
 //!   (`macs-engine` — the paper notes the two systems share their
 //!   constraint-propagation implementation, which is why their sequential

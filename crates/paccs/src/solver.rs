@@ -4,28 +4,28 @@
 //! substrate differs — two-sided messages over channels, a controller that
 //! collects solutions, and a [`WorkBatch`] handed over per steal.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use macs_domain::Val;
 use macs_engine::CompiledProblem;
-use macs_gpi::{Interconnect, LatencyModel, MachineTopology, StealHistogram, TopoError, Topology};
-use macs_search::steal::LEADER_REFRESH;
+use macs_gpi::{LatencyModel, MachineTopology, StealHistogram, TopoError, World};
+use macs_runtime::{GlobalIncumbent, Incumbent, WinnerGate};
 use macs_search::{
-    AtomicIncumbent, BoundPolicy, BroadcastTree, ChunkPolicy, IncumbentSource, RaceRing,
-    RefreshGate, SearchKernel, SearchMode, StepOutcome, WorkBatch, WorkItem,
+    BoundPolicy, BroadcastTree, ChunkPolicy, IncumbentSource, RaceRing, RefreshGate, SearchKernel,
+    SearchMode, StealPolicy, StepOutcome, WorkBatch, WorkItem,
 };
+
+/// Sleep between failed steal sweeps.
+const STEAL_RETRY_BACKOFF: Duration = Duration::from_micros(50);
 
 /// Configuration of a PaCCS run.
 #[derive(Clone, Debug)]
 pub struct PaccsConfig {
     pub topology: MachineTopology,
     pub latency: LatencyModel,
-    /// Sleep between failed steal sweeps.
-    pub steal_retry_backoff_us: u64,
     /// Items handed over per successful steal (victim gives up to half its
     /// queue, capped here). The static reference cap; `chunk_policy` maps
     /// it and the thief's distance to the effective per-steal cap.
@@ -38,27 +38,26 @@ pub struct PaccsConfig {
     /// small-cap guard as the other backends.
     pub chunk_policy: ChunkPolicy,
     pub keep_solutions: usize,
-    /// When incumbent improvements reach other agents. `Immediate` reads
-    /// the controller's value directly (the original behaviour);
-    /// `Periodic` caches it per agent; `Hierarchical` routes it through
-    /// per-node mirror atomics that node leaders refresh from the
-    /// controller — the message-passing face of the node-leader broadcast
-    /// tree.
+    /// When incumbent improvements reach other agents: the controller's
+    /// value is the root incumbent register of the run's [`World`], read
+    /// and published through the runtime's [`GlobalIncumbent`] exactly as
+    /// a MaCS worker does (`Immediate` reads it on every node, `Periodic`
+    /// caches it per agent, `Hierarchical` goes through the node mirrors
+    /// their leaders refresh).
     pub bound_policy: BoundPolicy,
     /// Exhaustive search, or a first-solution race (satisfaction only):
-    /// the winner raises a flag that spreads through per-node mirror
-    /// atomics the same way a hierarchical bound does, and every agent
-    /// abandons its remaining stack on observing it.
+    /// the winner raises the run's [`WinnerGate`] and every agent abandons
+    /// its remaining stack on observing it.
     pub mode: SearchMode,
 }
 
 impl PaccsConfig {
     pub fn with_workers(n: usize) -> Self {
         PaccsConfig {
-            topology: Topology::single_node(n).into(),
+            topology: MachineTopology::flat(n),
             latency: LatencyModel::zero(),
-            steal_retry_backoff_us: 50,
-            max_steal_chunk: 8,
+            // One default cap for threaded and simulated PaCCS (and MaCS).
+            max_steal_chunk: StealPolicy::default().max_steal_chunk as usize,
             chunk_policy: ChunkPolicy::default(),
             keep_solutions: 16,
             bound_policy: BoundPolicy::Immediate,
@@ -68,7 +67,7 @@ impl PaccsConfig {
 
     pub fn clustered(total: usize, cores_per_node: usize) -> Self {
         PaccsConfig {
-            topology: Topology::clustered(total, cores_per_node).into(),
+            topology: MachineTopology::clustered(total, cores_per_node),
             ..PaccsConfig::with_workers(total)
         }
     }
@@ -149,7 +148,10 @@ enum Msg {
 struct Shared<'a> {
     prob: &'a CompiledProblem,
     cfg: &'a PaccsConfig,
-    ic: Interconnect,
+    /// The controller's registers — root incumbent, winner flag, win
+    /// instant, their per-node mirrors — and the fabric that prices
+    /// reaching them from off node 0.
+    world: &'a World,
     senders: Vec<Sender<Msg>>,
     to_controller: Sender<Msg>,
     /// Agents currently holding work — the termination invariant is
@@ -157,28 +159,10 @@ struct Shared<'a> {
     active: AtomicUsize,
     /// Work messages in flight.
     in_flight: AtomicUsize,
-    /// Best objective value (PaCCS routes bound values through the
-    /// controller; the value lives centrally and stale reads are sound).
-    incumbent: AtomicIncumbent,
-    /// Per-node incumbent mirrors (hierarchical policy): agents read
-    /// their node's mirror, node leaders refresh it from the controller.
-    node_bounds: Vec<AtomicIncumbent>,
-    /// The broadcast tree the hierarchical policy routes over.
+    /// The broadcast tree improvements are billed over.
     tree: BroadcastTree,
     messages: AtomicU64,
     bound_msgs: AtomicU64,
-    /// The run's epoch (first-solution win times are measured from it).
-    t0: Instant,
-    /// Root winner flag of a first-solution race.
-    win_flag: AtomicBool,
-    /// Per-node winner-flag mirrors: agents poll their own node's mirror
-    /// (shared memory); only node leaders re-read the root flag, every
-    /// [`LEADER_REFRESH`] stores — the same leveled route a hierarchical
-    /// bound update takes.
-    node_wins: Vec<AtomicBool>,
-    /// Win instant in ns since `t0` (`i64::MAX` = no winner; the earliest
-    /// of concurrent winners survives the `fetch_min`).
-    win_ns: AtomicI64,
 }
 
 impl Shared<'_> {
@@ -190,7 +174,7 @@ impl Shared<'_> {
                 Msg::Work(batch) => batch.payload_bytes() + 64,
                 _ => 64,
             };
-            self.ic.charge_write(bytes);
+            self.world.interconnect.charge_write(bytes);
         }
         self.messages.fetch_add(1, Ordering::Relaxed);
         let _ = self.senders[to].send(msg);
@@ -199,117 +183,69 @@ impl Shared<'_> {
     /// Send to the controller (hosted on node 0).
     fn send_controller(&self, from: usize, msg: Msg) {
         if self.cfg.topology.node_of(from) != 0 {
-            self.ic.charge_write(64);
+            self.world.interconnect.charge_write(64);
         }
         self.messages.fetch_add(1, Ordering::Relaxed);
         let _ = self.to_controller.send(msg);
     }
-
-    /// Nanoseconds since the run's epoch (saturating below the
-    /// no-winner sentinel).
-    fn elapsed_ns(&self) -> i64 {
-        i64::try_from(self.t0.elapsed().as_nanos()).unwrap_or(i64::MAX - 1)
-    }
-
-    /// Raise the winner flag from `agent` (first-solution race): stamp
-    /// the win instant first so any observer of a raised flag also sees a
-    /// time, then the agent's own node mirror (shared memory) and the
-    /// root flag (one fabric write when off the controller's node).
-    fn raise_win(&self, agent: usize) {
-        let node = self.cfg.topology.node_of(agent);
-        self.win_ns.fetch_min(self.elapsed_ns(), Ordering::AcqRel);
-        self.node_wins[node].store(true, Ordering::Release);
-        if node != 0 {
-            self.ic.charge_write(8);
-        }
-        self.win_flag.store(true, Ordering::Release);
-    }
 }
 
-/// One agent's view of the branch-and-bound incumbent, applying the run's
-/// [`BoundPolicy`]:
-///
-/// * `Immediate` — read the controller's atomic on every node (the
-///   original behaviour);
-/// * `Periodic { every }` — work from a cached copy refreshed every
-///   `every` nodes (one conceptual controller pull each);
-/// * `Hierarchical` — read the node's mirror atomic (shared memory);
-///   improvements are pushed mirror-first, and the node *leader* alone
-///   refreshes the mirror from the controller every [`LEADER_REFRESH`]
-///   nodes — the controller-relay realisation of the broadcast tree, with
-///   the relay fan-out billed per improvement.
-struct AgentIncumbent<'s, 'p> {
+/// One agent's bound source: the runtime's [`GlobalIncumbent`] over the
+/// controller's registers, plus PaCCS's message bill — the broadcast
+/// tree's fan-out per accepted improvement, and one controller pull per
+/// `Periodic` refresh from off the controller's node.
+struct AgentBound<'s, 'p> {
     shared: &'s Shared<'p>,
-    node: usize,
+    id: usize,
     off_controller: bool,
-    leader: bool,
-    cache: Cell<i64>,
-    gate: RefreshGate,
+    cells: GlobalIncumbent<'s>,
+    /// Ticks with `cells`' own `Periodic` cadence (one `due` per read).
+    pulls: RefreshGate,
 }
 
-impl<'s, 'p> AgentIncumbent<'s, 'p> {
+impl<'s, 'p> AgentBound<'s, 'p> {
     fn new(id: usize, shared: &'s Shared<'p>) -> Self {
-        let topo = &shared.cfg.topology;
-        AgentIncumbent {
+        let (world, node) = (shared.world, shared.cfg.topology.node_of(id));
+        AgentBound {
             shared,
-            node: topo.node_of(id),
-            off_controller: topo.node_of(id) != 0,
-            leader: shared.tree.is_leader(id),
-            cache: Cell::new(i64::MAX),
-            gate: RefreshGate::new(),
+            id,
+            off_controller: node != 0,
+            cells: GlobalIncumbent::new(
+                &world.cells,
+                &world.interconnect,
+                node != 0,
+                shared.cfg.bound_policy,
+                world.block,
+                node,
+                shared.tree.is_leader(id),
+            ),
+            pulls: RefreshGate::new(),
         }
     }
 
-    fn count_bound_msgs(&self, n: u64) {
-        if n > 0 {
-            self.shared.bound_msgs.fetch_add(n, Ordering::Relaxed);
+    fn bill(&self, msgs: u64) {
+        if msgs > 0 {
+            self.shared.bound_msgs.fetch_add(msgs, Ordering::Relaxed);
         }
     }
 }
 
-impl IncumbentSource for AgentIncumbent<'_, '_> {
+impl IncumbentSource for AgentBound<'_, '_> {
     fn bound(&self) -> i64 {
-        match self.shared.cfg.bound_policy {
-            BoundPolicy::Immediate => self.shared.incumbent.get(),
-            BoundPolicy::Periodic { every } => {
-                if self.gate.due(every) {
-                    self.count_bound_msgs(self.off_controller as u64);
-                    let v = self.shared.incumbent.get();
-                    self.cache.set(v);
-                    v
-                } else {
-                    self.cache.get()
-                }
-            }
-            BoundPolicy::Hierarchical => {
-                if self.leader && self.gate.due(LEADER_REFRESH) {
-                    let v = self.shared.incumbent.get();
-                    self.shared.node_bounds[self.node].offer(v);
-                }
-                self.shared.node_bounds[self.node].get()
+        if let BoundPolicy::Periodic { every } = self.shared.cfg.bound_policy {
+            if self.pulls.due(every) {
+                self.bill(self.off_controller as u64);
             }
         }
+        self.cells.get()
     }
 
     fn offer(&self, cost: i64) -> bool {
-        let policy = self.shared.cfg.bound_policy;
-        if policy == BoundPolicy::Hierarchical {
-            // Mirror first: co-located agents see it without the
-            // controller round trip.
-            self.shared.node_bounds[self.node].offer(cost);
-        }
-        let improved = self.shared.incumbent.offer(cost);
+        let improved = self.cells.submit(cost);
         if improved {
-            let origin = self.shared.cfg.topology.workers_on(self.node).start;
-            self.count_bound_msgs(match policy {
-                BoundPolicy::Immediate => self.shared.tree.eager_fanout(origin).fabric_msgs,
-                BoundPolicy::Periodic { .. } => self.off_controller as u64,
-                BoundPolicy::Hierarchical => {
-                    self.shared.tree.hierarchical_fanout(origin).fabric_msgs
-                }
-            });
+            let policy = self.shared.cfg.bound_policy;
+            self.bill(self.shared.tree.improvement_msgs(policy, self.id));
         }
-        self.cache.set(self.cache.get().min(cost));
         improved
     }
 }
@@ -378,14 +314,12 @@ fn agent_main(id: usize, shared: &Shared<'_>, rx: &Receiver<Msg>, seeded: bool) 
     let mut kernel = SearchKernel::new(prob);
     let mut stack: VecDeque<WorkItem> = VecDeque::new();
     let mut res = AgentResult::default();
-    let incumbent = AgentIncumbent::new(id, shared);
+    let incumbent = AgentBound::new(id, shared);
     // First-solution race state: optimisation runs must keep searching to
     // prove the optimum, so the race only arms on satisfaction problems.
     let race = shared.cfg.mode.is_race() && !prob.objective.is_some();
-    let node = shared.cfg.topology.node_of(id);
-    let win_leader = shared.tree.is_leader(id);
+    let mut gate = WinnerGate::new(shared.world, id, race);
     let mut ring = RaceRing::new();
-    let mut since_win_check: u32 = 0;
 
     if seeded {
         // `active` was pre-incremented by the launcher, before any thread
@@ -403,50 +337,30 @@ fn agent_main(id: usize, shared: &Shared<'_>, rx: &Receiver<Msg>, seeded: bool) 
 
     loop {
         // ---- winner flag (first-solution race) ---------------------------
-        // Agents poll their node's mirror (shared memory); node leaders
-        // alone re-read the root flag every LEADER_REFRESH stores and
-        // refresh the mirror — the leveled route of the broadcast tree.
-        if race {
-            let mut raised = shared.node_wins[node].load(Ordering::Acquire);
-            if !raised && win_leader {
-                since_win_check += 1;
-                if since_win_check >= LEADER_REFRESH {
-                    since_win_check = 0;
-                    if node != 0 {
-                        shared.ic.charge_read(8);
-                    }
-                    if shared.win_flag.load(Ordering::Acquire) {
-                        shared.node_wins[node].store(true, Ordering::Release);
-                        raised = true;
-                    }
+        if race && gate.raised() {
+            // Settle the race account and drain to termination.
+            res.nodes_after_win = gate.settle(&ring).unwrap_or(0);
+            if !stack.is_empty() {
+                res.abandoned += stack.len() as u64;
+                while let Some(it) = stack.pop_back() {
+                    kernel.recycle(it);
                 }
+                // We held work, so we were counted active.
+                shared.active.fetch_sub(1, Ordering::AcqRel);
             }
-            if raised {
-                // Settle the race account and drain to termination.
-                let win_ns = shared.win_ns.load(Ordering::Acquire);
-                res.nodes_after_win = ring.count_after(win_ns);
-                if !stack.is_empty() {
-                    res.abandoned += stack.len() as u64;
-                    while let Some(it) = stack.pop_back() {
-                        kernel.recycle(it);
+            loop {
+                match rx.recv() {
+                    Ok(Msg::StealReq { thief }) => shared.send(id, thief, Msg::NoWork),
+                    Ok(Msg::Work(batch)) => {
+                        // A reply that raced the flag and lost: the items
+                        // die here, settling the in-flight count without
+                        // ever becoming active.
+                        res.abandoned += batch.len() as u64;
+                        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
                     }
-                    // We held work, so we were counted active.
-                    shared.active.fetch_sub(1, Ordering::AcqRel);
-                }
-                loop {
-                    match rx.recv() {
-                        Ok(Msg::StealReq { thief }) => shared.send(id, thief, Msg::NoWork),
-                        Ok(Msg::Work(batch)) => {
-                            // A reply that raced the flag and lost: the
-                            // items die here, settling the in-flight count
-                            // without ever becoming active.
-                            res.abandoned += batch.len() as u64;
-                            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        Ok(Msg::NoWork) => {}
-                        Ok(Msg::Terminate) | Err(_) => return res,
-                        Ok(Msg::Solution { .. }) => unreachable!(),
-                    }
+                    Ok(Msg::NoWork) => {}
+                    Ok(Msg::Terminate) | Err(_) => return res,
+                    Ok(Msg::Solution { .. }) => unreachable!(),
                 }
             }
         }
@@ -470,7 +384,7 @@ fn agent_main(id: usize, shared: &Shared<'_>, rx: &Receiver<Msg>, seeded: bool) 
             // ---- process one store (the same kernel MaCS runs) -----------
             res.nodes += 1;
             if race {
-                ring.record(shared.elapsed_ns());
+                ring.record(shared.world.elapsed_ns());
             }
             match kernel.step(&mut store, &incumbent) {
                 StepOutcome::Failed => {}
@@ -495,7 +409,7 @@ fn agent_main(id: usize, shared: &Shared<'_>, rx: &Receiver<Msg>, seeded: bool) 
                             },
                         );
                         if race {
-                            shared.raise_win(id);
+                            gate.raise();
                         }
                     }
                 },
@@ -518,12 +432,12 @@ fn agent_main(id: usize, shared: &Shared<'_>, rx: &Receiver<Msg>, seeded: bool) 
                         Ok(Msg::Work(batch)) => {
                             accept_work(batch, &mut stack, shared);
                             // A reply that arrives after this agent's node
-                            // observed the winner flag delivers work the
+                            // saw the winner flag delivers work the
                             // top-of-loop drain will immediately discard:
                             // count it in the drain bucket, not as a
                             // successful steal (it must not inflate the
                             // histogram or items-per-steal).
-                            if race && shared.node_wins[node].load(Ordering::Acquire) {
+                            if race && gate.raised() {
                                 res.drain_steals += 1;
                             } else {
                                 res.steals_by_distance.record(topo.distance(id, victim));
@@ -549,9 +463,7 @@ fn agent_main(id: usize, shared: &Shared<'_>, rx: &Receiver<Msg>, seeded: bool) 
                 }
             }
             if !got {
-                std::thread::sleep(Duration::from_micros(
-                    shared.cfg.steal_retry_backoff_us.max(1),
-                ));
+                std::thread::sleep(STEAL_RETRY_BACKOFF);
             }
         }
     }
@@ -569,30 +481,22 @@ pub fn paccs_solve(prob: &CompiledProblem, cfg: &PaccsConfig) -> PaccsOutcome {
     }
     let (ctl_tx, ctl_rx) = channel::<Msg>();
 
+    // The controller *is* the root register block of a `World` (created
+    // last, so its epoch times both the wall clock and the win instant).
+    let world = World::new(cfg.topology.clone(), cfg.latency, 16);
     let shared = Shared {
         prob,
         cfg,
-        ic: Interconnect::new(cfg.latency),
+        world: &world,
         senders,
         to_controller: ctl_tx,
         active: AtomicUsize::new(1), // the seeded agent, counted up front
         in_flight: AtomicUsize::new(0),
-        incumbent: AtomicIncumbent::new(),
-        node_bounds: (0..cfg.topology.nodes())
-            .map(|_| AtomicIncumbent::new())
-            .collect(),
         tree: BroadcastTree::new(&cfg.topology),
         messages: AtomicU64::new(0),
         bound_msgs: AtomicU64::new(0),
-        t0: Instant::now(),
-        win_flag: AtomicBool::new(false),
-        node_wins: (0..cfg.topology.nodes())
-            .map(|_| AtomicBool::new(false))
-            .collect(),
-        win_ns: AtomicI64::new(i64::MAX),
     };
 
-    let t0 = Instant::now();
     let mut agent_results: Vec<AgentResult> = Vec::with_capacity(n);
     let mut solutions_seen: u64 = 0;
     let mut kept: Vec<Vec<Val>> = Vec::new();
@@ -661,7 +565,7 @@ pub fn paccs_solve(prob: &CompiledProblem, cfg: &PaccsConfig) -> PaccsOutcome {
         }
     });
 
-    let wall = t0.elapsed();
+    let wall = world.start.elapsed();
     let nodes = agent_results.iter().map(|r| r.nodes).sum();
     let (best_cost, best_assignment) = match best {
         Some((c, a)) => (Some(c), Some(a)),
@@ -686,10 +590,7 @@ pub fn paccs_solve(prob: &CompiledProblem, cfg: &PaccsConfig) -> PaccsOutcome {
         },
         messages: shared.messages.load(Ordering::Relaxed),
         bound_msgs: shared.bound_msgs.load(Ordering::Relaxed),
-        first_solution: {
-            let ns = shared.win_ns.load(Ordering::Acquire);
-            (ns != i64::MAX).then(|| Duration::from_nanos(ns as u64))
-        },
+        first_solution: WinnerGate::win_time(&world),
         nodes_after_win: agent_results.iter().map(|r| r.nodes_after_win).sum(),
         abandoned_items: agent_results.iter().map(|r| r.abandoned).sum(),
         drain_steals: agent_results.iter().map(|r| r.drain_steals).sum(),
@@ -773,6 +674,23 @@ mod tests {
             "histogram counts every steal"
         );
         assert!(PaccsConfig::hierarchical(&[2, 0], 1).is_err());
+    }
+
+    #[test]
+    fn paccs_and_macs_share_one_default_cap() {
+        // Threaded PaCCS, simulated PaCCS and both MaCS executions answer
+        // `ChunkPolicy::cap_for` from one number (the simulator and the
+        // runtime embed `StealPolicy` itself).
+        for cfg in [
+            PaccsConfig::with_workers(4),
+            PaccsConfig::clustered(8, 4),
+            PaccsConfig::hierarchical(&[2, 2, 2], 1).unwrap(),
+        ] {
+            assert_eq!(
+                cfg.max_steal_chunk as u64,
+                StealPolicy::default().max_steal_chunk
+            );
+        }
     }
 
     #[test]

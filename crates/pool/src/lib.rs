@@ -376,16 +376,6 @@ impl SplitPool {
         }
     }
 
-    /// Steal up to half of the shared region (at least one item), the
-    /// standard steal granularity.
-    pub fn steal_half(&self, sink: impl FnMut(&[u64])) -> u64 {
-        let shared = self.shared_len();
-        if shared == 0 {
-            return 0;
-        }
-        self.steal(shared.div_ceil(2), sink)
-    }
-
     // ----- remote-steal mailbox -------------------------------------------------
 
     /// Thief side: try to claim the victim's request slot with a one-sided
@@ -625,19 +615,6 @@ mod tests {
         assert_eq!(p.release(100), 0);
         assert_eq!(p.reacquire(100), 1);
         assert_eq!(p.reacquire(100), 0);
-    }
-
-    #[test]
-    fn steal_half_rounds_up() {
-        let p = SplitPool::new(16, 1);
-        for i in 0..5 {
-            p.push(&[i]);
-        }
-        p.release(5);
-        let mut got = vec![];
-        assert_eq!(p.steal_half(|s| got.push(s[0])), 3);
-        assert_eq!(got, vec![0, 1, 2]);
-        assert_eq!(p.shared_len(), 2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! ([`StealPolicy`], shared with the simulator), bound dissemination and
 //! thread placement.
 
-use macs_gpi::{LatencyModel, MachineTopology, TopoError, Topology};
+use macs_gpi::{LatencyModel, MachineTopology, TopoError};
 pub use macs_search::{
     BoundPolicy, ChunkPolicy, PollPolicy, ReleasePolicy, SearchMode, StealPolicy, VictimSelect,
 };
@@ -13,21 +13,10 @@ pub use macs_search::{
 /// an interconnect read per item off node 0; `Periodic` trades staleness
 /// for fewer reads; `Hierarchical` routes through per-node mirror cells
 /// refreshed by node leaders (see
-/// [`macs_search::bounds`] and the `GlobalIncumbent`
-/// in [`worker`](crate::worker)).
+/// [`macs_search::bounds`] and
+/// [`GlobalIncumbent`](crate::registers::GlobalIncumbent)).
 pub fn default_bound_policy() -> BoundPolicy {
     BoundPolicy::Periodic { every: 32 }
-}
-
-/// Where the initial work item(s) go.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SeedMode {
-    /// All roots to worker 0 (the paper's setup: one worker "initiates the
-    /// search" and everyone else steals their way in).
-    #[default]
-    WorkerZero,
-    /// Round-robin across workers (useful for multi-root workloads).
-    RoundRobin,
 }
 
 /// Complete configuration of a parallel run.
@@ -40,12 +29,10 @@ pub struct RuntimeConfig {
     /// Interconnect cost model.
     pub latency: LatencyModel,
     /// The steal protocol's knobs — release, poll, victim selection, scan
-    /// order, chunking, reply batching, remote probing — the same struct
+    /// order, chunking, reply batching — the same struct
     /// `SimConfig` embeds, read by the one rulebook in
     /// [`macs_search::steal`].
     pub steal: StealPolicy,
-    /// Slots per worker pool (rounded up to a power of two).
-    pub pool_capacity: usize,
     /// When incumbent improvements reach other workers (see
     /// [`BoundPolicy`]). The default is `Periodic { every: 32 }` — the
     /// cheap cadence the pre-hierarchical runtime shipped with.
@@ -59,16 +46,8 @@ pub struct RuntimeConfig {
     /// may still cancel, but no race metrics are paid for. Keep this in
     /// step with the processor's own mode (the solver front ends do).
     pub mode: SearchMode,
-    pub seed_mode: SeedMode,
     /// PRNG seed (victim selection, backoff jitter).
     pub seed: u64,
-    /// Negative termination-counter deltas are flushed at this batch size.
-    pub term_flush_batch: u32,
-    /// Charge interconnect latency for termination-counter updates from
-    /// non-zero nodes. Off by default: real MaCS amortises termination
-    /// bookkeeping asynchronously, so charging a synchronous fabric round
-    /// trip per push would overstate that cost by orders of magnitude.
-    pub charge_termination: bool,
     /// Pin each worker thread to one OS CPU (`sched_setaffinity`; a
     /// graceful no-op off-Linux). Off by default — calibration and the
     /// `calibration_gate` turn it on so threaded latencies describe the
@@ -85,7 +64,7 @@ impl RuntimeConfig {
     /// A sensible default for `workers` workers on one shared-memory node.
     pub fn single_node(workers: usize) -> Self {
         RuntimeConfig {
-            topology: Topology::single_node(workers).into(),
+            topology: MachineTopology::flat(workers),
             ..Default::default()
         }
     }
@@ -93,7 +72,7 @@ impl RuntimeConfig {
     /// The paper's cluster shape: nodes of 4 cores.
     pub fn clustered(total_workers: usize, cores_per_node: usize) -> Self {
         RuntimeConfig {
-            topology: Topology::clustered(total_workers, cores_per_node).into(),
+            topology: MachineTopology::clustered(total_workers, cores_per_node),
             ..Default::default()
         }
     }
@@ -119,13 +98,9 @@ impl Default for RuntimeConfig {
             topology: MachineTopology::flat(1),
             latency: LatencyModel::zero(),
             steal: StealPolicy::default(),
-            pool_capacity: 4096,
             bound_policy: default_bound_policy(),
             mode: SearchMode::Exhaustive,
-            seed_mode: SeedMode::default(),
             seed: 0x5EED,
-            term_flush_batch: 64,
-            charge_termination: false,
             pin_threads: false,
             cpu_map: None,
         }

@@ -24,6 +24,7 @@
 pub mod affinity;
 pub mod config;
 pub mod processor;
+pub mod registers;
 pub mod rng;
 pub mod run;
 pub mod stats;
@@ -32,15 +33,15 @@ pub mod worker;
 
 pub use affinity::pin_current_thread;
 pub use config::{
-    BoundPolicy, ChunkPolicy, PollPolicy, ReleasePolicy, RuntimeConfig, SeedMode, StealPolicy,
-    VictimSelect,
+    BoundPolicy, ChunkPolicy, PollPolicy, ReleasePolicy, RuntimeConfig, StealPolicy, VictimSelect,
 };
 pub use processor::{Incumbent, NoIncumbent, ProcCtx, Processor, Step, WorkSink};
+pub use registers::{GlobalIncumbent, WinnerGate};
 pub use rng::SplitMix64;
 pub use run::{run_parallel, run_parallel_on, RunReport};
 pub use stats::{PhaseTimers, RaceRing, StateClock, WorkerState, WorkerStats, NUM_STATES};
 
 pub use macs_gpi::{
     detect_machine, DetectedMachine, Interconnect, LatencyModel, MachineTopology, ScanOrder,
-    StealHistogram, TopoError, Topology, VictimOrder, MAX_LEVELS,
+    StealHistogram, TopoError, VictimOrder, MAX_LEVELS,
 };

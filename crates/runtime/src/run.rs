@@ -7,8 +7,9 @@ use macs_gpi::interconnect::TrafficSnapshot;
 use macs_gpi::World;
 use macs_pool::SplitPool;
 
-use crate::config::{RuntimeConfig, SeedMode};
+use crate::config::RuntimeConfig;
 use crate::processor::Processor;
+use crate::registers::WinnerGate;
 use crate::stats::{WorkerState, WorkerStats, NUM_STATES};
 use crate::term;
 use crate::worker::Worker;
@@ -149,6 +150,12 @@ where
     run_on_pools(world, cfg, pools, roots.len() as u64, factory)
 }
 
+/// Slots per worker pool (a power of two).
+const POOL_CAPACITY: usize = 4096;
+
+/// One pool per worker, the roots seeded as worker 0's private work — one
+/// worker "initiates the search" (paper §IV) and thieves pull everyone
+/// else in.
 fn build_seeded_pools(
     cfg: &RuntimeConfig,
     slot_words: usize,
@@ -161,21 +168,10 @@ fn build_seeded_pools(
     }
 
     let pools: Vec<SplitPool> = (0..n_workers)
-        .map(|_| SplitPool::new(cfg.pool_capacity, slot_words))
+        .map(|_| SplitPool::new(POOL_CAPACITY, slot_words))
         .collect();
-
-    // Seed the roots as private work; thieves pull everyone else in.
-    match cfg.seed_mode {
-        SeedMode::WorkerZero => {
-            for r in roots {
-                assert!(pools[0].push(r), "root seed overflowed pool 0");
-            }
-        }
-        SeedMode::RoundRobin => {
-            for (i, r) in roots.iter().enumerate() {
-                assert!(pools[i % n_workers].push(r), "root seed overflow");
-            }
-        }
+    for r in roots {
+        assert!(pools[0].push(r), "root seed overflowed pool 0");
     }
     pools
 }
@@ -230,7 +226,6 @@ where
     );
 
     let incumbent = world.cells.load_i64(block.incumbent());
-    let win_ns = world.cells.load_i64(block.win_ns());
     let (workers, outputs) = results.into_iter().unzip();
     RunReport {
         wall,
@@ -238,7 +233,7 @@ where
         outputs,
         traffic: world.interconnect.counters.snapshot(),
         incumbent,
-        first_solution: (win_ns != i64::MAX).then(|| Duration::from_nanos(win_ns as u64)),
+        first_solution: WinnerGate::win_time(world),
     }
 }
 
@@ -493,21 +488,6 @@ mod tests {
         let (report, leaves, _) = run_tree(&cfg, 1, Some(2));
         assert_eq!(leaves, 2);
         assert_eq!(report.total_items(), 3);
-    }
-
-    #[test]
-    fn round_robin_seeding_multiple_roots() {
-        let mut cfg = RuntimeConfig::single_node(3);
-        cfg.seed_mode = SeedMode::RoundRobin;
-        let roots: Vec<Vec<u64>> = (0..5).map(|i| vec![0u64, 1000 + i]).collect();
-        let report = run_parallel(&cfg, 2, &roots, |_| TreeProc {
-            max_depth: 6,
-            uniform_branch: Some(2),
-            leaves: 0,
-            checksum: 0,
-        });
-        let leaves: u64 = report.outputs.iter().map(|o| o.0).sum();
-        assert_eq!(leaves, 5 * 2u64.pow(6));
     }
 
     #[test]

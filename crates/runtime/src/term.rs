@@ -22,42 +22,34 @@
 //! over-approximate, which is safe) and flushed before any idle check.
 
 use macs_gpi::cells::CELL_OUTSTANDING;
-use macs_gpi::{GlobalCells, Interconnect};
+use macs_gpi::GlobalCells;
 
 /// Per-worker handle on the global outstanding-work counter.
 pub struct TermHandle<'a> {
     cells: &'a GlobalCells,
-    ic: &'a Interconnect,
     /// Register holding this run's counter ([`CELL_OUTSTANDING`] for a
     /// classic single-job run; a job-block offset in multi-tenant runs, so
     /// co-scheduled jobs terminate independently).
     cell: usize,
-    /// Workers off node 0 pay the interconnect for counter RMWs.
-    remote: bool,
     /// Locally batched (negative) delta not yet applied globally.
     pending: i64,
     batch: i64,
 }
 
 impl<'a> TermHandle<'a> {
-    pub fn new(cells: &'a GlobalCells, ic: &'a Interconnect, remote: bool, batch: u32) -> Self {
-        Self::new_at(cells, ic, remote, batch, CELL_OUTSTANDING)
+    pub fn new(cells: &'a GlobalCells, batch: u32) -> Self {
+        Self::new_at(cells, batch, CELL_OUTSTANDING)
     }
 
     /// A handle on the counter in register `cell` instead of the root
-    /// [`CELL_OUTSTANDING`].
-    pub fn new_at(
-        cells: &'a GlobalCells,
-        ic: &'a Interconnect,
-        remote: bool,
-        batch: u32,
-        cell: usize,
-    ) -> Self {
+    /// [`CELL_OUTSTANDING`]. Counter updates are never charged to the
+    /// fabric: real MaCS amortises termination bookkeeping asynchronously,
+    /// so a synchronous round trip per push would overstate that cost by
+    /// orders of magnitude.
+    pub fn new_at(cells: &'a GlobalCells, batch: u32, cell: usize) -> Self {
         TermHandle {
             cells,
-            ic,
             cell,
-            remote,
             pending: 0,
             batch: -(batch.max(1) as i64),
         }
@@ -66,13 +58,7 @@ impl<'a> TermHandle<'a> {
     /// Count `n` new work items **before** they are published.
     #[inline]
     pub fn add(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if self.remote {
-            self.cells
-                .fetch_add_i64_remote(self.ic, self.cell, n as i64);
-        } else {
+        if n != 0 {
             self.cells.fetch_add_i64(self.cell, n as i64);
         }
     }
@@ -89,12 +75,7 @@ impl<'a> TermHandle<'a> {
     /// Apply any batched decrements globally.
     pub fn flush(&mut self) {
         if self.pending != 0 {
-            if self.remote {
-                self.cells
-                    .fetch_add_i64_remote(self.ic, self.cell, self.pending);
-            } else {
-                self.cells.fetch_add_i64(self.cell, self.pending);
-            }
+            self.cells.fetch_add_i64(self.cell, self.pending);
             self.pending = 0;
         }
     }
@@ -125,16 +106,14 @@ pub fn init_outstanding_at(cells: &GlobalCells, cell: usize, roots: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use macs_gpi::LatencyModel;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     #[test]
     fn counter_life_cycle() {
         let cells = GlobalCells::new(8);
-        let ic = Interconnect::new(LatencyModel::zero());
         init_outstanding(&cells, 1);
-        let mut h = TermHandle::new(&cells, &ic, false, 4);
+        let mut h = TermHandle::new(&cells, 4);
         h.add(3); // split into 3 pushed children (parent continues)
         h.finish_one(); // leaf
         h.flush();
@@ -150,9 +129,8 @@ mod tests {
     #[test]
     fn batching_only_overapproximates() {
         let cells = GlobalCells::new(8);
-        let ic = Interconnect::new(LatencyModel::zero());
         init_outstanding(&cells, 10);
-        let mut h = TermHandle::new(&cells, &ic, false, 64);
+        let mut h = TermHandle::new(&cells, 64);
         for _ in 0..9 {
             h.finish_one();
         }
@@ -170,7 +148,6 @@ mod tests {
         // roots are drained and the counter must end at exactly 0.
         const WORKERS: usize = 4;
         let cells = Arc::new(GlobalCells::new(8));
-        let ic = Arc::new(Interconnect::new(LatencyModel::zero()));
         init_outstanding(&cells, WORKERS as u64);
         let sampling = Arc::new(AtomicBool::new(true));
         let phase = Arc::new(std::sync::Barrier::new(WORKERS + 1));
@@ -192,10 +169,9 @@ mod tests {
         let workers: Vec<_> = (0..WORKERS)
             .map(|_| {
                 let cells = Arc::clone(&cells);
-                let ic = Arc::clone(&ic);
                 let phase = Arc::clone(&phase);
                 std::thread::spawn(move || {
-                    let mut h = TermHandle::new(&cells, &ic, false, 8);
+                    let mut h = TermHandle::new(&cells, 8);
                     for _ in 0..20_000 {
                         h.add(2); // split: children counted before publishing
                         h.finish_one();

@@ -2,125 +2,23 @@
 //! (paper §IV). There is no controller — each worker solves, balances load,
 //! serves remote steal requests, and detects termination.
 
-use std::cell::Cell;
 use std::time::Instant;
 
-use macs_gpi::{CellBlock, GlobalCells, Interconnect, VictimOrder, World};
+use macs_gpi::{VictimOrder, World};
 use macs_pool::{SplitPool, RESP_FAIL, RESP_PENDING};
-use macs_search::steal::{backoff_factor, PoolView, LEADER_REFRESH, UNLEASED};
-use macs_search::{AdaptiveBatch, BoundPolicy, RefreshGate};
+use macs_search::steal::{backoff_factor, PoolView, UNLEASED};
+use macs_search::AdaptiveBatch;
 
 use crate::config::RuntimeConfig;
-use crate::processor::{Incumbent, ProcCtx, Processor, Step, WorkSink};
+use crate::processor::{ProcCtx, Processor, Step, WorkSink};
+pub use crate::registers::GlobalIncumbent;
+use crate::registers::WinnerGate;
 use crate::rng::SplitMix64;
 use crate::stats::{RaceRing, WorkerState, WorkerStats};
 use crate::term::TermHandle;
 
-/// Worker-local view of the global branch-and-bound incumbent, with a
-/// cache refreshed according to the dissemination policy. The root
-/// register lives on node 0: workers there read it locally, everyone else
-/// pays the interconnect, which is what makes bound dissemination a
-/// scalability concern (paper §VI).
-///
-/// Under [`BoundPolicy::Hierarchical`] the fabric read is hoisted to the
-/// node-leader level of the broadcast tree
-/// ([`macs_search::BroadcastTree`]): every node has a mirror register in
-/// its own partition (`node_bound_cell`); submitters `fetch_min` both
-/// their mirror (local) and the root (fabric), members read only the
-/// mirror (local), and the node's leader — alone — refreshes the mirror
-/// from the root every [`LEADER_REFRESH`] items. The pull cadence is the
-/// threaded realisation of the leader exchange: identical staleness
-/// semantics to a push relay, with no extra broadcaster thread.
-pub struct GlobalIncumbent<'a> {
-    cells: &'a GlobalCells,
-    ic: &'a Interconnect,
-    /// Does reaching the root register cross the fabric?
-    remote: bool,
-    policy: BoundPolicy,
-    /// This run's root-incumbent register (job-block relative).
-    root_cell: usize,
-    /// This worker's node-mirror register (job-block relative, so
-    /// co-scheduled jobs on one machine node never share a mirror).
-    node_cell: usize,
-    /// Node leaders own the mirror-refresh duty.
-    leader: bool,
-    cache: Cell<i64>,
-    gate: RefreshGate,
-}
-
-impl<'a> GlobalIncumbent<'a> {
-    pub fn new(
-        cells: &'a GlobalCells,
-        ic: &'a Interconnect,
-        remote: bool,
-        policy: BoundPolicy,
-        block: CellBlock,
-        node: usize,
-        leader: bool,
-    ) -> Self {
-        GlobalIncumbent {
-            cells,
-            ic,
-            remote,
-            policy,
-            root_cell: block.incumbent(),
-            node_cell: block.node_bound(node),
-            leader,
-            cache: Cell::new(i64::MAX),
-            gate: RefreshGate::new(),
-        }
-    }
-
-    fn reload(&self) -> i64 {
-        let v = if self.remote {
-            self.cells.load_i64_remote(self.ic, self.root_cell)
-        } else {
-            self.cells.load_i64(self.root_cell)
-        };
-        self.cache.set(v);
-        v
-    }
-}
-
-impl Incumbent for GlobalIncumbent<'_> {
-    fn get(&self) -> i64 {
-        match self.policy {
-            BoundPolicy::Immediate => self.reload(),
-            BoundPolicy::Periodic { every } => {
-                if self.gate.due(every) {
-                    self.reload()
-                } else {
-                    self.cache.get()
-                }
-            }
-            BoundPolicy::Hierarchical => {
-                if self.leader && self.gate.due(LEADER_REFRESH) {
-                    let root = self.reload();
-                    self.cells.fetch_min_i64(self.node_cell, root);
-                }
-                // The mirror sits in this node's partition: a local read.
-                let v = self.cells.load_i64(self.node_cell);
-                v.min(self.cache.get())
-            }
-        }
-    }
-
-    fn submit(&self, value: i64) -> bool {
-        if self.policy == BoundPolicy::Hierarchical {
-            // Publish into the node mirror first (shared memory), so
-            // co-located workers see it before the fabric round trip.
-            self.cells.fetch_min_i64(self.node_cell, value);
-        }
-        let prev = if self.remote {
-            self.cells
-                .fetch_min_i64_remote(self.ic, self.root_cell, value)
-        } else {
-            self.cells.fetch_min_i64(self.root_cell, value)
-        };
-        self.cache.set(value.min(self.cache.get()));
-        value < prev
-    }
-}
+/// Negative termination-counter deltas are flushed at this batch size.
+const TERM_FLUSH_BATCH: u32 = 64;
 
 /// Sink plugged under [`ProcCtx`]: pushes children into the worker's own
 /// pool (spilling to a local overflow stack when the ring is full) and
@@ -129,9 +27,7 @@ struct PoolSink<'b, 'a> {
     pool: &'b SplitPool,
     overflow: &'b mut Vec<Box<[u64]>>,
     term: &'b mut TermHandle<'a>,
-    world: &'b World,
-    node: usize,
-    remote: bool,
+    gate: &'b WinnerGate<'a>,
     pushes: &'b mut u64,
     spills: &'b mut u64,
     solutions: &'b mut u64,
@@ -151,31 +47,8 @@ impl WorkSink for PoolSink<'_, '_> {
         *self.solutions += 1;
     }
 
-    /// Raise the winner flag (first-solution race). The win instant lands
-    /// in [`CELL_WIN_NS`] *before* any flag becomes visible, so every
-    /// observer of a raised flag also sees a win time; the earliest of
-    /// concurrent winners survives the `fetch_min`. The flag then spreads
-    /// like a hierarchical bound update: the winner's own node mirror is
-    /// stamped directly (shared memory), the root flag pays one fabric
-    /// write, and remote nodes learn of it when their leader next
-    /// refreshes (see [`Worker::winner_raised`]).
     fn cancel(&mut self) {
-        let cells = &self.world.cells;
-        let block = self.world.block;
-        if self.remote {
-            cells.fetch_min_i64_remote(
-                &self.world.interconnect,
-                block.win_ns(),
-                self.world.elapsed_ns(),
-            );
-        } else {
-            cells.fetch_min_i64(block.win_ns(), self.world.elapsed_ns());
-        }
-        cells.store(block.node_cancel(self.node), 1);
-        if self.remote {
-            self.world.interconnect.charge_write(8);
-        }
-        cells.store(block.cancel(), 1);
+        self.gate.raise();
     }
 }
 
@@ -224,18 +97,8 @@ pub(crate) struct Worker<'a, P: Processor> {
     poll_interval: u32,
     /// Last-successful-steal affinity per distance ring.
     victim_order: VictimOrder,
-    /// This node's cancel/winner mirror register.
-    cancel_mirror: usize,
-    /// Node leaders own the winner-mirror refresh duty (same leader as
-    /// the bound mirror's).
-    leader: bool,
-    /// Reaching the root registers crosses the fabric.
-    remote: bool,
-    /// Items processed since the leader last refreshed the winner mirror
-    /// from the root flag.
-    since_winner_refresh: u32,
-    /// Set once this worker has observed a raised winner flag.
-    observed_win: bool,
+    /// This worker's end of the winner route (first-solution races).
+    gate: WinnerGate<'a>,
     /// Recent item-start instants for `nodes_after_win` accounting.
     race_ring: RaceRing,
     /// Response-batch tuner for [`macs_search::ChunkPolicy::Adaptive`]:
@@ -253,7 +116,6 @@ impl<'a, P: Processor> Worker<'a, P> {
     ) -> Self {
         let topo = &world.topology;
         let node = topo.node_of(id);
-        let remote_from_zero = node != 0;
         let slot_words = pools[id].slot_words();
         let victim_order = VictimOrder::new(topo, id);
         let leader = id == topo.peers_of(id).start;
@@ -267,17 +129,11 @@ impl<'a, P: Processor> Worker<'a, P> {
             processor,
             stats: WorkerStats::new(id, node),
             rng: SplitMix64::for_worker(cfg.seed, id),
-            term: TermHandle::new_at(
-                &world.cells,
-                &world.interconnect,
-                cfg.charge_termination && remote_from_zero,
-                cfg.term_flush_batch,
-                world.block.outstanding(),
-            ),
+            term: TermHandle::new_at(&world.cells, TERM_FLUSH_BATCH, world.block.outstanding()),
             incumbent: GlobalIncumbent::new(
                 &world.cells,
                 &world.interconnect,
-                remote_from_zero,
+                node != 0,
                 cfg.bound_policy,
                 world.block,
                 node,
@@ -291,11 +147,7 @@ impl<'a, P: Processor> Worker<'a, P> {
             since_poll: 0,
             poll_interval: cfg.steal.poll.initial(),
             victim_order,
-            cancel_mirror: world.block.node_cancel(node),
-            leader,
-            remote: remote_from_zero,
-            since_winner_refresh: 0,
-            observed_win: false,
+            gate: WinnerGate::new(world, id, cfg.mode.is_race()),
             race_ring: RaceRing::new(),
             adaptive: AdaptiveBatch::starting_at(cfg.steal.response_batch),
         }
@@ -402,7 +254,7 @@ impl<'a, P: Processor> Worker<'a, P> {
                 }
                 break; // the job terminated while we were parked
             }
-            if self.winner_raised() {
+            if self.gate.raised() {
                 // Cooperative cancellation: discard the item in hand and
                 // everything in the local pool; termination follows once
                 // every worker has drained.
@@ -439,58 +291,12 @@ impl<'a, P: Processor> Worker<'a, P> {
         (self.stats, self.processor.finish())
     }
 
-    // ----- winner flag (first-solution races) -------------------------------
-
-    /// Has somebody won? In a race, workers poll their *node's* mirror
-    /// (a local load); only the node leader — every [`LEADER_REFRESH`]
-    /// checks — pays a fabric read of the root flag and refreshes the
-    /// mirror, the same leveled route a hierarchical bound update takes.
-    /// Exhaustive runs keep the original flat, uncharged poll of the
-    /// root flag (generic processors may still cancel), so they pay
-    /// nothing for machinery they never use.
-    fn winner_raised(&mut self) -> bool {
-        if self.observed_win {
-            return true;
-        }
-        if !self.cfg.mode.is_race() {
-            return self.world.cells.load(self.world.block.cancel()) != 0;
-        }
-        if self.world.cells.load(self.cancel_mirror) != 0 {
-            return true;
-        }
-        if self.leader {
-            self.since_winner_refresh += 1;
-            if self.since_winner_refresh >= LEADER_REFRESH {
-                self.since_winner_refresh = 0;
-                if self.remote {
-                    self.world.interconnect.charge_read(8);
-                }
-                if self.world.cells.load(self.world.block.cancel()) != 0 {
-                    self.world.cells.store(self.cancel_mirror, 1);
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
     /// First observation of a raised winner flag: settle the
-    /// `nodes_after_win` account — every recent item *started* after the
-    /// recorded win instant ran only because the flag had not reached this
-    /// worker yet.
+    /// `nodes_after_win` account.
     fn on_win_observed(&mut self) {
-        if self.observed_win {
-            return;
+        if let Some(n) = self.gate.settle(&self.race_ring) {
+            self.stats.nodes_after_win = n;
         }
-        self.observed_win = true;
-        let win_ns = if self.remote {
-            self.world
-                .cells
-                .load_i64_remote(&self.world.interconnect, self.world.block.win_ns())
-        } else {
-            self.world.cells.load_i64(self.world.block.win_ns())
-        };
-        self.stats.nodes_after_win = self.race_ring.count_after(win_ns);
     }
 
     // ----- inner cycle ------------------------------------------------------
@@ -506,9 +312,7 @@ impl<'a, P: Processor> Worker<'a, P> {
                 pool: self.my_pool,
                 overflow: &mut self.overflow,
                 term: &mut self.term,
-                world: self.world,
-                node: self.node,
-                remote: self.remote,
+                gate: &self.gate,
                 pushes: &mut self.stats.pushes,
                 spills: &mut self.stats.overflow_spills,
                 solutions: &mut self.stats.solutions,
@@ -584,7 +388,7 @@ impl<'a, P: Processor> Worker<'a, P> {
                 if !self.park_until_leased() {
                     return false;
                 }
-            } else if self.winner_raised() {
+            } else if self.gate.raised() {
                 self.on_win_observed();
             } else {
                 // Local steal from a co-located worker.
@@ -672,7 +476,7 @@ impl<'a, P: Processor> Worker<'a, P> {
             }
         });
         if n > 0 {
-            if self.winner_raised() {
+            if self.gate.raised() {
                 // The winner flag was raised while we picked and locked
                 // the victim: the run loop discards these items as
                 // abandoned, so the steal lands in the drain bucket —
@@ -767,7 +571,7 @@ impl<'a, P: Processor> Worker<'a, P> {
                     ic.enforce_rtt_floor(t0, n as usize * self.slot_words * 8);
                     self.my_pool.reset_response();
                     self.my_pool.adopt_written(n);
-                    if self.winner_raised() {
+                    if self.gate.raised() {
                         // The reply raced the winner flag and lost: the
                         // run loop discards these items as abandoned, so
                         // counting the steal as *successful* would inflate

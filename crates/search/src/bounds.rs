@@ -44,7 +44,7 @@ use macs_topo::MachineTopology;
 
 /// How branch-and-bound incumbent improvements reach other workers.
 ///
-/// Every backend (threaded GPI cells, PaCCS controller relay, simulator
+/// Every backend (threaded GPI cells under MaCS and PaCCS, simulator
 /// timeline) interprets the same three variants; only the final optimum is
 /// policy-invariant — the tree size and the message volume are not, which
 /// is the trade the paper's §VI discussion asks about.
@@ -273,6 +273,19 @@ impl BroadcastTree {
             intra_msgs: node - 1,
         }
     }
+
+    /// The bill: fabric messages one accepted improvement from `origin`
+    /// costs under `policy` — the eager fan-out, one write-through to the
+    /// root register on node 0 (readers pay at their own refresh), or one
+    /// per remote leader. Threaded PaCCS and the simulator's bound fabric
+    /// both charge by this function.
+    pub fn improvement_msgs(&self, policy: BoundPolicy, origin: usize) -> u64 {
+        match policy {
+            BoundPolicy::Immediate => self.eager_fanout(origin).fabric_msgs,
+            BoundPolicy::Periodic { .. } => (self.topo.node_of(origin) != 0) as u64,
+            BoundPolicy::Hierarchical => self.hierarchical_fanout(origin).fabric_msgs,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -381,6 +394,34 @@ mod tests {
         assert_eq!(e.fabric_msgs, 508, "one message per remote worker");
         assert_eq!(h.intra_msgs, 128 * 3);
         assert_eq!(e.intra_msgs, 3);
+    }
+
+    #[test]
+    fn improvement_msgs_is_the_three_arm_bill() {
+        let shapes = [
+            MachineTopology::try_new(&[4, 4], 1).unwrap(),
+            MachineTopology::try_new(&[2, 2, 2], 1).unwrap(),
+            MachineTopology::try_new(&[8, 2, 4], 1).unwrap(),
+            MachineTopology::flat(8),
+        ];
+        for topo in shapes {
+            let tree = BroadcastTree::new(&topo);
+            for origin in 0..topo.total_workers() {
+                // The two matches this function replaced, kept as the oracle.
+                assert_eq!(
+                    tree.improvement_msgs(BoundPolicy::Immediate, origin),
+                    tree.eager_fanout(origin).fabric_msgs
+                );
+                assert_eq!(
+                    tree.improvement_msgs(BoundPolicy::Periodic { every: 32 }, origin),
+                    (topo.node_of(origin) != 0) as u64
+                );
+                assert_eq!(
+                    tree.improvement_msgs(BoundPolicy::Hierarchical, origin),
+                    tree.hierarchical_fanout(origin).fabric_msgs
+                );
+            }
+        }
     }
 
     #[test]

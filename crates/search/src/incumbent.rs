@@ -2,9 +2,8 @@
 //!
 //! The kernel only ever asks two questions — "what is the bound in force?"
 //! and "does this cost improve it?" — but every execution path answers
-//! them differently: threaded MaCS reads a GPI global cell (possibly over
-//! the interconnect), PaCCS routes the value through its controller and
-//! caches it in a process-local atomic, the simulator replays a
+//! them differently: threaded MaCS and threaded PaCCS read a GPI global
+//! cell (possibly over the interconnect), the simulator replays a
 //! virtual-time dissemination delay, and the sequential oracle keeps a
 //! plain local variable. [`IncumbentSource`] abstracts exactly that seam.
 
@@ -71,9 +70,9 @@ impl IncumbentSource for LocalIncumbent {
     }
 }
 
-/// Shared-memory atomic incumbent — the PaCCS model, where the value lives
-/// centrally (conceptually at the controller) and agents read a possibly
-/// stale copy; `fetch_min` keeps concurrent improvements sound.
+/// Shared-memory atomic incumbent for callers that drive the kernel from
+/// their own threads: the value lives in one place and readers see a
+/// possibly stale copy; `fetch_min` keeps concurrent improvements sound.
 #[derive(Debug)]
 pub struct AtomicIncumbent(AtomicI64);
 

@@ -10,9 +10,9 @@
 //!   buffer ([`StoreSlab`]) that recycles store allocations on the hot
 //!   path;
 //! * [`IncumbentSource`] — where the branch-and-bound bound comes from:
-//!   the GPI global cell for threaded MaCS, a controller-routed
-//!   [`AtomicIncumbent`] for PaCCS, the virtual-time incumbent for the
-//!   simulator, a [`LocalIncumbent`] for sequential oracles;
+//!   the GPI global cell for threaded MaCS and PaCCS, the virtual-time
+//!   incumbent for the simulator, a [`LocalIncumbent`] for sequential
+//!   oracles, a plain [`AtomicIncumbent`] for ad-hoc threads;
 //! * [`bounds`] — *when* the bound reaches other workers: the
 //!   [`BoundPolicy`] dissemination vocabulary (immediate / periodic /
 //!   hierarchical) and the node-leader [`BroadcastTree`] the hierarchical

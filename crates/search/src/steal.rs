@@ -15,7 +15,7 @@
 //! ARCHITECTURE.md ("Steal protocol: rules and executions") tabulates their
 //! inputs and callers, and what each execution alone adds.
 //!
-//! [`StealPolicy`] holds the eight knobs the rules read; both
+//! [`StealPolicy`] holds the seven knobs the rules read; both
 //! `RuntimeConfig` and `SimConfig` embed it as their `steal` field, so a
 //! threaded and a simulated run of one experiment are configured by the
 //! same value.
@@ -93,8 +93,6 @@ pub struct ReleasePolicy {
     /// Attempt a release every `interval` processed items (1 = the paper's
     /// eager default).
     pub interval: u32,
-    /// Never share below this many private items (keeps the owner fed).
-    pub min_private: u64,
     /// Only lock and move the split pointer when the shared region has
     /// fewer items than this (avoids extraneous releases).
     pub share_target: u64,
@@ -107,7 +105,6 @@ impl Default for ReleasePolicy {
         // §VI identifies as the limiter on N-Queens scalability.
         ReleasePolicy {
             interval: 1,
-            min_private: 2,
             share_target: u64::MAX,
         }
     }
@@ -120,7 +117,6 @@ impl ReleasePolicy {
     pub fn tuned() -> Self {
         ReleasePolicy {
             interval: 32,
-            min_private: 2,
             share_target: u64::MAX,
         }
     }
@@ -130,7 +126,6 @@ impl ReleasePolicy {
     pub fn demand_driven(interval: u32) -> Self {
         ReleasePolicy {
             interval,
-            min_private: 2,
             share_target: 4,
         }
     }
@@ -165,8 +160,6 @@ pub struct StealPolicy {
     /// chunk. Under [`ChunkPolicy::Adaptive`] this is only the starting
     /// point — each victim's reply-thinness EWMA takes over.
     pub response_batch: u32,
-    /// Remote victim *nodes* examined per ring of a remote-steal round.
-    pub remote_node_attempts: u32,
 }
 
 impl Default for StealPolicy {
@@ -179,10 +172,16 @@ impl Default for StealPolicy {
             max_steal_chunk: 16,
             chunk_policy: ChunkPolicy::default(),
             response_batch: 2,
-            remote_node_attempts: 2,
         }
     }
 }
+
+/// R8 — a release never shares below this many private items (keeps the
+/// owner fed).
+pub const MIN_PRIVATE: u64 = 2;
+
+/// R8 — remote victim *nodes* examined per ring of a remote-steal round.
+pub const REMOTE_NODE_ATTEMPTS: usize = 2;
 
 /// R8 — how often (in processed items) a node leader refreshes its node's
 /// incumbent and winner mirrors from the root register. One fabric read
@@ -291,8 +290,8 @@ impl StealPolicy {
     #[inline]
     pub fn release_amount(&self, private: u64, shared: u64) -> Option<u64> {
         let pol = &self.release;
-        (private > pol.min_private && shared < pol.share_target)
-            .then(|| ((private - pol.min_private) / 2).max(1))
+        (private > MIN_PRIVATE && shared < pol.share_target)
+            .then(|| ((private - MIN_PRIVATE) / 2).max(1))
     }
 
     /// R3 — the per-steal reservation cap for a victim/thief pair
@@ -349,7 +348,7 @@ impl StealPolicy {
     /// Node rings are walked nearest level first, so a same-cluster node
     /// is probed before a cross-cluster one; within a ring the node that
     /// last yielded work (affinity) is probed first, then
-    /// `remote_node_attempts` distinct candidates from a random start
+    /// [`REMOTE_NODE_ATTEMPTS`] distinct candidates from a random start
     /// (`rot_for`, drawn once per non-empty ring). `probe(w)` reads one
     /// pool: its shared length, or `None` when its mailbox is busy.
     /// Returns `(victim, probes)` — `probes` counts nodes scanned.
@@ -364,8 +363,7 @@ impl StealPolicy {
     ) -> (Option<usize>, u64) {
         let (scan, me) = (self.scan_order, order.me());
         let rings = (0..).map_while(|ri| scan.node_ring(topo, me, ri));
-        let attempts = self.remote_node_attempts.max(1) as usize;
-        order.pick_node(topo, rings, attempts, rot_for, |node| {
+        order.pick_node(topo, rings, REMOTE_NODE_ATTEMPTS, rot_for, |node| {
             let mut best: Option<(u64, usize)> = None;
             for w in topo.workers_on(node) {
                 let s = probe(w).map_or(0, |shared| surplus(shared, w, lease));

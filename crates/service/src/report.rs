@@ -1,6 +1,8 @@
 //! Service-level metrics: what a multi-tenant solve service is judged
 //! by, computed identically for both backends.
 
+use macs_sim::{fnv1a, FNV_OFFSET};
+
 use crate::job::JobAnswer;
 
 /// The full life of one job as the service saw it.
@@ -146,12 +148,8 @@ impl ServiceReport {
     /// service runs must agree bit for bit (the threaded backend's wall
     /// times make its digest a label, not a pin).
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut mix = |v: u64| h = fnv1a(h, v);
         mix(self.records.len() as u64);
         mix(self.tenants as u64);
         mix(self.max_queue_depth as u64);

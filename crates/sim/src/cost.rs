@@ -11,7 +11,7 @@
 //! ```text
 //! macs-cost-model v1
 //! # comments and blank lines are ignored
-//! node = fixed:2000,20        # or measured:NUM,DEN
+//! node = fixed:2000,20        # mean ns, ± jitter %
 //! pool_op_ns = 60
 //! ...
 //! ```
@@ -25,21 +25,19 @@ use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
 
-/// How the processing time of one node (propagate + split) is charged.
+/// How the processing time of one node (propagate + split) is charged:
+/// a fixed mean of `ns` with ±`jitter_pct`% deterministic jitter, so the
+/// simulator reads no host clock and same-seed runs are bit-identical.
+/// `fixed:NS,JITTER` in a model file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeCost {
-    /// Fixed mean with ±`jitter_pct`% deterministic jitter (reproducible
-    /// runs; the default).
-    Fixed { ns: u64, jitter_pct: u8 },
-    /// Charge the *measured* wall time of the real `process()` call scaled
-    /// by `num/den` (heterogeneous per-node costs; non-deterministic
-    /// across hosts).
-    Measured { num: u64, den: u64 },
+pub struct NodeCost {
+    pub ns: u64,
+    pub jitter_pct: u8,
 }
 
 impl NodeCost {
     pub fn fixed(ns: u64) -> Self {
-        NodeCost::Fixed { ns, jitter_pct: 20 }
+        NodeCost { ns, jitter_pct: 20 }
     }
 }
 
@@ -234,7 +232,7 @@ impl fmt::Display for CostModelError {
 impl std::error::Error for CostModelError {}
 
 /// The numeric (plain `u64`) fields, in canonical emit order. `node` is
-/// handled separately (it is an enum).
+/// handled separately (it is a pair).
 const NUMERIC_KEYS: [&str; 15] = [
     "pool_op_ns",
     "release_ns",
@@ -320,10 +318,8 @@ impl fmt::Display for CostModel {
     /// `NUMERIC_KEYS` order. `parse(emit(m)) == m` for every model.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{HEADER}")?;
-        match self.node {
-            NodeCost::Fixed { ns, jitter_pct } => writeln!(f, "node = fixed:{ns},{jitter_pct}")?,
-            NodeCost::Measured { num, den } => writeln!(f, "node = measured:{num},{den}")?,
-        }
+        let NodeCost { ns, jitter_pct } = self.node;
+        writeln!(f, "node = fixed:{ns},{jitter_pct}")?;
         for key in NUMERIC_KEYS {
             writeln!(f, "{key} = {}", self.numeric(key))?;
         }
@@ -393,16 +389,12 @@ impl FromStr for CostModel {
                 };
                 let (kind, args) = value.split_once(':').ok_or_else(bad)?;
                 let (a, b) = args.split_once(',').ok_or_else(bad)?;
-                model.node = match kind.trim() {
-                    "fixed" => NodeCost::Fixed {
-                        ns: parse_value(line, "node.ns", a, u64::MAX)?,
-                        jitter_pct: parse_value(line, "node.jitter_pct", b, 100)? as u8,
-                    },
-                    "measured" => NodeCost::Measured {
-                        num: parse_value(line, "node.num", a, u64::MAX)?,
-                        den: parse_value(line, "node.den", b, u64::MAX)?.max(1),
-                    },
-                    _ => return Err(bad()),
+                if kind.trim() != "fixed" {
+                    return Err(bad());
+                }
+                model.node = NodeCost {
+                    ns: parse_value(line, "node.ns", a, u64::MAX)?,
+                    jitter_pct: parse_value(line, "node.jitter_pct", b, 100)? as u8,
                 };
                 continue;
             }
@@ -443,10 +435,7 @@ mod tests {
     fn presets_are_ordered_sensibly() {
         let q = CostModel::paper_queens();
         let c = CostModel::paper_qap();
-        match (q.node, c.node) {
-            (NodeCost::Fixed { ns: a, .. }, NodeCost::Fixed { ns: b, .. }) => assert!(a < b),
-            _ => panic!("presets use fixed node costs"),
-        }
+        assert!(q.node.ns < c.node.ns);
         assert!(
             q.find_remote_ns > q.steal_local_ns,
             "remote dearer than local"

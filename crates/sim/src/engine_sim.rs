@@ -37,12 +37,12 @@ use std::rc::Rc;
 
 use macs_runtime::{
     BoundPolicy, MachineTopology, PhaseTimers, ProcCtx, Processor, ScanOrder, SplitMix64, Step,
-    Topology, VictimOrder, WorkSink, WorkerState,
+    VictimOrder, WorkSink, WorkerState,
 };
 use macs_search::steal::{backoff_factor, PoolView, UNLEASED};
 use macs_search::{AdaptiveBatch, StealPolicy, WorkBatch};
 
-use crate::cost::{CostModel, CostModelError, NodeCost};
+use crate::cost::{CostModel, NodeCost};
 use crate::fabric::{FabricModel, NetFabric};
 use crate::incumbent::{BoundFabric, SimIncumbent};
 use crate::report::{SimReport, SimWorkerStats};
@@ -84,9 +84,9 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    pub fn new(topology: impl Into<MachineTopology>) -> Self {
+    pub fn new(topology: MachineTopology) -> Self {
         SimConfig {
-            topology: topology.into(),
+            topology,
             costs: CostModel::default(),
             steal: StealPolicy::default(),
             bound_policy: BoundPolicy::Immediate,
@@ -98,20 +98,14 @@ impl SimConfig {
 
     /// The paper's cluster shape at `total` virtual cores (4 per node).
     pub fn paper_cluster(total: usize) -> Self {
-        SimConfig::new(Topology::clustered(total, 4))
+        SimConfig::new(MachineTopology::clustered(total, 4))
     }
 
-    /// Replace the cost model with one loaded from a `calibrate`-emitted
-    /// (or hand-written) model file. Every consumer — node charging,
-    /// steal pricing, the contention fabric's wire constants, bound
-    /// propagation — reads from the loaded model; nothing falls back to
-    /// the built-in constants.
-    pub fn load_cost_model(&mut self, path: &std::path::Path) -> Result<(), CostModelError> {
-        self.costs = CostModel::load(path)?;
-        Ok(())
-    }
-
-    /// Builder form of [`SimConfig::load_cost_model`].
+    /// Replace the cost model — typically one loaded from a
+    /// `calibrate`-emitted (or hand-written) model file. Every consumer —
+    /// node charging, steal pricing, the contention fabric's wire
+    /// constants, bound propagation — reads from it; nothing falls back
+    /// to the built-in constants.
     pub fn with_cost_model(mut self, costs: CostModel) -> Self {
         self.costs = costs;
         self
@@ -444,6 +438,9 @@ fn phase_tag(p: Phase) -> u64 {
     }
 }
 
+/// FNV-1a's 64-bit offset basis: where every fold of this workspace
+/// (event trace, report digests) starts.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// `FNV_PRIME^k` (wrapping) for `k` in `0..=8`.
@@ -463,7 +460,7 @@ const FNV_PRIME_POW: [u64; 9] = {
 /// one multiply by a power of `P`: the textbook value, without the dead
 /// dependent multiplies (three folds an event: 24 of them become ~10).
 #[inline]
-fn fnv1a(mut h: u64, mut v: u64) -> u64 {
+pub fn fnv1a(mut h: u64, mut v: u64) -> u64 {
     let live = (71 - v.leading_zeros() as usize) / 8;
     for _ in 0..live {
         h = (h ^ (v & 0xff)).wrapping_mul(FNV_PRIME);
@@ -595,33 +592,29 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         self.workers[wi].cursor = *now;
     }
 
+    /// The virtual cost of one node: the model's mean, ± its
+    /// deterministic jitter drawn from the worker's own stream.
     fn node_cost(&mut self, wi: usize) -> u64 {
-        match self.cfg.costs.node {
-            NodeCost::Fixed { ns, jitter_pct } => {
-                if jitter_pct == 0 {
-                    ns
-                } else {
-                    let j = jitter_pct as u64;
-                    let f = 100 - j + self.workers[wi].rng.below(2 * j + 1);
-                    ns * f / 100
-                }
-            }
-            NodeCost::Measured { .. } => 0, // measured around process()
+        let NodeCost { ns, jitter_pct } = self.cfg.costs.node;
+        if jitter_pct == 0 {
+            ns
+        } else {
+            let j = jitter_pct as u64;
+            let f = 100 - j + self.workers[wi].rng.below(2 * j + 1);
+            ns * f / 100
         }
     }
 
     /// Run the real processor on the current item, staging its effects;
     /// schedule the Finish event.
     fn start_node(&mut self, wi: usize, now: u64) {
-        let mut cost = self.node_cost(wi);
+        let cost = self.node_cost(wi);
         let node_id = self.cfg.topology.node_of(wi);
         let t_bound = now + cost;
         // Stale-expansion reference, snapshotted *before* the node runs so
         // a solution this very step submits does not count its own
         // discovering expansion as stale.
         let ref_min = self.fabric.submitted_min(t_bound);
-        let t_real =
-            matches!(self.cfg.costs.node, NodeCost::Measured { .. }).then(std::time::Instant::now);
         let (step, seen) = {
             let Sim {
                 workers,
@@ -647,9 +640,6 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             };
             (step, inc.take_last_seen())
         };
-        if let (NodeCost::Measured { num, den }, Some(t_real)) = (self.cfg.costs.node, t_real) {
-            cost = (t_real.elapsed().as_nanos() as u64).max(50) * num / den.max(1);
-        }
         self.workers[wi].staged_step = step;
         // Wasted-work accounting: the node ran under a bound worse than
         // the best value already *submitted* somewhere — an expansion an
@@ -677,7 +667,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     /// Raise the winner flag at instant `t` from `origin` (first cancel
     /// wins) and price its delivery to every worker over the hierarchical
     /// node-leader route.
-    fn raise_win(&mut self, origin: usize, t: u64) {
+    fn publish_win(&mut self, origin: usize, t: u64) {
         if self.win.is_some() {
             return;
         }
@@ -723,7 +713,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         // A staged cancellation raises the winner flag at this node's
         // completion instant; the winner itself observes immediately.
         if std::mem::take(&mut self.workers[wi].staged_cancel) {
-            self.raise_win(wi, now);
+            self.publish_win(wi, now);
         }
         if let Some(win) = self.win {
             if now > win.t {
@@ -1455,7 +1445,7 @@ where
         completed: 0,
         end_time: None,
         n_events: 0,
-        trace: 0xcbf2_9ce4_8422_2325,
+        trace: FNV_OFFSET,
     };
     sim.run(roots);
 
@@ -1624,7 +1614,6 @@ mod tests {
             }
             h
         }
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         let mut values = vec![0, 1, 0xff, 0x100, 1 << 56, u64::MAX];
         for k in 1..8 {
             // Either side of every k-byte boundary, and a zero byte
@@ -1632,7 +1621,7 @@ mod tests {
             values.extend([(1u64 << (8 * k)) - 1, 1 << (8 * k), 1 << (8 * k + 7)]);
         }
         for &v in &values {
-            for h in [0, OFFSET, u64::MAX] {
+            for h in [0, FNV_OFFSET, u64::MAX] {
                 assert_eq!(fnv1a(h, v), textbook(h, v), "h={h:#x} v={v:#x}");
             }
         }

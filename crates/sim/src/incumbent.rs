@@ -154,13 +154,8 @@ impl BoundFabric {
             let at = ev.last().map(|&(a, _, _)| a.max(t)).unwrap_or(t);
             ev.push((at, origin, value));
             self.updates.set(self.updates.get() + 1);
-            let fabric_msgs = match self.policy {
-                BoundPolicy::Immediate => self.tree.eager_fanout(origin).fabric_msgs,
-                // Write-through to the root cell; readers pay at refresh.
-                BoundPolicy::Periodic { .. } => (self.tree.topology().node_of(origin) != 0) as u64,
-                BoundPolicy::Hierarchical => self.tree.hierarchical_fanout(origin).fabric_msgs,
-            };
-            self.msgs.set(self.msgs.get() + fabric_msgs);
+            let bill = self.tree.improvement_msgs(self.policy, origin);
+            self.msgs.set(self.msgs.get() + bill);
             true
         } else {
             false

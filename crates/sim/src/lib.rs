@@ -78,7 +78,7 @@ pub mod incumbent;
 pub mod report;
 
 pub use cost::{CostModel, CostModelError, NodeCost};
-pub use engine_sim::{simulate_macs, simulate_paccs, SimConfig, SimMode};
+pub use engine_sim::{fnv1a, simulate_macs, simulate_paccs, SimConfig, SimMode, FNV_OFFSET};
 pub use fabric::{ContentionParams, FabricModel, FabricReport, WireParams};
 pub use incumbent::{BoundFabric, SimIncumbent};
 pub use macs_search::{BoundPolicy, ChunkPolicy, SearchMode, StealPolicy};

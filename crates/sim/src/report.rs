@@ -3,6 +3,7 @@
 
 use macs_runtime::{StealHistogram, WorkerState, NUM_STATES};
 
+use crate::engine_sim::{fnv1a, FNV_OFFSET};
 use crate::fabric::FabricReport;
 
 /// Per-virtual-worker counters and state times (virtual nanoseconds).
@@ -197,12 +198,8 @@ impl<O> SimReport<O> {
     /// outputs and wall-clock time are excluded — outputs are pinned
     /// separately where comparable).
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut mix = |v: u64| h = fnv1a(h, v);
         mix(self.makespan_ns);
         mix(self.incumbent as u64);
         mix(self.bound_msgs);

@@ -27,16 +27,9 @@ impl Rng {
 
 fn random_model(rng: &mut Rng) -> CostModel {
     CostModel {
-        node: if rng.next().is_multiple_of(2) {
-            NodeCost::Fixed {
-                ns: rng.next() % 100_000,
-                jitter_pct: (rng.next() % 101) as u8,
-            }
-        } else {
-            NodeCost::Measured {
-                num: rng.next() % 1000,
-                den: 1 + rng.next() % 1000,
-            }
+        node: NodeCost {
+            ns: rng.next() % 100_000,
+            jitter_pct: (rng.next() % 101) as u8,
         },
         pool_op_ns: rng.next() % 10_000,
         release_ns: rng.next() % 10_000,
@@ -121,6 +114,14 @@ fn rejections_are_typed() {
     assert!(matches!(
         text.parse::<CostModel>(),
         Err(CostModelError::BadValue { line: 2, .. })
+    ));
+    // A node-cost kind that is not `fixed` (the wall-clock `measured`
+    // kind is gone: the simulator reads no host clock).
+    let text = "macs-cost-model v1\nnode = measured:1,2\n";
+    assert!(matches!(
+        text.parse::<CostModel>(),
+        Err(CostModelError::BadValue { line: 2, ref key, ref value })
+            if key == "node" && value == "measured:1,2"
     ));
     // Not key = value at all.
     let text = "macs-cost-model v1\njust some words\n";

@@ -13,7 +13,7 @@
 
 use macs_core::{CpProcessor, SearchMode};
 use macs_problems::{queens, QueensModel};
-use macs_runtime::Topology;
+use macs_runtime::MachineTopology;
 use macs_sim::{
     simulate_macs, simulate_paccs, CostModel, FabricModel, SimConfig, SimMode, SimReport,
 };
@@ -27,7 +27,7 @@ fn run(
     seed: u64,
 ) -> SimReport<macs_core::CpOutput> {
     let prob = queens(9, QueensModel::Pairwise);
-    let mut cfg = SimConfig::new(Topology::clustered(cores, 4));
+    let mut cfg = SimConfig::new(MachineTopology::clustered(cores, 4));
     cfg.costs = CostModel::paper_queens();
     cfg.fabric = fabric;
     cfg.seed = seed;

@@ -13,7 +13,7 @@
 
 use macs_core::{CpProcessor, SearchMode};
 use macs_problems::{queens, QueensModel};
-use macs_runtime::Topology;
+use macs_runtime::MachineTopology;
 use macs_sim::{
     simulate_macs, simulate_paccs, ContentionParams, CostModel, FabricModel, SimConfig, SimMode,
     SimReport,
@@ -27,7 +27,7 @@ fn storm(
     seed: u64,
 ) -> SimReport<macs_core::CpOutput> {
     let prob = queens(10, QueensModel::Pairwise);
-    let mut cfg = SimConfig::new(Topology::clustered(cores, 4));
+    let mut cfg = SimConfig::new(MachineTopology::clustered(cores, 4));
     cfg.costs = CostModel::paper_queens();
     cfg.fabric = fabric;
     cfg.seed = seed;
@@ -85,7 +85,7 @@ fn conservation_holds_when_a_race_abandons_in_flight_work() {
     // unread in mailboxes at teardown (that's what `in_flight` counts).
     for seed in [0x51D, 3] {
         let prob = queens(10, QueensModel::Pairwise);
-        let mut cfg = SimConfig::new(Topology::clustered(1_024, 4));
+        let mut cfg = SimConfig::new(MachineTopology::clustered(1_024, 4));
         cfg.costs = CostModel::paper_queens();
         cfg.fabric = "contention".parse().unwrap();
         cfg.seed = seed;

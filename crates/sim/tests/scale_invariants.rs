@@ -11,13 +11,13 @@
 use macs_core::{CpProcessor, SearchMode};
 use macs_engine::seq::{solve_seq, SeqOptions};
 use macs_problems::{queens, QueensModel};
-use macs_runtime::Topology;
+use macs_runtime::MachineTopology;
 use macs_sim::{simulate_macs, simulate_paccs, CostModel, FabricModel, SimConfig, SimReport};
 
 const CORES: usize = 65_536;
 
 fn cfg_64k() -> SimConfig {
-    let mut cfg = SimConfig::new(Topology::clustered(CORES, 4));
+    let mut cfg = SimConfig::new(MachineTopology::clustered(CORES, 4));
     cfg.costs = CostModel::paper_queens();
     cfg
 }

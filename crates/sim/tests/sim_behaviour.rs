@@ -5,14 +5,14 @@
 use macs_core::{CpProcessor, SearchMode};
 use macs_engine::seq::{solve_seq, SeqOptions};
 use macs_problems::{qap::QapInstance, qap_model, queens, QueensModel};
-use macs_runtime::{MachineTopology, Topology};
+use macs_runtime::MachineTopology;
 use macs_sim::{simulate_macs, simulate_paccs, BoundPolicy, CostModel, SimConfig};
 
 fn queens_cfg(workers: usize, cores_per_node: usize) -> SimConfig {
     let mut cfg = SimConfig::new(if workers.is_multiple_of(cores_per_node) {
-        Topology::clustered(workers, cores_per_node)
+        MachineTopology::clustered(workers, cores_per_node)
     } else {
-        Topology::single_node(workers)
+        MachineTopology::flat(workers)
     });
     cfg.costs = CostModel::woodcrest_ib(3_000);
     cfg

@@ -152,6 +152,15 @@ impl MachineTopology {
         MachineTopology::try_two_level(total / cores_per_node, cores_per_node)
     }
 
+    /// Panicking shorthand for [`MachineTopology::try_clustered`] — the
+    /// paper's testbed shape (4 cores a node) at whatever scale.
+    pub fn clustered(total: usize, cores_per_node: usize) -> Self {
+        match MachineTopology::try_clustered(total, cores_per_node) {
+            Ok(t) => t,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
     // ----- shape accessors --------------------------------------------------
 
     #[inline]
@@ -447,6 +456,12 @@ mod tests {
         assert_eq!(t.node_of(3), 0);
         assert_eq!(t.node_of(4), 1);
         assert_eq!(t.node_of(511), 127);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple")]
+    fn clustered_requires_divisibility() {
+        let _ = MachineTopology::clustered(10, 4);
     }
 
     #[test]

@@ -48,9 +48,9 @@ fn main() {
     let mut base = None;
     for cores in [1usize, 4, 8, 16, 32, 64] {
         let topo = if cores >= 4 {
-            Topology::clustered(cores, 4)
+            MachineTopology::clustered(cores, 4)
         } else {
-            Topology::single_node(cores)
+            MachineTopology::flat(cores)
         };
         let mut cfg = SimConfig::new(topo);
         cfg.costs = CostModel::paper_queens();

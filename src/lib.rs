@@ -14,9 +14,9 @@
 //! | [`topo`] | `macs-topo` | the N-level machine model: [`MachineTopology`](topo::MachineTopology) distances/rings, [`VictimOrder`](topo::VictimOrder) |
 //! | [`gpi`] | `macs-gpi` | the simulated GPI/PGAS layer: topology, segments, one-sided ops |
 //! | [`pool`] | `macs-pool` | the split private/shared work pool |
-//! | [`runtime`] | `macs-runtime` | the generic hierarchical work-stealing runtime |
+//! | [`runtime`] | `macs-runtime` | the generic hierarchical work-stealing runtime, and the root-register views ([`GlobalIncumbent`](runtime::GlobalIncumbent), [`WinnerGate`](runtime::WinnerGate)) both threaded backends share |
 //! | [`solver`] | `macs-core` | MaCS itself: the kernel on the work-stealing runtime |
-//! | [`paccs`] | `macs-paccs` | the PaCCS message-passing baseline (same kernel, channels) |
+//! | [`paccs`] | `macs-paccs` | the PaCCS message-passing baseline (same kernel, channels for work, the runtime's registers for bounds and the winner flag) |
 //! | [`uts`] | `macs-uts` | the Unbalanced Tree Search benchmark |
 //! | [`sim`] | `macs-sim` | discrete-event simulation at 8–512 virtual cores |
 //! | [`problems`] | `macs-problems` | N-Queens, QAP/QAPLIB, Golomb, magic squares, Langford, knapsack |
@@ -63,14 +63,14 @@ pub mod prelude {
     pub use macs_engine::{
         BranchKind, Brancher, CompiledProblem, CostEval, Model, Propag, ValSelect, VarSelect,
     };
-    pub use macs_gpi::{LatencyModel, Topology};
+    pub use macs_gpi::LatencyModel;
     pub use macs_paccs::{paccs_solve, PaccsConfig};
     pub use macs_problems::{
         golomb_ruler, knapsack, langford, magic_square, qap_model, queens, KnapsackItem,
         QapInstance, QueensModel,
     };
     pub use macs_runtime::{
-        BoundPolicy, PollPolicy, ReleasePolicy, RuntimeConfig, SeedMode, StealPolicy, VictimSelect,
+        BoundPolicy, PollPolicy, ReleasePolicy, RuntimeConfig, StealPolicy, VictimSelect,
     };
     pub use macs_search::{
         IncumbentSource, LocalIncumbent, SearchKernel, SearchMode, StepOutcome, StoreSlab,

@@ -7,9 +7,9 @@ use macs::solver::CpProcessor;
 
 fn sim_cfg(workers: usize) -> SimConfig {
     let topo = if workers.is_multiple_of(4) {
-        Topology::clustered(workers, 4)
+        MachineTopology::clustered(workers, 4)
     } else {
-        Topology::single_node(workers)
+        MachineTopology::flat(workers)
     };
     SimConfig::new(topo)
 }

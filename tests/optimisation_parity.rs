@@ -23,7 +23,7 @@ fn qap_optimum_is_invariant() {
 
     let root = prob.root.as_words().to_vec();
     let sim = simulate_macs(
-        &SimConfig::new(Topology::clustered(8, 4)),
+        &SimConfig::new(MachineTopology::clustered(8, 4)),
         prob.layout.store_words(),
         &[root],
         |_| CpProcessor::new(&prob, 0, SearchMode::Exhaustive),

@@ -26,7 +26,7 @@ fn random_topology(rng: &mut SplitMix64) -> MachineTopology {
         0 => MachineTopology::try_clustered(8 + 4 * rng.below_usize(7), 4).unwrap(),
         1 => MachineTopology::try_new(&[2 + rng.below_usize(3), 2, 2], 1).unwrap(),
         2 => MachineTopology::try_new(&[2, 2, 2, 2], 2).unwrap(),
-        _ => Topology::single_node(2 + rng.below_usize(7)).into(),
+        _ => MachineTopology::flat(2 + rng.below_usize(7)),
     }
 }
 
