@@ -4,13 +4,20 @@
 //! needs, so propagating a store allocates nothing. This is the
 //! "propagation" step of the paper's three-step solving procedure
 //! (propagation / splitting / restoring) whose cost split §VI reports.
+//!
+//! Two kinds of work reach a fixpoint together: the queued propagators of
+//! [`CompiledProblem::props`], and the problem's [`AssignLists`] — binary
+//! disequalities applied the moment a variable becomes assigned, from a
+//! stack drained before every queue pop.
+//!
+//! [`AssignLists`]: crate::model::AssignLists
 
 use std::collections::VecDeque;
 
-use macs_domain::VarId;
+use macs_domain::{bits, VarId};
 
 use crate::model::CompiledProblem;
-use crate::propag::Scratch;
+use crate::propag::{forbid_shifted, Scratch};
 use crate::state::{ChangeLog, PropState};
 
 /// Result of propagating a store to fixpoint.
@@ -25,22 +32,32 @@ pub enum PropOutcome {
 /// Which propagators to seed into the queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScheduleSeed {
-    /// Schedule every propagator (used at the root, or for a store of
-    /// unknown provenance, e.g. one stolen from another worker).
+    /// Schedule every propagator and fire the assignment list of every
+    /// assigned variable (used at the root, or for a store of unknown
+    /// provenance, e.g. one stolen from another worker).
     All,
-    /// Schedule only the watchers of one just-pruned variable (used after a
-    /// branching decision on that variable).
+    /// Schedule only the watchers of one just-pruned variable, and fire its
+    /// assignment list if it is assigned (used after a branching decision
+    /// on that variable).
     Var(VarId),
 }
+
+/// No queued propagator is running: a list firing exempts no watcher.
+const NO_PROP: u32 = u32::MAX;
 
 /// Per-worker propagation engine: queue + scratch buffers.
 #[derive(Debug)]
 pub struct Engine {
     queue: VecDeque<u32>,
     queued: Vec<bool>,
+    /// Variables that became assigned and whose assignment list has not
+    /// fired yet (LIFO; each variable enters at most once a round, since
+    /// any change after it became a singleton is a wipe-out).
+    fire: Vec<VarId>,
     log: ChangeLog,
     scratch: Scratch,
-    /// Number of individual propagator executions (for statistics).
+    /// Number of individual propagator executions (for statistics): one
+    /// per queued run, one per assignment-list entry applied.
     pub runs: u64,
 }
 
@@ -56,6 +73,7 @@ impl Engine {
         Engine {
             queue: VecDeque::with_capacity(prob.props.len()),
             queued: vec![false; prob.props.len()],
+            fire: Vec::with_capacity(prob.layout.num_vars()),
             log,
             scratch: Scratch::for_words(prob.layout.words_per_var()),
             runs: 0,
@@ -75,6 +93,7 @@ impl Engine {
             self.queued[p as usize] = false;
         }
         self.queue.clear();
+        self.fire.clear();
         // A new round also invalidates all min/max scan hints: `words` is a
         // different store than last time.
         self.log.begin_round();
@@ -95,10 +114,18 @@ impl Engine {
         seed: ScheduleSeed,
     ) -> PropOutcome {
         self.reset();
+        let lists = &prob.assign_lists;
+        let layout = &prob.layout;
+        let is_assigned = |words: &[u64], v: VarId| bits::is_singleton(&words[layout.var_range(v)]);
         match seed {
             ScheduleSeed::All => {
                 for p in 0..prob.props.len() as u32 {
                     self.enqueue(p);
+                }
+                for v in 0..layout.num_vars() {
+                    if !lists.of(v).is_empty() && is_assigned(words, v) {
+                        self.fire.push(v);
+                    }
                 }
             }
             ScheduleSeed::Var(v) => {
@@ -114,28 +141,57 @@ impl Engine {
                 if prob.objective.is_some() {
                     self.enqueue(prob.props.len() as u32 - 1);
                 }
+                if !lists.of(v).is_empty() && is_assigned(words, v) {
+                    self.fire.push(v);
+                }
             }
         }
 
-        while let Some(p) = self.queue.pop_front() {
-            self.queued[p as usize] = false;
-            self.runs += 1;
-            let mut st = PropState::new(&prob.layout, words, &mut self.log, incumbent);
-            let res = prob.props[p as usize].run(&mut st, &mut self.scratch, &prob.objective);
-            if res.is_err() {
-                return PropOutcome::Failed;
-            }
+        loop {
+            let mut st = PropState::new(layout, words, &mut self.log, incumbent);
+            let running = if let Some(v) = self.fire.pop() {
+                // A variable that became assigned applies its whole list.
+                // It is still assigned: any change since would have been a
+                // wipe-out, and the round would have ended there.
+                let a = st
+                    .value(v)
+                    .expect("a variable on the fire stack stays assigned");
+                for &(other, off) in lists.of(v) {
+                    self.runs += 1;
+                    if forbid_shifted(&mut st, other as VarId, a, off as i64).is_err() {
+                        return PropOutcome::Failed;
+                    }
+                }
+                NO_PROP
+            } else if let Some(p) = self.queue.pop_front() {
+                self.queued[p as usize] = false;
+                self.runs += 1;
+                let prop = &prob.props[p as usize];
+                if prop
+                    .run(&mut st, &mut self.scratch, &prob.objective)
+                    .is_err()
+                {
+                    return PropOutcome::Failed;
+                }
+                p
+            } else {
+                return PropOutcome::Fixpoint;
+            };
             // Schedule watchers of every variable the run pruned, filtered
             // by each watch's wake conditions: the running propagator itself
             // is exempt (local-fixpoint contract), assignment-only watchers
             // wake only when the domain collapsed to a singleton, and the
             // changed-words mask must intersect the words the watcher cares
-            // about.
+            // about. A variable that became assigned also fires its list.
             let queue = &mut self.queue;
             let queued = &mut self.queued;
+            let fire = &mut self.fire;
             self.log.drain(|v, mask, assigned| {
+                if assigned && !lists.of(v).is_empty() {
+                    fire.push(v);
+                }
                 for w in &prob.watchers[v] {
-                    if w.prop != p
+                    if w.prop != running
                         && (assigned || !w.on_assign_only)
                         && (w.mask & mask) != 0
                         && !queued[w.prop as usize]
@@ -146,7 +202,6 @@ impl Engine {
                 }
             });
         }
-        PropOutcome::Fixpoint
     }
 }
 
@@ -202,7 +257,7 @@ mod tests {
         let x = m.new_var(0, 4);
         let y = m.new_var(0, 4);
         m.post(Propag::EqOffset { x, y, c: 0 });
-        m.post(Propag::NeqOffset { x, y, c: 0 });
+        m.post(Propag::NeqConst { x: y, v: 2 });
         let p = m.compile();
         let mut s = p.root.clone();
         bits::keep_only(s.dom_mut(&p.layout, x), 2);
@@ -240,7 +295,7 @@ mod tests {
         let x = m.new_var(0, 4);
         let y = m.new_var(0, 4);
         m.post(Propag::EqOffset { x, y, c: 0 });
-        m.post(Propag::NeqOffset { x, y, c: 0 });
+        m.post(Propag::NeqConst { x: y, v: 2 });
         let p = m.compile();
         let mut e = Engine::new(&p);
         let mut s = p.root.clone();

@@ -9,7 +9,8 @@
 //! to the problem being solved.
 //!
 //! * [`model`] — declarative model construction ([`Model`]) compiled into an
-//!   immutable, shareable [`CompiledProblem`];
+//!   immutable, shareable [`CompiledProblem`] (binary disequalities become
+//!   per-variable [`AssignLists`], fired on assignment instead of queued);
 //! * [`propag`] — the propagator library (disequalities, offset equalities,
 //!   alldifferent at two consistency levels, linear arithmetic, element,
 //!   plus user-defined [`CustomPropagator`]s);
@@ -31,7 +32,7 @@ pub mod state;
 pub use branch::{BranchKind, Brancher, ValSelect, VarSelect};
 pub use fixpoint::{Engine, PropOutcome, ScheduleSeed};
 pub use mode::SearchMode;
-pub use model::{CompiledProblem, CostEval, Model, Objective, Watch};
+pub use model::{AssignLists, CompiledProblem, CostEval, Model, Objective, Watch};
 pub use propag::{CustomPropagator, Propag};
 pub use state::{ChangeLog, Failed, PropState};
 

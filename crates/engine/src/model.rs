@@ -28,6 +28,55 @@ pub struct Watch {
     pub on_assign_only: bool,
 }
 
+/// Every `x ≠ y + c` of a model, compiled into per-variable *assignment
+/// lists*: when `v` becomes assigned `a`, each `(other, off)` of `v`'s
+/// list forbids `a + off` in `other`. A post gives `y`'s list `(x, c)` and
+/// `x`'s list `(y, −c)`; one with `|c| > max_value` can never forbid a
+/// value of `0..=max_value` and gives nothing, so every offset fits `i32`
+/// and no sum of a value and an offset can overflow. The lists are one
+/// flat table (per-variable starts plus one entry array — two
+/// allocations, not one per variable), executed by
+/// [`Engine::propagate`](crate::fixpoint::Engine::propagate) outside the
+/// propagation queue.
+#[derive(Debug)]
+pub struct AssignLists {
+    /// `starts[v]..starts[v + 1]` is `v`'s slice of `entries`.
+    starts: Vec<u32>,
+    entries: Vec<(u32, i32)>,
+}
+
+impl AssignLists {
+    /// The table of `neqs` (`(x, y, c)`, each `|c| ≤ max_value`).
+    fn new(num_vars: usize, neqs: &[(VarId, VarId, i64)]) -> Self {
+        let mut starts = vec![0u32; num_vars + 1];
+        for &(x, y, _) in neqs {
+            starts[x + 1] += 1;
+            starts[y + 1] += 1;
+        }
+        for v in 0..num_vars {
+            starts[v + 1] += starts[v];
+        }
+        let mut next = starts.clone();
+        let mut entries = vec![(0, 0); starts[num_vars] as usize];
+        let mut put = |v: VarId, e: (u32, i32)| {
+            entries[next[v] as usize] = e;
+            next[v] += 1;
+        };
+        for &(x, y, c) in neqs {
+            let c = i32::try_from(c).expect("|c| ≤ max_value, and cells hold < 2^31 values");
+            put(y, (x as u32, c));
+            put(x, (y as u32, -c));
+        }
+        AssignLists { starts, entries }
+    }
+
+    /// `v`'s list: `(other, off)` pairs, in post order.
+    #[inline]
+    pub(crate) fn of(&self, v: VarId) -> &[(u32, i32)] {
+        &self.entries[self.starts[v] as usize..self.starts[v + 1] as usize]
+    }
+}
+
 /// Problem-specific objective evaluation for branch & bound when the cost is
 /// not a single decision variable (e.g. the QAP's quadratic objective).
 pub trait CostEval: Send + Sync + std::fmt::Debug {
@@ -188,6 +237,20 @@ impl Model {
             bits::remove(root.dom_mut(&layout, v), val);
         }
 
+        // Disequalities leave the queue: they become assignment lists. One
+        // with |c| > max_value forbids no value of 0..=max_value: dropped.
+        let mut neqs = Vec::new();
+        self.props.retain(|p| match *p {
+            Propag::NeqOffset { x, y, c } => {
+                if c.unsigned_abs() <= max_value as u64 {
+                    neqs.push((x, y, c));
+                }
+                false
+            }
+            _ => true,
+        });
+        let assign_lists = AssignLists::new(layout.num_vars(), &neqs);
+
         if self.objective.is_some() {
             self.props.push(Propag::ObjectivePrune);
         }
@@ -212,6 +275,7 @@ impl Model {
             layout,
             props: self.props,
             watchers,
+            assign_lists,
             objective: self.objective,
             brancher: self.brancher,
             root,
@@ -224,10 +288,14 @@ impl Model {
 pub struct CompiledProblem {
     pub name: String,
     pub layout: StoreLayout,
+    /// The queued propagators: every post except the disequalities, which
+    /// are in `assign_lists`.
     pub props: Vec<Propag>,
     /// `watchers[v]` = propagators to reschedule when `v` is pruned, each
     /// with its wake filter (changed-words mask, assignment-only flag).
     pub watchers: Vec<Vec<Watch>>,
+    /// Every `x ≠ y + c`, fired when a variable becomes assigned.
+    pub assign_lists: AssignLists,
     pub objective: Objective,
     pub brancher: Brancher,
     /// The root store (initial domains applied, not yet propagated).
@@ -300,6 +368,34 @@ mod tests {
                 on_assign_only: false,
             }]
         );
+    }
+
+    #[test]
+    fn disequalities_compile_to_assignment_lists() {
+        let mut m = Model::new("t");
+        let x = m.new_var(0, 9);
+        let y = m.new_var(0, 9);
+        let z = m.new_var(0, 9);
+        m.post(Propag::NeqOffset { x, y, c: 3 });
+        m.post(Propag::LeOffset { x, y: z, c: 0 });
+        m.post(Propag::NeqOffset { x: z, y: z, c: -2 });
+        // |c| > max_value: forbids nothing, compiles to nothing.
+        m.post(Propag::NeqOffset { x, y, c: 10 });
+        m.post(Propag::NeqOffset { x, y, c: i64::MIN });
+        let p = m.compile();
+        assert_eq!(p.props.len(), 1, "only the LeOffset is queued");
+        assert!(matches!(p.props[0], Propag::LeOffset { .. }));
+        assert!(p.watchers[y].is_empty(), "a disequality has no watcher");
+        // Two entries per kept post, none for the last two.
+        assert_eq!(p.assign_lists.of(x), &[(y as u32, -3)]);
+        assert_eq!(p.assign_lists.of(y), &[(x as u32, 3)]);
+        assert_eq!(p.assign_lists.of(z), &[(z as u32, -2), (z as u32, 2)]);
+        // Offsets up to max_value are kept.
+        let mut m = Model::new("edge");
+        let x = m.new_var(0, 9);
+        let y = m.new_var(0, 9);
+        m.post(Propag::NeqOffset { x, y, c: -9 });
+        assert_eq!(m.compile().assign_lists.of(x), &[(y as u32, 9)]);
     }
 
     #[test]

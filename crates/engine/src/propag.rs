@@ -99,18 +99,19 @@ impl Propag {
     /// [`bits::word_bit`] indexing), and whether it only ever prunes in
     /// response to a variable *becoming assigned*.
     ///
-    /// `on_assign_only` is exact for [`Propag::NeqOffset`] and
-    /// [`Propag::AllDiffVal`]: both prune solely from singleton domains, so
-    /// a shrink that leaves a domain non-singleton cannot enable pruning
-    /// that was not already applied when an earlier singleton appeared
-    /// (stores entering propagation are at fixpoint w.r.t. their ancestors
-    /// — the same invariant `ScheduleSeed::Var` relies on). `NeqConst`
-    /// cares only about the word holding its forbidden value. Everything
-    /// else is woken on any change.
+    /// `on_assign_only` is exact for [`Propag::AllDiffVal`]: it prunes
+    /// solely from singleton domains, so a shrink that leaves a domain
+    /// non-singleton cannot enable pruning that was not already applied
+    /// when an earlier singleton appeared (stores entering propagation are
+    /// at fixpoint w.r.t. their ancestors — the same invariant
+    /// `ScheduleSeed::Var` relies on). `NeqConst` cares only about the word
+    /// holding its forbidden value. Everything else is woken on any change.
+    /// ([`Propag::NeqOffset`] is never queued: `Model::compile` turns it
+    /// into [`AssignLists`](crate::model::AssignLists).)
     pub fn wake_filter(&self, words_per_var: usize) -> (u64, bool) {
         let all = bits::all_words_mask(words_per_var);
         match self {
-            Propag::NeqOffset { .. } | Propag::AllDiffVal { .. } => (all, true),
+            Propag::AllDiffVal { .. } => (all, true),
             Propag::NeqConst { v, .. } => (bits::word_bit(*v as usize / 64), false),
             _ => (all, false),
         }
@@ -181,19 +182,30 @@ fn neq_offset(st: &mut PropState<'_>, x: VarId, y: VarId, c: i64) -> Result<(), 
     // implementation looped until a verification pass saw no change,
     // costing two extra singleton reads per run on the solver's most
     // frequent propagator.
-    let max = st.layout().max_value() as i64;
     if let Some(vy) = st.value(y) {
-        let forbidden = vy as i64 + c;
-        if (0..=max).contains(&forbidden) {
-            st.remove(x, forbidden as Val)?;
-        }
-        return Ok(());
+        return forbid_shifted(st, x, vy, c);
     }
     if let Some(vx) = st.value(x) {
-        let forbidden = vx as i64 - c;
-        if (0..=max).contains(&forbidden) {
-            st.remove(y, forbidden as Val)?;
-        }
+        return forbid_shifted(st, y, vx, c.saturating_neg());
+    }
+    Ok(())
+}
+
+/// The `x ≠ y + c` pruning rule, written once for both of its executions
+/// (`Propag::run` above and the engine's assignment lists): a variable
+/// was assigned `a`, so `other` loses `a + off` — if that is a value at
+/// all. The sum saturates, so no offset overflows; one outside
+/// `0..=max_value` forbids nothing.
+#[inline]
+pub(crate) fn forbid_shifted(
+    st: &mut PropState<'_>,
+    other: VarId,
+    a: Val,
+    off: i64,
+) -> Result<(), Failed> {
+    let forbidden = (a as i64).saturating_add(off);
+    if (0..=st.layout().max_value() as i64).contains(&forbidden) {
+        st.remove(other, forbidden as Val)?;
     }
     Ok(())
 }
@@ -208,11 +220,15 @@ fn eq_offset(
     // dom(x) ∩= dom(y) + c, then dom(y) ∩= dom(x) − c; one round reaches the
     // mutual fixpoint for equality.
     let w = st.layout().words_per_var();
+    // |c| as a shift, clamped to one past the largest value: a larger
+    // shift moves every value out of 0..=max_value just the same (and
+    // `c as u32` would truncate it).
+    let shift = c.unsigned_abs().min(st.layout().max_value() as u64 + 1) as u32;
     scratch.a.resize(w, 0);
     if c >= 0 {
-        bits::shifted_up(st.dom(y), &mut scratch.a, c as u32);
+        bits::shifted_up(st.dom(y), &mut scratch.a, shift);
     } else {
-        bits::shifted_down(st.dom(y), &mut scratch.a, (-c) as u32);
+        bits::shifted_down(st.dom(y), &mut scratch.a, shift);
     }
     let mask = std::mem::take(&mut scratch.a);
     st.intersect_with(x, &mask)?;
@@ -220,9 +236,9 @@ fn eq_offset(
 
     scratch.b.resize(w, 0);
     if c >= 0 {
-        bits::shifted_down(st.dom(x), &mut scratch.b, c as u32);
+        bits::shifted_down(st.dom(x), &mut scratch.b, shift);
     } else {
-        bits::shifted_up(st.dom(x), &mut scratch.b, (-c) as u32);
+        bits::shifted_up(st.dom(x), &mut scratch.b, shift);
     }
     let mask = std::mem::take(&mut scratch.b);
     st.intersect_with(y, &mask)?;
@@ -231,10 +247,11 @@ fn eq_offset(
 }
 
 fn le_offset(st: &mut PropState<'_>, x: VarId, y: VarId, c: i64) -> Result<(), Failed> {
-    // x ≤ y + c: ub(x) ≤ ub(y)+c and lb(y) ≥ lb(x)−c.
-    let hi = st.max(y).ok_or(Failed)? as i64 + c;
+    // x ≤ y + c: ub(x) ≤ ub(y)+c and lb(y) ≥ lb(x)−c. Saturating: a bound
+    // past either end of the domain is already a full or empty cut.
+    let hi = (st.max(y).ok_or(Failed)? as i64).saturating_add(c);
     st.remove_above(x, hi)?;
-    let lo = st.min(x).ok_or(Failed)? as i64 - c;
+    let lo = (st.min(x).ok_or(Failed)? as i64).saturating_sub(c);
     st.remove_below(y, lo)?;
     Ok(())
 }
@@ -544,6 +561,65 @@ mod tests {
         f.assign(1, 1);
         f.run(&Propag::NeqOffset { x: 0, y: 1, c: 1 }).unwrap();
         assert_eq!(f.dom_vals(0), vec![1]);
+    }
+
+    /// Solutions of one binary constraint over `x, y ∈ 0..=9`, by the
+    /// sequential solver (propagation through the compiled model).
+    fn count_pairs(p: impl Fn(VarId, VarId) -> Propag) -> u64 {
+        let mut m = crate::model::Model::new("pair");
+        let x = m.new_var(0, 9);
+        let y = m.new_var(0, 9);
+        m.post(p(x, y));
+        let prob = m.compile();
+        crate::seq::solve_seq(&prob, &Default::default()).solutions
+    }
+
+    #[test]
+    fn eq_offset_shift_never_truncates() {
+        // `c as u32` turned a 2^32 shift into 0, i.e. x = y: 10 solutions.
+        for c in [1 << 32, -(1 << 32), 10, -10, i64::MAX, i64::MIN] {
+            assert_eq!(
+                count_pairs(|x, y| Propag::EqOffset { x, y, c }),
+                0,
+                "c = {c}"
+            );
+        }
+        assert_eq!(count_pairs(|x, y| Propag::EqOffset { x, y, c: 9 }), 1);
+        assert_eq!(count_pairs(|x, y| Propag::EqOffset { x, y, c: -9 }), 1);
+    }
+
+    #[test]
+    fn le_offset_bounds_saturate() {
+        // `max(y) + c` overflowed: a debug panic, 0 solutions in release.
+        assert_eq!(
+            count_pairs(|x, y| Propag::LeOffset { x, y, c: i64::MAX }),
+            100
+        );
+        assert_eq!(
+            count_pairs(|x, y| Propag::LeOffset { x, y, c: i64::MIN }),
+            0
+        );
+        assert_eq!(count_pairs(|x, y| Propag::LeOffset { x, y, c: 9 }), 100);
+        assert_eq!(count_pairs(|x, y| Propag::LeOffset { x, y, c: -9 }), 1);
+    }
+
+    #[test]
+    fn neq_offset_extreme_offsets_forbid_nothing() {
+        // `vy + c` overflowed in the directly-run propagator (a debug panic).
+        for c in [i64::MAX, i64::MIN, 1 << 32, 10, -10] {
+            let mut f = Fix::new(2, 9);
+            f.assign(1, 4);
+            f.run(&Propag::NeqOffset { x: 0, y: 1, c }).unwrap();
+            assert_eq!(f.dom_vals(0).len(), 10, "y assigned, c = {c}");
+            let mut g = Fix::new(2, 9);
+            g.assign(0, 4);
+            g.run(&Propag::NeqOffset { x: 0, y: 1, c }).unwrap();
+            assert_eq!(g.dom_vals(1).len(), 10, "x assigned, c = {c}");
+            // And through the compiled model's assignment lists.
+            assert_eq!(count_pairs(|x, y| Propag::NeqOffset { x, y, c }), 100);
+        }
+        assert_eq!(count_pairs(|x, y| Propag::NeqOffset { x, y, c: 9 }), 99);
+        assert_eq!(count_pairs(|x, y| Propag::NeqOffset { x, y, c: -9 }), 99);
     }
 
     #[test]

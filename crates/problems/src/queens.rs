@@ -118,6 +118,24 @@ mod tests {
     }
 
     #[test]
+    fn check_assignment_rejects_attacking_queens() {
+        // `check_assignment` propagates a fully assigned store from
+        // `ScheduleSeed::All`: if that seed forgot the assignment lists,
+        // nothing would run and every placement would pass.
+        let p = queens(8, QueensModel::Pairwise);
+        let ok: [Val; 8] = [0, 4, 7, 5, 2, 6, 1, 3];
+        assert!(p.check_assignment(&ok));
+        // Each placement breaks one kind of disequality only: every queen
+        // on one row (c = 0), on one diagonal, on the other (c = ±d).
+        let row = [0; 8];
+        let diagonal: [Val; 8] = std::array::from_fn(|i| i as Val);
+        let anti: [Val; 8] = std::array::from_fn(|i| 7 - i as Val);
+        for bad in [row, diagonal, anti] {
+            assert!(!p.check_assignment(&bad), "{bad:?}");
+        }
+    }
+
+    #[test]
     fn solutions_place_no_attacking_queens() {
         let p = queens(7, QueensModel::Pairwise);
         let r = solve_seq(&p, &SeqOptions::default());

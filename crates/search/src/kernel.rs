@@ -362,6 +362,9 @@ mod tests {
         // Waking every watcher of a changed variable takes 43 722
         // propagator executions to reach the same 663 fixpoints.
         assert!(prop_runs < 43_722, "filtered runs {prop_runs}");
+        // Exactly, as a count: one run per disequality applied from an
+        // assignment list.
+        assert_eq!(prop_runs, 27_072, "assignment-list runs");
 
         // x, y ∈ 0..=4, x ≠ y + 1: 25 pairs minus the 4 with x = y + 1.
         let mut m = Model::new("offset");
