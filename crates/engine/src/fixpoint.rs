@@ -7,8 +7,9 @@
 //!
 //! Two kinds of work reach a fixpoint together: the queued propagators of
 //! [`CompiledProblem::props`], and the problem's [`AssignLists`] — binary
-//! disequalities applied the moment a variable becomes assigned, from a
-//! stack drained before every queue pop.
+//! disequalities (alldifferents among them, as cliques) applied the moment
+//! a variable becomes assigned, from a stack drained before every queue
+//! pop.
 //!
 //! [`AssignLists`]: crate::model::AssignLists
 
@@ -178,11 +179,10 @@ impl Engine {
                 return PropOutcome::Fixpoint;
             };
             // Schedule watchers of every variable the run pruned, filtered
-            // by each watch's wake conditions: the running propagator itself
-            // is exempt (local-fixpoint contract), assignment-only watchers
-            // wake only when the domain collapsed to a singleton, and the
-            // changed-words mask must intersect the words the watcher cares
-            // about. A variable that became assigned also fires its list.
+            // by each watch's wake mask: the running propagator itself is
+            // exempt (local-fixpoint contract), and the changed-words mask
+            // must intersect the words the watcher cares about. A variable
+            // that became assigned also fires its list.
             let queue = &mut self.queue;
             let queued = &mut self.queued;
             let fire = &mut self.fire;
@@ -191,11 +191,7 @@ impl Engine {
                     fire.push(v);
                 }
                 for w in &prob.watchers[v] {
-                    if w.prop != running
-                        && (assigned || !w.on_assign_only)
-                        && (w.mask & mask) != 0
-                        && !queued[w.prop as usize]
-                    {
+                    if w.prop != running && (w.mask & mask) != 0 && !queued[w.prop as usize] {
                         queued[w.prop as usize] = true;
                         queue.push_back(w.prop);
                     }

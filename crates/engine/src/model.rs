@@ -15,17 +15,14 @@ use crate::propag::Propag;
 use crate::state::{Failed, PropState};
 
 /// One entry of a variable's watcher list: which propagator to wake, and
-/// under what conditions. `mask` is a changed-words filter over the
-/// variable's bitmap cell ([`bits::word_bit`] indexing): the
-/// propagator is scheduled only when a word it cares about
-/// changed. `on_assign_only` restricts the wake further to prunings that
-/// collapsed the domain to a singleton (see
+/// when. `mask` is a changed-words filter over the variable's bitmap cell
+/// ([`bits::word_bit`] indexing): the propagator is scheduled only when a
+/// word it cares about changed (see
 /// [`Propag::wake_filter`](crate::propag::Propag::wake_filter)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Watch {
     pub prop: u32,
     pub mask: u64,
-    pub on_assign_only: bool,
 }
 
 /// Every `x ≠ y + c` of a model, compiled into per-variable *assignment
@@ -33,7 +30,10 @@ pub struct Watch {
 /// list forbids `a + off` in `other`. A post gives `y`'s list `(x, c)` and
 /// `x`'s list `(y, −c)`; one with `|c| > max_value` can never forbid a
 /// value of `0..=max_value` and gives nothing, so every offset fits `i32`
-/// and no sum of a value and an offset can overflow. The lists are one
+/// and no sum of a value and an offset can overflow. An
+/// `alldifferent(vars)` with value consistency is its disequality clique:
+/// it contributes every pair `vars[k] ≠ vars[l]` (`k < l`, `c = 0`), so a
+/// variable's list names the others in `vars` order. The lists are one
 /// flat table (per-variable starts plus one entry array — two
 /// allocations, not one per variable), executed by
 /// [`Engine::propagate`](crate::fixpoint::Engine::propagate) outside the
@@ -239,11 +239,18 @@ impl Model {
 
         // Disequalities leave the queue: they become assignment lists. One
         // with |c| > max_value forbids no value of 0..=max_value: dropped.
+        // A value-consistent alldifferent leaves as its pairwise clique.
         let mut neqs = Vec::new();
-        self.props.retain(|p| match *p {
-            Propag::NeqOffset { x, y, c } => {
+        self.props.retain(|p| match p {
+            &Propag::NeqOffset { x, y, c } => {
                 if c.unsigned_abs() <= max_value as u64 {
                     neqs.push((x, y, c));
+                }
+                false
+            }
+            Propag::AllDiffVal { vars } => {
+                for (k, &x) in vars.iter().enumerate() {
+                    neqs.extend(vars[k + 1..].iter().map(|&y| (x, y, 0)));
                 }
                 false
             }
@@ -257,7 +264,7 @@ impl Model {
 
         let mut watchers = vec![Vec::new(); layout.num_vars()];
         for (i, p) in self.props.iter().enumerate() {
-            let (mask, on_assign_only) = p.wake_filter(layout.words_per_var());
+            let mask = p.wake_filter(layout.words_per_var());
             let mut ws = p.watched(&self.objective);
             ws.sort_unstable();
             ws.dedup();
@@ -265,7 +272,6 @@ impl Model {
                 watchers[v].push(Watch {
                     prop: i as u32,
                     mask,
-                    on_assign_only,
                 });
             }
         }
@@ -288,13 +294,14 @@ impl Model {
 pub struct CompiledProblem {
     pub name: String,
     pub layout: StoreLayout,
-    /// The queued propagators: every post except the disequalities, which
-    /// are in `assign_lists`.
+    /// The queued propagators: every post except the disequalities and
+    /// value-consistent alldifferents, which are in `assign_lists`.
     pub props: Vec<Propag>,
     /// `watchers[v]` = propagators to reschedule when `v` is pruned, each
-    /// with its wake filter (changed-words mask, assignment-only flag).
+    /// with its changed-words mask.
     pub watchers: Vec<Vec<Watch>>,
-    /// Every `x ≠ y + c`, fired when a variable becomes assigned.
+    /// Every `x ≠ y + c` (alldifferents as their cliques), fired when a
+    /// variable becomes assigned.
     pub assign_lists: AssignLists,
     pub objective: Objective,
     pub brancher: Brancher,
@@ -365,9 +372,40 @@ mod tests {
             vec![Watch {
                 prop: 0,
                 mask: bits::all_words_mask(p.layout.words_per_var()),
-                on_assign_only: false,
             }]
         );
+    }
+
+    #[test]
+    fn alldiff_val_compiles_to_its_disequality_clique() {
+        let list = |v: &[VarId]| v.iter().map(|&o| (o as u32, 0)).collect::<Vec<_>>();
+        let mut m = Model::new("t");
+        let v = m.new_vars(4, 0, 5);
+        m.post(Propag::AllDiffVal {
+            vars: vec![v[2], v[0], v[1]],
+        });
+        m.post(Propag::AllDiffVal { vars: vec![v[3]] });
+        let p = m.compile();
+        assert!(p.props.is_empty(), "nothing is queued");
+        assert!(p.watchers.iter().all(Vec::is_empty), "no watcher");
+        // Each variable's list names the others in `vars` order.
+        assert_eq!(p.assign_lists.of(v[2]), list(&[v[0], v[1]]));
+        assert_eq!(p.assign_lists.of(v[0]), list(&[v[2], v[1]]));
+        assert_eq!(p.assign_lists.of(v[1]), list(&[v[2], v[0]]));
+        assert!(p.assign_lists.of(v[3]).is_empty(), "one variable: no pair");
+
+        // A repeated id gives the self-disequality x ≠ x, twice over (once
+        // from each side): x can take no value, exactly as `alldiff_val`
+        // fails once x is assigned.
+        let mut m = Model::new("repeat");
+        let x = m.new_var(0, 5);
+        let y = m.new_var(0, 5);
+        m.post(Propag::AllDiffVal {
+            vars: vec![x, y, x],
+        });
+        let p = m.compile();
+        assert_eq!(p.assign_lists.of(x), list(&[y, x, x, y]));
+        assert_eq!(p.assign_lists.of(y), list(&[x, x]));
     }
 
     #[test]

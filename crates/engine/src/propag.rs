@@ -94,26 +94,18 @@ impl Propag {
         }
     }
 
-    /// Wake-filtering metadata for this propagator's watches: the mask of
-    /// bitmap words whose change can make re-running it productive (w.r.t.
-    /// [`bits::word_bit`] indexing), and whether it only ever prunes in
-    /// response to a variable *becoming assigned*.
-    ///
-    /// `on_assign_only` is exact for [`Propag::AllDiffVal`]: it prunes
-    /// solely from singleton domains, so a shrink that leaves a domain
-    /// non-singleton cannot enable pruning that was not already applied
-    /// when an earlier singleton appeared (stores entering propagation are
-    /// at fixpoint w.r.t. their ancestors — the same invariant
-    /// `ScheduleSeed::Var` relies on). `NeqConst` cares only about the word
-    /// holding its forbidden value. Everything else is woken on any change.
-    /// ([`Propag::NeqOffset`] is never queued: `Model::compile` turns it
-    /// into [`AssignLists`](crate::model::AssignLists).)
-    pub fn wake_filter(&self, words_per_var: usize) -> (u64, bool) {
-        let all = bits::all_words_mask(words_per_var);
+    /// The wake filter of this propagator's watches: the mask of bitmap
+    /// words whose change can make re-running it productive (w.r.t.
+    /// [`bits::word_bit`] indexing). `NeqConst` cares only about the word
+    /// holding its forbidden value; everything else is woken on any change.
+    /// ([`Propag::NeqOffset`] and [`Propag::AllDiffVal`], which prune only
+    /// from a variable that became assigned, are never queued:
+    /// `Model::compile` turns them into
+    /// [`AssignLists`](crate::model::AssignLists).)
+    pub fn wake_filter(&self, words_per_var: usize) -> u64 {
         match self {
-            Propag::AllDiffVal { .. } => (all, true),
-            Propag::NeqConst { v, .. } => (bits::word_bit(*v as usize / 64), false),
-            _ => (all, false),
+            Propag::NeqConst { v, .. } => bits::word_bit(*v as usize / 64),
+            _ => bits::all_words_mask(words_per_var),
         }
     }
 

@@ -1,9 +1,10 @@
 //! Differential check of [`Engine::propagate`] against a naive oracle.
 //!
-//! Random models mix `NeqOffset` (compiled into assignment lists and fired
-//! outside the queue) with queued propagators — `EqOffset`, `LeOffset`,
-//! `NeqConst`, `AllDiffVal`, `LinearLe` — including self-disequalities
-//! `x ≠ x + c`, duplicate posts and offsets beyond the domain. Each is
+//! Random models mix `NeqOffset` and `AllDiffVal` (compiled into assignment
+//! lists and fired outside the queue) with queued propagators — `EqOffset`,
+//! `LeOffset`, `NeqConst`, `LinearLe` — including self-disequalities
+//! `x ≠ x + c`, alldifferents that repeat a variable, duplicate posts and
+//! offsets beyond the domain. Each is
 //! propagated from random partial stores under `ScheduleSeed::All`, and
 //! from a branching decision on a store at fixpoint under
 //! `ScheduleSeed::Var`. The oracle runs every `Propag::run` in post order
@@ -92,12 +93,16 @@ fn random_posts(rng: &mut Rng, n: usize, max: Val) -> Vec<Propag> {
                 v: rng.below(max as u64 + 2) as Val,
             },
             8 => {
-                let vars: Vec<VarId> = (0..n).filter(|_| rng.chance(2, 3)).collect();
+                let mut vars: Vec<VarId> = (0..n).filter(|_| rng.chance(2, 3)).collect();
                 if vars.len() < 2 {
-                    Propag::AllDiffVal { vars: vec![x, y] }
-                } else {
-                    Propag::AllDiffVal { vars }
+                    vars = vec![x, y];
                 }
+                // Sometimes one id twice: that variable can take no value.
+                if rng.chance(1, 5) {
+                    let again = vars[rng.below(vars.len() as u64) as usize];
+                    vars.insert(rng.below(vars.len() as u64 + 1) as usize, again);
+                }
+                Propag::AllDiffVal { vars }
             }
             _ => {
                 let mut terms: Vec<(i64, VarId)> = Vec::new();

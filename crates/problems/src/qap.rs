@@ -19,8 +19,6 @@
 
 use std::sync::Arc;
 
-use macs_engine::state::{Failed, PropState};
-
 /// The embedded QAPLIB-format text of the repo's `esc16e` instance
 /// (regenerate with `REGEN_QAP_DATA=1 cargo test -p macs-problems
 /// regen_embedded_esc16e`).
@@ -63,7 +61,9 @@ impl QapInstance {
 
     /// Parse the QAPLIB text format: `n`, then the two `n × n` matrices
     /// (whitespace-separated integers; QAPLIB lists A then B with objective
-    /// `Σ a[i][j]·b[p(i)][p(j)]`, i.e. A = flows, B = distances).
+    /// `Σ a[i][j]·b[p(i)][p(j)]`, i.e. A = flows, B = distances), and
+    /// nothing after them. Every entry must be non-negative: the lower
+    /// bound ([`QapBound`]) is unsound otherwise.
     pub fn parse(name: &str, text: &str) -> Result<Self, String> {
         let mut it = text.split_whitespace().map(|t| {
             t.parse::<i64>()
@@ -76,14 +76,23 @@ impl QapInstance {
         let mut read_matrix = |what: &str| -> Result<Vec<i64>, String> {
             let mut m = Vec::with_capacity(n * n);
             for k in 0..n * n {
-                m.push(it.next().ok_or_else(|| {
+                let x = it.next().ok_or_else(|| {
                     format!("{what} matrix truncated at element {k} (need {})", n * n)
-                })??);
+                })??;
+                if x < 0 {
+                    return Err(format!("{what} matrix has negative element {k}: {x}"));
+                }
+                m.push(x);
             }
             Ok(m)
         };
         let flow = read_matrix("flow")?;
         let dist = read_matrix("distance")?;
+        if let Some(extra) = text.split_whitespace().nth(1 + 2 * n * n) {
+            return Err(format!(
+                "trailing token {extra:?} after the two {n}x{n} matrices"
+            ));
+        }
         Ok(QapInstance {
             name: name.to_string(),
             n,
@@ -231,84 +240,142 @@ impl QapInstance {
     }
 }
 
+/// For each location `a`, the other locations grouped by their distance
+/// from `a` into *rings*: the distinct distances in ascending order, each
+/// with the bitmask of the locations at that distance. One flat table
+/// (per-location starts plus one ring array), like the engine's
+/// assignment lists.
+#[derive(Debug)]
+struct Rings {
+    /// `starts[a]..starts[a + 1]` is `a`'s slice of `rings`.
+    starts: Vec<u32>,
+    rings: Vec<(i64, u64)>,
+}
+
+impl Rings {
+    /// The rings of `dist(a, b)` around each `a`, over every `b ≠ a`.
+    fn new(n: usize, dist: impl Fn(usize, usize) -> i64) -> Self {
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut rings = Vec::new();
+        for a in 0..n {
+            starts.push(rings.len() as u32);
+            let mut others: Vec<(i64, usize)> = (0..n)
+                .filter(|&b| b != a)
+                .map(|b| (dist(a, b), b))
+                .collect();
+            others.sort_unstable();
+            for ring in others.chunk_by(|p, q| p.0 == q.0) {
+                rings.push((ring[0].0, ring.iter().fold(0, |m, &(_, b)| m | 1 << b)));
+            }
+        }
+        starts.push(rings.len() as u32);
+        Rings { starts, rings }
+    }
+
+    /// The least distance from `a` to a location of `dom` other than `a`,
+    /// or `None` if `dom` holds no other location.
+    #[inline]
+    fn nearest(&self, a: usize, dom: u64) -> Option<i64> {
+        let ring = &self.rings[self.starts[a] as usize..self.starts[a + 1] as usize];
+        ring.iter()
+            .find(|&&(_, mask)| mask & dom != 0)
+            .map(|&(d, _)| d)
+    }
+}
+
 /// Branch-and-bound lower bound for the QAP (a Gilmore–Lawler-style
 /// decomposition): exact terms for assigned pairs, domain-minimised terms
 /// when one side is assigned, and the global minimum off-diagonal distance
 /// for unassigned pairs. Monotone in domain shrinkage by construction.
+///
+/// The instance is compiled once: the flowing pairs into one flat list,
+/// and each location's distances into rings (`Rings`), one set along
+/// rows (`d(a, ·)`) and one along columns (`d(·, b)`). A one-sided term is
+/// then the first ring that meets the open side's domain word.
+///
+/// Every term is a least *distance*, which bounds its pair's cost only if
+/// flows and distances are non-negative; [`QapBound::new`] asserts that.
 #[derive(Debug)]
 pub struct QapBound {
     inst: QapInstance,
     vars: Vec<VarId>,
     min_offdiag: i64,
+    /// Every `(i, j, f[i][j])` with `i ≠ j` and a non-zero flow, row-major.
+    pairs: Vec<(u32, u32, i64)>,
+    rows: Rings,
+    cols: Rings,
 }
 
 impl QapBound {
+    /// Compile `inst`'s bound over `vars` (`vars[i]` is facility `i`'s
+    /// location, within `0..inst.n`).
+    ///
+    /// # Panics
+    /// If a flow or distance is negative (the bound would be unsound), if
+    /// `inst.n > 64` (a domain must fit one word), or if `vars` does not
+    /// name one variable per facility.
     pub fn new(inst: QapInstance, vars: Vec<VarId>) -> Self {
         let n = inst.n;
+        assert!(n <= 64, "QapBound reads a domain as one word: n = {n} > 64");
+        assert_eq!(vars.len(), n, "QapBound needs one variable per facility");
+        assert!(
+            inst.flow.iter().chain(&inst.dist).all(|&x| x >= 0),
+            "QapBound needs non-negative flows and distances: its terms are least distances"
+        );
         let mut min_offdiag = i64::MAX;
+        let mut pairs = Vec::new();
         for a in 0..n {
             for b in 0..n {
                 if a != b {
                     min_offdiag = min_offdiag.min(inst.d(a, b));
+                    if inst.f(a, b) != 0 {
+                        pairs.push((a as u32, b as u32, inst.f(a, b)));
+                    }
                 }
             }
         }
         QapBound {
+            rows: Rings::new(n, |a, b| inst.d(a, b)),
+            cols: Rings::new(n, |b, a| inst.d(a, b)),
             inst,
             vars,
-            min_offdiag: min_offdiag.max(0),
+            min_offdiag,
+            pairs,
         }
     }
 }
 
+/// No single location: a domain that is empty or holds several.
+const OPEN: Val = Val::MAX;
+
 impl CostEval for QapBound {
     fn lower_bound(&self, view: StoreView<'_>) -> i64 {
-        let n = self.inst.n;
+        // Each domain word and singleton, read once.
+        let mut word = [0u64; 64];
+        let mut single = [OPEN; 64];
+        for (i, &v) in self.vars.iter().enumerate() {
+            let dom = view.dom(v);
+            word[i] = dom[0];
+            single[i] = bits::singleton(dom).unwrap_or(OPEN);
+        }
         let mut lb = 0i64;
-        for i in 0..n {
-            let di = view.dom(self.vars[i]);
-            let vi = bits::singleton(di);
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let f = self.inst.f(i, j);
-                if f == 0 {
-                    continue;
-                }
-                let dj = view.dom(self.vars[j]);
-                let vj = bits::singleton(dj);
-                let term = match (vi, vj) {
-                    (Some(a), Some(b)) => self.inst.d(a as usize, b as usize),
-                    (Some(a), None) => {
-                        // Cheapest location still open to facility j.
-                        let mut best = i64::MAX;
-                        for b in bits::iter(dj) {
-                            if b != a {
-                                best = best.min(self.inst.d(a as usize, b as usize));
-                            }
-                        }
-                        if best == i64::MAX {
-                            return i64::MAX; // only the same location left: dead
-                        }
-                        best
-                    }
-                    (None, Some(b)) => {
-                        let mut best = i64::MAX;
-                        for a in bits::iter(di) {
-                            if a != b {
-                                best = best.min(self.inst.d(a as usize, b as usize));
-                            }
-                        }
-                        if best == i64::MAX {
-                            return i64::MAX;
-                        }
-                        best
-                    }
-                    (None, None) => self.min_offdiag,
-                };
-                lb += f * term;
-            }
+        for &(i, j, f) in &self.pairs {
+            let (a, b) = (single[i as usize], single[j as usize]);
+            let term = match (a != OPEN, b != OPEN) {
+                (true, true) => self.inst.d(a as usize, b as usize),
+                // Cheapest location still open to the other facility; none
+                // but the same location left: dead.
+                (true, false) => match self.rows.nearest(a as usize, word[j as usize]) {
+                    Some(d) => d,
+                    None => return i64::MAX,
+                },
+                (false, true) => match self.cols.nearest(b as usize, word[i as usize]) {
+                    Some(d) => d,
+                    None => return i64::MAX,
+                },
+                (false, false) => self.min_offdiag,
+            };
+            lb += f * term;
         }
         lb
     }
@@ -322,16 +389,6 @@ impl CostEval for QapBound {
 
     fn vars(&self) -> Vec<VarId> {
         self.vars.clone()
-    }
-
-    fn prune(&self, st: &mut PropState<'_>, incumbent: i64) -> Result<(), Failed> {
-        // Fail-only pruning: compare the lower bound against the incumbent.
-        let view = StoreView::new(st.layout(), st.store_words());
-        if self.lower_bound(view) >= incumbent {
-            Err(Failed)
-        } else {
-            Ok(())
-        }
     }
 }
 
@@ -467,6 +524,168 @@ mod tests {
         assert!(QapInstance::parse("x", "").is_err());
         assert!(QapInstance::parse("x", "3 1 2").is_err());
         assert!(QapInstance::parse("x", "2 1 2 3 oops 1 2 3 4").is_err());
+    }
+
+    #[test]
+    fn parser_rejects_negative_entries_and_trailing_tokens() {
+        // Negative entries made the bound unsound: a silent wrong optimum.
+        let err = QapInstance::parse("x", "2  0 -1 1 0  0 1 1 0").unwrap_err();
+        assert!(err.contains("flow") && err.contains("element 1"), "{err}");
+        let err = QapInstance::parse("x", "2  0 1 1 0  0 1 -3 0").unwrap_err();
+        assert!(
+            err.contains("distance") && err.contains("element 2"),
+            "{err}"
+        );
+        let err = QapInstance::parse("x", "2  0 1 1 0  0 1 1 0  7").unwrap_err();
+        assert!(err.contains("trailing") && err.contains("\"7\""), "{err}");
+        assert!(QapInstance::parse("x", "2  0 1 1 0  0 1 1 0 \n").is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn bound_refuses_negative_entries() {
+        let mut inst = tiny(3);
+        inst.dist[1] = -1;
+        QapBound::new(inst, (0..3).collect());
+    }
+
+    /// The bound as it was first written: a double loop over facility
+    /// pairs, iterating the open domain of every one-sided term.
+    fn lower_bound_oracle(inst: &QapInstance, view: StoreView<'_>) -> i64 {
+        let n = inst.n;
+        let mut min_offdiag = i64::MAX;
+        for a in 0..n {
+            for b in 0..n {
+                if a != b {
+                    min_offdiag = min_offdiag.min(inst.d(a, b));
+                }
+            }
+        }
+        let mut lb = 0i64;
+        for i in 0..n {
+            let di = view.dom(i);
+            let vi = bits::singleton(di);
+            for j in 0..n {
+                let f = inst.f(i, j);
+                if i == j || f == 0 {
+                    continue;
+                }
+                let dj = view.dom(j);
+                let vj = bits::singleton(dj);
+                let term = match (vi, vj) {
+                    (Some(a), Some(b)) => inst.d(a as usize, b as usize),
+                    (Some(a), None) => {
+                        let best = bits::iter(dj)
+                            .filter(|&b| b != a)
+                            .map(|b| inst.d(a as usize, b as usize))
+                            .min();
+                        match best {
+                            Some(d) => d,
+                            None => return i64::MAX,
+                        }
+                    }
+                    (None, Some(b)) => {
+                        let best = bits::iter(di)
+                            .filter(|&a| a != b)
+                            .map(|a| inst.d(a as usize, b as usize))
+                            .min();
+                        match best {
+                            Some(d) => d,
+                            None => return i64::MAX,
+                        }
+                    }
+                    (None, None) => min_offdiag.max(0),
+                };
+                lb += f * term;
+            }
+        }
+        lb
+    }
+
+    /// SplitMix64, enough for test-case generation.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// An asymmetric instance with small non-negative entries, about half
+    /// of the flows zero, and repeated distances (so rings hold several
+    /// locations).
+    fn random_instance(rng: &mut Rng, n: usize) -> QapInstance {
+        let mut m = |zero_in: u64, hi: u64| -> Vec<i64> {
+            (0..n * n)
+                .map(|_| {
+                    if rng.below(zero_in) == 0 {
+                        0
+                    } else {
+                        rng.below(hi) as i64
+                    }
+                })
+                .collect()
+        };
+        let flow = m(2, 9);
+        let dist = m(8, 6);
+        QapInstance {
+            name: format!("random{n}"),
+            n,
+            flow,
+            dist,
+        }
+    }
+
+    #[test]
+    fn compiled_bound_equals_the_double_loop() {
+        let mut rng = Rng(0x0B0D_1FF5);
+        let esc = QapInstance::esc16e();
+        let (mut stores, mut dead) = (0u32, 0u32);
+        for case in 0..400 {
+            let n = 2 + rng.below(15) as usize;
+            let inst = if case % 2 == 0 {
+                esc.sub_instance(n)
+            } else {
+                random_instance(&mut rng, n)
+            };
+            let prob = qap_model(&inst);
+            let bound = QapBound::new(inst.clone(), (0..n).collect());
+            for _ in 0..30 {
+                let mut s = prob.root.clone();
+                for v in 0..n {
+                    let dom = s.dom_mut(&prob.layout, v);
+                    match rng.below(8) {
+                        0 => bits::clear(dom),
+                        1..=3 => {
+                            bits::keep_only(dom, rng.below(n as u64) as Val);
+                        }
+                        4..=6 => {
+                            for val in 0..n as Val {
+                                if rng.below(2) == 0 {
+                                    bits::remove(dom, val);
+                                }
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                let view = StoreView::new(&prob.layout, s.as_words());
+                let expect = lower_bound_oracle(&inst, view);
+                assert_eq!(bound.lower_bound(view), expect, "{} {s:?}", inst.name);
+                stores += 1;
+                dead += (expect == i64::MAX) as u32;
+            }
+        }
+        assert!(stores >= 10_000);
+        // Both kinds of answer occur, and often.
+        assert!(
+            dead > 1000 && stores - dead > 1000,
+            "{dead} dead of {stores}"
+        );
     }
 
     #[test]
