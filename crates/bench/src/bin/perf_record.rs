@@ -14,12 +14,10 @@
 
 use std::time::Instant;
 
-use macs_bench::{arg, cost_model_arg, maybe_help, sim_cp_macs, usage};
+use macs_bench::{arg, cost_model_arg, lease_policies, maybe_help, serve_cell, sim_cp_macs, usage};
 use macs_gpi::MachineTopology;
 use macs_problems::{qap::QapInstance, qap_model, queens, QueensModel};
-use macs_service::{
-    generate, JobScheduler, LeasePolicy, Oracle, ServiceConfig, SimBackend, WorkloadConfig,
-};
+use macs_service::{LeasePolicy, Oracle, WorkloadConfig};
 use macs_sim::{simulate_macs, CostModel, FabricModel, SimConfig, SimReport};
 use macs_uts::{TreeShape, UtsProcessor, SLOT_WORDS};
 
@@ -395,7 +393,8 @@ fn calibration_record(quick: bool) -> Record {
 
 /// Serve one trace at one scale under one policy, twice with the same
 /// seed (it must replay bit-identically), hard-gating the scheduler
-/// invariants and the oracle: the row, jobs completed, peak queue depth.
+/// invariants, the job accounting and the oracle: the row, jobs
+/// completed, peak queue depth.
 fn service_point(
     (nodes, tenants, jobs): (usize, usize, usize),
     policy: LeasePolicy,
@@ -403,37 +402,26 @@ fn service_point(
 ) -> (Row, u64, usize) {
     let cores = nodes * 4;
     eprintln!("service: {cores} cores, {tenants} tenants, {jobs} jobs, {policy}...");
-    let trace = generate(&WorkloadConfig {
+    let workload = WorkloadConfig {
         jobs,
         tenants,
         mean_interarrival_ns: 5_000,
         seed: 0x9E1_5EED ^ ((nodes as u64) << 32) ^ jobs as u64,
-    });
-    let cfg = ServiceConfig {
-        nodes,
-        cores_per_node: 4,
-        queue_cap: (jobs / 4).max(4),
-        policy,
-        cost_model: Default::default(),
     };
+    let mut serve = || serve_cell(nodes, &workload, policy, CostModel::default(), oracle);
     let t0 = Instant::now();
-    let r = SimBackend::default().serve(&cfg, &trace);
+    let (r, failed) = serve();
     let wall = t0.elapsed().as_secs_f64();
+    assert!(
+        failed.is_empty(),
+        "service @ {cores} cores {policy}: {}",
+        failed.join("; ")
+    );
     assert_eq!(
         r.digest(),
-        SimBackend::default().serve(&cfg, &trace).digest(),
+        serve().0.digest(),
         "NON-DETERMINISTIC: service @ {cores} cores {policy} diverged between same-seed runs"
     );
-    assert!(
-        r.violations.is_empty(),
-        "service @ {cores} cores {policy}: {:?}",
-        r.violations
-    );
-    for rec in r.records.iter().filter(|rec| !rec.rejected) {
-        oracle
-            .verify(rec.class, &rec.answer)
-            .unwrap_or_else(|e| panic!("service @ {nodes} nodes job {}: {e}", rec.id));
-    }
     let row = vec![
         ("cores", int(cores as u64)),
         ("tenants", int(tenants as u64)),
@@ -467,11 +455,8 @@ fn service_record(quick: bool) -> Record {
     let mut oracle = Oracle::new();
     let (mut rows, mut gates) = (Vec::new(), Vec::new());
     for &scale in scales {
-        let (nodes, cores) = (scale.0, scale.0 * 4);
-        let lease = LeasePolicy::Static {
-            nodes: (nodes / 4).max(1),
-        };
-        let elastic = LeasePolicy::QueueDepth { min: 1, max: nodes };
+        let cores = scale.0 * 4;
+        let [lease, elastic] = lease_policies(scale.0);
         let (s_row, s_completed, s_depth) = service_point(scale, lease, &mut oracle);
         let (e_row, e_completed, e_depth) = service_point(scale, elastic, &mut oracle);
         rows.extend([s_row, e_row]);

@@ -14,8 +14,8 @@
 //! Exit code is non-zero on any disagreement with the sequential oracle.
 
 use macs_bench::{
-    bound_policy_arg, chunk_policy_arg, maybe_help, mode_arg, shape_arg, sim_cp_macs_mode,
-    sim_cp_paccs_mode, usage,
+    bound_policy_arg, chunk_policy_arg, maybe_help, mode_arg, shape_arg, sim_cell,
+    sim_cp_macs_mode, sim_cp_paccs_mode, usage, CommonFlag,
 };
 use macs_core::{solve_seq, SearchMode, SeqOptions, Solver, SolverConfig};
 use macs_engine::CompiledProblem;
@@ -24,7 +24,16 @@ use macs_problems::{
     coloring_model, golomb_ruler, langford, queens, ColoringInstance, QueensModel,
 };
 use macs_runtime::{BoundPolicy, ChunkPolicy, MachineTopology};
-use macs_sim::SimConfig;
+use macs_sim::{CostModel, SimConfig};
+
+const FLAGS: &[CommonFlag] = &[
+    CommonFlag::Mode,
+    CommonFlag::Shape,
+    CommonFlag::BoundPolicy,
+    CommonFlag::ChunkPolicy,
+    CommonFlag::CostModel,
+    CommonFlag::DetectTopo,
+];
 
 struct Row {
     name: String,
@@ -75,12 +84,10 @@ fn drive(
     }
     paccs_cfg.mode = mode;
     let paccs = paccs_solve(prob, &paccs_cfg);
-    let mut cfg = SimConfig::new(topo);
-    if let Some(p) = policy {
-        cfg.bound_policy = p;
-    }
-    cfg.steal = steal;
-    macs_bench::apply_host_overrides(&mut cfg);
+    let cfg = SimConfig {
+        steal,
+        ..sim_cell(FLAGS, topo, CostModel::default())
+    };
     let sim = sim_cp_macs_mode(prob, &cfg, mode);
     let psim = sim_cp_paccs_mode(prob, &cfg, mode);
     // Raced satisfaction runs must hand back a *verifiable* winner.
@@ -135,14 +142,7 @@ fn main() {
         "smoke",
         "drive every execution path on small instances and compare them\nto the sequential oracle (exit non-zero on any disagreement).",
         &[],
-        &[
-            macs_bench::CommonFlag::Mode,
-            macs_bench::CommonFlag::Shape,
-            macs_bench::CommonFlag::BoundPolicy,
-            macs_bench::CommonFlag::ChunkPolicy,
-            macs_bench::CommonFlag::CostModel,
-            macs_bench::CommonFlag::DetectTopo,
-        ],
+        FLAGS,
     ));
     // The hierarchical matrix entry: 3-level by default, CI also passes
     // explicit shapes, bound policies and modes.

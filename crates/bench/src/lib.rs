@@ -1,8 +1,10 @@
 //! Shared harness code for the bins in `src/bin/`: flag parsing and
-//! `--help` text, the paper's machine shapes, simulator drivers, and the
-//! table printers of the `paper` bin (which regenerates the tables and
-//! figures of the paper's evaluation, §VI, on the discrete-event
-//! simulator). Wall-clock measurement lives in `benchmark/`, not here.
+//! `--help` text, the paper's machine shapes, simulator drivers, the one
+//! service cell both `perf_record --service` and `paper ablation_service`
+//! serve, and the table printers of the `paper` bin (which regenerates
+//! the tables, figures and ablations of the paper's evaluation, §IV–§VI,
+//! on the discrete-event simulator). Wall-clock measurement lives in
+//! `benchmark/`, not here.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -12,6 +14,10 @@ use macs_engine::CompiledProblem;
 use macs_gpi::MachineTopology;
 use macs_runtime::WorkerState;
 use macs_search::{BoundPolicy, ChunkPolicy};
+use macs_service::{
+    generate, JobScheduler, LeasePolicy, Oracle, ServiceConfig, ServiceReport, SimBackend,
+    WorkloadConfig,
+};
 use macs_sim::{simulate_macs, simulate_paccs, CostModel, FabricModel, SimConfig, SimReport};
 
 /// The cross-bin flags, defined once so their wording is identical in
@@ -35,7 +41,7 @@ pub enum CommonFlag {
     Fabric,
     /// `--cost-model <path>` (via [`cost_model_arg`]).
     CostModel,
-    /// `--detect-topo` (via [`apply_host_overrides`]).
+    /// `--detect-topo` (via [`sim_cell`]).
     DetectTopo,
     /// `--full` (via [`full_scale`] / [`core_series`]).
     Full,
@@ -96,8 +102,8 @@ pub fn usage(bin: &str, about: &str, extra: &[(&str, &str)], common: &[CommonFla
         .max()
         .unwrap_or(0)
         .max("-h, --help".len());
-    // `bin` may carry its positional part ("paper -- <SUBCOMMAND>").
-    let name = bin.split_whitespace().next().unwrap_or(bin);
+    // `bin` may carry its positional part ("paper -- fig3").
+    let name = bin.replace(" -- ", " ");
     let mut out = format!(
         "{name} — {about}\n\nUSAGE:\n    cargo run --release -p macs-bench --bin {bin} [OPTIONS]\n\nOPTIONS:\n"
     );
@@ -136,29 +142,6 @@ pub fn deep_topo_for(cores: usize) -> MachineTopology {
         MachineTopology::try_new(&[cores / 8, 2, 4], 1).expect("valid deep shape")
     } else {
         topo_for(cores)
-    }
-}
-
-/// A depth-5 shape at `cores` total: `cores/32` pairs of node-pairs ×
-/// 2 × 2 × 2 sockets × 4 cores, fabric above level 3 (`node_prefix` 2) —
-/// so there are *two* remote ring levels and the distance-aware scan's
-/// nearest-remote-first order actually has a choice to make. Falls back
-/// to [`deep_topo_for`] when `cores` doesn't fill the shape.
-pub fn deep5_topo_for(cores: usize) -> MachineTopology {
-    if cores >= 64 && cores.is_multiple_of(32) {
-        MachineTopology::try_new(&[cores / 32, 2, 2, 2, 4], 2).expect("valid deep5 shape")
-    } else {
-        deep_topo_for(cores)
-    }
-}
-
-/// A depth-6 shape at `cores` total: one more intra-node level than
-/// [`deep5_topo_for`] (`cores/64` × 2 × 2 × 2 × 2 × 4, `node_prefix` 2).
-pub fn deep6_topo_for(cores: usize) -> MachineTopology {
-    if cores >= 128 && cores.is_multiple_of(64) {
-        MachineTopology::try_new(&[cores / 64, 2, 2, 2, 2, 4], 2).expect("valid deep6 shape")
-    } else {
-        deep5_topo_for(cores)
     }
 }
 
@@ -269,19 +252,37 @@ pub fn shape_arg() -> Option<MachineTopology> {
     parsed_arg("shape", parse_shape)
 }
 
-/// Apply the host-binding overrides to a built [`SimConfig`]: a
-/// `--cost-model` file replaces the built-in constants and
-/// `--detect-topo` replaces the declared shape with this host's (sysfs
-/// on Linux, flat `available_parallelism` fallback elsewhere — detection
-/// never fails). Bins call this at every `SimConfig` construction site so
-/// one flag reaches every cell of a sweep.
-pub fn apply_host_overrides(cfg: &mut SimConfig) {
-    if let Some(m) = cost_model_arg() {
+/// The one simulated cell: `topo` priced by `costs`, then each of
+/// `--cost-model` (replaces the built-in constants), `--detect-topo`
+/// (this host's shape: sysfs on Linux, flat `available_parallelism`
+/// fallback elsewhere — detection never fails), `--bound-policy` and
+/// `--chunk-policy` that the caller `declares` — the same list its
+/// `--help` is composed from, so a flag reaches every cell exactly where
+/// it is advertised. A swept knob is set on the result, after these.
+pub fn sim_cell(declares: &[CommonFlag], topo: MachineTopology, costs: CostModel) -> SimConfig {
+    // An undeclared flag is never parsed, let alone applied.
+    fn parse<T>(declares: &[CommonFlag], f: CommonFlag, read: fn() -> Option<T>) -> Option<T> {
+        declares.contains(&f).then(read).flatten()
+    }
+    let mut cfg = SimConfig::new(topo).with_cost_model(costs);
+    if let Some(m) = parse(declares, CommonFlag::CostModel, cost_model_arg) {
         cfg.costs = m;
     }
-    if std::env::args().any(|a| a == "--detect-topo") {
+    if declares.contains(&CommonFlag::DetectTopo) && flag("detect-topo") {
         cfg.topology = MachineTopology::detect();
     }
+    if let Some(p) = parse(declares, CommonFlag::BoundPolicy, bound_policy_arg) {
+        cfg.bound_policy = p;
+    }
+    if let Some(c) = parse(declares, CommonFlag::ChunkPolicy, chunk_policy_arg) {
+        cfg.steal.chunk_policy = c;
+    }
+    cfg
+}
+
+/// Whether the value-less switch `--name` was passed.
+pub fn flag(name: &str) -> bool {
+    std::env::args().any(|a| a.strip_prefix("--") == Some(name))
 }
 
 /// Print `usage` and exit 0 when `--help`/`-h` was passed. Harness bins
@@ -334,6 +335,59 @@ pub fn sim_cp_paccs_mode(
     )
 }
 
+/// The two lease policies every service cell compares on `nodes`
+/// 4-core nodes: a static quarter-machine lease and the queue-depth
+/// elastic lease over the whole machine.
+pub fn lease_policies(nodes: usize) -> [LeasePolicy; 2] {
+    [
+        LeasePolicy::Static {
+            nodes: (nodes / 4).max(1),
+        },
+        LeasePolicy::QueueDepth { min: 1, max: nodes },
+    ]
+}
+
+/// Serve one generated open-loop trace on `nodes` 4-core nodes under
+/// `policy` (simulator backend, queue cap a quarter of the jobs, at least
+/// 4) and hold the run to the service's gates: no scheduler-invariant
+/// violation, every job completed or rejected, every completed answer
+/// equal to its class's sequential oracle. Returns the report and one
+/// message per failed gate.
+pub fn serve_cell(
+    nodes: usize,
+    workload: &WorkloadConfig,
+    policy: LeasePolicy,
+    cost_model: CostModel,
+    oracle: &mut Oracle,
+) -> (ServiceReport, Vec<String>) {
+    let cfg = ServiceConfig {
+        nodes,
+        cores_per_node: 4,
+        queue_cap: (workload.jobs / 4).max(4),
+        policy,
+        cost_model,
+    };
+    let r = SimBackend::default().serve(&cfg, &generate(workload));
+    let mut failed = Vec::new();
+    if !r.violations.is_empty() {
+        failed.push(format!("scheduler invariants violated: {:?}", r.violations));
+    }
+    if r.completed() + r.rejected() != workload.jobs as u64 {
+        failed.push(format!(
+            "{} completed + {} rejected != {} submitted",
+            r.completed(),
+            r.rejected(),
+            workload.jobs
+        ));
+    }
+    for rec in r.records.iter().filter(|rec| !rec.rejected) {
+        if let Err(e) = oracle.verify(rec.class, &rec.answer) {
+            failed.push(format!("job {}: {e}", rec.id));
+        }
+    }
+    (r, failed)
+}
+
 /// Validate a QAP sub-instance size from `--n`-style arguments with a
 /// readable exit instead of a library panic.
 pub fn qap_size_arg(name: &str, default: usize) -> usize {
@@ -348,7 +402,7 @@ pub fn qap_size_arg(name: &str, default: usize) -> usize {
 /// `--full` switches the harnesses from quick (minutes) to paper-scale
 /// instances.
 pub fn full_scale() -> bool {
-    std::env::args().any(|a| a == "--full")
+    flag("full")
 }
 
 /// The core counts of the paper's x-axes (quick mode stops at 128).
@@ -360,20 +414,24 @@ pub fn core_series() -> Vec<usize> {
     }
 }
 
-/// `--xl` switches the ablation bins to the 64k-core depth-5/6 cells
+/// `--xl` switches the ablations to the 64k-core depth-5/6 cells
 /// where ring effects diverge (and arms their divergence gates).
 pub fn xl_scale() -> bool {
-    std::env::args().any(|a| a == "--xl")
+    flag("xl")
 }
 
-/// The `--xl` cells: (label, 64k-core machine) on the depth-5 and
-/// depth-6 shapes. Ring effects that are noise at 512 cores — which
-/// remote ring a steal lands on, how far a bound broadcast fans out —
-/// separate cleanly here.
+/// The `--xl` cells: 64k-core machines of depth 5 (2 048 pairs of
+/// node-pairs × 2 × 2 × 2 sockets × 4 cores) and depth 6 (one more
+/// intra-node level), fabric above level 3 (`node_prefix` 2) — so there
+/// are two remote ring levels and a nearest-remote-first scan has a choice
+/// to make. Ring effects that are noise at 512 cores — which remote ring a
+/// steal lands on, how far a bound broadcast fans out — separate cleanly
+/// here.
 pub fn xl_cells() -> Vec<(&'static str, MachineTopology)> {
+    let xl = |shape: &[usize]| MachineTopology::try_new(shape, 2).expect("valid xl shape");
     vec![
-        ("deep5-64k", deep5_topo_for(65_536)),
-        ("deep6-64k", deep6_topo_for(65_536)),
+        ("deep5-64k", xl(&[2_048, 2, 2, 2, 4])),
+        ("deep6-64k", xl(&[1_024, 2, 2, 2, 2, 4])),
     ]
 }
 

@@ -43,7 +43,7 @@ pub enum ChunkPolicy {
     /// round trip carries a proportionally bigger reservation. `base`
     /// should normally equal the static cap — shrinking near steals below
     /// the tuned baseline only drains pools faster and sends thieves
-    /// remote sooner (measured in `chunk_ablation`).
+    /// remote sooner (measured in `paper ablation_chunk`).
     DistanceScaled {
         /// Cap for the nearest (distance-1) steal, clamped to ≥ 1.
         base: u64,

@@ -33,7 +33,7 @@
 //! On the paper's 512-core testbed shape (128 nodes × 4 cores) an
 //! `Immediate` improvement costs 508 fabric messages; `Hierarchical`
 //! costs 127 — the per-level delay it introduces in exchange is exactly
-//! what the `bound_ablation` harness measures in wasted (stale-bound)
+//! what `paper ablation_bound` measures in wasted (stale-bound)
 //! node expansions.
 
 use std::cell::Cell;

@@ -8,7 +8,6 @@
 //! plain local variable. [`IncumbentSource`] abstracts exactly that seam.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, Ordering};
 
 /// Access to the global branch-and-bound incumbent (exclusive upper
 /// bound; `i64::MAX` when none exists yet).
@@ -70,38 +69,6 @@ impl IncumbentSource for LocalIncumbent {
     }
 }
 
-/// Shared-memory atomic incumbent for callers that drive the kernel from
-/// their own threads: the value lives in one place and readers see a
-/// possibly stale copy; `fetch_min` keeps concurrent improvements sound.
-#[derive(Debug)]
-pub struct AtomicIncumbent(AtomicI64);
-
-impl AtomicIncumbent {
-    pub fn new() -> Self {
-        AtomicIncumbent(AtomicI64::new(i64::MAX))
-    }
-
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Acquire)
-    }
-}
-
-impl Default for AtomicIncumbent {
-    fn default() -> Self {
-        AtomicIncumbent::new()
-    }
-}
-
-impl IncumbentSource for AtomicIncumbent {
-    fn bound(&self) -> i64 {
-        self.0.load(Ordering::Acquire)
-    }
-
-    fn offer(&self, cost: i64) -> bool {
-        cost < self.0.fetch_min(cost, Ordering::AcqRel)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,23 +82,5 @@ mod tests {
         assert!(!inc.offer(12));
         assert!(inc.offer(3));
         assert_eq!(inc.bound(), 3);
-    }
-
-    #[test]
-    fn atomic_incumbent_is_monotone_under_races() {
-        let inc = std::sync::Arc::new(AtomicIncumbent::new());
-        let improved: usize = std::thread::scope(|s| {
-            (0..4)
-                .map(|t| {
-                    let inc = std::sync::Arc::clone(&inc);
-                    s.spawn(move || (0..100).filter(|i| inc.offer(1000 - t * 100 - i)).count())
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .sum()
-        });
-        assert_eq!(inc.get(), 1000 - 3 * 100 - 99);
-        assert!(improved >= 100, "each strict improvement counted once");
     }
 }

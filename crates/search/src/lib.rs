@@ -12,7 +12,7 @@
 //! * [`IncumbentSource`] — where the branch-and-bound bound comes from:
 //!   the GPI global cell for threaded MaCS and PaCCS, the virtual-time
 //!   incumbent for the simulator, a [`LocalIncumbent`] for sequential
-//!   oracles, a plain [`AtomicIncumbent`] for ad-hoc threads;
+//!   oracles;
 //! * [`bounds`] — *when* the bound reaches other workers: the
 //!   [`BoundPolicy`] dissemination vocabulary (immediate / periodic /
 //!   hierarchical) and the node-leader [`BroadcastTree`] the hierarchical
@@ -80,7 +80,7 @@ pub mod steal;
 pub use arena::StoreSlab;
 pub use batch::{AdaptiveBatch, ChunkPolicy, WorkBatch, WorkItem};
 pub use bounds::{BoundFanout, BoundPath, BoundPolicy, BroadcastTree, RefreshGate};
-pub use incumbent::{AtomicIncumbent, IncumbentSource, LocalIncumbent, NoBound};
+pub use incumbent::{IncumbentSource, LocalIncumbent, NoBound};
 pub use kernel::{KernelTimers, SearchKernel, SolutionReport, StepOutcome, SAMPLE_STRIDE};
 pub use mode::{RaceRing, SearchMode};
 pub use steal::{PollPolicy, PoolView, ReleasePolicy, Reply, StealPolicy, VictimSelect};

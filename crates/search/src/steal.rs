@@ -399,8 +399,8 @@ impl StealPolicy {
     /// chunk policy grants a far thief a bigger reservation: scaling the
     /// gate with the cap over-exports from the serving node, and the
     /// drained pools' owners then turn remote themselves (measured in
-    /// `chunk_ablation` — the same failure mode PR 2 found for aggressive
-    /// batching).
+    /// `paper ablation_chunk` — the same failure mode PR 2 found for
+    /// aggressive batching).
     ///
     /// Allocates only on the top-up path, for the short list of pools
     /// already asked.

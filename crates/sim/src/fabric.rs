@@ -65,7 +65,7 @@ impl ContentionParams {
 }
 
 /// How remote steal-plane messages are priced. Threaded through
-/// [`SimConfig`](crate::SimConfig); the `fabric_ablation` bin compares
+/// [`SimConfig`](crate::SimConfig); `paper ablation_fabric` compares
 /// the two models head to head.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FabricModel {

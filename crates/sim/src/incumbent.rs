@@ -20,7 +20,7 @@
 //! Stale bounds are sound (they only prune less); the fabric additionally
 //! counts how many node expansions ran under a bound worse than the best
 //! value already submitted — the "wasted work" axis of the
-//! `bound_ablation` trade-off.
+//! `paper ablation_bound` trade-off.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;

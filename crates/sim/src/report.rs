@@ -52,7 +52,7 @@ pub struct SimReport<O> {
     pub incumbent: i64,
     /// Fabric messages spent disseminating bound updates (broadcast
     /// fan-out plus periodic pulls) — the volume axis of the
-    /// `bound_ablation` trade-off.
+    /// `paper ablation_bound` trade-off.
     pub bound_msgs: u64,
     /// Incumbent improvements accepted by the bound fabric.
     pub bound_updates: u64,

@@ -84,7 +84,7 @@ fn paccs_histograms_obey_the_same_invariants() {
 /// flag deliver work that is immediately discarded. Those must go into the
 /// separate `drain_steals` bucket — never into the histogram or the
 /// local/remote steal counts they used to inflate (items-per-remote-steal
-/// in `race_ablation` was counting dead deliveries).
+/// in `paper ablation_race` was counting dead deliveries).
 #[test]
 fn race_drain_steals_stay_out_of_the_histogram() {
     let prob = queens(9, QueensModel::Pairwise);
