@@ -72,16 +72,13 @@ fn drive(
         steal.chunk_policy = c;
     }
     threaded_cfg.runtime.steal = steal;
-    threaded_cfg.mode = mode;
-    let threaded = Solver::new(threaded_cfg).solve(prob);
+    let threaded = Solver::new(threaded_cfg.with_mode(mode)).solve(prob);
     let mut paccs_cfg = PaccsConfig::with_workers(1);
     paccs_cfg.topology = topo.clone();
     if let Some(p) = policy {
         paccs_cfg.bound_policy = p;
     }
-    if let Some(c) = chunk {
-        paccs_cfg.chunk_policy = c;
-    }
+    paccs_cfg.steal = steal;
     paccs_cfg.mode = mode;
     let paccs = paccs_solve(prob, &paccs_cfg);
     let cfg = SimConfig {

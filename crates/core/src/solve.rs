@@ -17,10 +17,6 @@ pub struct SolverConfig {
     /// Keep at most this many concrete solutions per worker (counting is
     /// unaffected).
     pub keep_solutions: usize,
-    /// Exhaustive search, or a first-solution race (satisfaction problems;
-    /// the winner flag spreads hierarchically — see
-    /// [`macs_search::mode`]).
-    pub mode: SearchMode,
 }
 
 impl SolverConfig {
@@ -29,7 +25,6 @@ impl SolverConfig {
         SolverConfig {
             runtime: RuntimeConfig::single_node(n),
             keep_solutions: 16,
-            mode: SearchMode::Exhaustive,
         }
     }
 
@@ -55,9 +50,11 @@ impl SolverConfig {
         })
     }
 
-    /// Builder-style mode switch.
+    /// Builder-style mode switch: exhaustive search, or a first-solution
+    /// race (satisfaction problems; the winner flag spreads
+    /// hierarchically — see [`macs_search::mode`]).
     pub fn with_mode(mut self, mode: SearchMode) -> Self {
-        self.mode = mode;
+        self.runtime.mode = mode;
         self
     }
 }
@@ -96,58 +93,55 @@ pub struct SolveOutcome {
 
 /// Solve `prob` on the MaCS runtime according to `cfg`.
 pub fn solve_parallel(prob: &CompiledProblem, cfg: &SolverConfig) -> SolveOutcome {
-    // Arm the runtime's winner-flag machinery to match the processors'
-    // search mode (one knob for callers, kept in step here).
-    let mut runtime = cfg.runtime.clone();
-    runtime.mode = cfg.mode;
     let report = run_parallel(
-        &runtime,
+        &cfg.runtime,
         prob.layout.store_words(),
         &[CpProcessor::root_item(prob)],
-        |_worker| CpProcessor::new(prob, cfg.keep_solutions, cfg.mode),
+        |_worker| CpProcessor::new(prob, cfg.keep_solutions, cfg.runtime.mode),
     );
+    SolveOutcome::from_report(prob, cfg.keep_solutions, report)
+}
 
-    let solutions: u64 = report.outputs.iter().map(|o| o.solutions).sum();
-    let nodes: u64 = report.outputs.iter().map(|o| o.nodes).sum();
-
-    let mut best_cost = None;
-    let mut best_assignment = None;
-    if prob.objective.is_some() && report.incumbent != i64::MAX {
-        best_cost = Some(report.incumbent);
+impl SolveOutcome {
+    /// The CP reduction of a run of [`CpProcessor`]s, whichever executor
+    /// ran them (threaded MaCS here, threaded PaCCS in `macs-paccs`): sum
+    /// the counts, take the optimum from the run's final incumbent and its
+    /// assignment from the worker that set it, keep the first
+    /// `keep_solutions` assignments.
+    pub fn from_report(
+        prob: &CompiledProblem,
+        keep_solutions: usize,
+        report: RunReport<CpOutput>,
+    ) -> SolveOutcome {
+        let solutions = report.outputs.iter().map(|o| o.solutions).sum();
+        let nodes = report.outputs.iter().map(|o| o.nodes).sum();
+        let best_cost =
+            (prob.objective.is_some() && report.incumbent != i64::MAX).then_some(report.incumbent);
+        let kept: Vec<Vec<Val>> = report
+            .outputs
+            .iter()
+            .flat_map(|o| &o.kept)
+            .take(keep_solutions)
+            .cloned()
+            .collect();
         // The worker whose submission set the final incumbent recorded the
-        // matching assignment.
-        for o in &report.outputs {
-            if let Some((c, a)) = &o.best {
-                if *c == report.incumbent {
-                    best_assignment = Some(a.clone());
-                    break;
-                }
-            }
+        // matching assignment; satisfaction runs answer with a kept one.
+        let best_assignment = report
+            .outputs
+            .iter()
+            .find_map(|o| o.best.as_ref().filter(|(c, _)| Some(*c) == best_cost))
+            .map(|(_, a)| a.clone())
+            .or_else(|| kept.first().cloned());
+        SolveOutcome {
+            solutions,
+            nodes,
+            best_cost,
+            best_assignment,
+            kept,
+            first_solution: report.first_solution,
+            nodes_after_win: report.nodes_after_win(),
+            report,
         }
-    }
-
-    let mut kept: Vec<Vec<Val>> = Vec::new();
-    for o in &report.outputs {
-        for a in &o.kept {
-            if kept.len() >= cfg.keep_solutions {
-                break;
-            }
-            kept.push(a.clone());
-        }
-    }
-    if best_assignment.is_none() {
-        best_assignment = kept.first().cloned();
-    }
-
-    SolveOutcome {
-        solutions,
-        nodes,
-        best_cost,
-        best_assignment,
-        kept,
-        first_solution: report.first_solution,
-        nodes_after_win: report.nodes_after_win(),
-        report,
     }
 }
 

@@ -1,21 +1,23 @@
-//! The PaCCS controller/agent solver.
+//! The PaCCS controller/agent executor.
 //!
-//! Agents drive the same [`SearchKernel`] as MaCS; only the communication
-//! substrate differs — two-sided messages over channels, a controller that
-//! collects solutions, and a [`WorkBatch`] handed over per steal.
+//! [`run_paccs`] drives any runtime [`Processor`] — the same contract the
+//! MaCS runtime and both simulated executions run — over PaCCS's own
+//! communication substrate: two-sided messages over channels, a controller
+//! that detects termination, and a [`WorkBatch`] handed over per steal.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
-use macs_domain::Val;
-use macs_engine::CompiledProblem;
-use macs_gpi::{LatencyModel, MachineTopology, StealHistogram, TopoError, World};
-use macs_runtime::{GlobalIncumbent, Incumbent, WinnerGate};
+use macs_gpi::{Interconnect, LatencyModel, MachineTopology, TopoError, World};
+use macs_runtime::{
+    GlobalIncumbent, Incumbent, ProcCtx, Processor, RaceRing, RunReport, Step, WinnerGate,
+    WorkSink, WorkerState, WorkerStats,
+};
 use macs_search::{
-    BoundPolicy, BroadcastTree, ChunkPolicy, IncumbentSource, RaceRing, RefreshGate, SearchKernel,
-    SearchMode, StealPolicy, StepOutcome, WorkBatch, WorkItem,
+    BoundPolicy, BroadcastTree, RefreshGate, SearchMode, StealPolicy, WorkBatch, WorkItem,
 };
 
 /// Sleep between failed steal sweeps.
@@ -26,17 +28,10 @@ const STEAL_RETRY_BACKOFF: Duration = Duration::from_micros(50);
 pub struct PaccsConfig {
     pub topology: MachineTopology,
     pub latency: LatencyModel,
-    /// Items handed over per successful steal (victim gives up to half its
-    /// queue, capped here). The static reference cap; `chunk_policy` maps
-    /// it and the thief's distance to the effective per-steal cap.
-    pub max_steal_chunk: usize,
-    /// Steal-chunk granularity (see [`ChunkPolicy`]). PaCCS agents each
-    /// own a single stack — there are no co-located pools to batch into
-    /// one reply — so `Adaptive` here means distance-scaled grants; the
-    /// reply-thinness signal it would tune the batch with is still
-    /// measured (`PaccsOutcome::thin_replies`), with the same degenerate
-    /// small-cap guard as the other backends.
-    pub chunk_policy: ChunkPolicy,
+    /// The steal rulebook MaCS runs too. A victim reads only its per-steal
+    /// cap ([`StealPolicy::chunk_cap`]), as simulated PaCCS does: one deque
+    /// per agent, no pools to batch, so `Adaptive` is distance scaling.
+    pub steal: StealPolicy,
     pub keep_solutions: usize,
     /// When incumbent improvements reach other agents: the controller's
     /// value is the root incumbent register of the run's [`World`], read
@@ -45,9 +40,9 @@ pub struct PaccsConfig {
     /// caches it per agent, `Hierarchical` goes through the node mirrors
     /// their leaders refresh).
     pub bound_policy: BoundPolicy,
-    /// Exhaustive search, or a first-solution race (satisfaction only):
-    /// the winner raises the run's [`WinnerGate`] and every agent abandons
-    /// its remaining stack on observing it.
+    /// Exhaustive search, or a first-solution race: a processor's
+    /// `cancel` raises the run's [`WinnerGate`] and every agent abandons
+    /// its remaining deque on observing it.
     pub mode: SearchMode,
 }
 
@@ -56,9 +51,8 @@ impl PaccsConfig {
         PaccsConfig {
             topology: MachineTopology::flat(n),
             latency: LatencyModel::zero(),
-            // One default cap for threaded and simulated PaCCS (and MaCS).
-            max_steal_chunk: StealPolicy::default().max_steal_chunk as usize,
-            chunk_policy: ChunkPolicy::default(),
+            // One default policy for threaded and simulated PaCCS and MaCS.
+            steal: StealPolicy::default(),
             keep_solutions: 16,
             bound_policy: BoundPolicy::Immediate,
             mode: SearchMode::Exhaustive,
@@ -84,51 +78,6 @@ impl PaccsConfig {
     }
 }
 
-/// Result of a PaCCS run.
-#[derive(Debug)]
-pub struct PaccsOutcome {
-    /// Solutions delivered to the controller (for optimisation: improving
-    /// solutions).
-    pub solutions: u64,
-    /// Total stores processed.
-    pub nodes: u64,
-    pub best_cost: Option<i64>,
-    pub best_assignment: Option<Vec<Val>>,
-    pub kept: Vec<Vec<Val>>,
-    pub wall: Duration,
-    /// Successful steals from a same-node / remote-node victim.
-    pub local_steals: u64,
-    pub remote_steals: u64,
-    /// Steal requests answered with `NoWork`.
-    pub failed_steals: u64,
-    /// Successful steals by topological distance (thief side).
-    pub steals_by_distance: StealHistogram,
-    /// Total messages exchanged.
-    pub messages: u64,
-    /// Cross-node messages attributable to bound dissemination (relay
-    /// fan-out on improvements, plus periodic refresh pulls).
-    pub bound_msgs: u64,
-    /// First-solution races: wall time from run start to the winning
-    /// solution (`None` otherwise).
-    pub first_solution: Option<Duration>,
-    /// First-solution races: stores whose expansion started after the win
-    /// — the dissemination lag's bill.
-    pub nodes_after_win: u64,
-    /// First-solution races: stores discarded unprocessed (stacks and
-    /// late steal replies) once agents observed the winner flag.
-    pub abandoned_items: u64,
-    /// First-solution races: steal replies that delivered work to an agent
-    /// that had already observed the winner flag — kept out of
-    /// `local_steals`/`remote_steals` and the distance histogram so a
-    /// race's drain cannot masquerade as successful stealing.
-    pub drain_steals: u64,
-    /// Served replies that were *thin* (below `WorkBatch::thin_threshold`
-    /// of the effective cap) — the scarcity signal the adaptive policy
-    /// reads; on a single-stack backend it is reported rather than acted
-    /// on.
-    pub thin_replies: u64,
-}
-
 enum Msg {
     /// Steal request from an idle agent.
     StealReq { thief: usize },
@@ -136,39 +85,30 @@ enum Msg {
     Work(WorkBatch),
     /// Steal reply: nothing to give.
     NoWork,
-    /// Agent → controller: a solution.
-    Solution {
-        cost: Option<i64>,
-        assignment: Vec<Val>,
-    },
     /// Controller → agents: stop.
     Terminate,
 }
 
 struct Shared<'a> {
-    prob: &'a CompiledProblem,
     cfg: &'a PaccsConfig,
     /// The controller's registers — root incumbent, winner flag, win
     /// instant, their per-node mirrors — and the fabric that prices
     /// reaching them from off node 0.
     world: &'a World,
     senders: Vec<Sender<Msg>>,
-    to_controller: Sender<Msg>,
     /// Agents currently holding work — the termination invariant is
-    /// `active + in_flight ≥ 1` whenever any store exists anywhere.
+    /// `active + in_flight ≥ 1` whenever any work item exists anywhere.
     active: AtomicUsize,
     /// Work messages in flight.
     in_flight: AtomicUsize,
     /// The broadcast tree improvements are billed over.
     tree: BroadcastTree,
-    messages: AtomicU64,
-    bound_msgs: AtomicU64,
 }
 
 impl Shared<'_> {
-    /// Send an agent-to-agent message, charging the fabric for cross-node
-    /// traffic (MPI send, no one-sided shortcut).
-    fn send(&self, from: usize, to: usize, msg: Msg) {
+    /// Deliver a message, charging the fabric for cross-node traffic (MPI
+    /// send, no one-sided shortcut).
+    fn post(&self, from: usize, to: usize, msg: Msg) {
         if !self.cfg.topology.is_local(from, to) {
             let bytes = match &msg {
                 Msg::Work(batch) => batch.payload_bytes() + 64,
@@ -176,17 +116,19 @@ impl Shared<'_> {
             };
             self.world.interconnect.charge_write(bytes);
         }
-        self.messages.fetch_add(1, Ordering::Relaxed);
         let _ = self.senders[to].send(msg);
     }
 
-    /// Send to the controller (hosted on node 0).
-    fn send_controller(&self, from: usize, msg: Msg) {
-        if self.cfg.topology.node_of(from) != 0 {
-            self.world.interconnect.charge_write(64);
+    /// Is the run over? The invariant makes a single observation
+    /// sufficient; a confirming read is cheap insurance.
+    fn quiet(&self) -> bool {
+        let idle = || {
+            self.active.load(Ordering::Acquire) == 0 && self.in_flight.load(Ordering::Acquire) == 0
+        };
+        idle() && {
+            std::thread::sleep(Duration::from_micros(100));
+            idle()
         }
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        let _ = self.to_controller.send(msg);
     }
 }
 
@@ -197,10 +139,10 @@ impl Shared<'_> {
 struct AgentBound<'s, 'p> {
     shared: &'s Shared<'p>,
     id: usize,
-    off_controller: bool,
     cells: GlobalIncumbent<'s>,
     /// Ticks with `cells`' own `Periodic` cadence (one `due` per read).
     pulls: RefreshGate,
+    billed: Cell<u64>,
 }
 
 impl<'s, 'p> AgentBound<'s, 'p> {
@@ -209,7 +151,6 @@ impl<'s, 'p> AgentBound<'s, 'p> {
         AgentBound {
             shared,
             id,
-            off_controller: node != 0,
             cells: GlobalIncumbent::new(
                 &world.cells,
                 &world.interconnect,
@@ -220,387 +161,368 @@ impl<'s, 'p> AgentBound<'s, 'p> {
                 shared.tree.is_leader(id),
             ),
             pulls: RefreshGate::new(),
-        }
-    }
-
-    fn bill(&self, msgs: u64) {
-        if msgs > 0 {
-            self.shared.bound_msgs.fetch_add(msgs, Ordering::Relaxed);
+            billed: Cell::new(0),
         }
     }
 }
 
-impl IncumbentSource for AgentBound<'_, '_> {
-    fn bound(&self) -> i64 {
+impl Incumbent for AgentBound<'_, '_> {
+    fn get(&self) -> i64 {
         if let BoundPolicy::Periodic { every } = self.shared.cfg.bound_policy {
-            if self.pulls.due(every) {
-                self.bill(self.off_controller as u64);
+            let off_controller = self.shared.cfg.topology.node_of(self.id) != 0;
+            if self.pulls.due(every) && off_controller {
+                self.billed.set(self.billed.get() + 1);
             }
         }
         self.cells.get()
     }
 
-    fn offer(&self, cost: i64) -> bool {
+    fn submit(&self, cost: i64) -> bool {
         let improved = self.cells.submit(cost);
         if improved {
             let policy = self.shared.cfg.bound_policy;
-            self.bill(self.shared.tree.improvement_msgs(policy, self.id));
+            let msgs = self.shared.tree.improvement_msgs(policy, self.id);
+            self.billed.set(self.billed.get() + msgs);
         }
         improved
     }
 }
 
-#[derive(Default)]
-struct AgentResult {
-    nodes: u64,
-    local_steals: u64,
-    remote_steals: u64,
-    failed_steals: u64,
-    steals_by_distance: StealHistogram,
-    nodes_after_win: u64,
-    abandoned: u64,
-    drain_steals: u64,
-    thin_replies: u64,
+/// Sink under an agent's [`ProcCtx`]: children go onto the back of the
+/// agent's own deque, in boxes recycled from finished items; each solution
+/// notifies the controller (one billed message — the assignment stays in
+/// the processor's output); `cancel` raises the winner flag.
+struct AgentSink<'b, 'w> {
+    stack: &'b mut VecDeque<WorkItem>,
+    spare: &'b mut Vec<WorkItem>,
+    solutions: &'b mut u64,
+    messages: &'b mut u64,
+    gate: &'b WinnerGate<'w>,
+    /// The fabric a controller notification crosses (`None` on node 0).
+    to_controller: Option<&'w Interconnect>,
 }
 
-/// Victim side of a steal: hand over the oldest half of the queue (the
-/// largest sub-problems), capped by the chunk policy at the thief's
-/// topological distance — a same-socket thief takes a small bite, a
-/// cross-cluster thief's expensive round trip carries a bigger
-/// reservation. The victim always keeps at least one store, so it stays
-/// active. `WorkBatch::split_front` removes from the deque's front in
-/// O(chunk) — the old `Vec::drain(..give)` memmoved the whole remaining
-/// stack on every steal. Returns whether the (served) reply was thin
-/// under the shared degenerate-cap-guarded threshold.
-fn reply_steal(
-    victim: usize,
-    thief: usize,
-    stack: &mut VecDeque<WorkItem>,
-    shared: &Shared<'_>,
-) -> Option<bool> {
-    let topo = &shared.cfg.topology;
-    let cap = shared.cfg.chunk_policy.cap_for(
-        topo.distance(victim, thief),
-        topo.levels(),
-        shared.cfg.max_steal_chunk as u64,
-    ) as usize;
-    let batch = WorkBatch::split_front(stack, cap);
-    if batch.is_empty() {
-        shared.send(victim, thief, Msg::NoWork);
-        return None;
-    }
-    // Thinness is judged against the static cap (never more than the
-    // effective one) — the same degenerate-small-cap-guarded gate the
-    // shared-memory backends use for their top-up decision.
-    let gate_cap = (cap as u64).min(shared.cfg.max_steal_chunk as u64);
-    let thin = (batch.len() as u64) < WorkBatch::thin_threshold(gate_cap);
-    shared.in_flight.fetch_add(1, Ordering::AcqRel);
-    shared.send(victim, thief, Msg::Work(batch));
-    Some(thin)
-}
-
-/// Accept a `Work` reply: the order (activate, then release the in-flight
-/// count) keeps the termination invariant.
-fn accept_work(batch: WorkBatch, stack: &mut VecDeque<WorkItem>, shared: &Shared<'_>) {
-    shared.active.fetch_add(1, Ordering::AcqRel);
-    shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-    batch.adopt_into(stack);
-}
-
-/// The search-agent loop: drain messages, expand one store through the
-/// shared kernel, steal when idle.
-fn agent_main(id: usize, shared: &Shared<'_>, rx: &Receiver<Msg>, seeded: bool) -> AgentResult {
-    let prob = shared.prob;
-    let mut kernel = SearchKernel::new(prob);
-    let mut stack: VecDeque<WorkItem> = VecDeque::new();
-    let mut res = AgentResult::default();
-    let incumbent = AgentBound::new(id, shared);
-    // First-solution race state: optimisation runs must keep searching to
-    // prove the optimum, so the race only arms on satisfaction problems.
-    let race = shared.cfg.mode.is_race() && !prob.objective.is_some();
-    let mut gate = WinnerGate::new(shared.world, id, race);
-    let mut ring = RaceRing::new();
-
-    if seeded {
-        // `active` was pre-incremented by the launcher, before any thread
-        // ran, so the controller can never observe a spuriously quiet start.
-        let root = kernel.alloc_root();
-        stack.push_back(root);
+impl WorkSink for AgentSink<'_, '_> {
+    fn push(&mut self, item: &[u64]) {
+        let mut slot = self.spare.pop().unwrap_or_else(|| item.into());
+        slot.copy_from_slice(item);
+        self.stack.push_back(slot);
     }
 
-    // Victim order: the topology's distance rings flattened nearest
-    // first — socket peers, then node peers, then each remote ring — the
-    // paper's expanding neighbourhood, derived from the machine's levels
-    // instead of an ad-hoc local/remote split.
-    let topo = &shared.cfg.topology;
-    let victims: Vec<usize> = topo.rings(id).into_iter().flatten().collect();
+    fn solution(&mut self) {
+        *self.solutions += 1;
+        *self.messages += 1;
+        if let Some(ic) = self.to_controller {
+            ic.charge_write(64);
+        }
+    }
 
-    loop {
-        // ---- winner flag (first-solution race) ---------------------------
-        if race && gate.raised() {
-            // Settle the race account and drain to termination.
-            res.nodes_after_win = gate.settle(&ring).unwrap_or(0);
-            if !stack.is_empty() {
-                res.abandoned += stack.len() as u64;
-                while let Some(it) = stack.pop_back() {
-                    kernel.recycle(it);
-                }
-                // We held work, so we were counted active.
-                shared.active.fetch_sub(1, Ordering::AcqRel);
+    fn cancel(&mut self) {
+        self.gate.raise();
+    }
+}
+
+/// One search agent: a private deque, a processor, the steal sweep over
+/// its expanding neighbourhood, and its [`WorkerStats`].
+struct Agent<'s, 'p, P: Processor> {
+    id: usize,
+    shared: &'s Shared<'p>,
+    rx: Receiver<Msg>,
+    processor: P,
+    stats: WorkerStats,
+    stack: VecDeque<WorkItem>,
+    /// Boxes of finished items, reused for the next pushes.
+    spare: Vec<WorkItem>,
+    bound: AgentBound<'s, 'p>,
+    gate: WinnerGate<'s>,
+    ring: RaceRing,
+    /// Victim order: the topology's distance rings flattened nearest
+    /// first — socket peers, then node peers, then each remote ring — the
+    /// paper's expanding neighbourhood, derived from the machine's levels.
+    victims: Vec<usize>,
+}
+
+impl<'s, 'p, P: Processor> Agent<'s, 'p, P> {
+    fn new(id: usize, shared: &'s Shared<'p>, rx: Receiver<Msg>, processor: P) -> Self {
+        let topo = &shared.cfg.topology;
+        Agent {
+            id,
+            shared,
+            rx,
+            processor,
+            stats: WorkerStats::new(id, topo.node_of(id)),
+            stack: VecDeque::new(),
+            spare: Vec::new(),
+            bound: AgentBound::new(id, shared),
+            gate: WinnerGate::new(shared.world, id, shared.cfg.mode.is_race()),
+            ring: RaceRing::new(),
+            victims: topo.rings(id).into_iter().flatten().collect(),
+        }
+    }
+
+    /// Send to another agent, billed to this one.
+    fn send(&mut self, to: usize, msg: Msg) {
+        self.stats.messages += 1;
+        self.shared.post(self.id, to, msg);
+    }
+
+    /// The agent loop: drain messages, process one item, steal when idle.
+    /// Returns when the controller terminates the run.
+    fn run(mut self) -> (WorkerStats, P::Output) {
+        'run: loop {
+            if self.gate.raised() {
+                self.drain_after_win();
+                break;
             }
-            loop {
-                match rx.recv() {
-                    Ok(Msg::StealReq { thief }) => shared.send(id, thief, Msg::NoWork),
-                    Ok(Msg::Work(batch)) => {
-                        // A reply that raced the flag and lost: the items
-                        // die here, settling the in-flight count without
-                        // ever becoming active.
-                        res.abandoned += batch.len() as u64;
-                        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                    }
-                    Ok(Msg::NoWork) => {}
-                    Ok(Msg::Terminate) | Err(_) => return res,
-                    Ok(Msg::Solution { .. }) => unreachable!(),
+            // MPI progress: drain pending messages.
+            while let Ok(msg) = self.rx.try_recv() {
+                match msg {
+                    Msg::StealReq { thief } => self.reply_steal(thief),
+                    Msg::Work(batch) => self.accept_work(batch), // defensive
+                    Msg::NoWork => {}
+                    Msg::Terminate => break 'run,
                 }
+            }
+            match self.stack.pop_back() {
+                Some(item) => self.process(item),
+                None if !self.sweep() => break,
+                None => {}
             }
         }
+        self.stats.bound_msgs = self.bound.billed.get();
+        self.stats.clock.finish();
+        (self.stats, self.processor.finish())
+    }
 
-        // MPI-progress: drain pending messages.
-        while let Ok(msg) = rx.try_recv() {
-            match msg {
-                Msg::StealReq { thief } => {
-                    if reply_steal(id, thief, &mut stack, shared) == Some(true) {
-                        res.thin_replies += 1;
-                    }
-                }
-                Msg::Terminate => return res,
-                Msg::Work(batch) => accept_work(batch, &mut stack, shared), // defensive
-                Msg::NoWork => {}
-                Msg::Solution { .. } => unreachable!("agents do not receive solutions"),
-            }
+    /// Process one item; a `Continue` puts the first child back on top.
+    fn process(&mut self, mut item: WorkItem) {
+        self.stats.clock.tick(WorkerState::Working);
+        self.stats.items += 1;
+        if self.shared.cfg.mode.is_race() {
+            self.ring.record(self.shared.world.elapsed_ns());
         }
+        let node = self.stats.node;
+        let mut sink = AgentSink {
+            stack: &mut self.stack,
+            spare: &mut self.spare,
+            solutions: &mut self.stats.solutions,
+            messages: &mut self.stats.messages,
+            gate: &self.gate,
+            to_controller: (node != 0).then_some(&self.shared.world.interconnect),
+        };
+        let mut ctx = ProcCtx::new(self.id, node, &mut self.stats.phase, &self.bound, &mut sink);
+        match self.processor.process(&mut item, &mut ctx) {
+            Step::Leaf => self.spare.push(item),
+            Step::Continue => self.stack.push_back(item),
+        }
+        if self.stack.is_empty() {
+            // Out of work: stop being counted before the idle sweep.
+            self.shared.active.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
 
-        if let Some(mut store) = stack.pop_back() {
-            // ---- process one store (the same kernel MaCS runs) -----------
-            res.nodes += 1;
-            if race {
-                ring.record(shared.world.elapsed_ns());
-            }
-            match kernel.step(&mut store, &incumbent) {
-                StepOutcome::Failed => {}
-                StepOutcome::Solution(sol) => match sol.cost {
-                    Some(cost) => {
-                        if sol.improved {
-                            shared.send_controller(
-                                id,
-                                Msg::Solution {
-                                    cost: Some(cost),
-                                    assignment: sol.assignment,
-                                },
-                            );
-                        }
-                    }
-                    None => {
-                        shared.send_controller(
-                            id,
-                            Msg::Solution {
-                                cost: None,
-                                assignment: sol.assignment,
-                            },
-                        );
-                        if race {
-                            gate.raise();
-                        }
-                    }
-                },
-                StepOutcome::Children(_) => kernel.push_children(&mut stack),
-            }
-            kernel.recycle(store);
-            if stack.is_empty() {
-                // Out of work: stop being counted before the idle sweep.
-                shared.active.fetch_sub(1, Ordering::AcqRel);
-            }
+    /// Victim side of a steal: hand over the oldest half of the deque (the
+    /// largest sub-problems) under the rulebook's cap for the thief's
+    /// distance. The victim always keeps at least one item, so it stays
+    /// active.
+    fn reply_steal(&mut self, thief: usize) {
+        self.stats.clock.set(WorkerState::Poll);
+        let cfg = self.shared.cfg;
+        let cap = cfg
+            .steal
+            .chunk_cap(&cfg.topology, cfg.topology.distance(self.id, thief));
+        let batch = WorkBatch::split_front(&mut self.stack, cap as usize);
+        if batch.is_empty() {
+            self.stats.requests_refused += 1;
+            self.send(thief, Msg::NoWork);
         } else {
-            // ---- idle: steal sweep over the expanding neighbourhood ------
-            let mut got = false;
-            'sweep: for &victim in &victims {
-                shared.send(id, victim, Msg::StealReq { thief: id });
-                // Block for this victim's reply, serving interleaved
-                // messages (requests get refused — we are idle).
-                loop {
-                    match rx.recv() {
-                        Ok(Msg::Work(batch)) => {
-                            accept_work(batch, &mut stack, shared);
-                            // A reply that arrives after this agent's node
-                            // saw the winner flag delivers work the
-                            // top-of-loop drain will immediately discard:
-                            // count it in the drain bucket, not as a
-                            // successful steal (it must not inflate the
-                            // histogram or items-per-steal).
-                            if race && gate.raised() {
-                                res.drain_steals += 1;
+            self.stats.requests_served += 1;
+            self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
+            self.send(thief, Msg::Work(batch));
+        }
+    }
+
+    /// Accept a `Work` reply: the order (activate, then release the
+    /// in-flight count) keeps the termination invariant.
+    fn accept_work(&mut self, batch: WorkBatch) {
+        self.shared.active.fetch_add(1, Ordering::AcqRel);
+        self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+        batch.adopt_into(&mut self.stack);
+    }
+
+    /// Idle: one steal sweep over the expanding neighbourhood, blocking
+    /// for each victim's reply while refusing interleaved requests.
+    /// `false` once the controller terminated the run.
+    fn sweep(&mut self) -> bool {
+        let shared = self.shared;
+        let topo = &shared.cfg.topology;
+        for k in 0..self.victims.len() {
+            let victim = self.victims[k];
+            let local = topo.is_local(victim, self.id);
+            self.stats.clock.set(WorkerState::FindRemote);
+            self.send(victim, Msg::StealReq { thief: self.id });
+            self.stats.clock.set(WorkerState::WaitRemote);
+            loop {
+                match self.rx.recv() {
+                    Ok(Msg::Work(batch)) => {
+                        self.accept_work(batch);
+                        // A reply that lands after the winner flag
+                        // delivers work the next iteration discards: it
+                        // counts as a drain, not as a steal (it must not
+                        // inflate the histogram or items-per-steal).
+                        if self.gate.raised() {
+                            self.stats.drain_steals += 1;
+                        } else {
+                            let s = &mut self.stats;
+                            s.steals_by_distance.record(topo.distance(self.id, victim));
+                            if local {
+                                s.local_steals += 1;
                             } else {
-                                res.steals_by_distance.record(topo.distance(id, victim));
-                                if topo.is_local(victim, id) {
-                                    res.local_steals += 1;
-                                } else {
-                                    res.remote_steals += 1;
-                                }
+                                s.remote_steals += 1;
                             }
-                            got = true;
-                            break 'sweep;
                         }
-                        Ok(Msg::NoWork) => {
-                            res.failed_steals += 1;
-                            break;
-                        }
-                        Ok(Msg::StealReq { thief }) => {
-                            shared.send(id, thief, Msg::NoWork);
-                        }
-                        Ok(Msg::Terminate) | Err(_) => return res,
-                        Ok(Msg::Solution { .. }) => unreachable!(),
+                        return true;
                     }
+                    Ok(Msg::NoWork) => {
+                        if local {
+                            self.stats.local_steal_failures += 1;
+                        } else {
+                            self.stats.remote_steal_failures += 1;
+                        }
+                        break;
+                    }
+                    Ok(Msg::StealReq { thief }) => {
+                        self.reply_steal(thief);
+                        self.stats.clock.set(WorkerState::WaitRemote);
+                    }
+                    Ok(Msg::Terminate) | Err(_) => return false,
                 }
             }
-            if !got {
-                std::thread::sleep(STEAL_RETRY_BACKOFF);
+        }
+        self.stats.clock.set(WorkerState::Idle);
+        std::thread::sleep(STEAL_RETRY_BACKOFF);
+        true
+    }
+
+    /// The winner flag is up: settle the race account, abandon the deque,
+    /// and refuse work until the controller terminates the run.
+    fn drain_after_win(&mut self) {
+        if let Some(n) = self.gate.settle(&self.ring) {
+            self.stats.nodes_after_win = n;
+        }
+        if !self.stack.is_empty() {
+            self.stats.abandoned_items += self.stack.len() as u64;
+            self.spare.extend(self.stack.drain(..));
+            // We held work, so we were counted active.
+            self.shared.active.fetch_sub(1, Ordering::AcqRel);
+        }
+        self.stats.clock.set(WorkerState::Idle);
+        loop {
+            match self.rx.recv() {
+                Ok(Msg::StealReq { thief }) => {
+                    self.reply_steal(thief);
+                    self.stats.clock.set(WorkerState::Idle);
+                }
+                Ok(Msg::Work(batch)) => {
+                    // A reply that raced the flag and lost: the items die
+                    // here, settling the in-flight count without ever
+                    // becoming active.
+                    self.stats.abandoned_items += batch.len() as u64;
+                    self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+                }
+                Ok(Msg::NoWork) => {}
+                Ok(Msg::Terminate) | Err(_) => return,
             }
         }
     }
 }
 
-/// Solve `prob` with the PaCCS architecture (controller + search agents).
-pub fn paccs_solve(prob: &CompiledProblem, cfg: &PaccsConfig) -> PaccsOutcome {
-    let n = cfg.topology.total_workers();
-    let mut senders = Vec::with_capacity(n);
-    let mut receivers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel::<Msg>();
-        senders.push(tx);
-        receivers.push(rx);
+/// Run `roots` through per-agent processors created by `factory` (called
+/// once per agent, from that agent's thread) on the PaCCS architecture: a
+/// controller plus one search agent per worker of `cfg.topology`, agent 0
+/// seeded with every root. Every root and work item is `slot_words` u64s.
+///
+/// A panicking agent ends the run: the controller terminates the others,
+/// joins them all and re-raises the first panic.
+pub fn run_paccs<P, F>(
+    cfg: &PaccsConfig,
+    slot_words: usize,
+    roots: &[Vec<u64>],
+    factory: F,
+) -> RunReport<P::Output>
+where
+    P: Processor,
+    F: Fn(usize) -> P + Sync,
+{
+    assert!(!roots.is_empty(), "need at least one root work item");
+    for r in roots {
+        assert_eq!(r.len(), slot_words, "root size must match slot_words");
     }
-    let (ctl_tx, ctl_rx) = channel::<Msg>();
+    let n = cfg.topology.total_workers();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel::<Msg>()).unzip();
 
     // The controller *is* the root register block of a `World` (created
     // last, so its epoch times both the wall clock and the win instant).
     let world = World::new(cfg.topology.clone(), cfg.latency, 16);
     let shared = Shared {
-        prob,
         cfg,
         world: &world,
         senders,
-        to_controller: ctl_tx,
         active: AtomicUsize::new(1), // the seeded agent, counted up front
         in_flight: AtomicUsize::new(0),
         tree: BroadcastTree::new(&cfg.topology),
-        messages: AtomicU64::new(0),
-        bound_msgs: AtomicU64::new(0),
     };
 
-    let mut agent_results: Vec<AgentResult> = Vec::with_capacity(n);
-    let mut solutions_seen: u64 = 0;
-    let mut kept: Vec<Vec<Val>> = Vec::new();
-    let mut best: Option<(i64, Vec<Val>)> = None;
-
-    let absorb = |msg: Msg,
-                  best: &mut Option<(i64, Vec<Val>)>,
-                  kept: &mut Vec<Vec<Val>>,
-                  solutions_seen: &mut u64| {
-        if let Msg::Solution { cost, assignment } = msg {
-            *solutions_seen += 1;
-            match cost {
-                Some(c) => {
-                    if best.as_ref().map(|(b, _)| c < *b).unwrap_or(true) {
-                        *best = Some((c, assignment));
-                    }
-                }
-                None => {
-                    if kept.len() < cfg.keep_solutions {
-                        kept.push(assignment);
-                    }
-                }
-            }
-        }
-    };
-
-    std::thread::scope(|s| {
-        let shared = &shared;
-        // `std::sync::mpsc::Receiver` is `Send` but not `Sync`: each agent
-        // takes its receiver by value.
+    let joined: Vec<_> = std::thread::scope(|s| {
+        let (shared, factory) = (&shared, &factory);
         let handles: Vec<_> = receivers
-            .drain(..)
+            .into_iter()
             .enumerate()
-            .map(|(id, rx)| s.spawn(move || agent_main(id, shared, &rx, id == 0)))
+            .map(|(id, rx)| {
+                s.spawn(move || {
+                    let mut agent = Agent::new(id, shared, rx, factory(id));
+                    if id == 0 {
+                        agent
+                            .stack
+                            .extend(roots.iter().map(|r| r.as_slice().into()));
+                    }
+                    agent.run()
+                })
+            })
             .collect();
 
-        // ---- controller: collect solutions, detect termination -----------
-        loop {
-            while let Ok(msg) = ctl_rx.try_recv() {
-                absorb(msg, &mut best, &mut kept, &mut solutions_seen);
-            }
-            let quiet = shared.active.load(Ordering::Acquire) == 0
-                && shared.in_flight.load(Ordering::Acquire) == 0;
-            if quiet {
-                // The invariant makes a single observation sufficient; a
-                // confirming read is cheap insurance.
-                std::thread::sleep(Duration::from_micros(100));
-                if shared.active.load(Ordering::Acquire) == 0
-                    && shared.in_flight.load(Ordering::Acquire) == 0
-                {
-                    break;
-                }
-            } else {
-                std::thread::yield_now();
-            }
+        // ---- controller: detect termination, or an agent's death --------
+        // Agents return only when terminated, so one that finished early
+        // panicked: its work never balances `active`, and a thief may be
+        // blocked on its reply. Terminate everyone either way.
+        while !shared.quiet() && !handles.iter().any(|h| h.is_finished()) {
+            std::thread::yield_now();
         }
         for id in 0..n {
-            shared.send(0, id, Msg::Terminate);
+            shared.post(0, id, Msg::Terminate);
         }
-        for h in handles {
-            agent_results.push(h.join().expect("agent panicked"));
-        }
-        // Solutions sent in the final moments are still in the channel.
-        while let Ok(msg) = ctl_rx.try_recv() {
-            absorb(msg, &mut best, &mut kept, &mut solutions_seen);
-        }
+        handles.into_iter().map(|h| h.join()).collect()
     });
-
     let wall = world.start.elapsed();
-    let nodes = agent_results.iter().map(|r| r.nodes).sum();
-    let (best_cost, best_assignment) = match best {
-        Some((c, a)) => (Some(c), Some(a)),
-        None => (None, kept.first().cloned()),
-    };
-    PaccsOutcome {
-        solutions: solutions_seen,
-        nodes,
-        best_cost,
-        best_assignment,
-        kept,
+
+    let (workers, outputs) = joined
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+        .unzip();
+    RunReport {
         wall,
-        local_steals: agent_results.iter().map(|r| r.local_steals).sum(),
-        remote_steals: agent_results.iter().map(|r| r.remote_steals).sum(),
-        failed_steals: agent_results.iter().map(|r| r.failed_steals).sum(),
-        steals_by_distance: {
-            let mut h = StealHistogram::new();
-            for r in &agent_results {
-                h.merge(&r.steals_by_distance);
-            }
-            h
-        },
-        messages: shared.messages.load(Ordering::Relaxed),
-        bound_msgs: shared.bound_msgs.load(Ordering::Relaxed),
+        workers,
+        outputs,
+        traffic: world.interconnect.counters.snapshot(),
+        incumbent: world.cells.load_i64(world.block.incumbent()),
         first_solution: WinnerGate::win_time(&world),
-        nodes_after_win: agent_results.iter().map(|r| r.nodes_after_win).sum(),
-        abandoned_items: agent_results.iter().map(|r| r.abandoned).sum(),
-        drain_steals: agent_results.iter().map(|r| r.drain_steals).sum(),
-        thin_replies: agent_results.iter().map(|r| r.thin_replies).sum(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paccs_solve;
     use macs_engine::seq::{solve_seq, SeqOptions};
     use macs_problems::{qap::QapInstance, qap_model, queens, QueensModel};
 
@@ -647,7 +569,8 @@ mod tests {
             let out = paccs_solve(&prob, &cfg);
             assert_eq!(out.solutions, seq.solutions);
             assert!(out.messages > 0);
-            if out.local_steals + out.remote_steals > 0 {
+            let (ls, _, rs, _) = out.report.steal_totals();
+            if ls + rs > 0 {
                 stole = true;
                 break;
             }
@@ -665,31 +588,30 @@ mod tests {
         // 2 nodes × 2 sockets × 2 cores: the sweep expands socket → node
         // → remote.
         let mut cfg = PaccsConfig::hierarchical(&[2, 2, 2], 1).unwrap();
-        cfg.max_steal_chunk = 4;
+        cfg.steal.max_steal_chunk = 4;
         let out = paccs_solve(&prob, &cfg);
         assert_eq!(out.solutions, seq.solutions);
-        assert_eq!(
-            out.steals_by_distance.total(),
-            out.local_steals + out.remote_steals,
-            "histogram counts every steal"
-        );
+        for w in &out.report.workers {
+            assert_eq!(
+                w.steals_by_distance.total(),
+                w.local_steals + w.remote_steals,
+                "histogram counts every steal"
+            );
+        }
         assert!(PaccsConfig::hierarchical(&[2, 0], 1).is_err());
     }
 
     #[test]
     fn paccs_and_macs_share_one_default_cap() {
         // Threaded PaCCS, simulated PaCCS and both MaCS executions answer
-        // `ChunkPolicy::cap_for` from one number (the simulator and the
-        // runtime embed `StealPolicy` itself).
+        // `StealPolicy::chunk_cap` from one policy value (the simulator
+        // and the runtime embed `StealPolicy` too).
         for cfg in [
             PaccsConfig::with_workers(4),
             PaccsConfig::clustered(8, 4),
             PaccsConfig::hierarchical(&[2, 2, 2], 1).unwrap(),
         ] {
-            assert_eq!(
-                cfg.max_steal_chunk as u64,
-                StealPolicy::default().max_steal_chunk
-            );
+            assert_eq!(cfg.steal, StealPolicy::default());
         }
     }
 
@@ -706,30 +628,85 @@ mod tests {
         let prob = queens(9, QueensModel::Pairwise);
         let full = solve_seq(&prob, &SeqOptions::default());
         let mut cfg = PaccsConfig::clustered(4, 2);
-        cfg.mode = macs_search::SearchMode::FirstSolution;
+        cfg.mode = SearchMode::FirstSolution;
         let out = paccs_solve(&prob, &cfg);
         assert!(out.solutions >= 1, "a winner must be reported");
         let a = out.best_assignment.as_ref().expect("winning assignment");
         assert!(prob.check_assignment(a));
+        let abandoned = out.report.abandoned_items();
         assert!(
-            out.nodes + out.abandoned_items < full.nodes,
-            "the race must cut the enumeration short: {} + {} vs {}",
+            out.nodes + abandoned < full.nodes,
+            "the race must cut the enumeration short: {} + {abandoned} vs {}",
             out.nodes,
-            out.abandoned_items,
             full.nodes
         );
-        assert!(out.first_solution.is_some(), "win time recorded");
-        assert!(out.first_solution.unwrap() <= out.wall);
+        let won = out.report.first_solution.expect("win time recorded");
+        assert!(won <= out.report.wall);
     }
 
     #[test]
     fn race_on_unsat_instance_terminates_exhaustively() {
         let prob = queens(3, QueensModel::Pairwise);
         let mut cfg = PaccsConfig::with_workers(2);
-        cfg.mode = macs_search::SearchMode::FirstSolution;
+        cfg.mode = SearchMode::FirstSolution;
         let out = paccs_solve(&prob, &cfg);
         assert_eq!(out.solutions, 0);
-        assert!(out.first_solution.is_none(), "no winner on unsat");
-        assert_eq!(out.nodes_after_win, 0);
+        assert!(out.report.first_solution.is_none(), "no winner on unsat");
+        assert_eq!(out.report.nodes_after_win(), 0);
+    }
+
+    /// Complete binary tree of depth 12, an item `[depth, heap index]`;
+    /// whichever agent processes node `panic_at` panics with a
+    /// recognisable payload.
+    struct Faulty {
+        panic_at: u64,
+    }
+
+    impl Processor for Faulty {
+        type Output = ();
+
+        fn process(&mut self, buf: &mut [u64], ctx: &mut ProcCtx<'_>) -> Step {
+            let (depth, index) = (buf[0], buf[1]);
+            if index == self.panic_at {
+                std::panic::panic_any(("injected", index));
+            }
+            if depth == 12 {
+                return Step::Leaf;
+            }
+            ctx.push(&[depth + 1, 2 * index + 1]);
+            buf.copy_from_slice(&[depth + 1, 2 * index]);
+            Step::Continue
+        }
+
+        fn finish(self) {}
+    }
+
+    #[test]
+    fn a_panicking_agent_unwinds_the_run_instead_of_hanging_it() {
+        use std::sync::mpsc;
+
+        for seed in 1..=20u64 {
+            // Spread the fault over the 8 191-node tree: near the root,
+            // deep, early and late in the depth-first order.
+            let at = 1 + (seed * 2_654_435_761) % 8191;
+            let (done, watchdog) = mpsc::channel();
+            // Detached on purpose: a hung run cannot be joined, only timed
+            // out.
+            std::thread::spawn(move || {
+                let cfg = PaccsConfig::clustered(4, 2);
+                let run = std::panic::catch_unwind(|| {
+                    run_paccs(&cfg, 2, &[vec![0, 1]], |_| Faulty { panic_at: at })
+                });
+                let _ = done.send(run.map(|r| r.total_items()));
+            });
+            match watchdog.recv_timeout(Duration::from_secs(10)) {
+                Ok(Err(payload)) => {
+                    let got = payload.downcast_ref::<(&str, u64)>();
+                    assert_eq!(got, Some(&("injected", at)), "seed {seed}");
+                }
+                Ok(Ok(items)) => panic!("seed {seed}: node {at} never ran ({items} items)"),
+                Err(_) => panic!("seed {seed}: run hung after node {at} panicked"),
+            }
+        }
     }
 }

@@ -349,6 +349,11 @@ pub struct WorkerStats {
     /// Rounds of the restore loop that found nothing to steal and backed
     /// off (each makes a bounded number of exact clock reads).
     pub idle_rounds: u64,
+    /// Threaded PaCCS: messages sent (steal requests and replies, solution
+    /// notifications).
+    pub messages: u64,
+    /// Threaded PaCCS: bound-dissemination messages billed.
+    pub bound_msgs: u64,
 }
 
 impl WorkerStats {
@@ -382,6 +387,8 @@ impl WorkerStats {
             abandoned_items: 0,
             parks: 0,
             idle_rounds: 0,
+            messages: 0,
+            bound_msgs: 0,
         }
     }
 }

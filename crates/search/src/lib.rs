@@ -33,8 +33,8 @@
 //!   every protocol decision as a pure function both executions call.
 //!
 //! Every execution path — `macs-core`'s `CpProcessor` (threaded and
-//! simulated MaCS), `macs-paccs`'s agents, and the cross-solver tests —
-//! drives [`SearchKernel::step`]; adding a propagator, a branching rule or
+//! simulated MaCS and PaCCS) and the cross-solver tests — drives
+//! [`SearchKernel::step`]; adding a propagator, a branching rule or
 //! a new backend is a single-site change.
 //!
 //! # Worked example

@@ -16,7 +16,7 @@
 //! | [`pool`] | `macs-pool` | the split private/shared work pool |
 //! | [`runtime`] | `macs-runtime` | the generic hierarchical work-stealing runtime, and the root-register views ([`GlobalIncumbent`](runtime::GlobalIncumbent), [`WinnerGate`](runtime::WinnerGate)) both threaded backends share |
 //! | [`solver`] | `macs-core` | MaCS itself: the kernel on the work-stealing runtime |
-//! | [`paccs`] | `macs-paccs` | the PaCCS message-passing baseline (same kernel, channels for work, the runtime's registers for bounds and the winner flag) |
+//! | [`paccs`] | `macs-paccs` | the PaCCS message-passing baseline (`run_paccs`: the runtime's `Processor` contract over channels for work, the runtime's registers for bounds and the winner flag) |
 //! | [`uts`] | `macs-uts` | the Unbalanced Tree Search benchmark |
 //! | [`sim`] | `macs-sim` | discrete-event simulation at 8–512 virtual cores |
 //! | [`problems`] | `macs-problems` | N-Queens, QAP/QAPLIB, Golomb, magic squares, Langford, knapsack |

@@ -285,8 +285,8 @@ fn first_solution_race_agrees_everywhere() {
 }
 
 /// UTS geometric-law variants: node/leaf counts (and the visit-once
-/// checksum) agree between the threaded runtime and the simulator for
-/// every shape law.
+/// checksum) agree between the threaded runtime, threaded PaCCS and the
+/// simulator for every shape law.
 #[test]
 fn uts_geometric_variants_agree_threaded_vs_simulated() {
     use macs::uts::{
@@ -308,6 +308,23 @@ fn uts_geometric_variants_agree_threaded_vs_simulated() {
 
         let (threaded, _) = uts_parallel(shape, seed, &RuntimeConfig::clustered(4, 2));
         assert_eq!(threaded, expect, "{law}: threaded vs sequential");
+
+        let paccs = macs::paccs::run_paccs(
+            &PaccsConfig::clustered(4, 2),
+            SLOT_WORDS,
+            &[UtsProcessor::root_item(seed)],
+            |_| UtsProcessor::new(shape),
+        );
+        let merged = paccs
+            .outputs
+            .iter()
+            .fold(TreeStats::default(), |acc, s| acc.merge(s));
+        assert_eq!(merged, expect, "{law}: PaCCS vs sequential");
+        assert_eq!(
+            paccs.total_items(),
+            expect.nodes,
+            "{law}: PaCCS, every node once"
+        );
 
         let sim = simulate_macs(
             &sim_cfg(8),

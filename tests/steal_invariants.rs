@@ -6,6 +6,7 @@
 //! let the remaining worker steal a parked pool's last item.
 
 use macs::prelude::*;
+use macs::runtime::RunReport;
 use macs::solver::CpProcessor;
 use macs_sim::simulate_macs;
 
@@ -49,35 +50,38 @@ fn histogram_sums_and_depth_bounds_hold_for_both_scan_orders() {
     }
 }
 
+/// Merge a threaded run's per-worker histograms and check them against
+/// its summed steal counts — the same reading for threaded MaCS and
+/// threaded PaCCS, both of which report in `WorkerStats`.
+fn check_threaded<O>(label: &str, report: &RunReport<O>, topo: &MachineTopology) {
+    let mut hist = StealHistogram::new();
+    for w in &report.workers {
+        hist.merge(&w.steals_by_distance);
+    }
+    let (ls, _, rs, _) = report.steal_totals();
+    check_histogram(label, &hist, ls + rs, topo);
+}
+
 #[test]
 fn threaded_runtime_histograms_obey_the_same_invariants() {
     let prob = queens(9, QueensModel::Pairwise);
+    let topo = MachineTopology::try_new(&[2, 2, 2], 1).unwrap();
     for order in [ScanOrder::DistanceAware, ScanOrder::Flat] {
-        let topo = MachineTopology::try_new(&[2, 2, 2], 1).unwrap();
         let mut cfg = SolverConfig::with_workers(1);
         cfg.runtime.topology = topo.clone();
         cfg.runtime.steal.scan_order = order;
         let out = Solver::new(cfg).solve(&prob);
-        let mut hist = StealHistogram::new();
-        for w in &out.report.workers {
-            hist.merge(&w.steals_by_distance);
-        }
-        let (ls, _, rs, _) = out.report.steal_totals();
-        check_histogram(&format!("threaded {order:?}"), &hist, ls + rs, &topo);
+        check_threaded(&format!("threaded {order:?}"), &out.report, &topo);
     }
 }
 
 #[test]
 fn paccs_histograms_obey_the_same_invariants() {
+    // Threaded PaCCS sweeps its neighbourhood nearest ring first; the
+    // scan order is a MaCS knob.
     let prob = queens(9, QueensModel::Pairwise);
     let cfg = PaccsConfig::hierarchical(&[2, 2, 2], 1).unwrap();
-    let out = paccs_solve(&prob, &cfg);
-    check_histogram(
-        "paccs 2x2x2",
-        &out.steals_by_distance,
-        out.local_steals + out.remote_steals,
-        &cfg.topology,
-    );
+    check_threaded("paccs 2x2x2", &paccs_solve(&prob, &cfg).report, &cfg.topology);
 }
 
 /// A first-solution race drains: steal replies landing after the winner
@@ -118,33 +122,18 @@ fn race_drain_steals_stay_out_of_the_histogram() {
 #[test]
 fn threaded_and_paccs_race_histograms_exclude_drains() {
     let prob = queens(9, QueensModel::Pairwise);
-    // Threaded MaCS race: drains are timing-dependent, but the histogram
-    // invariant (counts = successful live steals) must hold regardless.
+    // Drains are timing-dependent (they may be zero on a fast host), but
+    // the histogram invariant (counts = successful live steals) must hold
+    // regardless, on both threaded backends.
     let topo = MachineTopology::try_new(&[2, 2, 2], 1).unwrap();
     let mut cfg = SolverConfig::with_workers(1);
     cfg.runtime.topology = topo.clone();
-    cfg.mode = SearchMode::FirstSolution;
-    let out = Solver::new(cfg).solve(&prob);
-    let mut hist = StealHistogram::new();
-    let mut drains = 0u64;
-    for w in &out.report.workers {
-        hist.merge(&w.steals_by_distance);
-        drains += w.drain_steals;
-    }
-    let (ls, _, rs, _) = out.report.steal_totals();
-    check_histogram("threaded race", &hist, ls + rs, &topo);
-    let _ = drains; // may be zero on a fast host — the invariant is the pin
+    let out = Solver::new(cfg.with_mode(SearchMode::FirstSolution)).solve(&prob);
+    check_threaded("threaded race", &out.report, &topo);
 
-    // PaCCS race: same exclusion, same invariant.
     let mut pcfg = PaccsConfig::hierarchical(&[2, 2, 2], 1).unwrap();
     pcfg.mode = SearchMode::FirstSolution;
-    let pout = paccs_solve(&prob, &pcfg);
-    check_histogram(
-        "paccs race",
-        &pout.steals_by_distance,
-        pout.local_steals + pout.remote_steals,
-        &pcfg.topology,
-    );
+    check_threaded("paccs race", &paccs_solve(&prob, &pcfg).report, &topo);
 }
 
 /// Multi-tenant cell: two jobs co-scheduled on one shared register file,
