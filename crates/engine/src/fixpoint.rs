@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use macs_domain::{bits, VarId};
 
 use crate::model::CompiledProblem;
-use crate::propag::{forbid_shifted, Scratch};
+use crate::propag::Scratch;
 use crate::state::{ChangeLog, PropState};
 
 /// Result of propagating a store to fixpoint.
@@ -58,7 +58,9 @@ pub struct Engine {
     log: ChangeLog,
     scratch: Scratch,
     /// Number of individual propagator executions (for statistics): one
-    /// per queued run, one per assignment-list entry applied.
+    /// per queued run, one per assignment-list entry applied (a run of
+    /// entries counts each; one that wipes its target counts the entries
+    /// up to and including the one that emptied it).
     pub runs: u64,
 }
 
@@ -117,6 +119,7 @@ impl Engine {
         self.reset();
         let lists = &prob.assign_lists;
         let layout = &prob.layout;
+        let one_word = layout.words_per_var() == 1;
         let is_assigned = |words: &[u64], v: VarId| bits::is_singleton(&words[layout.var_range(v)]);
         match seed {
             ScheduleSeed::All => {
@@ -124,7 +127,7 @@ impl Engine {
                     self.enqueue(p);
                 }
                 for v in 0..layout.num_vars() {
-                    if !lists.of(v).is_empty() && is_assigned(words, v) {
+                    if !lists.runs(v).is_empty() && is_assigned(words, v) {
                         self.fire.push(v);
                     }
                 }
@@ -142,7 +145,7 @@ impl Engine {
                 if prob.objective.is_some() {
                     self.enqueue(prob.props.len() as u32 - 1);
                 }
-                if !lists.of(v).is_empty() && is_assigned(words, v) {
+                if !lists.runs(v).is_empty() && is_assigned(words, v) {
                     self.fire.push(v);
                 }
             }
@@ -151,16 +154,31 @@ impl Engine {
         loop {
             let mut st = PropState::new(layout, words, &mut self.log, incumbent);
             let running = if let Some(v) = self.fire.pop() {
-                // A variable that became assigned applies its whole list.
-                // It is still assigned: any change since would have been a
-                // wipe-out, and the round would have ended there.
+                // A variable that became assigned applies its whole list,
+                // one target at a time. It is still assigned: any change
+                // since would have been a wipe-out, and the round would
+                // have ended there.
                 let a = st
                     .value(v)
                     .expect("a variable on the fire stack stays assigned");
-                for &(other, off) in lists.of(v) {
-                    self.runs += 1;
-                    if forbid_shifted(&mut st, other as VarId, a, off as i64).is_err() {
-                        return PropOutcome::Failed;
+                for run in lists.runs(v) {
+                    let other = run.other as VarId;
+                    // One-word cells clear the whole run with one masked
+                    // store. Multi-word cells, and a one-word wipe-out
+                    // (which left the cell as it was), go value by value:
+                    // that is how a wipe counts its entries exactly.
+                    let applied = if one_word && st.clear_word(other, run.mask(a)).is_ok() {
+                        Ok(true)
+                    } else {
+                        let vals = lists.offsets(run).iter().map(|&off| a as i64 + off as i64);
+                        st.remove_each(other, vals)
+                    };
+                    match applied {
+                        Ok(_) => self.runs += run.len(),
+                        Err(emptied_by) => {
+                            self.runs += emptied_by;
+                            return PropOutcome::Failed;
+                        }
                     }
                 }
                 NO_PROP
@@ -187,7 +205,7 @@ impl Engine {
             let queued = &mut self.queued;
             let fire = &mut self.fire;
             self.log.drain(|v, mask, assigned| {
-                if assigned && !lists.of(v).is_empty() {
+                if assigned && !lists.runs(v).is_empty() {
                     fire.push(v);
                 }
                 for w in &prob.watchers[v] {

@@ -33,47 +33,128 @@ pub struct Watch {
 /// and no sum of a value and an offset can overflow. An
 /// `alldifferent(vars)` with value consistency is its disequality clique:
 /// it contributes every pair `vars[k] ≠ vars[l]` (`k < l`, `c = 0`), so a
-/// variable's list names the others in `vars` order. The lists are one
-/// flat table (per-variable starts plus one entry array — two
-/// allocations, not one per variable), executed by
-/// [`Engine::propagate`](crate::fixpoint::Engine::propagate) outside the
-/// propagation queue.
+/// variable's list names the others in `vars` order.
+///
+/// A list is stored as runs: maximal stretches of consecutive
+/// entries with the same target (the three disequalities a queens pair
+/// posts together are one run), so
+/// [`Engine::propagate`](crate::fixpoint::Engine::propagate) fires a list
+/// one target at a time, outside the propagation queue. Runs never
+/// reorder entries: a list fires in post order. The table is flat
+/// (per-variable starts, one run array, one offset array — three
+/// allocations, not one per variable).
 #[derive(Debug)]
 pub struct AssignLists {
-    /// `starts[v]..starts[v + 1]` is `v`'s slice of `entries`.
+    /// `starts[v]..starts[v + 1]` is `v`'s slice of `runs`.
     starts: Vec<u32>,
-    entries: Vec<(u32, i32)>,
+    runs: Vec<Run>,
+    /// Every entry's offset, list after list in post order; a run owns
+    /// `offs[first..end]`.
+    offs: Vec<i32>,
+}
+
+/// Consecutive entries of one assignment list that share a target.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Run {
+    /// One-word layouts only (zero otherwise): bit `64 + off` for each
+    /// offset, so [`Run::mask`] is one shift. Every `|off| ≤ max_value ≤
+    /// 63` there, so each bit lands in `1..128`.
+    shifted: u128,
+    pub(crate) other: u32,
+    first: u32,
+    end: u32,
+}
+
+impl Run {
+    /// The entries the run holds: the unit of [`Engine::runs`](crate::Engine::runs).
+    #[inline]
+    pub(crate) fn len(&self) -> u64 {
+        u64::from(self.end - self.first)
+    }
+
+    /// One-word layouts: the values the run forbids once its list's
+    /// variable is assigned `a` — bit `a + off` for every offset with
+    /// `0 ≤ a + off < 64` (the rest forbid nothing, and bits above
+    /// `max_value` are clear in every cell anyway).
+    #[inline]
+    pub(crate) fn mask(&self, a: Val) -> u64 {
+        debug_assert!(a < 64, "one-word cells hold values below 64");
+        ((self.shifted << a) >> 64) as u64
+    }
 }
 
 impl AssignLists {
-    /// The table of `neqs` (`(x, y, c)`, each `|c| ≤ max_value`).
-    fn new(num_vars: usize, neqs: &[(VarId, VarId, i64)]) -> Self {
-        let mut starts = vec![0u32; num_vars + 1];
+    /// The table of `neqs` (`(x, y, c)`, each `|c| ≤ max_value`) over
+    /// `layout`'s variables.
+    fn new(layout: &StoreLayout, neqs: &[(VarId, VarId, i64)]) -> Self {
+        // Entries per variable, in post order (a counting sort).
+        let num_vars = layout.num_vars();
+        let mut next = vec![0usize; num_vars + 1];
         for &(x, y, _) in neqs {
-            starts[x + 1] += 1;
-            starts[y + 1] += 1;
+            next[x + 1] += 1;
+            next[y + 1] += 1;
         }
         for v in 0..num_vars {
-            starts[v + 1] += starts[v];
+            next[v + 1] += next[v];
         }
-        let mut next = starts.clone();
-        let mut entries = vec![(0, 0); starts[num_vars] as usize];
-        let mut put = |v: VarId, e: (u32, i32)| {
-            entries[next[v] as usize] = e;
-            next[v] += 1;
-        };
+        let mut entries = vec![(0u32, 0i32); 2 * neqs.len()];
         for &(x, y, c) in neqs {
             let c = i32::try_from(c).expect("|c| ≤ max_value, and cells hold < 2^31 values");
-            put(y, (x as u32, c));
-            put(x, (y as u32, -c));
+            for (v, e) in [(y, (x as u32, c)), (x, (y as u32, -c))] {
+                entries[next[v]] = e;
+                next[v] += 1;
+            }
         }
-        AssignLists { starts, entries }
+        // `next[v]` is now where `v`'s entries end.
+        let one_word = layout.words_per_var() == 1;
+        let mut starts = Vec::with_capacity(num_vars + 1);
+        let mut runs: Vec<Run> = Vec::new();
+        let offs = entries.iter().map(|&(_, off)| off).collect();
+        let mut at = 0;
+        for &end in &next[..num_vars] {
+            starts.push(runs.len() as u32);
+            let first_run = runs.len();
+            for &(other, off) in &entries[at..end] {
+                if runs.len() == first_run || runs[runs.len() - 1].other != other {
+                    runs.push(Run {
+                        shifted: 0,
+                        other,
+                        first: at as u32,
+                        end: at as u32,
+                    });
+                }
+                let run = runs.last_mut().unwrap();
+                run.end += 1;
+                if one_word {
+                    run.shifted |= 1 << (64 + off) as u32;
+                }
+                at += 1;
+            }
+        }
+        starts.push(runs.len() as u32);
+        AssignLists { starts, runs, offs }
     }
 
-    /// `v`'s list: `(other, off)` pairs, in post order.
+    /// `v`'s list as runs, in post order.
     #[inline]
-    pub(crate) fn of(&self, v: VarId) -> &[(u32, i32)] {
-        &self.entries[self.starts[v] as usize..self.starts[v + 1] as usize]
+    pub(crate) fn runs(&self, v: VarId) -> &[Run] {
+        &self.runs[self.starts[v] as usize..self.starts[v + 1] as usize]
+    }
+
+    /// A run's offsets, in post order.
+    #[inline]
+    pub(crate) fn offsets(&self, run: &Run) -> &[i32] {
+        &self.offs[run.first as usize..run.end as usize]
+    }
+
+    /// `v`'s list entry by entry: `(other, off)` pairs, in post order.
+    pub fn entries(&self, v: VarId) -> impl Iterator<Item = (VarId, i64)> + '_ {
+        self.runs(v).iter().flat_map(move |run| {
+            let other = run.other as VarId;
+            self.offsets(run)
+                .iter()
+                .map(move |&off| (other, i64::from(off)))
+        })
     }
 }
 
@@ -256,7 +337,7 @@ impl Model {
             }
             _ => true,
         });
-        let assign_lists = AssignLists::new(layout.num_vars(), &neqs);
+        let assign_lists = AssignLists::new(&layout, &neqs);
 
         if self.objective.is_some() {
             self.props.push(Propag::ObjectivePrune);
@@ -378,7 +459,8 @@ mod tests {
 
     #[test]
     fn alldiff_val_compiles_to_its_disequality_clique() {
-        let list = |v: &[VarId]| v.iter().map(|&o| (o as u32, 0)).collect::<Vec<_>>();
+        let list = |v: &[VarId]| v.iter().map(|&o| (o, 0)).collect::<Vec<_>>();
+        let entries = |p: &CompiledProblem, v| p.assign_lists.entries(v).collect::<Vec<_>>();
         let mut m = Model::new("t");
         let v = m.new_vars(4, 0, 5);
         m.post(Propag::AllDiffVal {
@@ -389,10 +471,13 @@ mod tests {
         assert!(p.props.is_empty(), "nothing is queued");
         assert!(p.watchers.iter().all(Vec::is_empty), "no watcher");
         // Each variable's list names the others in `vars` order.
-        assert_eq!(p.assign_lists.of(v[2]), list(&[v[0], v[1]]));
-        assert_eq!(p.assign_lists.of(v[0]), list(&[v[2], v[1]]));
-        assert_eq!(p.assign_lists.of(v[1]), list(&[v[2], v[0]]));
-        assert!(p.assign_lists.of(v[3]).is_empty(), "one variable: no pair");
+        assert_eq!(entries(&p, v[2]), list(&[v[0], v[1]]));
+        assert_eq!(entries(&p, v[0]), list(&[v[2], v[1]]));
+        assert_eq!(entries(&p, v[1]), list(&[v[2], v[0]]));
+        assert!(
+            p.assign_lists.runs(v[3]).is_empty(),
+            "one variable: no pair"
+        );
 
         // A repeated id gives the self-disequality x ≠ x, twice over (once
         // from each side): x can take no value, exactly as `alldiff_val`
@@ -404,8 +489,8 @@ mod tests {
             vars: vec![x, y, x],
         });
         let p = m.compile();
-        assert_eq!(p.assign_lists.of(x), list(&[y, x, x, y]));
-        assert_eq!(p.assign_lists.of(y), list(&[x, x]));
+        assert_eq!(entries(&p, x), list(&[y, x, x, y]));
+        assert_eq!(entries(&p, y), list(&[x, x]));
     }
 
     #[test]
@@ -425,15 +510,62 @@ mod tests {
         assert!(matches!(p.props[0], Propag::LeOffset { .. }));
         assert!(p.watchers[y].is_empty(), "a disequality has no watcher");
         // Two entries per kept post, none for the last two.
-        assert_eq!(p.assign_lists.of(x), &[(y as u32, -3)]);
-        assert_eq!(p.assign_lists.of(y), &[(x as u32, 3)]);
-        assert_eq!(p.assign_lists.of(z), &[(z as u32, -2), (z as u32, 2)]);
+        let entries = |v| p.assign_lists.entries(v).collect::<Vec<_>>();
+        assert_eq!(entries(x), [(y, -3)]);
+        assert_eq!(entries(y), [(x, 3)]);
+        assert_eq!(entries(z), [(z, -2), (z, 2)]);
         // Offsets up to max_value are kept.
         let mut m = Model::new("edge");
         let x = m.new_var(0, 9);
         let y = m.new_var(0, 9);
         m.post(Propag::NeqOffset { x, y, c: -9 });
-        assert_eq!(m.compile().assign_lists.of(x), &[(y as u32, 9)]);
+        let p = m.compile();
+        assert_eq!(p.assign_lists.entries(x).collect::<Vec<_>>(), [(y, 9)]);
+    }
+
+    #[test]
+    fn consecutive_entries_with_one_target_form_a_run() {
+        let runs = |p: &CompiledProblem, v| {
+            let lists = &p.assign_lists;
+            let runs = lists.runs(v).iter();
+            runs.map(|r| (r.other as VarId, lists.offsets(r).to_vec()))
+                .collect::<Vec<_>>()
+        };
+        let mut m = Model::new("t");
+        let x = m.new_var(0, 9);
+        let y = m.new_var(0, 9);
+        let z = m.new_var(0, 9);
+        // A queens pair (three posts in a row), another target, then the
+        // first target again: runs are consecutive entries only.
+        for c in [0, 1, -1] {
+            m.post(Propag::NeqOffset { x, y, c });
+        }
+        m.post(Propag::NeqOffset { x, y: z, c: 0 });
+        m.post(Propag::NeqOffset { x, y, c: 2 });
+        let p = m.compile();
+        assert_eq!(
+            runs(&p, x),
+            [(y, vec![0, -1, 1]), (z, vec![0]), (y, vec![-2])]
+        );
+        assert_eq!(runs(&p, y), [(x, vec![0, 1, -1, 2])]);
+        // x = 4 forbids 4, 3 and 5 in y; at x = 0 the offset −1 forbids
+        // nothing.
+        let pair = &p.assign_lists.runs(x)[0];
+        assert_eq!(pair.len(), 3);
+        assert_eq!(pair.mask(4), 1 << 4 | 1 << 3 | 1 << 5);
+        assert_eq!(pair.mask(0), 1 | 1 << 1);
+        // A full word: x ≠ y + 1 and x ≠ y + 63 give x the offsets −1 and
+        // −63, y the offsets +1 and +63; a shifted value past either end
+        // of the cell forbids nothing.
+        let mut m = Model::new("top");
+        let x = m.new_var(0, 63);
+        let y = m.new_var(0, 63);
+        m.post(Propag::NeqOffset { x, y, c: 1 });
+        m.post(Propag::NeqOffset { x, y, c: 63 });
+        let p = m.compile();
+        let (to_y, to_x) = (&p.assign_lists.runs(x)[0], &p.assign_lists.runs(y)[0]);
+        assert_eq!((to_y.mask(63), to_y.mask(0)), (1 << 62 | 1, 0));
+        assert_eq!((to_x.mask(0), to_x.mask(63)), (1 << 1 | 1 << 63, 0));
     }
 
     #[test]

@@ -183,18 +183,13 @@ fn neq_offset(st: &mut PropState<'_>, x: VarId, y: VarId, c: i64) -> Result<(), 
     Ok(())
 }
 
-/// The `x ≠ y + c` pruning rule, written once for both of its executions
-/// (`Propag::run` above and the engine's assignment lists): a variable
-/// was assigned `a`, so `other` loses `a + off` — if that is a value at
-/// all. The sum saturates, so no offset overflows; one outside
-/// `0..=max_value` forbids nothing.
+/// The `x ≠ y + c` pruning rule of a queued `NeqOffset`: a variable was
+/// assigned `a`, so `other` loses `a + off` — if that is a value at all.
+/// The sum saturates, so no offset overflows; one outside `0..=max_value`
+/// forbids nothing. (Compiled disequalities fire from the engine's
+/// assignment lists instead, a run of them at a time.)
 #[inline]
-pub(crate) fn forbid_shifted(
-    st: &mut PropState<'_>,
-    other: VarId,
-    a: Val,
-    off: i64,
-) -> Result<(), Failed> {
+fn forbid_shifted(st: &mut PropState<'_>, other: VarId, a: Val, off: i64) -> Result<(), Failed> {
     let forbidden = (a as i64).saturating_add(off);
     if (0..=st.layout().max_value() as i64).contains(&forbidden) {
         st.remove(other, forbidden as Val)?;

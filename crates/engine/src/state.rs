@@ -313,6 +313,52 @@ impl<'a> PropState<'a> {
         Ok(false)
     }
 
+    /// One-word cells only: remove every value whose bit is set in
+    /// `mask` with one load, and-not and store, then one wipe-out and
+    /// singleton check and at most one log entry (a [`remove`](Self::remove)
+    /// per value checks and logs per value). Ok(true) if the domain
+    /// changed; a wipe-out leaves the cell as it was.
+    #[inline]
+    pub(crate) fn clear_word(&mut self, v: VarId, mask: u64) -> Result<bool, Failed> {
+        debug_assert_eq!(self.layout.words_per_var(), 1);
+        let cell = &mut self.words[self.layout.var_offset(v)];
+        let left = *cell & !mask;
+        if left == *cell {
+            return Ok(false);
+        }
+        if left == 0 {
+            return Err(Failed);
+        }
+        *cell = left;
+        self.log.mark(v, bits::word_bit(0), left.is_power_of_two());
+        Ok(true)
+    }
+
+    /// Remove each of `vals` in turn (values outside `0..=max_value` are
+    /// skipped), then check and log once. Ok(true) if the domain changed.
+    /// On a wipe-out, `Err(k)`: the `k`-th value (counting from 1)
+    /// emptied the domain — the last one that removed anything.
+    pub(crate) fn remove_each(
+        &mut self,
+        v: VarId,
+        vals: impl IntoIterator<Item = i64>,
+    ) -> Result<bool, u64> {
+        let max = self.layout.max_value() as i64;
+        let dom = self.dom_mut(v);
+        let (mut changed, mut emptied_by) = (0u64, 0u64);
+        for (k, val) in (1..).zip(vals) {
+            if (0..=max).contains(&val) && bits::remove(dom, val as Val) {
+                changed |= bits::word_bit(val as usize / 64);
+                emptied_by = k;
+            }
+        }
+        if changed == 0 {
+            return Ok(false);
+        }
+        self.after_change(v, changed).map_err(|Failed| emptied_by)?;
+        Ok(true)
+    }
+
     /// Reduce to the singleton `{val}`.
     #[inline]
     pub fn assign(&mut self, v: VarId, val: Val) -> Result<bool, Failed> {

@@ -3,14 +3,19 @@
 //! Random models mix `NeqOffset` and `AllDiffVal` (compiled into assignment
 //! lists and fired outside the queue) with queued propagators — `EqOffset`,
 //! `LeOffset`, `NeqConst`, `LinearLe` — including self-disequalities
-//! `x ≠ x + c`, alldifferents that repeat a variable, duplicate posts and
-//! offsets beyond the domain. Each is
-//! propagated from random partial stores under `ScheduleSeed::All`, and
-//! from a branching decision on a store at fixpoint under
-//! `ScheduleSeed::Var`. The oracle runs every `Propag::run` in post order
-//! until a full pass changes nothing; all these propagators are monotone,
-//! so both must reach the same greatest common fixpoint: the same verdict
-//! and, on success, a bit-identical store. Seeded, no external crate.
+//! `x ≠ x + c`, alldifferents that repeat a variable, duplicate posts,
+//! offsets beyond the domain, and pairs posted with two to four offsets
+//! (in a row, so their entries fire as one run, or scattered among the
+//! other posts). Each is propagated from random partial stores under
+//! `ScheduleSeed::All`, and from a branching decision on a store at
+//! fixpoint under `ScheduleSeed::Var`. The oracle runs every `Propag::run`
+//! in post order until a full pass changes nothing; all these propagators
+//! are monotone, so both must reach the same greatest common fixpoint: the
+//! same verdict and, on success, a bit-identical store. The engine's
+//! `runs` count must also equal that of a reference engine that fires
+//! every list entry on its own. Seeded, no external crate.
+
+use std::collections::VecDeque;
 
 use macs_engine::propag::Scratch;
 use macs_engine::{
@@ -68,6 +73,25 @@ fn random_posts(rng: &mut Rng, n: usize, max: Val) -> Vec<Propag> {
             continue;
         }
         let (x, y) = rng.pair(n);
+        if rng.chance(1, 8) {
+            // One pair, two to four offsets: in a row, or scattered.
+            let y = if rng.chance(1, 8) { x } else { y };
+            let scatter = rng.chance(1, 2);
+            for _ in 0..2 + rng.below(3) {
+                let p = Propag::NeqOffset {
+                    x,
+                    y,
+                    c: offset(rng, max),
+                };
+                let at = if scatter {
+                    rng.below(posts.len() as u64 + 1) as usize
+                } else {
+                    posts.len()
+                };
+                posts.insert(at, p);
+            }
+            continue;
+        }
         let p = match rng.below(10) {
             // Disequalities dominate, as they do in the models that use them.
             0..=4 => {
@@ -148,6 +172,94 @@ fn oracle(prob: &CompiledProblem, posts: &[Propag], words: &mut [u64]) -> Result
     }
 }
 
+/// The engine's schedule with its assignment lists fired entry by entry,
+/// each with its own `PropState::remove`: the queue (FIFO, deduplicated),
+/// the fire stack (LIFO, drained before every pop) and the wake filters
+/// as `Engine::propagate` runs them. Returns the verdict and the number of
+/// propagator executions — one per queued run, one per list entry applied
+/// up to the one that wipes a domain.
+fn reference_runs(
+    prob: &CompiledProblem,
+    words: &mut [u64],
+    seed: ScheduleSeed,
+) -> (PropOutcome, u64) {
+    const NO_PROP: u32 = u32::MAX;
+    let layout = &prob.layout;
+    let lists = &prob.assign_lists;
+    let mut log = ChangeLog::new(layout.num_vars());
+    let mut scratch = Scratch::for_words(layout.words_per_var());
+    let (mut queue, mut queued) = (VecDeque::new(), vec![false; prob.props.len()]);
+    let mut fire: Vec<VarId> = Vec::new();
+    let mut runs = 0;
+    let has_list = |v: VarId| lists.entries(v).next().is_some();
+    let assigned = |words: &[u64], v: VarId| bits::is_singleton(&words[layout.var_range(v)]);
+    let mut enqueue = |p: u32, queue: &mut VecDeque<u32>| {
+        if !queued[p as usize] {
+            queued[p as usize] = true;
+            queue.push_back(p);
+        }
+    };
+    let seeded: Vec<VarId> = match seed {
+        ScheduleSeed::All => {
+            for p in 0..prob.props.len() as u32 {
+                enqueue(p, &mut queue);
+            }
+            (0..layout.num_vars()).collect()
+        }
+        ScheduleSeed::Var(v) => {
+            for w in &prob.watchers[v] {
+                enqueue(w.prop, &mut queue);
+            }
+            if prob.objective.is_some() {
+                enqueue(prob.props.len() as u32 - 1, &mut queue);
+            }
+            vec![v]
+        }
+    };
+    fire.extend(
+        seeded
+            .into_iter()
+            .filter(|&v| has_list(v) && assigned(words, v)),
+    );
+    loop {
+        let mut st = PropState::new(layout, words, &mut log, i64::MAX);
+        let running = if let Some(v) = fire.pop() {
+            let a = st.value(v).unwrap() as i64;
+            for (other, off) in lists.entries(v) {
+                runs += 1;
+                let forbidden = a + off;
+                if (0..=layout.max_value() as i64).contains(&forbidden)
+                    && st.remove(other, forbidden as Val).is_err()
+                {
+                    return (PropOutcome::Failed, runs);
+                }
+            }
+            NO_PROP
+        } else if let Some(p) = queue.pop_front() {
+            queued[p as usize] = false;
+            runs += 1;
+            let prop = &prob.props[p as usize];
+            if prop.run(&mut st, &mut scratch, &prob.objective).is_err() {
+                return (PropOutcome::Failed, runs);
+            }
+            p
+        } else {
+            return (PropOutcome::Fixpoint, runs);
+        };
+        log.drain(|v, mask, became_assigned| {
+            if became_assigned && has_list(v) {
+                fire.push(v);
+            }
+            for w in &prob.watchers[v] {
+                if w.prop != running && (w.mask & mask) != 0 && !queued[w.prop as usize] {
+                    queued[w.prop as usize] = true;
+                    queue.push_back(w.prop);
+                }
+            }
+        });
+    }
+}
+
 /// A random sub-store of the root: some domains thinned, some assigned,
 /// none empty.
 fn random_store(rng: &mut Rng, prob: &CompiledProblem) -> Store {
@@ -183,7 +295,15 @@ fn agree(
     case: u64,
 ) -> Option<Store> {
     let mut by_engine = start.clone();
+    let before = engine.runs;
     let verdict = engine.propagate(prob, by_engine.as_words_mut(), i64::MAX, seed);
+    let mut by_reference = start.clone();
+    let (ref_verdict, ref_runs) = reference_runs(prob, by_reference.as_words_mut(), seed);
+    assert_eq!(
+        (verdict, engine.runs - before),
+        (ref_verdict, ref_runs),
+        "runs, case {case}, {seed:?}: {posts:?}"
+    );
     let mut by_oracle = start.clone();
     let expect = match oracle(prob, posts, by_oracle.as_words_mut()) {
         Ok(()) => PropOutcome::Fixpoint,
@@ -194,6 +314,7 @@ fn agree(
         return None;
     }
     assert_eq!(by_engine, by_oracle, "case {case}, {seed:?}: {posts:?}");
+    assert_eq!(by_reference, by_oracle, "reference, case {case}: {posts:?}");
     Some(by_engine)
 }
 

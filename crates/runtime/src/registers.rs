@@ -2,7 +2,8 @@
 //! incumbent ([`GlobalIncumbent`]) and the winner flag ([`WinnerGate`]),
 //! each on node 0 with one mirror per shared-memory node that the node's
 //! leader alone refreshes over the fabric. Every threaded backend — the
-//! MaCS worker, the PaCCS agent — holds one of each.
+//! MaCS worker, the PaCCS agent — holds one of each. A MaCS worker that
+//! panics raises every cancel register at once (`poison`).
 
 use std::cell::Cell;
 use std::time::Duration;
@@ -202,6 +203,21 @@ impl<'a> WinnerGate<'a> {
         let ns = world.cells.load_i64(world.block.win_ns());
         (ns != i64::MAX).then(|| Duration::from_nanos(ns as u64))
     }
+}
+
+/// Poison a run after one of its workers panicked: raise the cancel flag
+/// (the root and every node's mirror), which every worker reads before each
+/// item, so busy workers drop their work; and clear the termination flag,
+/// the marker every idle, parked or remote-waiting worker reads, so each
+/// returns at its next check as it would on termination. Nothing is added
+/// to the per-item path.
+pub(crate) fn poison(world: &World) {
+    let (cells, block) = (&world.cells, world.block);
+    cells.store(block.cancel(), 1);
+    for node in 0..world.topology.nodes() {
+        cells.store(block.node_cancel(node), 1);
+    }
+    cells.store(block.outstanding(), 0);
 }
 
 #[cfg(test)]

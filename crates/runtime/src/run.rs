@@ -1,6 +1,7 @@
 //! Run entry point: build the world, seed the roots, spawn the workers,
 //! aggregate the report.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use macs_gpi::interconnect::TrafficSnapshot;
@@ -9,7 +10,7 @@ use macs_pool::SplitPool;
 
 use crate::config::RuntimeConfig;
 use crate::processor::Processor;
-use crate::registers::WinnerGate;
+use crate::registers::{poison, WinnerGate};
 use crate::stats::{WorkerState, WorkerStats, NUM_STATES};
 use crate::term::TermBoard;
 use crate::worker::Worker;
@@ -102,7 +103,9 @@ impl<O> RunReport<O> {
 /// once per worker, from that worker's thread).
 ///
 /// Every root and every work item is `slot_words` u64s. Returns when every
-/// item (transitively) has been processed.
+/// item (transitively) has been processed. A panicking worker (or factory)
+/// ends the run: the others stop, all are joined, and the first panic is
+/// re-raised.
 pub fn run_parallel<P, F>(
     cfg: &RuntimeConfig,
     slot_words: usize,
@@ -193,8 +196,7 @@ where
     let board = TermBoard::new(&pools, n_roots);
     world.cells.store(block.outstanding(), 1);
     world.cells.store_i64(block.incumbent(), i64::MAX);
-    let mut results: Vec<(WorkerStats, P::Output)> = Vec::with_capacity(n_workers);
-    std::thread::scope(|s| {
+    let joined: Vec<_> = std::thread::scope(|s| {
         let pools = &pools[..];
         let factory = &factory;
         let handles: Vec<_> = (0..n_workers)
@@ -210,16 +212,35 @@ where
                         };
                         crate::affinity::pin_current_thread(cpu);
                     }
-                    let processor = factory(w);
-                    Worker::new(w, cfg, world, pools, board, processor).run()
+                    let built = catch_unwind(AssertUnwindSafe(|| {
+                        Worker::new(w, cfg, world, pools, board, factory(w))
+                    }));
+                    match built {
+                        Ok(worker) => worker.run(),
+                        Err(payload) => {
+                            // Dead before the start barrier: poison the
+                            // run, then meet both barriers the siblings
+                            // wait at.
+                            poison(world);
+                            world.barrier.wait();
+                            world.barrier.wait();
+                            Err(payload)
+                        }
+                    }
                 })
             })
             .collect();
-        for h in handles {
-            results.push(h.join().expect("worker panicked"));
-        }
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(Err))
+            .collect()
     });
     let wall = world.start.elapsed();
+    // Every worker is joined; a panic in any of them ends the run here.
+    let results: Vec<_> = joined
+        .into_iter()
+        .collect::<std::thread::Result<_>>()
+        .unwrap_or_else(|payload| resume_unwind(payload));
 
     // Conservation, in every build: the threaded twin of the simulator's
     // `roots + pushes == completed + abandoned`. A miscount is a clean
@@ -585,6 +606,81 @@ mod tests {
         assert_eq!(sum, sum1);
         let parks: u64 = report.workers.iter().map(|w| w.parks).sum();
         assert!(parks >= 2, "workers 2 and 3 parked before the regrow");
+    }
+
+    /// A binary tree of 8 191 nodes, numbered in heap order; the node
+    /// `panic_at` panics instead of expanding.
+    struct Faulty {
+        panic_at: u64,
+    }
+
+    impl Processor for Faulty {
+        type Output = ();
+
+        fn process(&mut self, buf: &mut [u64], ctx: &mut ProcCtx<'_>) -> Step {
+            let (depth, index) = (buf[0], buf[1]);
+            if index == self.panic_at {
+                std::panic::panic_any(("injected", index));
+            }
+            if depth == 12 {
+                return Step::Leaf;
+            }
+            ctx.push(&[depth + 1, 2 * index + 1]);
+            buf.copy_from_slice(&[depth + 1, 2 * index]);
+            Step::Continue
+        }
+
+        fn finish(self) {}
+    }
+
+    /// Run `run` on a detached thread; its panic payload, or `None` when it
+    /// returned normally. A run still going after 10 s fails the test.
+    fn payload_within_10s(
+        label: &str,
+        run: impl FnOnce() + Send + 'static,
+    ) -> Option<Box<dyn std::any::Any + Send>> {
+        let (done, watchdog) = std::sync::mpsc::channel();
+        // Detached on purpose: a hung run cannot be joined, only timed out.
+        std::thread::spawn(move || {
+            let _ = done.send(catch_unwind(AssertUnwindSafe(run)).err());
+        });
+        watchdog
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{label}: the run hung"))
+    }
+
+    #[test]
+    fn a_panicking_worker_unwinds_the_run_instead_of_hanging_it() {
+        for seed in 1..=20u64 {
+            // Spread the fault over the tree: near the root, deep, early
+            // and late in the depth-first order.
+            let at = 1 + (seed * 2_654_435_761) % 8191;
+            let payload = payload_within_10s(&format!("seed {seed}"), move || {
+                let cfg = RuntimeConfig::clustered(4, 2);
+                run_parallel(&cfg, 2, &[vec![0, 1]], |_| Faulty { panic_at: at });
+            })
+            .unwrap_or_else(|| panic!("seed {seed}: node {at} never ran"));
+            let got = payload.downcast_ref::<(&str, u64)>();
+            assert_eq!(got, Some(&("injected", at)), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_factory_unwinds_the_run_instead_of_hanging_it() {
+        let payload = payload_within_10s("factory", || {
+            let cfg = RuntimeConfig::clustered(4, 2);
+            run_parallel(&cfg, 2, &[vec![0, 1]], |w| {
+                if w == 2 {
+                    std::panic::panic_any("no processor for worker 2");
+                }
+                Faulty { panic_at: 0 }
+            });
+        })
+        .expect("the factory panicked");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"no processor for worker 2")
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! (paper §IV). There is no controller — each worker solves, balances load,
 //! serves remote steal requests, and detects termination.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use macs_gpi::{VictimOrder, World};
@@ -12,7 +13,7 @@ use macs_search::AdaptiveBatch;
 use crate::config::RuntimeConfig;
 use crate::processor::{ProcCtx, Processor, Step, WorkSink};
 pub use crate::registers::GlobalIncumbent;
-use crate::registers::WinnerGate;
+use crate::registers::{poison, WinnerGate};
 use crate::rng::SplitMix64;
 use crate::stats::{RaceRing, WorkerState, WorkerStats};
 use crate::term::{TermBoard, TermHandle};
@@ -212,12 +213,26 @@ impl<'a, P: Processor> Worker<'a, P> {
         }
     }
 
-    /// The worker main loop (paper §IV: propagate/split under `process`,
-    /// plus release, poll and restore around it).
-    pub fn run(mut self) -> (WorkerStats, P::Output) {
+    /// The worker, from the start barrier to the end barrier. A panic
+    /// inside poisons the run (`registers::poison`) and still meets the end
+    /// barrier, so the siblings stop and the payload comes back as `Err`.
+    pub fn run(mut self) -> std::thread::Result<(WorkerStats, P::Output)> {
         self.stats.clock.set(WorkerState::Barrier);
         self.world.barrier.wait();
+        let body = catch_unwind(AssertUnwindSafe(|| self.work()));
+        if body.is_err() {
+            poison(self.world);
+        }
+        self.stats.clock.set(WorkerState::Barrier);
+        self.world.barrier.wait();
+        body?;
+        self.stats.clock.finish();
+        Ok((self.stats, self.processor.finish()))
+    }
 
+    /// The worker main loop (paper §IV: propagate/split under `process`,
+    /// plus release, poll and restore around it).
+    fn work(&mut self) {
         let mut have = false;
         loop {
             // One lease read per iteration (leased runs; free otherwise).
@@ -281,10 +296,6 @@ impl<'a, P: Processor> Worker<'a, P> {
         // Someone may have posted a request just before we observed
         // termination: refuse it so no thief waits on a dead victim.
         self.serve_request();
-        self.stats.clock.set(WorkerState::Barrier);
-        self.world.barrier.wait();
-        self.stats.clock.finish();
-        (self.stats, self.processor.finish())
     }
 
     /// First observation of a raised winner flag: settle the

@@ -51,11 +51,12 @@ pub struct KernelTimers {
 /// the phases of every `SAMPLE_STRIDE`-th node, and the runtime's
 /// `StateClock` timestamps the transitions of every `SAMPLE_STRIDE`-th
 /// worker-loop iteration. `Instant::now()` costs about 30 ns, a CP node
-/// 300–1100 ns; at four to six reads a node the instrument was a fifth to
-/// half of what it measured. Prime, so the sample does not lock onto the
-/// power-of-two cadences of the loop it observes (release interval 32,
-/// poll intervals 2–64): a stride of 64 would see a release on every
-/// sampled iteration or on none.
+/// 250–350 ns (queens-11 and esc16e on a 2-vCPU x86-64 host); at four to
+/// six reads a node the instrument would be half of what it measured, or
+/// more. Prime, so the sample does not lock onto the power-of-two
+/// cadences of the loop it observes (release interval 32, poll intervals
+/// 2–64): a stride of 64 would see a release on every sampled iteration
+/// or on none.
 pub const SAMPLE_STRIDE: u32 = 61;
 
 /// Charge the phase that began at `t0` to `timer`, `weight` times over,

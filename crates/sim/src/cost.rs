@@ -88,7 +88,9 @@ pub struct CostModel {
     pub ctrl_bytes: u64,
     /// Per-message header added to payload replies, bytes.
     pub header_bytes: u64,
-    /// Initial idle backoff (doubles per round, capped ×64).
+    /// Idle backoff: a starving worker wakes this long after each steal
+    /// scan. Flat — it does not grow per idle round as the threaded
+    /// worker's spin does.
     pub idle_backoff_ns: u64,
 }
 

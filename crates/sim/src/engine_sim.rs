@@ -39,7 +39,7 @@ use macs_runtime::{
     BoundPolicy, MachineTopology, PhaseTimers, ProcCtx, Processor, ScanOrder, SplitMix64, Step,
     VictimOrder, WorkSink, WorkerState,
 };
-use macs_search::steal::{backoff_factor, PoolView, UNLEASED};
+use macs_search::steal::{PoolView, UNLEASED};
 use macs_search::{AdaptiveBatch, StealPolicy, WorkBatch};
 
 use crate::cost::{CostModel, NodeCost};
@@ -813,7 +813,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             if self.drain_observed(wi, now) {
                 return;
             }
-            self.enter_idle(wi, now, 0);
+            self.enter_idle(wi, now);
             return;
         }
         let pool_op = self.cfg.costs.pool_op_ns;
@@ -845,10 +845,17 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         }
     }
 
-    fn enter_idle(&mut self, wi: usize, now: u64, round: u32) {
-        let base = self.cfg.costs.idle_backoff_ns.max(1);
-        let backoff = base * backoff_factor(round);
-        self.schedule(wi, now + backoff, WorkerState::Idle, Phase::Idle { round });
+    /// Idle until `idle_backoff_ns` from now. The cadence is flat: every
+    /// wake of a starving worker comes the same backoff after its steal
+    /// scan, whatever the idle round its phase records.
+    fn enter_idle(&mut self, wi: usize, now: u64) {
+        let backoff = self.cfg.costs.idle_backoff_ns.max(1);
+        self.schedule(
+            wi,
+            now + backoff,
+            WorkerState::Idle,
+            Phase::Idle { round: 0 },
+        );
     }
 
     /// The `pos`-th victim of `wi`'s PaCCS sweep: the distance rings
@@ -915,7 +922,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         // A won race leaves nothing worth stealing: the victims' owners
         // will discard that work anyway. Idle towards termination.
         if self.observed_win(wi, now) {
-            self.enter_idle(wi, now, 0);
+            self.enter_idle(wi, now);
             return;
         }
         // Local victim scan (R4); every candidate read costs a metadata
@@ -980,7 +987,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             self.workers[wi].charge_state = WorkerState::WaitRemote;
             return;
         }
-        self.enter_idle(wi, now, 0);
+        self.enter_idle(wi, now);
     }
 
     fn apply_steal_macs(&mut self, wi: usize, v: usize, mut now: u64) {
@@ -1140,7 +1147,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                 self.workers[wi].stats.remote_steal_failures += 1;
                 self.count_steal(wi, victim, false);
                 match self.mode {
-                    SimMode::Macs => self.enter_idle(wi, now, 0),
+                    SimMode::Macs => self.enter_idle(wi, now),
                     SimMode::Paccs => {
                         self.workers[wi].sweep_pos += 1;
                         self.sweep_paccs(wi, now);
@@ -1158,14 +1165,14 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     fn sweep_paccs(&mut self, wi: usize, mut now: u64) {
         let order_len = self.cfg.topology.total_workers() - 1;
         if order_len == 0 || self.observed_win(wi, now) {
-            self.enter_idle(wi, now, 0);
+            self.enter_idle(wi, now);
             return;
         }
         let pos = self.workers[wi].sweep_pos;
         if pos >= order_len {
             // Full sweep failed: back off, then start over.
             self.workers[wi].sweep_pos = 0;
-            self.enter_idle(wi, now, 0);
+            self.enter_idle(wi, now);
             return;
         }
         let v = self.sweep_victim(wi, pos).expect("sweep position in range");
@@ -1318,9 +1325,10 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             return;
         }
         // Retry the full steal ladder; it either schedules a steal
-        // (ApplySteal/Wait) or re-idles at round 0, and that event is
-        // already queued — record the grown round in its phase so the
-        // *next* wake backs off from there.
+        // (ApplySteal/Wait) or re-idles, and that event is already queued
+        // — record the grown round in its phase. The round feeds only the
+        // trace hash: the next wake still comes `idle_backoff_ns` after
+        // this one's scan (see `enter_idle`).
         match self.mode {
             SimMode::Macs => self.try_steal_macs(wi, now),
             SimMode::Paccs => self.sweep_paccs(wi, now),
@@ -1520,6 +1528,50 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_starving_worker_wakes_at_a_flat_cadence() {
+        // One root, a 1 ms leaf, two cores: worker 1 starves for the whole
+        // run. Each wake scans its one local victim (`pool_op_ns`, as
+        // `Searching`) and idles `idle_backoff_ns` again.
+        struct OneLeaf;
+        impl Processor for OneLeaf {
+            type Output = ();
+            fn process(&mut self, _: &mut [u64], _: &mut ProcCtx<'_>) -> Step {
+                Step::Leaf
+            }
+            fn finish(self) {}
+        }
+        let costs = CostModel {
+            node: NodeCost {
+                ns: 1_000_000,
+                jitter_pct: 0,
+            },
+            ..CostModel::default()
+        };
+        let cfg = SimConfig::new(MachineTopology::flat(2)).with_cost_model(costs);
+        let report = simulate_macs(&cfg, 1, &[vec![0]], |_| OneLeaf);
+        let ns = &report.workers[1].state_ns;
+        let (idle, search) = (
+            ns[WorkerState::Idle as usize],
+            ns[WorkerState::Searching as usize],
+        );
+        // The boot charges an acquire and a scan; every wake one scan.
+        let wakes = search / costs.pool_op_ns - 2;
+        assert_eq!(
+            idle / costs.idle_backoff_ns,
+            wakes,
+            "one full backoff a wake"
+        );
+        // Backoff plus scan, back to back for the whole run: ~1 800 wakes
+        // (a doubling backoff capped at ×64 would leave ~30).
+        let period = costs.idle_backoff_ns + costs.pool_op_ns;
+        let run = report.makespan_ns;
+        assert!(
+            wakes * period <= run && run < (wakes + 2) * period,
+            "{wakes} wakes in {run} ns"
+        );
+    }
 
     #[test]
     fn event_heap_pops_in_key_order_with_reschedules() {

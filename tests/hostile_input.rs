@@ -1,18 +1,26 @@
 //! Hostile input: seeded byte mutations of every text format the
 //! workspace reads from outside — cost-model files, DIMACS `.col` graphs,
-//! QAPLIB instances and sysfs cpulists. Each mutant must parse to an
-//! `Err` or to a value that re-validates (its invariants hold and it
-//! survives a write-and-reparse round trip unchanged); a panic, an
-//! overflow or a runaway allocation is a parser bug. Run it in release
-//! too (`cargo test --release --test hostile_input`), where an
-//! arithmetic overflow would wrap silently instead of panicking.
+//! QAPLIB instances, sysfs cpulists, and the option values of the bench
+//! bins (`--shape`, `--fabric`, `--lease-policy`, `--chunk-policy`,
+//! `--bound-policy`, `--mode`). Each mutant must parse to an `Err` or to
+//! a value that re-validates (its invariants hold and it survives a
+//! write-and-reparse round trip unchanged); a panic, an overflow or a
+//! runaway allocation is a parser bug. Run it in release too
+//! (`cargo test --release --test hostile_input`), where an arithmetic
+//! overflow would wrap silently instead of panicking.
 
+use std::fmt::{Debug, Display};
 use std::path::Path;
+use std::str::FromStr;
 
+use macs_bench::parse_shape;
+use macs_engine::SearchMode;
 use macs_problems::coloring::MYCIEL3_COL;
 use macs_problems::qap::ESC16E_DAT;
 use macs_problems::{ColoringInstance, QapInstance};
-use macs_sim::CostModel;
+use macs_search::{BoundPolicy, ChunkPolicy};
+use macs_service::LeasePolicy;
+use macs_sim::{CostModel, FabricModel};
 use macs_topo::detect::{parse_cpulist, CPU_ID_LIMIT};
 use macs_topo::MAX_LEVELS;
 
@@ -190,5 +198,66 @@ fn cpulist_mutants_are_rejected_or_valid() {
         assert_eq!(parse_cpulist(&again.join(","), path).unwrap(), cpus);
         true
     });
+    assert!(accepted > 0);
+}
+
+/// Mutants of `bases` parse as `T` to an `Err` or to a value whose
+/// `Display` parses back to it; returns how many parsed.
+fn round_trips<T: FromStr + Display + PartialEq + Debug>(seed: u64, bases: &[&str]) -> usize {
+    fuzz(seed, bases, |text| {
+        let Ok(v) = text.parse::<T>() else {
+            return false;
+        };
+        assert_eq!(v.to_string().parse::<T>().ok(), Some(v), "{text:?}");
+        true
+    })
+}
+
+#[test]
+fn option_value_mutants_are_rejected_or_round_trip() {
+    let bases = [
+        "latency",
+        "contention",
+        "contention:667,64,64",
+        "contention:,32",
+    ];
+    let mut accepted = round_trips::<FabricModel>(0xFAB, &bases);
+    accepted += round_trips::<LeasePolicy>(0x1EA5E, &["static", "static:2", "queue-depth:1,4"]);
+    let bases = ["static", "adaptive", "distance", "distance:8,4"];
+    accepted += round_trips::<ChunkPolicy>(0xC4, &bases);
+    let bases = ["immediate", "hierarchical", "periodic", "periodic:32"];
+    accepted += round_trips::<BoundPolicy>(0xB0, &bases);
+    let bases = ["exhaustive", "first-solution", "first_solution", "first"];
+    accepted += round_trips::<SearchMode>(0x5EA, &bases);
+    assert!(accepted > 0);
+}
+
+#[test]
+fn shape_mutants_are_rejected_or_valid() {
+    let accepted = fuzz(
+        0x5A,
+        &["2x2x4", "2x2x4:1", "16", "4x8:0", "2x2x2x2:3"],
+        |text| {
+            let Ok(topo) = parse_shape(text) else {
+                return false;
+            };
+            let shape = topo.shape();
+            assert!(
+                !shape.is_empty() && shape.iter().all(|&e| e > 0),
+                "{text:?}"
+            );
+            assert!(topo.node_prefix() <= topo.levels(), "{text:?}");
+            let total = shape.iter().try_fold(1usize, |t, &e| t.checked_mul(e));
+            assert_eq!(total, Some(topo.total_workers()), "{text:?}");
+            // Display names the levels; with the prefix appended it is the
+            // `--shape` spelling again.
+            let shown = topo.to_string();
+            let dims = shown.split(' ').next().unwrap();
+            let back =
+                parse_shape(&format!("{dims}:{}", topo.node_prefix())).expect("re-emitted shape");
+            assert_eq!(back, topo, "{text:?}");
+            true
+        },
+    );
     assert!(accepted > 0);
 }

@@ -81,7 +81,11 @@ fn paccs_histograms_obey_the_same_invariants() {
     // scan order is a MaCS knob.
     let prob = queens(9, QueensModel::Pairwise);
     let cfg = PaccsConfig::hierarchical(&[2, 2, 2], 1).unwrap();
-    check_threaded("paccs 2x2x2", &paccs_solve(&prob, &cfg).report, &cfg.topology);
+    check_threaded(
+        "paccs 2x2x2",
+        &paccs_solve(&prob, &cfg).report,
+        &cfg.topology,
+    );
 }
 
 /// A first-solution race drains: steal replies landing after the winner
