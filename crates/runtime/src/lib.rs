@@ -27,7 +27,6 @@ pub mod affinity;
 pub mod config;
 pub mod processor;
 pub mod registers;
-pub mod rng;
 pub mod run;
 pub mod stats;
 pub mod term;
@@ -37,9 +36,9 @@ pub use affinity::pin_current_thread;
 pub use config::{
     BoundPolicy, ChunkPolicy, PollPolicy, ReleasePolicy, RuntimeConfig, StealPolicy, VictimSelect,
 };
+pub use macs_search::SplitMix64;
 pub use processor::{Incumbent, NoIncumbent, ProcCtx, Processor, Step, WorkSink};
 pub use registers::{GlobalIncumbent, WinnerGate};
-pub use rng::SplitMix64;
 pub use run::{run_parallel, run_parallel_on, RunReport};
 pub use stats::{PhaseTimers, RaceRing, StateClock, WorkerState, WorkerStats, NUM_STATES};
 

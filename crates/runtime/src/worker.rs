@@ -1,20 +1,21 @@
 //! The MaCS worker: "the main and single entity" of the architecture
 //! (paper §IV). There is no controller — each worker solves, balances load,
-//! serves remote steal requests, and detects termination.
+//! serves remote steal requests, and detects termination. The sequencing is
+//! [`WorkerMachine`]'s; this is its threaded driver, performing each action
+//! on the real pools, registers and termination board.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use macs_gpi::{VictimOrder, World};
+use macs_gpi::World;
 use macs_pool::{SplitPool, RESP_FAIL, RESP_PENDING};
 use macs_search::steal::{backoff_factor, PoolView, UNLEASED};
-use macs_search::AdaptiveBatch;
+use macs_search::{Action, AdaptiveBatch, Outcome, WorkerMachine, WorkerView};
 
 use crate::config::RuntimeConfig;
 use crate::processor::{ProcCtx, Processor, Step, WorkSink};
 pub use crate::registers::GlobalIncumbent;
 use crate::registers::{poison, WinnerGate};
-use crate::rng::SplitMix64;
 use crate::stats::{RaceRing, WorkerState, WorkerStats};
 use crate::term::{TermBoard, TermHandle};
 
@@ -69,7 +70,27 @@ impl PoolView for ReplyPools<'_> {
     }
 }
 
-/// One worker thread's state.
+/// The job's current lease width in workers ([`UNLEASED`] when this world
+/// is not leased). A local load: the lease register sits in the job's own
+/// cell block.
+#[inline]
+fn lease_width(world: &World) -> u64 {
+    if world.leased {
+        world.cells.load(world.block.lease())
+    } else {
+        UNLEASED
+    }
+}
+
+/// Move overflow spill back into the ring while space is open.
+#[inline]
+fn drain_overflow(pool: &SplitPool, overflow: &mut Vec<Box<[u64]>>) {
+    while overflow.last().is_some_and(|it| pool.push(it)) {
+        overflow.pop();
+    }
+}
+
+/// One worker thread: the threaded driver of its [`WorkerMachine`].
 pub(crate) struct Worker<'a, P: Processor> {
     id: usize,
     node: usize,
@@ -79,22 +100,17 @@ pub(crate) struct Worker<'a, P: Processor> {
     my_pool: &'a SplitPool,
     processor: P,
     stats: WorkerStats,
-    rng: SplitMix64,
     term: TermHandle<'a>,
     incumbent: GlobalIncumbent<'a>,
-    /// The item being processed (slot_words long).
+    /// The item being processed (slot_words long), live iff `have`.
     current: Vec<u64>,
+    have: bool,
     /// Local-memory spill stack for ring overflow (items here are already
     /// counted as created but invisible to thieves).
     overflow: Vec<Box<[u64]>>,
     /// Flat buffer for assembling remote steal responses.
     steal_flat: Vec<u64>,
     slot_words: usize,
-    since_release: u32,
-    since_poll: u32,
-    poll_interval: u32,
-    /// Last-successful-steal affinity per distance ring.
-    victim_order: VictimOrder,
     /// This worker's end of the winner route (first-solution races).
     gate: WinnerGate<'a>,
     /// Recent item-start instants for `nodes_after_win` accounting.
@@ -116,7 +132,6 @@ impl<'a, P: Processor> Worker<'a, P> {
         let topo = &world.topology;
         let node = topo.node_of(id);
         let slot_words = pools[id].slot_words();
-        let victim_order = VictimOrder::new(topo, id);
         let leader = id == topo.peers_of(id).start;
         Worker {
             id,
@@ -127,7 +142,6 @@ impl<'a, P: Processor> Worker<'a, P> {
             my_pool: &pools[id],
             processor,
             stats: WorkerStats::new(id, node),
-            rng: SplitMix64::for_worker(cfg.seed, id),
             term: TermHandle::new(board, &world.cells, world.block.outstanding(), id),
             incumbent: GlobalIncumbent::new(
                 &world.cells,
@@ -139,77 +153,13 @@ impl<'a, P: Processor> Worker<'a, P> {
                 leader,
             ),
             current: vec![0u64; slot_words],
+            have: false,
             overflow: Vec::new(),
             steal_flat: Vec::new(),
             slot_words,
-            since_release: 0,
-            since_poll: 0,
-            poll_interval: cfg.steal.poll.initial(),
-            victim_order,
             gate: WinnerGate::new(world, id, cfg.mode.is_race()),
             race_ring: RaceRing::new(),
             adaptive: AdaptiveBatch::starting_at(cfg.steal.response_batch),
-        }
-    }
-
-    // ----- worker-set leases (multi-tenant service runs) --------------------
-
-    /// The job's current lease width in workers ([`UNLEASED`] when this
-    /// world is not leased). A local load: the lease register sits in the
-    /// job's own cell block.
-    #[inline]
-    fn lease_width(&self) -> u64 {
-        if self.world.leased {
-            self.world.cells.load(self.world.block.lease())
-        } else {
-            UNLEASED
-        }
-    }
-
-    /// Is this worker parked — outside the job's current lease?
-    #[inline]
-    fn lease_parked(&self) -> bool {
-        (self.id as u64) >= self.lease_width()
-    }
-
-    /// Parked: publish everything we hold, serve thieves, and wait until
-    /// the lease grows back over our id (`true`) or the job terminates
-    /// (`false`). The pool keeps draining monotonically — overflow spill
-    /// re-enters the ring as thieves free slots, and every private item
-    /// is released — so parked work is always visible to active workers.
-    fn park_until_leased(&mut self) -> bool {
-        self.stats.parks += 1;
-        // Announce the park: the scheduler's shrink handshake watches this
-        // register to learn when every out-of-lease worker has actually
-        // stopped (pool published, processing ceased).
-        self.world.cells.fetch_add_i64(self.world.block.parked(), 1);
-        let resumed = self.park_wait();
-        self.world
-            .cells
-            .fetch_add_i64(self.world.block.parked(), -1);
-        resumed
-    }
-
-    fn park_wait(&mut self) -> bool {
-        let mut idle_rounds: u32 = 0;
-        loop {
-            self.stats.clock.set(WorkerState::Releasing);
-            self.drain_overflow();
-            let private = self.my_pool.private_len();
-            if private > 0 {
-                self.release(private);
-            }
-            self.stats.clock.set(WorkerState::Idle);
-            if self.term.terminated() {
-                return false;
-            }
-            self.serve_request();
-            if !self.lease_parked() {
-                return true;
-            }
-            self.stats.clock.set(WorkerState::Idle);
-            Self::backoff(idle_rounds);
-            idle_rounds = idle_rounds.saturating_add(1);
         }
     }
 
@@ -230,84 +180,49 @@ impl<'a, P: Processor> Worker<'a, P> {
         Ok((self.stats, self.processor.finish()))
     }
 
-    /// The worker main loop (paper §IV: propagate/split under `process`,
-    /// plus release, poll and restore around it).
+    /// The worker main loop: perform each action the machine asks for on
+    /// the real pools and registers, and feed back what happened.
     fn work(&mut self) {
-        let mut have = false;
+        let (world, cfg) = (self.world, self.cfg);
+        let mut machine = WorkerMachine::new(self.id, &world.topology, &cfg.steal, cfg.seed);
+        let mut outcome = Outcome::Ok;
         loop {
-            // One lease read per iteration (leased runs; free otherwise).
-            let mut parked = self.lease_parked();
-            if !have {
-                // The worker's own pool first: the common case after a
-                // leaf, and no state change — so no clock read.
-                if parked || !self.acquire_local() {
-                    if !self.restore() {
-                        break; // global termination
+            outcome = match machine.step(outcome, self) {
+                Action::Expand => {
+                    self.have = self.process_current();
+                    Outcome::Expanded {
+                        more: self.have && !self.gate.raised(),
                     }
-                    parked = self.lease_parked();
                 }
-            }
-            if parked {
-                // The lease shrank below our id. Hand the in-hand item
-                // back (it is already counted as created, so a plain push
-                // keeps the termination invariant — an active worker will
-                // steal and finish it), publish the pool, and serve
-                // thieves until regrown or terminated. At this point
-                // `current` always holds an item: either `have` was true
-                // or one was just acquired.
-                if !self.my_pool.push(&self.current) {
-                    self.overflow.push(self.current.clone().into_boxed_slice());
-                    self.stats.overflow_spills += 1;
+                Action::Release(k) => {
+                    self.stats.clock.hot(WorkerState::Releasing);
+                    self.release(k);
+                    Outcome::Ok
                 }
-                have = false;
-                if self.park_until_leased() {
-                    continue;
+                Action::Poll => Outcome::Polled { hit: self.poll() },
+                Action::AcquireOwn => {
+                    self.have = self.acquire_local();
+                    Outcome::Acquired(self.have)
                 }
-                break; // the job terminated while we were parked
-            }
-            if self.gate.raised() {
-                // Cooperative cancellation: discard the item in hand and
-                // everything in the local pool; termination follows once
-                // every worker has drained.
-                self.on_win_observed();
-                self.term.finish_one();
-                self.stats.abandoned_items += 1;
-                while self.acquire_local() {
-                    self.term.finish_one();
-                    self.stats.abandoned_items += 1;
+                Action::StealLocal(victim) => self.steal_local(victim),
+                Action::PostRequest(victim) => self.steal_remote(victim),
+                Action::Drain => {
+                    self.drain();
+                    Outcome::Ok
                 }
-                have = false;
-                continue;
-            }
-            have = self.process_current();
-
-            self.since_release += 1;
-            if self.since_release >= self.cfg.steal.release.interval {
-                self.since_release = 0;
-                self.maybe_release();
-            }
-            self.since_poll += 1;
-            if self.since_poll >= self.poll_interval {
-                self.since_poll = 0;
-                self.poll();
-            }
+                Action::Backoff(round) => self.idle(round),
+                Action::Park => self.park(),
+                Action::Done => break,
+            };
         }
-
         // Someone may have posted a request just before we observed
         // termination: refuse it so no thief waits on a dead victim.
         self.serve_request();
     }
 
-    /// First observation of a raised winner flag: settle the
-    /// `nodes_after_win` account.
-    fn on_win_observed(&mut self) {
-        if let Some(n) = self.gate.settle(&self.race_ring) {
-            self.stats.nodes_after_win = n;
-        }
-    }
-
     // ----- inner cycle ------------------------------------------------------
 
+    /// Expand `current`; `true` if it continues (not a leaf).
     fn process_current(&mut self) -> bool {
         self.stats.clock.tick(WorkerState::Working);
         if self.cfg.mode.is_race() {
@@ -344,24 +259,6 @@ impl<'a, P: Processor> Worker<'a, P> {
         }
     }
 
-    /// Move overflow spill back into the ring while space is open.
-    #[inline]
-    fn drain_overflow(&mut self) {
-        while self.overflow.last().is_some_and(|it| self.my_pool.push(it)) {
-            self.overflow.pop();
-        }
-    }
-
-    /// The *release* operation, when the rulebook asks for one.
-    fn maybe_release(&mut self) {
-        self.drain_overflow();
-        let (private, shared) = self.my_pool.lens();
-        if let Some(k) = self.cfg.steal.release_amount(private, shared) {
-            self.stats.clock.hot(WorkerState::Releasing);
-            self.release(k);
-        }
-    }
-
     /// Share `k` private items with thieves. The `created` count goes on
     /// the board first, so no item is visible before its creation is.
     fn release(&mut self, k: u64) {
@@ -370,8 +267,8 @@ impl<'a, P: Processor> Worker<'a, P> {
         self.stats.released_items += self.my_pool.release(k);
     }
 
-    /// Check the request mailbox, adapting the dynamic polling interval.
-    fn poll(&mut self) {
+    /// Check the request mailbox; `true` if a request was served.
+    fn poll(&mut self) -> bool {
         let hit = self.my_pool.pending_request().is_some();
         if hit {
             self.serve_request();
@@ -379,59 +276,7 @@ impl<'a, P: Processor> Worker<'a, P> {
             self.stats.clock.hot(WorkerState::Poll);
             self.stats.polls += 1;
         }
-        self.poll_interval = self.cfg.steal.poll.next(self.poll_interval, hit);
-    }
-
-    // ----- the restore procedure (§V) ---------------------------------------
-
-    /// Obtain a new work item from somewhere other than the worker's own
-    /// pool (the run loop has just found that empty, or the worker
-    /// parked); `false` means the whole computation terminated.
-    fn restore(&mut self) -> bool {
-        let mut idle_rounds: u32 = 0;
-        loop {
-            // A raced run that is already won has nothing left to steal
-            // for: stop raiding other pools (their owners will discard
-            // that work anyway) and just drain towards termination. The
-            // check also keeps idle node leaders refreshing the winner
-            // mirror for their busy peers. A parked worker likewise stops
-            // raiding — work it stole would sit unprocessed in an
-            // out-of-lease pool — and waits out the lease instead.
-            if self.lease_parked() {
-                if !self.park_until_leased() {
-                    return false;
-                }
-            } else if self.gate.raised() {
-                self.on_win_observed();
-            } else {
-                // Local steal from a co-located worker.
-                if self.try_local_steal() {
-                    return true;
-                }
-                // Remote steal from another node.
-                if self.world.topology.nodes() > 1 {
-                    match self.try_remote_steal() {
-                        RemoteOutcome::Got => return true,
-                        RemoteOutcome::Nothing => {}
-                        RemoteOutcome::Terminated => return false,
-                    }
-                }
-            }
-            // Idle: check termination, serve requests, back off.
-            self.stats.clock.set(WorkerState::Idle);
-            self.stats.idle_rounds += 1;
-            if self.term.terminated() {
-                return false;
-            }
-            self.serve_request();
-            self.stats.clock.set(WorkerState::Idle);
-            Self::backoff(idle_rounds);
-            idle_rounds = idle_rounds.saturating_add(1);
-            self.stats.clock.set(WorkerState::Searching);
-            if !self.lease_parked() && self.acquire_local() {
-                return true;
-            }
-        }
+        hit
     }
 
     /// Pop from the overflow stack, the private region, or (after a
@@ -453,28 +298,55 @@ impl<'a, P: Processor> Worker<'a, P> {
         false
     }
 
-    fn try_local_steal(&mut self) -> bool {
-        let topo = &self.world.topology;
-        if topo.node_size() < 2 {
-            return false;
+    /// Cooperative cancellation: discard the item in hand and everything
+    /// in the local pool; termination follows once every worker has
+    /// drained.
+    fn drain(&mut self) {
+        let mut dropped = u64::from(std::mem::take(&mut self.have));
+        while self.acquire_local() {
+            dropped += 1;
         }
-        self.stats.clock.set(WorkerState::Searching);
-        let lease = self.lease_width();
-        let (pools, rng) = (self.pools, &mut self.rng);
-        let (victim, _) = self.cfg.steal.pick_local(
-            topo,
-            &self.victim_order,
-            lease,
-            |n| rng.below_usize(n),
-            |w| pools[w].shared_len(),
-        );
-        let Some(v) = victim else {
-            return false;
-        };
+        for _ in 0..dropped {
+            self.term.finish_one();
+        }
+        self.stats.abandoned_items += dropped;
+    }
 
+    /// Idle: check termination, serve requests, back off for `round`.
+    fn idle(&mut self, round: u32) -> Outcome {
+        self.stats.clock.set(WorkerState::Idle);
+        self.stats.idle_rounds += 1;
+        if self.term.terminated() {
+            return Outcome::Terminated;
+        }
+        self.serve_request();
+        self.stats.clock.set(WorkerState::Idle);
+        Self::backoff(round);
+        Outcome::Ok
+    }
+
+    fn backoff(round: u32) {
+        if round < 8 {
+            for _ in 0..backoff_factor(round) {
+                std::hint::spin_loop();
+            }
+        } else {
+            std::thread::yield_now();
+        }
+    }
+
+    // ----- steals -----------------------------------------------------------
+
+    /// Take a grant (R3) from co-located `v`: the oldest item to hand, the
+    /// rest into the own pool.
+    fn steal_local(&mut self, v: usize) -> Outcome {
         self.stats.clock.set(WorkerState::Stealing);
         let shared = self.pools[v].shared_len();
-        let want = self.cfg.steal.local_grant(topo, self.id, v, shared, lease);
+        let lease = lease_width(self.world);
+        let want = self
+            .cfg
+            .steal
+            .local_grant(&self.world.topology, self.id, v, shared, lease);
         let current = &mut self.current;
         let overflow = &mut self.overflow;
         let my_pool = self.my_pool;
@@ -487,94 +359,46 @@ impl<'a, P: Processor> Worker<'a, P> {
                 overflow.push(item.to_vec().into_boxed_slice());
             }
         });
-        if n > 0 {
-            if self.gate.raised() {
-                // The winner flag was raised while we picked and locked
-                // the victim: the run loop discards these items as
-                // abandoned, so the steal lands in the drain bucket —
-                // the same exclusion every other steal path applies.
-                self.stats.drain_steals += 1;
-            } else {
-                self.stats.local_steals += 1;
-                self.stats.local_steal_items += n;
-                self.count_steal(v, true);
-            }
-            true
-        } else {
+        self.have = n > 0;
+        if n == 0 {
             // The victim looked loaded but the lock-time check found
             // nothing: a failed (local) steal.
             self.stats.local_steal_failures += 1;
-            self.count_steal(v, false);
-            false
+            return Outcome::MISSED;
         }
+        self.landed(v, n, true)
     }
 
-    /// Count a settled steal: the distance histogram, and the rulebook's
-    /// affinity update.
-    fn count_steal(&mut self, victim: usize, success: bool) {
-        let topo = &self.world.topology;
-        if success {
-            self.stats
-                .steals_by_distance
-                .record(topo.distance(self.id, victim));
-        }
-        self.cfg
-            .steal
-            .record_outcome(topo, &mut self.victim_order, victim, success);
-    }
-
-    fn try_remote_steal(&mut self) -> RemoteOutcome {
-        let topo = &self.world.topology;
+    /// Post a request into remote `v`'s mailbox and wait for the (possibly
+    /// proxied) reply, serving the own mailbox meanwhile.
+    fn steal_remote(&mut self, v: usize) -> Outcome {
         let ic = &self.world.interconnect;
-        self.stats.clock.set(WorkerState::SearchingRemote);
-
-        // One-sided scan of remote nodes (each probe pays the fabric).
-        // The lease register is read once per round.
-        let lease = self.lease_width();
-        let (pools, rng) = (self.pools, &mut self.rng);
-        let (victim, _) = self.cfg.steal.pick_remote(
-            topo,
-            &self.victim_order,
-            lease,
-            |n| rng.below_usize(n),
-            |w| {
-                let meta = pools[w].meta_remote(ic);
-                (meta.req == 0).then(|| meta.shared_len())
-            },
-        );
-        let Some(v) = victim else {
-            return RemoteOutcome::Nothing;
-        };
-
-        // Claim the victim's mailbox.
         self.stats.clock.set(WorkerState::FindRemote);
         self.my_pool.reset_response();
         let t0 = Instant::now();
         if !self.pools[v].try_post_request_remote(ic, self.id) {
-            return RemoteOutcome::Nothing; // another thief got there first
+            // Another thief got there first.
+            return Outcome::MISSED;
         }
-
-        // Wait for the victim's (possibly proxied) answer.
         self.stats.clock.set(WorkerState::WaitRemote);
         loop {
             match self.my_pool.response() {
                 RESP_PENDING => {
-                    // Serve our own mailbox while waiting (avoids mutual
-                    // thief/victim waits) and abandon on termination.
+                    // Serving our own mailbox while waiting avoids mutual
+                    // thief/victim waits.
                     if self.my_pool.pending_request().is_some() {
                         self.serve_request();
                         self.stats.clock.set(WorkerState::WaitRemote);
                     }
                     if self.term.terminated() {
-                        return RemoteOutcome::Terminated;
+                        return Outcome::Terminated;
                     }
                     std::hint::spin_loop();
                 }
                 RESP_FAIL => {
                     self.my_pool.reset_response();
                     self.stats.remote_steal_failures += 1;
-                    self.count_steal(v, false);
-                    return RemoteOutcome::Nothing;
+                    return Outcome::MISSED;
                 }
                 n => {
                     // Items were written in place at our head; the fabric
@@ -582,23 +406,85 @@ impl<'a, P: Processor> Worker<'a, P> {
                     ic.enforce_rtt_floor(t0, n as usize * self.slot_words * 8);
                     self.my_pool.reset_response();
                     self.my_pool.adopt_written(n);
-                    if self.gate.raised() {
-                        // The reply raced the winner flag and lost: the
-                        // run loop discards these items as abandoned, so
-                        // counting the steal as *successful* would inflate
-                        // the histogram and items-per-remote-steal. It
-                        // lands in the separate drain bucket instead.
-                        self.stats.drain_steals += 1;
-                    } else {
-                        self.stats.remote_steals += 1;
-                        self.stats.remote_steal_items += n;
-                        self.count_steal(v, true);
-                    }
-                    let got = self.my_pool.pop_private(&mut self.current);
-                    debug_assert!(got, "adopted items must be poppable");
-                    return RemoteOutcome::Got;
+                    self.have = self.my_pool.pop_private(&mut self.current);
+                    debug_assert!(self.have, "adopted items must be poppable");
+                    return self.landed(v, n, false);
                 }
             }
+        }
+    }
+
+    /// `n` stolen items arrived from `v`. If the winner flag went up while
+    /// they travelled, they are discarded as abandoned and the steal lands
+    /// in the drain bucket, not in the steal counts or the histogram.
+    fn landed(&mut self, v: usize, n: u64, local: bool) -> Outcome {
+        let won = self.gate.raised();
+        let s = &mut self.stats;
+        if won {
+            s.drain_steals += 1;
+        } else {
+            let d = self.world.topology.distance(self.id, v);
+            s.steals_by_distance.record(d);
+            let (steals, items) = if local {
+                (&mut s.local_steals, &mut s.local_steal_items)
+            } else {
+                (&mut s.remote_steals, &mut s.remote_steal_items)
+            };
+            *steals += 1;
+            *items += n;
+        }
+        Outcome::Stole { items: n, won }
+    }
+
+    // ----- worker-set leases (multi-tenant service runs) --------------------
+
+    /// The lease shrank below our id. Hand the in-hand item back (it is
+    /// already counted as created, so a plain push keeps the termination
+    /// invariant — an active worker will steal and finish it), announce
+    /// the park — the scheduler's shrink handshake watches the register to
+    /// learn when every out-of-lease worker has stopped — and wait until
+    /// the lease grows back over our id or the job terminates.
+    fn park(&mut self) -> Outcome {
+        if std::mem::take(&mut self.have) && !self.my_pool.push(&self.current) {
+            self.overflow.push(self.current.clone().into_boxed_slice());
+            self.stats.overflow_spills += 1;
+        }
+        self.stats.parks += 1;
+        let parked = self.world.block.parked();
+        self.world.cells.fetch_add_i64(parked, 1);
+        let resumed = self.park_wait();
+        self.world.cells.fetch_add_i64(parked, -1);
+        if resumed {
+            Outcome::Ok
+        } else {
+            Outcome::Terminated
+        }
+    }
+
+    /// Parked: publish everything we hold and serve thieves. The pool keeps
+    /// draining monotonically — overflow spill re-enters the ring as
+    /// thieves free slots, and every private item is released — so parked
+    /// work is always visible to active workers.
+    fn park_wait(&mut self) -> bool {
+        let mut idle_rounds: u32 = 0;
+        loop {
+            self.stats.clock.set(WorkerState::Releasing);
+            drain_overflow(self.my_pool, &mut self.overflow);
+            let private = self.my_pool.private_len();
+            if private > 0 {
+                self.release(private);
+            }
+            self.stats.clock.set(WorkerState::Idle);
+            if self.term.terminated() {
+                return false;
+            }
+            self.serve_request();
+            if (self.id as u64) < lease_width(self.world) {
+                return true;
+            }
+            self.stats.clock.set(WorkerState::Idle);
+            Self::backoff(idle_rounds);
+            idle_rounds = idle_rounds.saturating_add(1);
         }
     }
 
@@ -625,7 +511,7 @@ impl<'a, P: Processor> Worker<'a, P> {
             self.id,
             thief,
             thief_pool.room(&tm),
-            self.lease_width(),
+            lease_width(self.world),
             &mut self.adaptive,
             &mut ReplyPools {
                 pools: self.pools,
@@ -651,20 +537,41 @@ impl<'a, P: Processor> Worker<'a, P> {
         }
         self.my_pool.clear_request();
     }
-
-    fn backoff(round: u32) {
-        if round < 8 {
-            for _ in 0..backoff_factor(round) {
-                std::hint::spin_loop();
-            }
-        } else {
-            std::thread::yield_now();
-        }
-    }
 }
 
-enum RemoteOutcome {
-    Got,
-    Nothing,
-    Terminated,
+/// What the machine observes: the own pool (overflow spill drained back
+/// first, so R1 sees everything it may release), the peers' pools —
+/// one-sided through the fabric for remote ones — the winner gate and the
+/// lease register. A scan switches the clock to the state it runs in.
+impl<P: Processor> WorkerView for Worker<'_, P> {
+    fn own_lens(&mut self) -> (u64, u64) {
+        drain_overflow(self.my_pool, &mut self.overflow);
+        self.my_pool.lens()
+    }
+
+    fn shared_len(&mut self, w: usize) -> u64 {
+        self.stats.clock.set(WorkerState::Searching);
+        self.pools[w].shared_len()
+    }
+
+    fn probe_remote(&mut self, w: usize) -> Option<u64> {
+        self.stats.clock.set(WorkerState::SearchingRemote);
+        let meta = self.pools[w].meta_remote(&self.world.interconnect);
+        (meta.req == 0).then(|| meta.shared_len())
+    }
+
+    fn won(&mut self) -> bool {
+        if !self.gate.raised() {
+            return false;
+        }
+        // The first observation settles the `nodes_after_win` account.
+        if let Some(n) = self.gate.settle(&self.race_ring) {
+            self.stats.nodes_after_win = n;
+        }
+        true
+    }
+
+    fn lease(&mut self) -> u64 {
+        lease_width(self.world)
+    }
 }

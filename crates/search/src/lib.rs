@@ -30,7 +30,10 @@
 //!   reply thinness;
 //! * [`steal`] — the MaCS steal rulebook: [`StealPolicy`] (the §V
 //!   protocol's knobs, one struct for threaded and simulated runs) and
-//!   every protocol decision as a pure function both executions call.
+//!   every protocol decision as a pure function;
+//! * [`machine`] — the MaCS worker as a sans-IO [`WorkerMachine`] that
+//!   sequences those decisions; the threaded worker and the simulator
+//!   only perform and price its actions.
 //!
 //! Every execution path — `macs-core`'s `CpProcessor` (threaded and
 //! simulated MaCS and PaCCS) and the cross-solver tests — drives
@@ -74,7 +77,9 @@ pub mod batch;
 pub mod bounds;
 pub mod incumbent;
 pub mod kernel;
+pub mod machine;
 pub mod mode;
+pub mod rng;
 pub mod steal;
 
 pub use arena::StoreSlab;
@@ -82,5 +87,7 @@ pub use batch::{AdaptiveBatch, ChunkPolicy, WorkBatch, WorkItem};
 pub use bounds::{BoundFanout, BoundPath, BoundPolicy, BroadcastTree, RefreshGate};
 pub use incumbent::{IncumbentSource, LocalIncumbent, NoBound};
 pub use kernel::{KernelTimers, SearchKernel, SolutionReport, StepOutcome, SAMPLE_STRIDE};
+pub use machine::{Action, Outcome, Scan, WorkerMachine, WorkerView};
 pub use mode::{RaceRing, SearchMode};
+pub use rng::SplitMix64;
 pub use steal::{PollPolicy, PoolView, ReleasePolicy, Reply, StealPolicy, VictimSelect};

@@ -1,4 +1,4 @@
-//! A tiny deterministic PRNG for victim selection and backoff jitter.
+//! A tiny deterministic PRNG for victim selection and node-cost jitter.
 //!
 //! SplitMix64 (Steele, Lea & Flood): one multiply-xorshift round per draw,
 //! no external dependency, and — crucially for reproducible experiments —

@@ -2,14 +2,13 @@
 //! written once.
 //!
 //! The protocol — release, greedy / max-steal local stealing, a one-sided
-//! remote scan, a mailbox request and a proxy-filled reply — runs in two
-//! executions: real threads over atomics (`macs-runtime`'s worker) and one
-//! event continuation per virtual worker (`macs-sim`). They differ in
-//! *control flow* for a real reason (a blocking thread vs. a virtual-time
-//! charge between every two steps) but in no *decision*, so the decisions
+//! remote scan, a mailbox request and a proxy-filled reply — is sequenced
+//! once, by [`WorkerMachine`](crate::machine::WorkerMachine), and performed
+//! by two drivers: real threads over atomics (`macs-runtime`'s worker) and
+//! one event continuation per virtual worker (`macs-sim`). The decisions
 //! live here as pure functions over observations: each takes what the
-//! caller saw (pool lengths, a lease width, a surplus probe) and returns a
-//! plain value; the executions keep only "do it, charge it, count it".
+//! worker saw (pool lengths, a lease width, a surplus probe) and returns a
+//! plain value; the drivers keep only "do it, charge it, count it".
 //!
 //! The rules are numbered R1–R8 in their doc comments below;
 //! ARCHITECTURE.md ("Steal protocol: rules and executions") tabulates their

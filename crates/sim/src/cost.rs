@@ -18,12 +18,18 @@
 //!
 //! Every field is required (a model that silently falls back to a
 //! default for a missing latency would defeat calibration); unknown
-//! keys, duplicates, and negative values are typed
-//! [`CostModelError`]s.
+//! keys, duplicates, negative values and values above [`MAX_PRICE`] are
+//! typed [`CostModelError`]s.
 
 use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
+
+/// The ceiling on every value of a model file, and on every price derived
+/// from one: 2⁴⁰ (about 18 virtual minutes, or a terabyte). A simulation
+/// adds thousands of charges to its clock and scales a node's price by
+/// its jitter; below this ceiling none of that can wrap a `u64`.
+pub const MAX_PRICE: u64 = 1 << 40;
 
 /// How the processing time of one node (propagate + split) is charged:
 /// a fixed mean of `ns` with ±`jitter_pct`% deterministic jitter, so the
@@ -135,29 +141,29 @@ impl CostModel {
         CostModel::woodcrest_ib(25_000)
     }
 
+    /// Per-byte transfer cost of `bytes`, at most [`MAX_PRICE`].
     #[inline]
     pub fn transfer_ns(&self, bytes: u64) -> u64 {
-        self.byte_ps.saturating_mul(bytes) / 1000
+        (self.byte_ps.saturating_mul(bytes) / 1000).min(MAX_PRICE)
     }
 
     /// One-way latency to a victim `ring_rank` remote rings out
-    /// (`1` = the nearest remote ring).
+    /// (`1` = the nearest remote ring), at most [`MAX_PRICE`].
     #[inline]
     pub fn remote_latency_for(&self, ring_rank: usize) -> u64 {
         let mut lat = self.remote_latency_ns;
         for _ in 1..ring_rank.max(1) {
             lat = lat.saturating_mul(self.level_hop_factor.max(1));
         }
-        lat
+        lat.min(MAX_PRICE)
     }
 
     /// Lock + copy setup cost of a local steal spanning `d` intra-node
-    /// levels (`d >= 1`). Saturates, like the two above: a loaded model
-    /// may hold any `u64`.
+    /// levels (`d >= 1`), at most [`MAX_PRICE`] like the two above.
     #[inline]
     pub fn local_steal_ns(&self, d: usize) -> u64 {
         let extra = (d.saturating_sub(1) as u64).saturating_mul(self.cross_level_ns);
-        self.steal_local_ns.saturating_add(extra)
+        self.steal_local_ns.saturating_add(extra).min(MAX_PRICE)
     }
 }
 
@@ -197,6 +203,14 @@ pub enum CostModelError {
         key: String,
         value: String,
     },
+    /// A value above its key's ceiling ([`MAX_PRICE`], or 100 for a
+    /// jitter percentage).
+    AboveCeiling {
+        line: usize,
+        key: String,
+        value: String,
+        max: u64,
+    },
     /// A required key never appeared (a model must be total: silently
     /// defaulting a missing latency would defeat calibration).
     MissingField { key: &'static str },
@@ -225,6 +239,15 @@ impl fmt::Display for CostModelError {
             CostModelError::NegativeValue { line, key, value } => {
                 write!(f, "line {line}: negative value {value} for {key}")
             }
+            CostModelError::AboveCeiling {
+                line,
+                key,
+                value,
+                max,
+            } => write!(
+                f,
+                "line {line}: {value} for {key} is above its ceiling {max}"
+            ),
             CostModelError::MissingField { key } => {
                 write!(f, "cost model is missing required key {key:?}")
             }
@@ -331,8 +354,8 @@ impl fmt::Display for CostModel {
     }
 }
 
-/// Parse a non-negative integer no wider than `max`, distinguishing
-/// "negative" from "unparseable" for the error taxonomy.
+/// Parse a non-negative integer no larger than `max`, distinguishing
+/// "negative", "too large" and "unparseable" for the error taxonomy.
 fn parse_value(line: usize, key: &str, value: &str, max: u64) -> Result<u64, CostModelError> {
     let bad = || CostModelError::BadValue {
         line,
@@ -348,7 +371,12 @@ fn parse_value(line: usize, key: &str, value: &str, max: u64) -> Result<u64, Cos
         });
     }
     if n > max as i128 {
-        return Err(bad());
+        return Err(CostModelError::AboveCeiling {
+            line,
+            key: key.to_string(),
+            value: value.trim().to_string(),
+            max,
+        });
     }
     Ok(n as u64)
 }
@@ -397,7 +425,7 @@ impl FromStr for CostModel {
                     return Err(bad());
                 }
                 model.node = NodeCost {
-                    ns: parse_value(line, "node.ns", a, u64::MAX)?,
+                    ns: parse_value(line, "node.ns", a, MAX_PRICE)?,
                     jitter_pct: parse_value(line, "node.jitter_pct", b, 100)? as u8,
                 };
                 continue;
@@ -415,7 +443,7 @@ impl FromStr for CostModel {
                 });
             }
             seen.push(canon);
-            let v = parse_value(line, key, value, u64::MAX)?;
+            let v = parse_value(line, key, value, MAX_PRICE)?;
             model.set_numeric(canon, v);
         }
 

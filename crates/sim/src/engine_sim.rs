@@ -1,4 +1,6 @@
 //! The discrete-event drivers: MaCS and PaCCS balancers in virtual time.
+//! MaCS workers are [`WorkerMachine`]s; `Sim::drive` charges each of
+//! their actions from the [`CostModel`] and schedules the next step.
 //!
 //! # The event core, at scale
 //!
@@ -36,11 +38,14 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use macs_runtime::{
-    BoundPolicy, MachineTopology, PhaseTimers, ProcCtx, Processor, ScanOrder, SplitMix64, Step,
-    VictimOrder, WorkSink, WorkerState,
+    BoundPolicy, MachineTopology, PhaseTimers, ProcCtx, Processor, ScanOrder, Step, WorkSink,
+    WorkerState,
 };
+use macs_search::machine::MAX_IDLE_ROUND;
 use macs_search::steal::{PoolView, UNLEASED};
-use macs_search::{AdaptiveBatch, StealPolicy, WorkBatch};
+use macs_search::{
+    Action, AdaptiveBatch, Outcome, StealPolicy, WorkBatch, WorkerMachine, WorkerView,
+};
 
 use crate::cost::{CostModel, NodeCost};
 use crate::fabric::{FabricModel, NetFabric};
@@ -391,22 +396,12 @@ impl PoolView for ReplyPools<'_> {
     }
 }
 
-enum Resp {
-    /// A steal reply: the (possibly multi-chunk) batch of arena slot ids
-    /// and the serving victim, so the thief can account distance and
-    /// affinity.
-    Work(Vec<u32>, usize),
-    /// A refusal, with the refusing victim (the thief drops any affinity
-    /// pinned to it, mirroring the threaded runtime).
-    Fail(usize),
-}
-
-impl Resp {
-    fn victim(&self) -> usize {
-        match self {
-            Resp::Work(_, v) | Resp::Fail(v) => *v,
-        }
-    }
+/// A steal reply: the (possibly multi-chunk) batch of arena slot ids —
+/// empty for a refusal — and the serving victim, so the thief can account
+/// distance and affinity.
+struct Resp {
+    batch: Vec<u32>,
+    victim: usize,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -501,7 +496,7 @@ struct Win {
     t: u64,
 }
 
-struct VW<P: Processor> {
+struct VW<'c, P: Processor> {
     /// The in-hand work item (`slot_words` long; live iff `has_cur`).
     /// Kept as an owned buffer, not an arena slot: `process()` mutates it
     /// in place while the sink allocates new slots from the same arena.
@@ -517,22 +512,49 @@ struct VW<P: Processor> {
     inc: Rc<SimIncumbent>,
     timers: PhaseTimers,
     stats: SimWorkerStats,
-    rng: SplitMix64,
+    /// The MaCS control flow (PaCCS workers use only its random stream).
+    machine: WorkerMachine<'c>,
     phase: Phase,
     charge_state: WorkerState,
     cursor: u64,
-    since_release: u32,
-    since_poll: u32,
-    poll_interval: u32,
     /// PaCCS: a queue of pending requests.
     req_queue: VecDeque<(usize, u64)>,
     inbox: Option<Resp>,
     /// PaCCS: position in the victim sweep.
     sweep_pos: usize,
-    /// Last-successful-steal affinity per distance ring.
-    vorder: VictimOrder,
     /// Response-batch tuner for [`ChunkPolicy::Adaptive`] (victim side).
     adaptive: AdaptiveBatch,
+}
+
+/// What a virtual worker observes at one instant: the probe lines, and
+/// whether the winner flag has reached it. Never leased.
+struct SimView<'a> {
+    me: usize,
+    probes: &'a [Probe],
+    won: bool,
+}
+
+impl WorkerView for SimView<'_> {
+    fn own_lens(&mut self) -> (u64, u64) {
+        let p = &self.probes[self.me].pool;
+        (p.private() as u64, p.shared() as u64)
+    }
+
+    fn shared_len(&mut self, w: usize) -> u64 {
+        self.probes[w].pool.shared() as u64
+    }
+
+    fn probe_remote(&mut self, w: usize) -> Option<u64> {
+        // An empty pool has no surplus whatever its mailbox holds: skip
+        // that second read (most probes at scale end here).
+        let p = &self.probes[w];
+        let shared = p.pool.shared() as u64;
+        (shared == 0 || p.pending_req.is_none()).then_some(shared)
+    }
+
+    fn won(&mut self) -> bool {
+        self.won
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -544,7 +566,7 @@ struct Sim<'c, P: Processor, F: FnMut(usize) -> P> {
     mode: SimMode,
     slot_words: usize,
     factory: F,
-    workers: Vec<VW<P>>,
+    workers: Vec<VW<'c, P>>,
     /// `probes[w]` = worker `w`'s pool and mailbox (see [`Probe`]).
     probes: Vec<Probe>,
     arena: SlotArena,
@@ -600,7 +622,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             ns
         } else {
             let j = jitter_pct as u64;
-            let f = 100 - j + self.workers[wi].rng.below(2 * j + 1);
+            let f = 100 - j + self.workers[wi].machine.rng().below(2 * j + 1);
             ns * f / 100
         }
     }
@@ -702,8 +724,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
 
     /// Apply the staged node results at its (virtual) completion instant.
     /// Returns `false` if the whole computation just ended.
-    fn finish_node(&mut self, wi: usize, t: u64) -> bool {
-        let mut now = t;
+    fn complete_node(&mut self, wi: usize, now: u64) -> bool {
         {
             let w = &mut self.workers[wi];
             w.stats.items += 1;
@@ -756,106 +777,15 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             self.end_time = Some(now);
             return false;
         }
-
-        if self.mode == SimMode::Macs {
-            // Release policy.
-            self.workers[wi].since_release += 1;
-            if self.workers[wi].since_release >= self.cfg.steal.release.interval {
-                self.workers[wi].since_release = 0;
-                let (private, shared) = {
-                    let p = &self.probes[wi].pool;
-                    (p.private() as u64, p.shared() as u64)
-                };
-                if let Some(k) = self.cfg.steal.release_amount(private, shared) {
-                    let release_ns = self.cfg.costs.release_ns;
-                    self.charge(wi, WorkerState::Releasing, release_ns, &mut now);
-                    let m = self.probes[wi].pool.release(k as usize);
-                    self.workers[wi].stats.releases += 1;
-                    self.workers[wi].stats.released_items += m as u64;
-                }
-            }
-            // Dynamic polling.
-            self.workers[wi].since_poll += 1;
-            if self.workers[wi].since_poll >= self.workers[wi].poll_interval {
-                self.workers[wi].since_poll = 0;
-                let hit = self.serve_request_macs(wi, &mut now);
-                if !hit {
-                    let poll_ns = self.cfg.costs.poll_ns;
-                    self.charge(wi, WorkerState::Poll, poll_ns, &mut now);
-                    self.workers[wi].stats.polls += 1;
-                }
-                self.workers[wi].poll_interval = self
-                    .cfg
-                    .steal
-                    .poll
-                    .next(self.workers[wi].poll_interval, hit);
-            }
-        } else {
-            // PaCCS: MPI progress — a message check every node completion,
-            // then serve whatever has arrived.
-            let poll_ns = self.cfg.costs.poll_ns;
-            self.charge(wi, WorkerState::Poll, poll_ns, &mut now);
-            self.serve_requests_paccs(wi, &mut now);
-        }
-
-        if self.workers[wi].has_cur {
-            self.start_node(wi, now);
-        } else {
-            self.enter_acquire(wi, now);
-        }
         true
-    }
-
-    /// Restore step 1: own pool (private, then shared via reacquire).
-    fn enter_acquire(&mut self, wi: usize, mut now: u64) {
-        if self.observed_win(wi, now) {
-            // Drain everything we own and wait out the termination.
-            if self.drain_observed(wi, now) {
-                return;
-            }
-            self.enter_idle(wi, now);
-            return;
-        }
-        let pool_op = self.cfg.costs.pool_op_ns;
-        self.charge(wi, WorkerState::Searching, pool_op, &mut now);
-        let popped = if self.mode == SimMode::Macs {
-            self.probes[wi].pool.pop_private()
-        } else {
-            self.probes[wi].pool.pop_any()
-        };
-        if let Some(id) = popped {
-            self.adopt(wi, id);
-            self.start_node(wi, now);
-            return;
-        }
-        if self.mode == SimMode::Macs && self.probes[wi].pool.shared() > 0 {
-            let release_ns = self.cfg.costs.release_ns;
-            self.charge(wi, WorkerState::Searching, release_ns, &mut now);
-            let width = self.cfg.steal.reacquire_width() as usize;
-            self.probes[wi].pool.reacquire(width);
-            if let Some(id) = self.probes[wi].pool.pop_private() {
-                self.adopt(wi, id);
-                self.start_node(wi, now);
-                return;
-            }
-        }
-        match self.mode {
-            SimMode::Macs => self.try_steal_macs(wi, now),
-            SimMode::Paccs => self.sweep_paccs(wi, now),
-        }
     }
 
     /// Idle until `idle_backoff_ns` from now. The cadence is flat: every
     /// wake of a starving worker comes the same backoff after its steal
     /// scan, whatever the idle round its phase records.
-    fn enter_idle(&mut self, wi: usize, now: u64) {
+    fn enter_idle(&mut self, wi: usize, now: u64, round: u32) {
         let backoff = self.cfg.costs.idle_backoff_ns.max(1);
-        self.schedule(
-            wi,
-            now + backoff,
-            WorkerState::Idle,
-            Phase::Idle { round: 0 },
-        );
+        self.schedule(wi, now + backoff, WorkerState::Idle, Phase::Idle { round });
     }
 
     /// The `pos`-th victim of `wi`'s PaCCS sweep: the distance rings
@@ -916,134 +846,200 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         self.net.send(fa, fb, bytes, prop, flat, now)
     }
 
-    // ----- MaCS protocol ----------------------------------------------------
+    // ----- MaCS: the virtual driver of `WorkerMachine` ------------------------
 
-    fn try_steal_macs(&mut self, wi: usize, mut now: u64) {
-        // A won race leaves nothing worth stealing: the victims' owners
-        // will discard that work anyway. Idle towards termination.
-        if self.observed_win(wi, now) {
-            self.enter_idle(wi, now);
-            return;
-        }
-        // Local victim scan (R4); every candidate read costs a metadata
-        // read. Pool states cannot change within one event, so the reads
-        // are charged in one sum after the scan — same virtual time, no
-        // per-candidate allocation on this hottest of paths.
+    /// Step `wi`'s machine from `outcome` at `now`, performing every
+    /// action that completes at once and charging it from the cost model,
+    /// until one waits on the event heap — a node, a local steal's lock
+    /// delay, a remote reply, a back-off — or the computation ends.
+    fn drive(&mut self, wi: usize, mut now: u64, mut outcome: Outcome) {
         let cfg = self.cfg;
-        let (w, probes) = (&mut self.workers[wi], &self.probes);
-        let (victim, inspected) = cfg.steal.pick_local(
-            &cfg.topology,
-            &w.vorder,
-            UNLEASED,
-            |n| w.rng.below_usize(n),
-            |v| probes[v].pool.shared() as u64,
-        );
-        let scan_ns = self.cfg.costs.pool_op_ns * inspected;
-        self.charge(wi, WorkerState::Searching, scan_ns, &mut now);
-        if let Some(v) = victim {
-            // The lock delay is the race window: the steal applies later.
-            // The flat baseline keeps the original distance-blind lock
-            // cost, mirroring `fabric_latency`.
-            let lock_ns = match self.cfg.steal.scan_order {
-                ScanOrder::Flat => self.cfg.costs.steal_local_ns,
-                ScanOrder::DistanceAware => self
-                    .cfg
-                    .costs
-                    .local_steal_ns(self.cfg.topology.distance(wi, v)),
+        let costs = &cfg.costs;
+        loop {
+            let (me, won) = (wi, self.observed_win(wi, now));
+            let view = &mut SimView {
+                me,
+                won,
+                probes: &self.probes,
             };
-            self.schedule(
-                wi,
-                now + lock_ns,
-                WorkerState::Stealing,
-                Phase::ApplySteal { victim: v },
-            );
-            return;
+            outcome = match self.workers[wi].machine.step(outcome, view) {
+                Action::Expand => return self.start_node(wi, now),
+                Action::Release(k) => {
+                    self.charge(wi, WorkerState::Releasing, costs.release_ns, &mut now);
+                    let m = self.probes[wi].pool.release(k as usize);
+                    let stats = &mut self.workers[wi].stats;
+                    stats.releases += 1;
+                    stats.released_items += m as u64;
+                    Outcome::Ok
+                }
+                Action::Poll => {
+                    let hit = self.serve_request_macs(wi, &mut now);
+                    if !hit {
+                        self.charge(wi, WorkerState::Poll, costs.poll_ns, &mut now);
+                        self.workers[wi].stats.polls += 1;
+                    }
+                    Outcome::Polled { hit }
+                }
+                Action::AcquireOwn => Outcome::Acquired(self.acquire_own(wi, &mut now)),
+                Action::StealLocal(victim) => {
+                    self.charge_scan(wi, &mut now);
+                    // The lock delay is the race window: the steal applies
+                    // later. The flat baseline keeps the original
+                    // distance-blind lock cost, mirroring `fabric_latency`.
+                    let lock_ns = match cfg.steal.scan_order {
+                        ScanOrder::Flat => costs.steal_local_ns,
+                        ScanOrder::DistanceAware => {
+                            costs.local_steal_ns(cfg.topology.distance(wi, victim))
+                        }
+                    };
+                    let phase = Phase::ApplySteal { victim };
+                    return self.schedule(wi, now + lock_ns, WorkerState::Stealing, phase);
+                }
+                Action::PostRequest(victim) => {
+                    self.charge_scan(wi, &mut now);
+                    self.charge(wi, WorkerState::FindRemote, costs.post_request_ns, &mut now);
+                    let arrival = self.send_ctrl(wi, victim, now);
+                    self.probes[victim].pending_req = Some((wi, arrival));
+                    // The victim's response event will wake us.
+                    self.workers[wi].phase = Phase::Wait;
+                    self.workers[wi].charge_state = WorkerState::WaitRemote;
+                    return;
+                }
+                Action::Drain => {
+                    if self.drain_observed(wi, now) {
+                        return;
+                    }
+                    Outcome::Ok
+                }
+                Action::Backoff(round) => {
+                    self.charge_scan(wi, &mut now);
+                    return self.enter_idle(wi, now, round);
+                }
+                Action::Park | Action::Done => {
+                    unreachable!("a virtual worker is never leased, and stops with the event loop")
+                }
+            };
         }
-        // Remote: the one-sided node scan (R5), charged in one sum
-        // afterwards like the local one.
-        let (w, probes) = (&mut self.workers[wi], &self.probes);
-        let (target, probed) = cfg.steal.pick_remote(
-            &cfg.topology,
-            &w.vorder,
-            UNLEASED,
-            |n| w.rng.below_usize(n),
-            |v| {
-                // An empty pool has no surplus whatever its mailbox holds:
-                // skip that second read (most probes at scale end here).
-                let p = &probes[v];
-                let shared = p.pool.shared() as u64;
-                (shared == 0 || p.pending_req.is_none()).then_some(shared)
-            },
-        );
-        let find_ns = self.cfg.costs.find_remote_ns * probed;
-        self.charge(wi, WorkerState::SearchingRemote, find_ns, &mut now);
-        if let Some(v) = target {
-            let post_ns = self.cfg.costs.post_request_ns;
-            self.charge(wi, WorkerState::FindRemote, post_ns, &mut now);
-            let arrival = self.send_ctrl(wi, v, now);
-            self.probes[v].pending_req = Some((wi, arrival));
-            // Park: the victim's response event will wake us.
-            self.workers[wi].phase = Phase::Wait;
-            self.workers[wi].charge_state = WorkerState::WaitRemote;
-            return;
-        }
-        self.enter_idle(wi, now);
     }
 
-    fn apply_steal_macs(&mut self, wi: usize, v: usize, mut now: u64) {
-        if self.observed_win(wi, now) {
+    /// The victim scans' price: a metadata read per local candidate, a
+    /// one-sided read per remote node. Pool states cannot change within
+    /// one event, so the reads are charged in one sum after the scan.
+    fn charge_scan(&mut self, wi: usize, now: &mut u64) {
+        let (costs, scan) = (&self.cfg.costs, self.workers[wi].machine.scan());
+        let (local, remote) = (
+            costs.pool_op_ns * scan.local,
+            costs.find_remote_ns * scan.remote,
+        );
+        self.charge(wi, WorkerState::Searching, local, now);
+        self.charge(wi, WorkerState::SearchingRemote, remote, now);
+    }
+
+    /// Own private region, then a reacquire of the own shared region (R8);
+    /// `true` if an item came to hand.
+    fn acquire_own(&mut self, wi: usize, now: &mut u64) -> bool {
+        let pool_op = self.cfg.costs.pool_op_ns;
+        self.charge(wi, WorkerState::Searching, pool_op, now);
+        let mut popped = self.probes[wi].pool.pop_private();
+        if popped.is_none() && self.probes[wi].pool.shared() > 0 {
+            let release_ns = self.cfg.costs.release_ns;
+            self.charge(wi, WorkerState::Searching, release_ns, now);
+            let width = self.cfg.steal.reacquire_width() as usize;
+            self.probes[wi].pool.reacquire(width);
+            popped = self.probes[wi].pool.pop_private();
+        }
+        popped.map(|id| self.adopt(wi, id)).is_some()
+    }
+
+    /// A local steal of `wi` from `v` lands, after its lock delay.
+    fn steal_local(&mut self, wi: usize, v: usize, now: &mut u64) -> Outcome {
+        let won = self.observed_win(wi, *now);
+        let stats = &mut self.workers[wi].stats;
+        if won {
             // The winner flag reached this thief during the lock delay:
             // stealing now would only move work its owner is about to
-            // discard — and recording it would count a race drain as a
-            // successful steal. Leave the victim's pool alone and head
-            // into the drain path.
-            self.workers[wi].stats.drain_steals += 1;
-            self.enter_acquire(wi, now);
-            return;
+            // discard. Leave the victim's pool alone: a drain, not a steal.
+            stats.drain_steals += 1;
+            return Outcome::Stole { items: 0, won };
         }
         let cfg = self.cfg;
         let shared = self.probes[v].pool.shared() as u64;
         let want = cfg
             .steal
             .local_grant(&cfg.topology, wi, v, shared, UNLEASED);
-        let items: Vec<u32> = self.probes[v].pool.steal(want as usize).collect();
-        self.count_steal(wi, v, !items.is_empty());
-        if items.is_empty() {
+        let batch: Vec<u32> = self.probes[v].pool.steal(want as usize).collect();
+        if batch.is_empty() {
             // The victim looked loaded at scan time but was drained: a
             // failed local steal (the race the paper counts).
-            self.workers[wi].stats.local_steal_failures += 1;
-            self.try_steal_macs(wi, now);
-            return;
+            stats.local_steal_failures += 1;
+        } else {
+            stats.local_steals += 1;
+            stats.local_steal_items += batch.len() as u64;
         }
-        let per_item = self.cfg.costs.per_item_ns * items.len() as u64;
-        self.charge(wi, WorkerState::Stealing, per_item, &mut now);
-        let w = &mut self.workers[wi];
-        w.stats.local_steals += 1;
-        w.stats.local_steal_items += items.len() as u64;
-        self.adopt_batch(wi, items);
-        self.start_node(wi, now);
+        let items = self.adopt_batch(wi, v, batch, now);
+        Outcome::Stole { items, won }
     }
 
-    /// Count a settled steal of `wi` from `victim`: the distance
-    /// histogram, and the rulebook's affinity update.
-    fn count_steal(&mut self, wi: usize, victim: usize, success: bool) {
-        let topo = &self.cfg.topology;
-        let w = &mut self.workers[wi];
-        if success {
-            w.stats.steals_by_distance.record(topo.distance(wi, victim));
+    /// A steal reply reaches thief `wi` at `now`: live work is adopted and
+    /// counted; a reply that raced an observed win is abandoned (its
+    /// items stayed outstanding in flight, so the books settle here).
+    /// `None` if that ended the computation.
+    fn land_reply(&mut self, wi: usize, resp: Resp, now: &mut u64) -> Option<Outcome> {
+        let Resp { batch, victim } = resp;
+        // Conservation: the reply is consumed here. PaCCS also routes
+        // same-node replies through the mailbox (at poll latency) — those
+        // never entered the fabric.
+        if self.mode == SimMode::Macs || !self.cfg.topology.is_local(wi, victim) {
+            self.net.deliver();
         }
-        self.cfg
-            .steal
-            .record_outcome(topo, &mut w.vorder, victim, success);
+        let (items, won) = (batch.len() as u64, self.observed_win(wi, *now));
+        let stats = &mut self.workers[wi].stats;
+        if items == 0 {
+            stats.remote_steal_failures += 1;
+            return Some(Outcome::MISSED);
+        }
+        if won {
+            // The reply raced the winner flag and lost: the steal lands in
+            // the drain bucket — not in `remote_steals` or the distance
+            // histogram, which count only steals that delivered live work.
+            stats.drain_steals += 1;
+            self.outstanding -= items as i64;
+            self.abandoned += items;
+            for id in batch {
+                self.arena.release(id);
+            }
+            if self.outstanding == 0 {
+                self.end_time = Some(*now);
+                return None;
+            }
+            return Some(Outcome::Stole { items, won });
+        }
+        stats.remote_steals += 1;
+        stats.remote_steal_items += items;
+        self.adopt_batch(wi, victim, batch, now);
+        Some(Outcome::Stole { items, won: false })
     }
 
-    /// Take a non-empty stolen batch: the oldest item into `wi`'s hand,
-    /// the rest into its pool.
-    fn adopt_batch(&mut self, wi: usize, ids: Vec<u32>) {
+    /// Take a batch stolen from `victim`, if any: the per-item copy is
+    /// charged, the distance recorded, the oldest item goes into `wi`'s
+    /// hand and the rest into its pool. Returns its length.
+    fn adopt_batch(&mut self, wi: usize, victim: usize, ids: Vec<u32>, now: &mut u64) -> u64 {
+        let n = ids.len() as u64;
         let mut it = ids.into_iter();
-        let first = it.next().expect("non-empty steal");
+        let Some(first) = it.next() else {
+            return 0;
+        };
+        self.charge(
+            wi,
+            WorkerState::Stealing,
+            self.cfg.costs.per_item_ns * n,
+            now,
+        );
+        let d = self.cfg.topology.distance(wi, victim);
+        self.workers[wi].stats.steals_by_distance.record(d);
         self.adopt(wi, first);
         self.probes[wi].pool.ids.extend(it);
+        n
     }
 
     /// Victim side: serve the (single) pending MaCS request, with proxy
@@ -1083,96 +1079,90 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
 
         let resp_ns = self.cfg.costs.write_response_ns;
         self.charge(wi, WorkerState::Poll, resp_ns, now);
-        if batch.is_empty() {
-            self.workers[wi].stats.requests_refused += 1;
-            let t = self.send_ctrl(wi, thief, *now);
-            self.workers[thief].inbox = Some(Resp::Fail(wi));
-            self.schedule(thief, t, WorkerState::WaitRemote, Phase::Wait);
+        let stats = &mut self.workers[wi].stats;
+        let t = if batch.is_empty() {
+            stats.requests_refused += 1;
+            self.send_ctrl(wi, thief, *now)
         } else {
-            let stats = &mut self.workers[wi].stats;
             stats.requests_served += 1;
             stats.response_chunks += reply.chunks;
             stats.batched_responses += u64::from(reply.chunks > 1);
             stats.proxy_serves += u64::from(reply.proxy);
             let bytes = (batch.len() * self.slot_words * 8) as u64;
-            let t = self.send_payload(wi, thief, bytes, *now);
-            self.workers[thief].inbox = Some(Resp::Work(batch, wi));
-            self.schedule(thief, t, WorkerState::WaitRemote, Phase::Wait);
-        }
+            self.send_payload(wi, thief, bytes, *now)
+        };
+        self.workers[thief].inbox = Some(Resp { batch, victim: wi });
+        self.schedule(thief, t, WorkerState::WaitRemote, Phase::Wait);
         true
     }
 
-    fn wake_from_wait(&mut self, wi: usize, t: u64) {
-        let mut now = t;
-        let resp = self.workers[wi].inbox.take();
-        if let Some(r) = &resp {
-            // Conservation: the reply is consumed here. PaCCS also routes
-            // same-node replies through the mailbox (at poll latency) —
-            // those never entered the fabric.
-            if self.mode == SimMode::Macs || !self.cfg.topology.is_local(wi, r.victim()) {
-                self.net.deliver();
+    // ----- PaCCS protocol -----------------------------------------------------
+
+    /// PaCCS restore: the own pool, else the neighbourhood sweep; a won
+    /// race drains and idles instead.
+    fn paccs_acquire(&mut self, wi: usize, mut now: u64) {
+        if self.observed_win(wi, now) {
+            if !self.drain_observed(wi, now) {
+                self.enter_idle(wi, now, 0);
             }
+            return;
         }
-        match resp {
-            Some(Resp::Work(batch, _)) if self.observed_win(wi, t) => {
-                // The reply raced the winner flag and lost: the stolen
-                // items die on arrival (they stayed outstanding while in
-                // flight, so the books settle here). The steal lands in
-                // the drain bucket — not in `remote_steals` or the
-                // distance histogram, which count only steals that
-                // delivered live work.
-                self.workers[wi].stats.drain_steals += 1;
-                self.outstanding -= batch.len() as i64;
-                self.abandoned += batch.len() as u64;
-                for id in batch {
-                    self.arena.release(id);
-                }
-                if self.outstanding == 0 {
-                    self.end_time = Some(now);
-                    return;
-                }
-                self.enter_acquire(wi, now);
-            }
-            Some(Resp::Work(batch, victim)) => {
-                let per_item = self.cfg.costs.per_item_ns * batch.len() as u64;
-                self.charge(wi, WorkerState::Stealing, per_item, &mut now);
-                self.count_steal(wi, victim, true);
-                let w = &mut self.workers[wi];
-                w.stats.remote_steals += 1;
-                w.stats.remote_steal_items += batch.len() as u64;
-                self.adopt_batch(wi, batch);
-                self.start_node(wi, now);
-            }
-            Some(Resp::Fail(victim)) => {
-                self.workers[wi].stats.remote_steal_failures += 1;
-                self.count_steal(wi, victim, false);
-                match self.mode {
-                    SimMode::Macs => self.enter_idle(wi, now),
-                    SimMode::Paccs => {
-                        self.workers[wi].sweep_pos += 1;
-                        self.sweep_paccs(wi, now);
-                    }
-                }
-            }
-            None => self.enter_acquire(wi, now),
+        let pool_op = self.cfg.costs.pool_op_ns;
+        self.charge(wi, WorkerState::Searching, pool_op, &mut now);
+        if let Some(id) = self.probes[wi].pool.pop_any() {
+            self.adopt(wi, id);
+            self.start_node(wi, now);
+        } else {
+            self.sweep_paccs(wi, now);
         }
     }
 
-    // ----- PaCCS protocol -----------------------------------------------------
+    /// A PaCCS thief's reply (or a wake without one) arrives.
+    fn paccs_wake(&mut self, wi: usize, resp: Option<Resp>, mut now: u64) {
+        let Some(resp) = resp else {
+            return self.paccs_acquire(wi, now);
+        };
+        match self.land_reply(wi, resp, &mut now) {
+            None => {}
+            Some(Outcome::Stole { won: true, .. }) => self.paccs_acquire(wi, now),
+            Some(Outcome::Stole { items: 0, .. }) => {
+                self.workers[wi].sweep_pos += 1;
+                self.sweep_paccs(wi, now);
+            }
+            Some(_) => self.start_node(wi, now),
+        }
+    }
+
+    /// A PaCCS idle wake: serve what has arrived, then restart the sweep.
+    /// A re-idle records the grown round in its phase; it feeds only the
+    /// trace hash (the next wake still comes `idle_backoff_ns` later).
+    fn paccs_idle(&mut self, wi: usize, mut now: u64, round: u32) {
+        self.serve_requests_paccs(wi, &mut now);
+        self.workers[wi].sweep_pos = 0;
+        if self.probes[wi].pool.len() > 0 || self.workers[wi].has_cur {
+            return self.paccs_acquire(wi, now);
+        }
+        self.sweep_paccs(wi, now);
+        if let Phase::Idle { .. } = self.workers[wi].phase {
+            self.workers[wi].phase = Phase::Idle {
+                round: round.saturating_add(1).min(MAX_IDLE_ROUND),
+            };
+        }
+    }
 
     /// Idle PaCCS agent: send the next steal request in neighbourhood
     /// order and park for the reply.
     fn sweep_paccs(&mut self, wi: usize, mut now: u64) {
         let order_len = self.cfg.topology.total_workers() - 1;
         if order_len == 0 || self.observed_win(wi, now) {
-            self.enter_idle(wi, now);
+            self.enter_idle(wi, now, 0);
             return;
         }
         let pos = self.workers[wi].sweep_pos;
         if pos >= order_len {
             // Full sweep failed: back off, then start over.
             self.workers[wi].sweep_pos = 0;
-            self.enter_idle(wi, now);
+            self.enter_idle(wi, now, 0);
             return;
         }
         let v = self.sweep_victim(wi, pos).expect("sweep position in range");
@@ -1221,29 +1211,27 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             let have = self.probes[wi].pool.len();
             let cap = cfg.steal.chunk_cap(topo, topo.distance(wi, thief));
             let give = WorkBatch::share_floor(have as u64, cap) as usize;
-            if give == 0 {
+            let batch = self.probes[wi].pool.steal_any(give);
+            let bytes = (batch.len() * self.slot_words * 8) as u64;
+            let t = if give == 0 {
                 self.workers[wi].stats.requests_refused += 1;
-                let t = if local {
+                if local {
                     *now + self.cfg.costs.poll_ns.max(200)
                 } else {
                     self.send_ctrl(wi, thief, *now)
-                };
-                self.workers[thief].inbox = Some(Resp::Fail(wi));
-                self.schedule(thief, t, WorkerState::WaitRemote, Phase::Wait);
+                }
             } else {
-                let batch = self.probes[wi].pool.steal_any(give);
                 self.workers[wi].stats.requests_served += 1;
                 self.workers[wi].stats.response_chunks += 1;
-                let bytes = (batch.len() * self.slot_words * 8) as u64;
-                let t = if local {
+                if local {
                     *now + self.cfg.costs.poll_ns.max(200) + self.cfg.costs.transfer_ns(bytes)
                 } else {
                     self.send_payload(wi, thief, bytes, *now)
-                };
-                // Classify on the thief when the reply arrives.
-                self.workers[thief].inbox = Some(Resp::Work(batch, wi));
-                self.schedule(thief, t, WorkerState::WaitRemote, Phase::Wait);
-            }
+                }
+            };
+            // Classify on the thief when the reply arrives.
+            self.workers[thief].inbox = Some(Resp { batch, victim: wi });
+            self.schedule(thief, t, WorkerState::WaitRemote, Phase::Wait);
         }
     }
 
@@ -1258,6 +1246,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         for wi in 0..self.workers.len() {
             self.schedule(wi, 0, WorkerState::Barrier, Phase::Boot);
         }
+        let macs = self.mode == SimMode::Macs;
         while let Some((t, wi)) = self.events.pop() {
             if self.end_time.is_some() {
                 break;
@@ -1273,36 +1262,55 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                 w.stats.state_ns[w.charge_state as usize] += dt;
                 w.cursor = t;
             }
+            let mut now = t;
             match phase {
-                Phase::Boot => self.enter_acquire(wi, t),
+                Phase::Boot if macs => self.drive(wi, t, Outcome::Ok),
+                Phase::Boot => self.paccs_acquire(wi, t),
                 Phase::Finish => {
-                    if !self.finish_node(wi, t) {
+                    if !self.complete_node(wi, t) {
                         break;
                     }
+                    let more = self.workers[wi].has_cur;
+                    if macs {
+                        self.drive(wi, t, Outcome::Expanded { more });
+                        continue;
+                    }
+                    // PaCCS: MPI progress — a message check every node
+                    // completion, then serve whatever has arrived.
+                    let poll_ns = self.cfg.costs.poll_ns;
+                    self.charge(wi, WorkerState::Poll, poll_ns, &mut now);
+                    self.serve_requests_paccs(wi, &mut now);
+                    if more {
+                        self.start_node(wi, now);
+                    } else {
+                        self.paccs_acquire(wi, now);
+                    }
                 }
-                Phase::ApplySteal { victim } => self.apply_steal_macs(wi, victim, t),
-                Phase::Wait => self.wake_from_wait(wi, t),
+                Phase::ApplySteal { victim } => {
+                    let stole = self.steal_local(wi, victim, &mut now);
+                    self.drive(wi, now, stole);
+                }
+                Phase::Wait => {
+                    let resp = self.workers[wi].inbox.take();
+                    if !macs {
+                        self.paccs_wake(wi, resp, now);
+                    } else if let Some(stole) =
+                        self.land_reply(wi, resp.expect("a MaCS wait ends in a reply"), &mut now)
+                    {
+                        self.drive(wi, now, stole);
+                    }
+                }
                 Phase::Serve => {
-                    let mut now = t;
                     self.serve_requests_paccs(wi, &mut now);
                     // Re-park: we are still a thief awaiting our own reply.
                     self.workers[wi].phase = Phase::Wait;
                     self.workers[wi].charge_state = WorkerState::WaitRemote;
                 }
-                Phase::Idle { round } => {
-                    let mut now = t;
-                    match self.mode {
-                        SimMode::Macs => {
-                            self.serve_request_macs(wi, &mut now);
-                            self.enter_acquire_or_retry(wi, now, round);
-                        }
-                        SimMode::Paccs => {
-                            self.serve_requests_paccs(wi, &mut now);
-                            self.workers[wi].sweep_pos = 0;
-                            self.enter_acquire_or_retry(wi, now, round);
-                        }
-                    }
+                Phase::Idle { .. } if macs => {
+                    self.serve_request_macs(wi, &mut now);
+                    self.drive(wi, now, Outcome::Ok);
                 }
+                Phase::Idle { round } => self.paccs_idle(wi, now, round),
             }
         }
         // Close every worker's clock at the makespan.
@@ -1314,29 +1322,6 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             let dt = end.saturating_sub(w.cursor);
             w.stats.state_ns[w.charge_state as usize] += dt;
             w.cursor = end;
-        }
-    }
-
-    /// From an idle wake: try to acquire again (pool may have refilled via
-    /// an in-place response in MaCS, or we retry the steal paths).
-    fn enter_acquire_or_retry(&mut self, wi: usize, now: u64, round: u32) {
-        if self.probes[wi].pool.len() > 0 || self.workers[wi].has_cur {
-            self.enter_acquire(wi, now);
-            return;
-        }
-        // Retry the full steal ladder; it either schedules a steal
-        // (ApplySteal/Wait) or re-idles, and that event is already queued
-        // — record the grown round in its phase. The round feeds only the
-        // trace hash: the next wake still comes `idle_backoff_ns` after
-        // this one's scan (see `enter_idle`).
-        match self.mode {
-            SimMode::Macs => self.try_steal_macs(wi, now),
-            SimMode::Paccs => self.sweep_paccs(wi, now),
-        }
-        if let Phase::Idle { .. } = self.workers[wi].phase {
-            self.workers[wi].phase = Phase::Idle {
-                round: round.saturating_add(1).min(16),
-            };
         }
     }
 
@@ -1354,7 +1339,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                 }
             }
             if let Some(r) = &w.inbox {
-                if self.mode == SimMode::Macs || !topo.is_local(wi, r.victim()) {
+                if self.mode == SimMode::Macs || !topo.is_local(wi, r.victim) {
                     n += 1;
                 }
             }
@@ -1397,7 +1382,6 @@ where
     let words = slot_words.max(roots.iter().map(|r| r.len()).max().unwrap_or(0));
     let workers: Vec<VW<P>> = (0..n)
         .map(|wi| VW {
-            vorder: VictimOrder::new(&cfg.topology, wi),
             cur: vec![0u64; words.max(1)].into_boxed_slice(),
             has_cur: false,
             staged: Vec::new(),
@@ -1408,13 +1392,10 @@ where
             inc: Rc::new(SimIncumbent::new(Rc::clone(&fabric), wi)),
             timers: PhaseTimers::default(),
             stats: SimWorkerStats::default(),
-            rng: SplitMix64::for_worker(cfg.seed, wi),
+            machine: WorkerMachine::new(wi, &cfg.topology, &cfg.steal, cfg.seed),
             phase: Phase::Boot,
             charge_state: WorkerState::Barrier,
             cursor: 0,
-            since_release: 0,
-            since_poll: 0,
-            poll_interval: cfg.steal.poll.initial(),
             req_queue: VecDeque::new(),
             inbox: None,
             sweep_pos: 0,
@@ -1528,6 +1509,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use macs_runtime::SplitMix64;
 
     #[test]
     fn a_starving_worker_wakes_at_a_flat_cadence() {

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, MAX_PRICE};
 
 /// Capacity *overrides* for [`FabricModel::Contention`]. Every `None`
 /// field resolves from the run's [`CostModel`] — `byte_ps`,
@@ -254,7 +254,7 @@ impl NetFabric {
         match self.model {
             FabricModel::Latency => now + prop_ns + flat_extra_ns,
             FabricModel::Contention(_) => {
-                let ser = self.wire.link_byte_ps.saturating_mul(bytes) / 1000;
+                let ser = (self.wire.link_byte_ps.saturating_mul(bytes) / 1000).min(MAX_PRICE);
                 let (out, w1) = self.links[2 * from_node].enqueue(now, ser);
                 let at_ingress = out + prop_ns;
                 let (arrival, w2) = self.links[2 * to_node + 1].enqueue(at_ingress, ser);

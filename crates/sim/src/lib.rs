@@ -77,7 +77,7 @@ pub mod fabric;
 pub mod incumbent;
 pub mod report;
 
-pub use cost::{CostModel, CostModelError, NodeCost};
+pub use cost::{CostModel, CostModelError, NodeCost, MAX_PRICE};
 pub use engine_sim::{fnv1a, simulate_macs, simulate_paccs, SimConfig, SimMode, FNV_OFFSET};
 pub use fabric::{ContentionParams, FabricModel, FabricReport, WireParams};
 pub use incumbent::{BoundFabric, SimIncumbent};

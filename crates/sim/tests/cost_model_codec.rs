@@ -9,7 +9,10 @@ use std::path::Path;
 
 use macs_core::{CpProcessor, SearchMode};
 use macs_problems::{queens, QueensModel};
-use macs_sim::{simulate_macs, CostModel, CostModelError, NodeCost, SimConfig};
+use macs_sim::{
+    simulate_macs, ContentionParams, CostModel, CostModelError, FabricModel, NodeCost, SimConfig,
+    MAX_PRICE,
+};
 use macs_topo::MachineTopology;
 
 /// SplitMix64 — the workspace's standard seeded stream.
@@ -194,4 +197,44 @@ fn loaded_default_model_is_digest_identical() {
     assert_eq!(baseline.digest(), loaded.digest(), "digest must not move");
     assert_eq!(baseline.makespan_ns, loaded.makespan_ns);
     assert_eq!(baseline.total_solutions(), loaded.total_solutions());
+}
+
+/// Every price at [`MAX_PRICE`] — the largest model a file can hold —
+/// still simulates to the end without wrapping the virtual clock, and
+/// finds every solution, also under the contention fabric, whose derived prices (per-level latency,
+/// link serialization of a ceiling-sized header) would overflow unclamped.
+#[test]
+fn a_model_at_the_ceiling_simulates_to_completion() {
+    let text = CostModel::default()
+        .to_string()
+        .lines()
+        .map(|l| match l.split_once(" = ") {
+            Some(("node", _)) => format!("node = fixed:{MAX_PRICE},100"),
+            Some((key, _)) => format!("{key} = {MAX_PRICE}"),
+            None => l.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    let costs: CostModel = text.parse().expect("the ceiling itself is accepted");
+    let prob = queens(6, QueensModel::Pairwise);
+    let contention = FabricModel::Contention(ContentionParams::default());
+    // Two nodes; then two clusters of two nodes, where a steal crosses
+    // two remote levels.
+    let cells = [
+        (&[2, 2][..], 1, FabricModel::Latency),
+        (&[2, 2, 2], 2, contention),
+    ];
+    for (shape, node_prefix, fabric) in cells {
+        let topo = MachineTopology::try_new(shape, node_prefix).unwrap();
+        let mut cfg = SimConfig::new(topo).with_cost_model(costs);
+        cfg.fabric = fabric;
+        let report = simulate_macs(
+            &cfg,
+            prob.layout.store_words(),
+            &[prob.root.as_words().to_vec()],
+            |_| CpProcessor::new(&prob, 1, SearchMode::Exhaustive),
+        );
+        assert_eq!(report.total_solutions(), 4, "{shape:?}");
+        assert!(report.makespan_ns >= MAX_PRICE);
+    }
 }

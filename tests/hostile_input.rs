@@ -20,7 +20,7 @@ use macs_problems::qap::ESC16E_DAT;
 use macs_problems::{ColoringInstance, QapInstance};
 use macs_search::{BoundPolicy, ChunkPolicy};
 use macs_service::LeasePolicy;
-use macs_sim::{CostModel, FabricModel};
+use macs_sim::{CostModel, CostModelError, FabricModel, MAX_PRICE};
 use macs_topo::detect::{parse_cpulist, CPU_ID_LIMIT};
 use macs_topo::MAX_LEVELS;
 
@@ -119,11 +119,14 @@ fn cost_model_mutants_are_rejected_or_valid() {
         assert!(m.node.jitter_pct <= 100, "{text:?}");
         assert_eq!(m.to_string().parse::<CostModel>(), Ok(m), "{text:?}");
         // Derived costs saturate instead of wrapping: each is at least
-        // its base term, at every distance a machine can have.
-        assert!(m.transfer_ns(u64::MAX) >= m.byte_ps / 1000);
+        // its base term and at most the ceiling, at every distance a
+        // machine can have.
+        assert!((m.byte_ps / 1000..=MAX_PRICE).contains(&m.transfer_ns(u64::MAX)));
         for d in 1..=MAX_LEVELS {
-            assert!(m.remote_latency_for(d) >= m.remote_latency_ns, "{text:?}");
-            assert!(m.local_steal_ns(d) >= m.steal_local_ns, "{text:?}");
+            let lat = m.remote_latency_for(d);
+            assert!((m.remote_latency_ns..=MAX_PRICE).contains(&lat), "{text:?}");
+            let lock = m.local_steal_ns(d);
+            assert!((m.steal_local_ns..=MAX_PRICE).contains(&lock), "{text:?}");
         }
         true
     });
@@ -131,6 +134,39 @@ fn cost_model_mutants_are_rejected_or_valid() {
         accepted > 0,
         "some mutants (comments, digits) must still parse"
     );
+}
+
+/// One past the ceiling, on any key of either base file, is a typed
+/// error naming that key; the ceiling itself parses.
+#[test]
+fn cost_model_values_above_the_ceiling_are_rejected() {
+    let default = CostModel::default().to_string();
+    let calibrated = include_str!("../crates/bench/data/calibrated_host.cost");
+    for base in [default.as_str(), calibrated] {
+        let lines: Vec<&str> = base.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let Some((key, _)) = line.split_once(" = ") else {
+                continue;
+            };
+            let set = |v: u64| {
+                let mut text = lines.clone();
+                let value = match key {
+                    "node" => format!("node = fixed:{v},0"),
+                    _ => format!("{key} = {v}"),
+                };
+                text[i] = &value;
+                text.join("\n").parse::<CostModel>()
+            };
+            assert!(set(MAX_PRICE).is_ok(), "{key} at the ceiling");
+            let named = if key == "node" { "node.ns" } else { key };
+            match set(MAX_PRICE + 1) {
+                Err(CostModelError::AboveCeiling { key: k, max, .. }) => {
+                    assert_eq!((k.as_str(), max), (named, MAX_PRICE));
+                }
+                other => panic!("{key} above the ceiling: {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]

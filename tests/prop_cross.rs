@@ -4,6 +4,7 @@
 
 use macs::prelude::*;
 use macs::runtime::SplitMix64;
+use macs::solver::CpProcessor;
 
 /// A random binary CSP over `n` variables with domains `0..=max`, built
 /// from disequality/offset constraints (always compilable, sometimes
@@ -46,8 +47,16 @@ fn random_edges(rng: &mut SplitMix64, count: usize) -> Vec<(usize, usize, i8, bo
         .collect()
 }
 
+/// Exhaustive search expands the same tree on every schedule: threaded
+/// MaCS and simulated MaCS on one-, two- and three-level shapes count
+/// exactly the sequential solver's nodes and solutions.
 #[test]
 fn parallel_equals_sequential_on_random_csps() {
+    let shapes = [
+        MachineTopology::flat(3),
+        MachineTopology::try_new(&[2, 2], 1).unwrap(),
+        MachineTopology::try_new(&[2, 2, 2], 1).unwrap(),
+    ];
     for case in 0..24u64 {
         let mut rng = SplitMix64::for_worker(0xC0FFEE, case as usize);
         let n = 3 + rng.below_usize(3);
@@ -58,8 +67,25 @@ fn parallel_equals_sequential_on_random_csps() {
         let seq = solve_seq(&prob, &SeqOptions::default());
         let par = Solver::new(SolverConfig::with_workers(3)).solve(&prob);
         assert_eq!(par.solutions, seq.solutions, "case {case}: {edges:?}");
+        assert_eq!(par.nodes, seq.nodes, "case {case}: {edges:?}");
+        assert_eq!(par.report.total_items(), seq.nodes, "case {case}");
         for a in &par.kept {
             assert!(prob.check_assignment(a), "case {case}");
+        }
+        for topo in &shapes {
+            let sim = simulate_macs(
+                &SimConfig::new(topo.clone()),
+                prob.layout.store_words(),
+                &[prob.root.as_words().to_vec()],
+                |_| CpProcessor::new(&prob, 0, SearchMode::Exhaustive),
+            );
+            let shape = topo.to_string();
+            assert_eq!(sim.total_items(), seq.nodes, "case {case} on {shape}");
+            assert_eq!(
+                sim.total_solutions(),
+                seq.solutions,
+                "case {case} on {shape}"
+            );
         }
     }
 }
