@@ -17,7 +17,8 @@ use macs_runtime::{
     WorkSink, WorkerState, WorkerStats,
 };
 use macs_search::{
-    BoundPolicy, BroadcastTree, RefreshGate, SearchMode, StealPolicy, WorkBatch, WorkItem,
+    Action, BoundPolicy, BroadcastTree, Outcome, RefreshGate, SearchMode, StealPolicy, WorkBatch,
+    WorkItem, WorkerMachine, WorkerView,
 };
 
 /// Sleep between failed steal sweeps.
@@ -222,8 +223,9 @@ impl WorkSink for AgentSink<'_, '_> {
     }
 }
 
-/// One search agent: a private deque, a processor, the steal sweep over
-/// its expanding neighbourhood, and its [`WorkerStats`].
+/// One search agent: a private deque, the item in hand, a processor and
+/// its [`WorkerStats`]. A [`WorkerMachine::paccs`] sequences it, steal
+/// sweep included; the agent performs each action over its channels.
 struct Agent<'s, 'p, P: Processor> {
     id: usize,
     shared: &'s Shared<'p>,
@@ -231,32 +233,30 @@ struct Agent<'s, 'p, P: Processor> {
     processor: P,
     stats: WorkerStats,
     stack: VecDeque<WorkItem>,
+    /// The item being expanded, out of the deque: a request splits only
+    /// what is queued.
+    cur: Option<WorkItem>,
     /// Boxes of finished items, reused for the next pushes.
     spare: Vec<WorkItem>,
     bound: AgentBound<'s, 'p>,
     gate: WinnerGate<'s>,
     ring: RaceRing,
-    /// Victim order: the topology's distance rings flattened nearest
-    /// first — socket peers, then node peers, then each remote ring — the
-    /// paper's expanding neighbourhood, derived from the machine's levels.
-    victims: Vec<usize>,
 }
 
 impl<'s, 'p, P: Processor> Agent<'s, 'p, P> {
     fn new(id: usize, shared: &'s Shared<'p>, rx: Receiver<Msg>, processor: P) -> Self {
-        let topo = &shared.cfg.topology;
         Agent {
             id,
             shared,
             rx,
             processor,
-            stats: WorkerStats::new(id, topo.node_of(id)),
+            stats: WorkerStats::new(id, shared.cfg.topology.node_of(id)),
             stack: VecDeque::new(),
+            cur: None,
             spare: Vec::new(),
             bound: AgentBound::new(id, shared),
             gate: WinnerGate::new(shared.world, id, shared.cfg.mode.is_race()),
             ring: RaceRing::new(),
-            victims: topo.rings(id).into_iter().flatten().collect(),
         }
     }
 
@@ -266,36 +266,49 @@ impl<'s, 'p, P: Processor> Agent<'s, 'p, P> {
         self.shared.post(self.id, to, msg);
     }
 
-    /// The agent loop: drain messages, process one item, steal when idle.
-    /// Returns when the controller terminates the run.
+    /// Perform each action the machine asks for and feed back what
+    /// happened, until the controller terminates the run.
     fn run(mut self) -> (WorkerStats, P::Output) {
-        'run: loop {
-            if self.gate.raised() {
-                self.drain_after_win();
-                break;
-            }
-            // MPI progress: drain pending messages.
-            while let Ok(msg) = self.rx.try_recv() {
-                match msg {
-                    Msg::StealReq { thief } => self.reply_steal(thief),
-                    Msg::Work(batch) => self.accept_work(batch), // defensive
-                    Msg::NoWork => {}
-                    Msg::Terminate => break 'run,
+        let cfg = self.shared.cfg;
+        let mut machine = WorkerMachine::paccs(self.id, &cfg.topology, &cfg.steal, 0);
+        let mut outcome = Outcome::Ok;
+        loop {
+            outcome = match machine.step(outcome, &mut self) {
+                Action::Expand => {
+                    self.expand();
+                    Outcome::Expanded {
+                        more: self.cur.is_some() && !self.gate.raised(),
+                    }
                 }
-            }
-            match self.stack.pop_back() {
-                Some(item) => self.process(item),
-                None if !self.sweep() => break,
-                None => {}
-            }
+                Action::Poll => self
+                    .progress()
+                    .map_or(Outcome::Terminated, |hit| Outcome::Polled { hit }),
+                Action::AcquireOwn => {
+                    self.cur = self.stack.pop_back();
+                    Outcome::Acquired(self.cur.is_some())
+                }
+                Action::PostRequest(victim) => self.request(victim),
+                Action::Drain => {
+                    self.drain();
+                    Outcome::Ok
+                }
+                Action::Backoff(_) => {
+                    self.stats.clock.set(WorkerState::Idle);
+                    std::thread::sleep(STEAL_RETRY_BACKOFF);
+                    self.progress().map_or(Outcome::Terminated, |_| Outcome::Ok)
+                }
+                Action::Done => break,
+                a => unreachable!("a PaCCS agent is never asked to {a:?}"),
+            };
         }
         self.stats.bound_msgs = self.bound.billed.get();
         self.stats.clock.finish();
         (self.stats, self.processor.finish())
     }
 
-    /// Process one item; a `Continue` puts the first child back on top.
-    fn process(&mut self, mut item: WorkItem) {
+    /// Expand the item in hand; a `Continue` keeps it in hand.
+    fn expand(&mut self) {
+        let mut item = self.cur.take().expect("an item in hand");
         self.stats.clock.tick(WorkerState::Working);
         self.stats.items += 1;
         if self.shared.cfg.mode.is_race() {
@@ -313,18 +326,37 @@ impl<'s, 'p, P: Processor> Agent<'s, 'p, P> {
         let mut ctx = ProcCtx::new(self.id, node, &mut self.stats.phase, &self.bound, &mut sink);
         match self.processor.process(&mut item, &mut ctx) {
             Step::Leaf => self.spare.push(item),
-            Step::Continue => self.stack.push_back(item),
+            Step::Continue => self.cur = Some(item),
         }
-        if self.stack.is_empty() {
+        if self.cur.is_none() && self.stack.is_empty() {
             // Out of work: stop being counted before the idle sweep.
             self.shared.active.fetch_sub(1, Ordering::AcqRel);
         }
     }
 
+    /// MPI progress: serve every request that has arrived. `None` once the
+    /// controller terminated the run.
+    fn progress(&mut self) -> Option<bool> {
+        let mut hit = false;
+        while let Ok(msg) = self.rx.try_recv() {
+            match msg {
+                Msg::StealReq { thief } => {
+                    self.reply_steal(thief);
+                    hit = true;
+                }
+                Msg::Terminate => return None,
+                Msg::Work(_) | Msg::NoWork => {
+                    unreachable!("a reply reaches only an agent waiting on its request")
+                }
+            }
+        }
+        Some(hit)
+    }
+
     /// Victim side of a steal: hand over the oldest half of the deque (the
     /// largest sub-problems) under the rulebook's cap for the thief's
-    /// distance. The victim always keeps at least one item, so it stays
-    /// active.
+    /// distance. The victim always keeps at least one queued item, so it
+    /// stays active.
     fn reply_steal(&mut self, thief: usize) {
         self.stats.clock.set(WorkerState::Poll);
         let cfg = self.shared.cfg;
@@ -342,98 +374,98 @@ impl<'s, 'p, P: Processor> Agent<'s, 'p, P> {
         }
     }
 
-    /// Accept a `Work` reply: the order (activate, then release the
-    /// in-flight count) keeps the termination invariant.
-    fn accept_work(&mut self, batch: WorkBatch) {
+    /// Ask `victim` for work and block for its reply, serving the requests
+    /// that reach this agent meanwhile.
+    fn request(&mut self, victim: usize) -> Outcome {
+        let local = self.shared.cfg.topology.is_local(victim, self.id);
+        self.stats.clock.set(WorkerState::FindRemote);
+        self.send(victim, Msg::StealReq { thief: self.id });
+        self.stats.clock.set(WorkerState::WaitRemote);
+        loop {
+            match self.rx.recv() {
+                Ok(Msg::Work(batch)) => return self.landed(victim, local, batch),
+                Ok(Msg::NoWork) => {
+                    let s = &mut self.stats;
+                    *if local {
+                        &mut s.local_steal_failures
+                    } else {
+                        &mut s.remote_steal_failures
+                    } += 1;
+                    return Outcome::MISSED;
+                }
+                Ok(Msg::StealReq { thief }) => {
+                    self.reply_steal(thief);
+                    self.stats.clock.set(WorkerState::WaitRemote);
+                }
+                Ok(Msg::Terminate) | Err(_) => return Outcome::Terminated,
+            }
+        }
+    }
+
+    /// Work from `victim`: the oldest item to hand, the rest onto the deque
+    /// (activate, then release the in-flight count: the termination
+    /// invariant). Work landing after the winner flag counts as a drain.
+    fn landed(&mut self, victim: usize, local: bool, batch: WorkBatch) -> Outcome {
+        let items = batch.len() as u64;
         self.shared.active.fetch_add(1, Ordering::AcqRel);
         self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
         batch.adopt_into(&mut self.stack);
+        self.cur = self.stack.pop_front();
+        let won = self.gate.raised();
+        let s = &mut self.stats;
+        if won {
+            s.drain_steals += 1;
+        } else {
+            let topo = &self.shared.cfg.topology;
+            s.steals_by_distance.record(topo.distance(self.id, victim));
+            let (steals, stolen) = if local {
+                (&mut s.local_steals, &mut s.local_steal_items)
+            } else {
+                (&mut s.remote_steals, &mut s.remote_steal_items)
+            };
+            *steals += 1;
+            *stolen += items;
+        }
+        Outcome::Stole { items, won }
     }
 
-    /// Idle: one steal sweep over the expanding neighbourhood, blocking
-    /// for each victim's reply while refusing interleaved requests.
-    /// `false` once the controller terminated the run.
-    fn sweep(&mut self) -> bool {
-        let shared = self.shared;
-        let topo = &shared.cfg.topology;
-        for k in 0..self.victims.len() {
-            let victim = self.victims[k];
-            let local = topo.is_local(victim, self.id);
-            self.stats.clock.set(WorkerState::FindRemote);
-            self.send(victim, Msg::StealReq { thief: self.id });
-            self.stats.clock.set(WorkerState::WaitRemote);
-            loop {
-                match self.rx.recv() {
-                    Ok(Msg::Work(batch)) => {
-                        self.accept_work(batch);
-                        // A reply that lands after the winner flag
-                        // delivers work the next iteration discards: it
-                        // counts as a drain, not as a steal (it must not
-                        // inflate the histogram or items-per-steal).
-                        if self.gate.raised() {
-                            self.stats.drain_steals += 1;
-                        } else {
-                            let s = &mut self.stats;
-                            s.steals_by_distance.record(topo.distance(self.id, victim));
-                            if local {
-                                s.local_steals += 1;
-                            } else {
-                                s.remote_steals += 1;
-                            }
-                        }
-                        return true;
-                    }
-                    Ok(Msg::NoWork) => {
-                        if local {
-                            self.stats.local_steal_failures += 1;
-                        } else {
-                            self.stats.remote_steal_failures += 1;
-                        }
-                        break;
-                    }
-                    Ok(Msg::StealReq { thief }) => {
-                        self.reply_steal(thief);
-                        self.stats.clock.set(WorkerState::WaitRemote);
-                    }
-                    Ok(Msg::Terminate) | Err(_) => return false,
-                }
-            }
-        }
-        self.stats.clock.set(WorkerState::Idle);
-        std::thread::sleep(STEAL_RETRY_BACKOFF);
-        true
-    }
-
-    /// The winner flag is up: settle the race account, abandon the deque,
-    /// and refuse work until the controller terminates the run.
-    fn drain_after_win(&mut self) {
-        if let Some(n) = self.gate.settle(&self.ring) {
-            self.stats.nodes_after_win = n;
-        }
-        if !self.stack.is_empty() {
-            self.stats.abandoned_items += self.stack.len() as u64;
+    /// A won race: abandon the item in hand and the deque. Requests are
+    /// still served (refused) until the controller terminates the run.
+    fn drain(&mut self) {
+        let held = self.stack.len() as u64 + u64::from(self.cur.is_some());
+        if held > 0 {
+            self.stats.abandoned_items += held;
+            self.spare.extend(self.cur.take());
             self.spare.extend(self.stack.drain(..));
             // We held work, so we were counted active.
             self.shared.active.fetch_sub(1, Ordering::AcqRel);
         }
-        self.stats.clock.set(WorkerState::Idle);
-        loop {
-            match self.rx.recv() {
-                Ok(Msg::StealReq { thief }) => {
-                    self.reply_steal(thief);
-                    self.stats.clock.set(WorkerState::Idle);
-                }
-                Ok(Msg::Work(batch)) => {
-                    // A reply that raced the flag and lost: the items die
-                    // here, settling the in-flight count without ever
-                    // becoming active.
-                    self.stats.abandoned_items += batch.len() as u64;
-                    self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                }
-                Ok(Msg::NoWork) => {}
-                Ok(Msg::Terminate) | Err(_) => return,
-            }
+    }
+}
+
+/// What the machine observes of an agent: the winner flag, whose first
+/// observation settles the race account. An agent scans no peer.
+impl<P: Processor> WorkerView for Agent<'_, '_, P> {
+    fn own_lens(&mut self) -> (u64, u64) {
+        (0, self.stack.len() as u64)
+    }
+
+    fn shared_len(&mut self, _: usize) -> u64 {
+        unreachable!("a PaCCS agent scans no peer")
+    }
+
+    fn probe_remote(&mut self, _: usize) -> Option<u64> {
+        unreachable!("a PaCCS agent scans no peer")
+    }
+
+    fn won(&mut self) -> bool {
+        if !self.gate.raised() {
+            return false;
         }
+        if let Some(n) = self.gate.settle(&self.ring) {
+            self.stats.nodes_after_win = n;
+        }
+        true
     }
 }
 

@@ -1,5 +1,5 @@
-//! The MaCS worker, written once: a sans-IO state machine that sequences
-//! every phase of paper §IV–V and performs none of them.
+//! The worker, written once: a sans-IO state machine that sequences every
+//! phase of paper §IV–V — or of a PaCCS agent — and performs none of them.
 //!
 //! [`WorkerMachine::step`] reads the [`Outcome`] of the [`Action`] it
 //! emitted last and returns the next one. A driver performs each action and
@@ -11,11 +11,15 @@
 //! executions sequence the protocol identically and differ only in price.
 //! After a node the decision is two counter compares and a lease compare:
 //! no allocation, no dynamic dispatch, no clock read.
+//!
+//! [`WorkerMachine::paccs`] sequences a PaCCS agent in the same vocabulary:
+//! it never releases, polls after every node, and sweeps `PostRequest`s over
+//! the distance rings, nearest first.
 
 use macs_topo::{MachineTopology, VictimOrder};
 
 use crate::rng::SplitMix64;
-use crate::steal::{StealPolicy, UNLEASED};
+use crate::steal::{PollPolicy, StealPolicy, UNLEASED};
 
 /// The idle round saturates here (the simulator's event trace records it;
 /// the threaded back-off yields from round 8 on).
@@ -35,8 +39,8 @@ pub enum Action {
     AcquireOwn,
     /// Take a grant (R3) from co-located worker `v` → `Stole`.
     StealLocal(usize),
-    /// Post a request into remote worker `v`'s mailbox, await the reply →
-    /// `Stole`.
+    /// Post a request into remote worker `v`'s mailbox (PaCCS: any agent's
+    /// queue), await the reply → `Stole`.
     PostRequest(usize),
     /// A won race: discard the item in hand and the own pool → `Ok`.
     Drain,
@@ -102,14 +106,14 @@ pub trait WorkerView {
     }
 }
 
-/// One MaCS worker's control flow: the last action, the release and poll
-/// counters, the idle round, the last scan, the victim affinity (R7) and
-/// the random stream the scans draw from. Actions stay two words wide, so
-/// the per-item dispatch passes them in registers.
+/// One worker's control flow: its policy, the last action, the release and
+/// poll counters, the idle round, the last scan, the victim affinity (R7),
+/// the random stream the scans draw from and, for PaCCS, the sweep. Actions
+/// stay two words wide, so the per-item dispatch passes them in registers.
 #[derive(Clone, Debug)]
 pub struct WorkerMachine<'a> {
     topo: &'a MachineTopology,
-    policy: &'a StealPolicy,
+    policy: StealPolicy,
     order: VictimOrder,
     rng: SplitMix64,
     last: Action,
@@ -120,13 +124,16 @@ pub struct WorkerMachine<'a> {
     since_release: u32,
     since_poll: u32,
     poll_interval: u32,
+    /// PaCCS: the sweep's next victim, an index into the distance rings
+    /// flattened nearest first; `None` on a MaCS worker.
+    sweep: Option<usize>,
 }
 
 impl<'a> WorkerMachine<'a> {
-    pub fn new(id: usize, topo: &'a MachineTopology, policy: &'a StealPolicy, seed: u64) -> Self {
+    pub fn new(id: usize, topo: &'a MachineTopology, policy: &StealPolicy, seed: u64) -> Self {
         WorkerMachine {
             topo,
-            policy,
+            policy: *policy,
             order: VictimOrder::new(topo, id),
             rng: SplitMix64::for_worker(seed, id),
             // A run starts where a resumed park does: at the own pool.
@@ -137,7 +144,17 @@ impl<'a> WorkerMachine<'a> {
             since_release: 0,
             since_poll: 0,
             poll_interval: policy.poll.initial(),
+            sweep: None,
         }
+    }
+
+    /// A PaCCS agent: it never releases (its whole deque is open to a
+    /// request) and polls after every node.
+    pub fn paccs(id: usize, topo: &'a MachineTopology, policy: &StealPolicy, seed: u64) -> Self {
+        let mut m = WorkerMachine::new(id, topo, policy, seed);
+        (m.policy.release.interval, m.policy.release.share_target) = (u32::MAX, 0);
+        (m.policy.poll, m.poll_interval, m.sweep) = (PollPolicy::Fixed(1), 1, Some(0));
+        m
     }
 
     /// The scans' random stream (the simulator draws node jitter from it).
@@ -180,6 +197,15 @@ impl<'a> WorkerMachine<'a> {
             | (Action::PostRequest(victim), Outcome::Stole { items, won }) => {
                 if won {
                     self.acquire(view)
+                } else if let Some(next) = &mut self.sweep {
+                    // PaCCS: expand the stolen work, and resume the next
+                    // sweep at this victim; a refusal asks the next one.
+                    if items > 0 {
+                        Action::Expand
+                    } else {
+                        *next += 1;
+                        self.ladder(0, view)
+                    }
                 } else {
                     // R7; stolen work is expanded. A failed local steal
                     // rescans, a refused request idles.
@@ -194,6 +220,8 @@ impl<'a> WorkerMachine<'a> {
             }
             (Action::Drain, Outcome::Ok) => self.backoff(0, Scan::default()),
             (Action::Backoff(_), Outcome::Ok) => {
+                // A PaCCS wake sweeps again from the nearest peer.
+                self.sweep = self.sweep.map(|_| 0);
                 self.ladder((self.round + 1).min(MAX_IDLE_ROUND), view)
             }
             (Action::Park, Outcome::Ok) => self.acquire(view),
@@ -253,8 +281,11 @@ impl<'a> WorkerMachine<'a> {
         if view.won() {
             return self.backoff(round, Scan::default());
         }
+        if let Some(next) = self.sweep {
+            return self.sweep(next, round);
+        }
         let lease = view.lease();
-        let (policy, topo, order, rng) = (self.policy, self.topo, &self.order, &mut self.rng);
+        let (policy, topo, order, rng) = (&self.policy, self.topo, &self.order, &mut self.rng);
         let (victim, local) = policy.pick_local(
             topo,
             order,
@@ -281,6 +312,22 @@ impl<'a> WorkerMachine<'a> {
             }
             None => self.backoff(round, scan),
         }
+    }
+
+    /// PaCCS: ask the sweep's `next`-th victim; past the last ring (a full
+    /// failed sweep, or an agent alone) idle, and start over after.
+    fn sweep(&mut self, next: usize, round: u32) -> Action {
+        let (topo, me) = (self.topo, self.order.me());
+        let mut i = next;
+        for d in 1..=topo.levels() {
+            let ring = topo.peers_at(me, d);
+            if i < ring.len() {
+                return Action::PostRequest(ring.get(i));
+            }
+            i -= ring.len();
+        }
+        self.sweep = Some(0);
+        self.backoff(round, Scan::default())
     }
 
     fn backoff(&mut self, round: u32, scan: Scan) -> Action {
@@ -514,5 +561,129 @@ mod tests {
         let polls = log.iter().filter(|&&a| a == Action::Poll).count();
         assert_eq!(polls, 5, "{log:?}");
         assert_eq!(log.last(), Some(&Action::Release(4)), "{log:?}");
+    }
+
+    /// A PaCCS agent of `topo`, past its first (empty) acquire.
+    fn starving_agent<'a>(
+        id: usize,
+        topo: &'a MachineTopology,
+        policy: &StealPolicy,
+        v: &mut Fake,
+    ) -> (WorkerMachine<'a>, Action) {
+        let mut m = WorkerMachine::paccs(id, topo, policy, 11);
+        assert_eq!(m.step(Outcome::Ok, v), Action::AcquireOwn);
+        let first = m.step(Outcome::Acquired(false), v);
+        (m, first)
+    }
+
+    #[test]
+    fn a_paccs_sweep_asks_nearest_first_and_restarts_after_a_failed_sweep() {
+        // Two nodes of two: agent 0's rings are [1] then [2, 3].
+        let topo = MachineTopology::try_new(&[2, 2], 1).unwrap();
+        let policy = StealPolicy::default();
+        let mut v = Fake::new(4, 0);
+        let (mut m, first) = starving_agent(0, &topo, &policy, &mut v);
+        assert_eq!(first, Action::PostRequest(1));
+        // Each refusal asks the next victim; a full failed sweep idles at
+        // round 0 and the wake starts over at the nearest peer.
+        assert_eq!(m.step(Outcome::MISSED, &mut v), Action::PostRequest(2));
+        assert_eq!(m.step(Outcome::MISSED, &mut v), Action::PostRequest(3));
+        expect_idle(&mut m, Outcome::MISSED, &mut v, 0, (0, 0));
+        assert_eq!(m.step(Outcome::Ok, &mut v), Action::PostRequest(1));
+        assert!(v.reads.is_empty(), "a sweep reads no peer's deque");
+    }
+
+    #[test]
+    fn a_paccs_sweep_resumes_at_the_victim_that_last_served() {
+        let topo = MachineTopology::try_new(&[2, 2], 1).unwrap();
+        let policy = StealPolicy::default();
+        let mut v = Fake::new(4, 0);
+        let (mut m, _) = starving_agent(0, &topo, &policy, &mut v);
+        m.step(Outcome::MISSED, &mut v);
+        let got = Outcome::Stole {
+            items: 2,
+            won: false,
+        };
+        assert_eq!(m.step(got, &mut v), Action::Expand);
+        // The work runs out: the next sweep asks victim 2 first.
+        let leaf = Outcome::Expanded { more: false };
+        assert_eq!(m.step(leaf, &mut v), Action::Poll);
+        let polled = Outcome::Polled { hit: false };
+        assert_eq!(m.step(polled, &mut v), Action::AcquireOwn);
+        let next = m.step(Outcome::Acquired(false), &mut v);
+        assert_eq!(next, Action::PostRequest(2));
+        assert_eq!(m.step(Outcome::MISSED, &mut v), Action::PostRequest(3));
+        expect_idle(&mut m, Outcome::MISSED, &mut v, 0, (0, 0));
+        assert_eq!(m.step(Outcome::Ok, &mut v), Action::PostRequest(1));
+    }
+
+    #[test]
+    fn a_won_paccs_race_drains_then_idles_without_requests() {
+        let topo = MachineTopology::try_new(&[2, 2], 1).unwrap();
+        let policy = StealPolicy::default();
+        let mut v = Fake::new(4, 0);
+        let (mut m, _) = starving_agent(0, &topo, &policy, &mut v);
+        // Work lands after the winner flag: drain it, then only idle.
+        v.won = true;
+        let late = Outcome::Stole {
+            items: 3,
+            won: true,
+        };
+        assert_eq!(m.step(late, &mut v), Action::Drain);
+        expect_idle(&mut m, Outcome::Ok, &mut v, 0, (0, 0));
+        for round in 1..=MAX_IDLE_ROUND + 2 {
+            expect_idle(
+                &mut m,
+                Outcome::Ok,
+                &mut v,
+                round.min(MAX_IDLE_ROUND),
+                (0, 0),
+            );
+        }
+    }
+
+    #[test]
+    fn a_lone_paccs_agent_never_posts() {
+        let topo = MachineTopology::flat(1);
+        let policy = StealPolicy::default();
+        let mut v = Fake::new(1, 0);
+        let (mut m, first) = starving_agent(0, &topo, &policy, &mut v);
+        assert_eq!(first, Action::Backoff(0));
+        for round in 1..=MAX_IDLE_ROUND + 2 {
+            expect_idle(
+                &mut m,
+                Outcome::Ok,
+                &mut v,
+                round.min(MAX_IDLE_ROUND),
+                (0, 0),
+            );
+        }
+        assert_eq!(m.step(Outcome::Terminated, &mut v), Action::Done);
+    }
+
+    #[test]
+    fn a_paccs_agent_polls_after_every_node_and_never_releases() {
+        // A policy that would release on every node and poll rarely: the
+        // PaCCS counters override both.
+        let topo = MachineTopology::flat(2);
+        let policy = StealPolicy {
+            release: ReleasePolicy::default(),
+            poll: PollPolicy::Fixed(64),
+            ..StealPolicy::default()
+        };
+        let mut m = WorkerMachine::paccs(0, &topo, &policy, 13);
+        let mut v = Fake::new(2, 0);
+        v.private[0] = 100;
+        m.step(Outcome::Ok, &mut v);
+        assert_eq!(m.step(Outcome::Acquired(true), &mut v), Action::Expand);
+        // Past the interval a MaCS release would wait for, hit or miss.
+        for node in 0..100 {
+            let more = Outcome::Expanded { more: true };
+            assert_eq!(m.step(more, &mut v), Action::Poll, "node {node}");
+            let polled = Outcome::Polled { hit: node % 3 == 0 };
+            assert_eq!(m.step(polled, &mut v), Action::Expand, "node {node}");
+        }
+        let leaf = Outcome::Expanded { more: false };
+        assert_eq!(m.step(leaf, &mut v), Action::Poll);
     }
 }

@@ -1,6 +1,7 @@
-//! The discrete-event drivers: MaCS and PaCCS balancers in virtual time.
-//! MaCS workers are [`WorkerMachine`]s; `Sim::drive` charges each of
-//! their actions from the [`CostModel`] and schedules the next step.
+//! The discrete-event driver: MaCS and PaCCS balancers in virtual time.
+//! Every worker is a [`WorkerMachine`] of its protocol; `Sim::drive`
+//! charges each of its actions from the [`CostModel`] and schedules the
+//! next step.
 //!
 //! # The event core, at scale
 //!
@@ -41,7 +42,6 @@ use macs_runtime::{
     BoundPolicy, MachineTopology, PhaseTimers, ProcCtx, Processor, ScanOrder, Step, WorkSink,
     WorkerState,
 };
-use macs_search::machine::MAX_IDLE_ROUND;
 use macs_search::steal::{PoolView, UNLEASED};
 use macs_search::{
     Action, AdaptiveBatch, Outcome, StealPolicy, WorkBatch, WorkerMachine, WorkerView,
@@ -315,13 +315,6 @@ impl VPool {
         }
     }
 
-    /// PaCCS-style pop (no split discipline).
-    fn pop_any(&mut self) -> Option<u32> {
-        let it = self.ids.pop_back();
-        self.split = self.split.min(self.ids.len());
-        it
-    }
-
     fn private(&self) -> usize {
         self.ids.len() - self.split
     }
@@ -351,13 +344,6 @@ impl VPool {
         let m = max.min(self.split);
         self.split -= m;
         self.ids.drain(..m)
-    }
-
-    /// PaCCS-style steal: oldest items regardless of the split.
-    fn steal_any(&mut self, max: usize) -> Vec<u32> {
-        let m = max.min(self.ids.len());
-        self.split = self.split.saturating_sub(m);
-        self.ids.drain(..m).collect()
     }
 }
 
@@ -512,7 +498,7 @@ struct VW<'c, P: Processor> {
     inc: Rc<SimIncumbent>,
     timers: PhaseTimers,
     stats: SimWorkerStats,
-    /// The MaCS control flow (PaCCS workers use only its random stream).
+    /// The worker's control flow, MaCS or PaCCS.
     machine: WorkerMachine<'c>,
     phase: Phase,
     charge_state: WorkerState,
@@ -520,8 +506,6 @@ struct VW<'c, P: Processor> {
     /// PaCCS: a queue of pending requests.
     req_queue: VecDeque<(usize, u64)>,
     inbox: Option<Resp>,
-    /// PaCCS: position in the victim sweep.
-    sweep_pos: usize,
     /// Response-batch tuner for [`ChunkPolicy::Adaptive`] (victim side).
     adaptive: AdaptiveBatch,
 }
@@ -788,23 +772,6 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         self.schedule(wi, now + backoff, WorkerState::Idle, Phase::Idle { round });
     }
 
-    /// The `pos`-th victim of `wi`'s PaCCS sweep: the distance rings
-    /// flattened nearest first (the paper's expanding neighbourhood),
-    /// computed on demand instead of materialised per worker.
-    fn sweep_victim(&self, wi: usize, pos: usize) -> Option<usize> {
-        let topo = &self.cfg.topology;
-        let mut p = pos;
-        for d in 1..=topo.levels() {
-            let ring = topo.peers_at(wi, d);
-            let n = ring.len();
-            if p < n {
-                return Some(ring.get(p));
-            }
-            p -= n;
-        }
-        None
-    }
-
     // ----- message fabric ---------------------------------------------------
 
     /// One-way propagation latency between two workers, by how many
@@ -846,7 +813,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         self.net.send(fa, fb, bytes, prop, flat, now)
     }
 
-    // ----- MaCS: the virtual driver of `WorkerMachine` ------------------------
+    // ----- the virtual driver of `WorkerMachine` ------------------------------
 
     /// Step `wi`'s machine from `outcome` at `now`, performing every
     /// action that completes at once and charging it from the cost model,
@@ -872,14 +839,9 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                     stats.released_items += m as u64;
                     Outcome::Ok
                 }
-                Action::Poll => {
-                    let hit = self.serve_request_macs(wi, &mut now);
-                    if !hit {
-                        self.charge(wi, WorkerState::Poll, costs.poll_ns, &mut now);
-                        self.workers[wi].stats.polls += 1;
-                    }
-                    Outcome::Polled { hit }
-                }
+                Action::Poll => Outcome::Polled {
+                    hit: self.poll(wi, &mut now),
+                },
                 Action::AcquireOwn => Outcome::Acquired(self.acquire_own(wi, &mut now)),
                 Action::StealLocal(victim) => {
                     self.charge_scan(wi, &mut now);
@@ -895,16 +857,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                     let phase = Phase::ApplySteal { victim };
                     return self.schedule(wi, now + lock_ns, WorkerState::Stealing, phase);
                 }
-                Action::PostRequest(victim) => {
-                    self.charge_scan(wi, &mut now);
-                    self.charge(wi, WorkerState::FindRemote, costs.post_request_ns, &mut now);
-                    let arrival = self.send_ctrl(wi, victim, now);
-                    self.probes[victim].pending_req = Some((wi, arrival));
-                    // The victim's response event will wake us.
-                    self.workers[wi].phase = Phase::Wait;
-                    self.workers[wi].charge_state = WorkerState::WaitRemote;
-                    return;
-                }
+                Action::PostRequest(victim) => return self.post_request(wi, victim, now),
                 Action::Drain => {
                     if self.drain_observed(wi, now) {
                         return;
@@ -922,6 +875,54 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         }
     }
 
+    /// Check the mailbox. A MaCS worker serves its one request or pays for
+    /// an empty poll; a PaCCS agent pays the MPI progress check, then
+    /// serves every request that has arrived. `true` if one was served.
+    fn poll(&mut self, wi: usize, now: &mut u64) -> bool {
+        let poll_ns = self.cfg.costs.poll_ns;
+        if self.mode == SimMode::Paccs {
+            self.charge(wi, WorkerState::Poll, poll_ns, now);
+            return self.serve_requests_paccs(wi, now);
+        }
+        let hit = self.serve_request_macs(wi, now);
+        if !hit {
+            self.charge(wi, WorkerState::Poll, poll_ns, now);
+            self.workers[wi].stats.polls += 1;
+        }
+        hit
+    }
+
+    /// Send `wi`'s steal request to `victim` and wait for the reply. MaCS
+    /// pays for the scan and posts into the victim's mailbox. PaCCS sends
+    /// a two-sided message into the victim's queue — half the post price,
+    /// poll latency on node — and wakes a victim that itself waits on a
+    /// reply, as a threaded agent serves requests while it waits.
+    fn post_request(&mut self, wi: usize, victim: usize, mut now: u64) {
+        let costs = &self.cfg.costs;
+        if self.mode == SimMode::Macs {
+            self.charge_scan(wi, &mut now);
+            self.charge(wi, WorkerState::FindRemote, costs.post_request_ns, &mut now);
+            let arrival = self.send_ctrl(wi, victim, now);
+            self.probes[victim].pending_req = Some((wi, arrival));
+        } else {
+            let send_ns = costs.post_request_ns / 2;
+            self.charge(wi, WorkerState::FindRemote, send_ns, &mut now);
+            let arrival = if self.cfg.topology.is_local(wi, victim) {
+                now + costs.poll_ns.max(200)
+            } else {
+                self.send_ctrl(wi, victim, now)
+            };
+            self.workers[victim].req_queue.push_back((wi, arrival));
+            let v = &self.workers[victim];
+            if v.phase == Phase::Wait && v.inbox.is_none() {
+                self.schedule(victim, arrival, WorkerState::WaitRemote, Phase::Serve);
+            }
+        }
+        // The victim's reply will wake us.
+        self.workers[wi].phase = Phase::Wait;
+        self.workers[wi].charge_state = WorkerState::WaitRemote;
+    }
+
     /// The victim scans' price: a metadata read per local candidate, a
     /// one-sided read per remote node. Pool states cannot change within
     /// one event, so the reads are charged in one sum after the scan.
@@ -936,7 +937,8 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     }
 
     /// Own private region, then a reacquire of the own shared region (R8);
-    /// `true` if an item came to hand.
+    /// `true` if an item came to hand. A PaCCS deque never releases, so
+    /// this is its LIFO pop.
     fn acquire_own(&mut self, wi: usize, now: &mut u64) -> bool {
         let pool_op = self.cfg.costs.pool_op_ns;
         self.charge(wi, WorkerState::Searching, pool_op, now);
@@ -987,15 +989,20 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     fn land_reply(&mut self, wi: usize, resp: Resp, now: &mut u64) -> Option<Outcome> {
         let Resp { batch, victim } = resp;
         // Conservation: the reply is consumed here. PaCCS also routes
-        // same-node replies through the mailbox (at poll latency) — those
+        // same-node replies through its queue (at poll latency) — those
         // never entered the fabric.
-        if self.mode == SimMode::Macs || !self.cfg.topology.is_local(wi, victim) {
+        let local = self.cfg.topology.is_local(wi, victim);
+        if !local {
             self.net.deliver();
         }
         let (items, won) = (batch.len() as u64, self.observed_win(wi, *now));
         let stats = &mut self.workers[wi].stats;
         if items == 0 {
-            stats.remote_steal_failures += 1;
+            *if local {
+                &mut stats.local_steal_failures
+            } else {
+                &mut stats.remote_steal_failures
+            } += 1;
             return Some(Outcome::MISSED);
         }
         if won {
@@ -1014,8 +1021,13 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             }
             return Some(Outcome::Stole { items, won });
         }
-        stats.remote_steals += 1;
-        stats.remote_steal_items += items;
+        let (steals, stolen) = if local {
+            (&mut stats.local_steals, &mut stats.local_steal_items)
+        } else {
+            (&mut stats.remote_steals, &mut stats.remote_steal_items)
+        };
+        *steals += 1;
+        *stolen += items;
         self.adopt_batch(wi, victim, batch, now);
         Some(Outcome::Stole { items, won: false })
     }
@@ -1096,108 +1108,21 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         true
     }
 
-    // ----- PaCCS protocol -----------------------------------------------------
-
-    /// PaCCS restore: the own pool, else the neighbourhood sweep; a won
-    /// race drains and idles instead.
-    fn paccs_acquire(&mut self, wi: usize, mut now: u64) {
-        if self.observed_win(wi, now) {
-            if !self.drain_observed(wi, now) {
-                self.enter_idle(wi, now, 0);
-            }
-            return;
-        }
-        let pool_op = self.cfg.costs.pool_op_ns;
-        self.charge(wi, WorkerState::Searching, pool_op, &mut now);
-        if let Some(id) = self.probes[wi].pool.pop_any() {
-            self.adopt(wi, id);
-            self.start_node(wi, now);
-        } else {
-            self.sweep_paccs(wi, now);
-        }
-    }
-
-    /// A PaCCS thief's reply (or a wake without one) arrives.
-    fn paccs_wake(&mut self, wi: usize, resp: Option<Resp>, mut now: u64) {
-        let Some(resp) = resp else {
-            return self.paccs_acquire(wi, now);
-        };
-        match self.land_reply(wi, resp, &mut now) {
-            None => {}
-            Some(Outcome::Stole { won: true, .. }) => self.paccs_acquire(wi, now),
-            Some(Outcome::Stole { items: 0, .. }) => {
-                self.workers[wi].sweep_pos += 1;
-                self.sweep_paccs(wi, now);
-            }
-            Some(_) => self.start_node(wi, now),
-        }
-    }
-
-    /// A PaCCS idle wake: serve what has arrived, then restart the sweep.
-    /// A re-idle records the grown round in its phase; it feeds only the
-    /// trace hash (the next wake still comes `idle_backoff_ns` later).
-    fn paccs_idle(&mut self, wi: usize, mut now: u64, round: u32) {
-        self.serve_requests_paccs(wi, &mut now);
-        self.workers[wi].sweep_pos = 0;
-        if self.probes[wi].pool.len() > 0 || self.workers[wi].has_cur {
-            return self.paccs_acquire(wi, now);
-        }
-        self.sweep_paccs(wi, now);
-        if let Phase::Idle { .. } = self.workers[wi].phase {
-            self.workers[wi].phase = Phase::Idle {
-                round: round.saturating_add(1).min(MAX_IDLE_ROUND),
-            };
-        }
-    }
-
-    /// Idle PaCCS agent: send the next steal request in neighbourhood
-    /// order and park for the reply.
-    fn sweep_paccs(&mut self, wi: usize, mut now: u64) {
-        let order_len = self.cfg.topology.total_workers() - 1;
-        if order_len == 0 || self.observed_win(wi, now) {
-            self.enter_idle(wi, now, 0);
-            return;
-        }
-        let pos = self.workers[wi].sweep_pos;
-        if pos >= order_len {
-            // Full sweep failed: back off, then start over.
-            self.workers[wi].sweep_pos = 0;
-            self.enter_idle(wi, now, 0);
-            return;
-        }
-        let v = self.sweep_victim(wi, pos).expect("sweep position in range");
-        let local = self.cfg.topology.is_local(wi, v);
-        // Two-sided request: send cost + message latency.
-        let send_ns = self.cfg.costs.post_request_ns / 2;
-        self.charge(wi, WorkerState::FindRemote, send_ns, &mut now);
-        let arrival = if local {
-            now + self.cfg.costs.poll_ns.max(200)
-        } else {
-            self.send_ctrl(wi, v, now)
-        };
-        self.workers[v].req_queue.push_back((wi, arrival));
-        // A parked victim (itself blocked on a steal reply) would never
-        // look at its queue: inject a service wake — the simulated
-        // equivalent of the threaded agent answering requests while it
-        // waits for its own reply.
-        if self.workers[v].phase == Phase::Wait && self.workers[v].inbox.is_none() {
-            self.schedule(v, arrival, WorkerState::WaitRemote, Phase::Serve);
-        }
-        self.workers[wi].phase = Phase::Wait;
-        self.workers[wi].charge_state = WorkerState::WaitRemote;
-    }
+    // ----- PaCCS victim side ---------------------------------------------------
 
     /// PaCCS victim: serve every request that has arrived (replies are
     /// generated only at node-completion or idle instants — the two-sided
-    /// granularity MaCS avoids).
-    fn serve_requests_paccs(&mut self, wi: usize, now: &mut u64) {
+    /// granularity MaCS avoids). `true` if one was served.
+    fn serve_requests_paccs(&mut self, wi: usize, now: &mut u64) -> bool {
+        let mut hit = false;
         loop {
             let Some(&(thief, arrival)) = self.workers[wi].req_queue.front() else {
-                return;
+                return hit;
             };
             if arrival > *now {
-                return;
+                return hit;
             }
+            hit = true;
             self.workers[wi].req_queue.pop_front();
             let (cfg, topo) = (self.cfg, &self.cfg.topology);
             let local = topo.is_local(wi, thief);
@@ -1211,7 +1136,8 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             let have = self.probes[wi].pool.len();
             let cap = cfg.steal.chunk_cap(topo, topo.distance(wi, thief));
             let give = WorkBatch::share_floor(have as u64, cap) as usize;
-            let batch = self.probes[wi].pool.steal_any(give);
+            // The oldest items (a PaCCS deque never releases: no split).
+            let batch: Vec<u32> = self.probes[wi].pool.ids.drain(..give).collect();
             let bytes = (batch.len() * self.slot_words * 8) as u64;
             let t = if give == 0 {
                 self.workers[wi].stats.requests_refused += 1;
@@ -1246,7 +1172,6 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         for wi in 0..self.workers.len() {
             self.schedule(wi, 0, WorkerState::Barrier, Phase::Boot);
         }
-        let macs = self.mode == SimMode::Macs;
         while let Some((t, wi)) = self.events.pop() {
             if self.end_time.is_some() {
                 break;
@@ -1264,27 +1189,13 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             }
             let mut now = t;
             match phase {
-                Phase::Boot if macs => self.drive(wi, t, Outcome::Ok),
-                Phase::Boot => self.paccs_acquire(wi, t),
+                Phase::Boot => self.drive(wi, t, Outcome::Ok),
                 Phase::Finish => {
                     if !self.complete_node(wi, t) {
                         break;
                     }
                     let more = self.workers[wi].has_cur;
-                    if macs {
-                        self.drive(wi, t, Outcome::Expanded { more });
-                        continue;
-                    }
-                    // PaCCS: MPI progress — a message check every node
-                    // completion, then serve whatever has arrived.
-                    let poll_ns = self.cfg.costs.poll_ns;
-                    self.charge(wi, WorkerState::Poll, poll_ns, &mut now);
-                    self.serve_requests_paccs(wi, &mut now);
-                    if more {
-                        self.start_node(wi, now);
-                    } else {
-                        self.paccs_acquire(wi, now);
-                    }
+                    self.drive(wi, t, Outcome::Expanded { more });
                 }
                 Phase::ApplySteal { victim } => {
                     let stole = self.steal_local(wi, victim, &mut now);
@@ -1292,11 +1203,8 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                 }
                 Phase::Wait => {
                     let resp = self.workers[wi].inbox.take();
-                    if !macs {
-                        self.paccs_wake(wi, resp, now);
-                    } else if let Some(stole) =
-                        self.land_reply(wi, resp.expect("a MaCS wait ends in a reply"), &mut now)
-                    {
+                    let resp = resp.expect("a wait ends in a reply");
+                    if let Some(stole) = self.land_reply(wi, resp, &mut now) {
                         self.drive(wi, now, stole);
                     }
                 }
@@ -1306,11 +1214,13 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                     self.workers[wi].phase = Phase::Wait;
                     self.workers[wi].charge_state = WorkerState::WaitRemote;
                 }
-                Phase::Idle { .. } if macs => {
-                    self.serve_request_macs(wi, &mut now);
+                Phase::Idle { .. } => {
+                    match self.mode {
+                        SimMode::Macs => self.serve_request_macs(wi, &mut now),
+                        SimMode::Paccs => self.serve_requests_paccs(wi, &mut now),
+                    };
                     self.drive(wi, now, Outcome::Ok);
                 }
-                Phase::Idle { round } => self.paccs_idle(wi, now, round),
             }
         }
         // Close every worker's clock at the makespan.
@@ -1339,7 +1249,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                 }
             }
             if let Some(r) = &w.inbox {
-                if self.mode == SimMode::Macs || !topo.is_local(wi, r.victim) {
+                if !topo.is_local(wi, r.victim) {
                     n += 1;
                 }
             }
@@ -1392,13 +1302,15 @@ where
             inc: Rc::new(SimIncumbent::new(Rc::clone(&fabric), wi)),
             timers: PhaseTimers::default(),
             stats: SimWorkerStats::default(),
-            machine: WorkerMachine::new(wi, &cfg.topology, &cfg.steal, cfg.seed),
+            machine: match mode {
+                SimMode::Macs => WorkerMachine::new(wi, &cfg.topology, &cfg.steal, cfg.seed),
+                SimMode::Paccs => WorkerMachine::paccs(wi, &cfg.topology, &cfg.steal, cfg.seed),
+            },
             phase: Phase::Boot,
             charge_state: WorkerState::Barrier,
             cursor: 0,
             req_queue: VecDeque::new(),
             inbox: None,
-            sweep_pos: 0,
             adaptive: AdaptiveBatch::starting_at(cfg.steal.response_batch),
         })
         .collect();

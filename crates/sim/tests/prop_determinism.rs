@@ -12,7 +12,8 @@
 //! reordered event anywhere diverges the trace hash.
 
 use macs_core::{CpProcessor, SearchMode};
-use macs_problems::{queens, QueensModel};
+use macs_engine::CompiledProblem;
+use macs_problems::{qap::QapInstance, qap_model, queens, QueensModel};
 use macs_runtime::MachineTopology;
 use macs_sim::{
     simulate_macs, simulate_paccs, CostModel, FabricModel, SimConfig, SimMode, SimReport,
@@ -87,4 +88,66 @@ fn fabric_model_changes_the_schedule_not_the_answer() {
     assert_eq!(a.total_solutions(), b.total_solutions());
     assert_eq!(a.total_items(), b.total_items());
     assert!(b.fabric.contention && !a.fabric.contention);
+}
+
+/// `(trace_hash, events, makespan_ns, total_items)` of a run.
+fn schedule(r: &SimReport<macs_core::CpOutput>) -> (u64, u64, u64, u64) {
+    (r.trace_hash, r.events, r.makespan_ns, r.total_items())
+}
+
+/// Simulated PaCCS on `topo`, one root, `mode`.
+fn paccs_cell(
+    prob: &CompiledProblem,
+    topo: MachineTopology,
+    mode: SearchMode,
+) -> SimReport<macs_core::CpOutput> {
+    let cfg = SimConfig::new(topo);
+    let roots = [prob.root.as_words().to_vec()];
+    simulate_paccs(&cfg, prob.layout.store_words(), &roots, |_| {
+        CpProcessor::new(prob, 1, mode)
+    })
+}
+
+#[test]
+fn the_simulated_paccs_schedule_is_pinned() {
+    // Literal values: a change to how the PaCCS agent is sequenced must
+    // reproduce every event of the schedule, not only agree with itself.
+    let latency = FabricModel::Latency;
+    let contention = "contention".parse::<FabricModel>().unwrap();
+    let got: Vec<_> = [
+        (64, latency),
+        (64, contention),
+        (512, latency),
+        (512, contention),
+    ]
+    .into_iter()
+    .map(|(cores, fabric)| schedule(&run(SimMode::Paccs, cores, fabric, 0x51D)))
+    .collect();
+    let want = [
+        (6_248_133_996_862_495_094, 7_168, 1_284_084, 2_574),
+        (17_389_344_804_314_009_625, 6_731, 1_587_461, 2_574),
+        (5_565_596_141_972_817_996, 20_752, 1_185_789, 2_574),
+        (1_662_920_563_996_327_510, 18_981, 1_580_151, 2_574),
+    ];
+    assert_eq!(
+        got, want,
+        "queens-9 at 64 and 512 cores, latency then contention"
+    );
+
+    let three_level = || MachineTopology::try_new(&[4, 2, 2], 1).unwrap();
+    let race = paccs_cell(
+        &queens(10, QueensModel::Pairwise),
+        three_level(),
+        SearchMode::FirstSolution,
+    );
+    assert!(race.first_solution_ns.is_some());
+    let race_pin = (15_876_604_984_520_429_679, 294, 39_344, 156);
+    assert_eq!(schedule(&race), race_pin, "queens-10 first solution");
+    let bnb = paccs_cell(
+        &qap_model(&QapInstance::esc16e().sub_instance(8)),
+        three_level(),
+        SearchMode::Exhaustive,
+    );
+    let bnb_pin = (2_607_738_719_590_841_962, 24_081, 3_450_530, 23_048);
+    assert_eq!(schedule(&bnb), bnb_pin, "esc16e[8] branch and bound");
 }

@@ -90,8 +90,19 @@ fn parallel_equals_sequential_on_random_csps() {
     }
 }
 
+/// The same for PaCCS: threaded on a flat pair and on two nodes of two,
+/// simulated on the shapes above.
 #[test]
 fn paccs_equals_sequential_on_random_csps() {
+    let shapes = [
+        MachineTopology::flat(3),
+        MachineTopology::try_new(&[2, 2], 1).unwrap(),
+        MachineTopology::try_new(&[2, 2, 2], 1).unwrap(),
+    ];
+    let threaded = [
+        PaccsConfig::with_workers(2),
+        PaccsConfig::hierarchical(&[2, 2], 1).unwrap(),
+    ];
     for case in 0..24u64 {
         let mut rng = SplitMix64::for_worker(0xBEEF, case as usize);
         let n = 3 + rng.below_usize(3);
@@ -100,8 +111,28 @@ fn paccs_equals_sequential_on_random_csps() {
         let edges = random_edges(&mut rng, n_edges);
         let prob = random_csp(n, max, &edges);
         let seq = solve_seq(&prob, &SeqOptions::default());
-        let out = paccs_solve(&prob, &PaccsConfig::with_workers(2));
-        assert_eq!(out.solutions, seq.solutions, "case {case}: {edges:?}");
+        for cfg in &threaded {
+            let out = paccs_solve(&prob, cfg);
+            let shape = cfg.topology.to_string();
+            assert_eq!(out.solutions, seq.solutions, "case {case} on {shape}");
+            assert_eq!(out.nodes, seq.nodes, "case {case} on {shape}");
+            assert_eq!(out.report.total_items(), seq.nodes, "case {case}");
+        }
+        for topo in &shapes {
+            let sim = simulate_paccs(
+                &SimConfig::new(topo.clone()),
+                prob.layout.store_words(),
+                &[prob.root.as_words().to_vec()],
+                |_| CpProcessor::new(&prob, 0, SearchMode::Exhaustive),
+            );
+            let shape = topo.to_string();
+            assert_eq!(sim.total_items(), seq.nodes, "case {case} on {shape}");
+            assert_eq!(
+                sim.total_solutions(),
+                seq.solutions,
+                "case {case} on {shape}"
+            );
+        }
     }
 }
 

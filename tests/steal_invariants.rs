@@ -8,7 +8,7 @@
 use macs::prelude::*;
 use macs::runtime::RunReport;
 use macs::solver::CpProcessor;
-use macs_sim::simulate_macs;
+use macs_sim::{simulate_macs, simulate_paccs};
 
 fn check_histogram(label: &str, hist: &StealHistogram, steals: u64, topo: &MachineTopology) {
     assert_eq!(
@@ -86,6 +86,33 @@ fn paccs_histograms_obey_the_same_invariants() {
         &paccs_solve(&prob, &cfg).report,
         &cfg.topology,
     );
+}
+
+#[test]
+fn simulated_paccs_counts_on_node_steals_as_local() {
+    // The sweep asks the victim's node peers first: a steal from one is
+    // local, as in threaded PaCCS and both MaCS executions.
+    let prob = queens(9, QueensModel::Pairwise);
+    let root = prob.root.as_words().to_vec();
+    for shape in [&[4usize, 2, 2][..], &[2, 2, 2][..]] {
+        let topo = MachineTopology::try_new(shape, 1).unwrap();
+        let r = simulate_paccs(
+            &SimConfig::new(topo.clone()),
+            prob.layout.store_words(),
+            std::slice::from_ref(&root),
+            |_| CpProcessor::new(&prob, 0, SearchMode::Exhaustive),
+        );
+        let (ls, _, rs, _) = r.steal_totals();
+        let label = format!("sim paccs {shape:?}");
+        let hist = r.steal_distance_histogram();
+        check_histogram(&label, &hist, ls + rs, &topo);
+        let on_node: u64 = hist
+            .buckets()
+            .filter(|&(d, _)| d <= topo.local_distance_max())
+            .map(|(_, count)| count)
+            .sum();
+        assert_eq!(on_node, ls, "{label}: on-node steals are local");
+    }
 }
 
 /// A first-solution race drains: steal replies landing after the winner
