@@ -12,12 +12,14 @@
 //! reordered event anywhere diverges the trace hash.
 
 use macs_core::{CpProcessor, SearchMode};
+use macs_engine::seq::{solve_seq, SeqOptions};
 use macs_engine::CompiledProblem;
 use macs_problems::{qap::QapInstance, qap_model, queens, QueensModel};
-use macs_runtime::MachineTopology;
+use macs_runtime::{BoundPolicy, MachineTopology};
 use macs_sim::{
     simulate_macs, simulate_paccs, CostModel, FabricModel, SimConfig, SimMode, SimReport,
 };
+use macs_uts::{uts_sequential, TreeShape, UtsProcessor, SLOT_WORDS};
 
 const SCALES: [usize; 4] = [64, 512, 4_096, 32_768];
 
@@ -91,7 +93,7 @@ fn fabric_model_changes_the_schedule_not_the_answer() {
 }
 
 /// `(trace_hash, events, makespan_ns, total_items)` of a run.
-fn schedule(r: &SimReport<macs_core::CpOutput>) -> (u64, u64, u64, u64) {
+fn schedule<O>(r: &SimReport<O>) -> (u64, u64, u64, u64) {
     (r.trace_hash, r.events, r.makespan_ns, r.total_items())
 }
 
@@ -150,4 +152,88 @@ fn the_simulated_paccs_schedule_is_pinned() {
     );
     let bnb_pin = (2_607_738_719_590_841_962, 24_081, 3_450_530, 23_048);
     assert_eq!(schedule(&bnb), bnb_pin, "esc16e[8] branch and bound");
+}
+
+/// Simulated MaCS on `topo` under `costs` and `bounds`, one root, `mode`.
+fn macs_cell(
+    prob: &CompiledProblem,
+    topo: MachineTopology,
+    costs: CostModel,
+    bounds: BoundPolicy,
+    mode: SearchMode,
+) -> SimReport<macs_core::CpOutput> {
+    let mut cfg = SimConfig::new(topo).with_cost_model(costs);
+    cfg.bound_policy = bounds;
+    let roots = [prob.root.as_words().to_vec()];
+    simulate_macs(&cfg, prob.layout.store_words(), &roots, |_| {
+        CpProcessor::new(prob, 1, mode)
+    })
+}
+
+#[test]
+fn the_simulated_macs_schedule_is_pinned() {
+    // Literal values, recorded before the event queue gained its idle
+    // lanes: a change to the queue, or to how the MaCS worker is
+    // sequenced, must reproduce every event of the schedule.
+    let latency = FabricModel::Latency;
+    let contention = "contention".parse::<FabricModel>().unwrap();
+    let got: Vec<_> = [
+        (64, latency),
+        (64, contention),
+        (512, latency),
+        (512, contention),
+    ]
+    .into_iter()
+    .map(|(cores, fabric)| schedule(&run(SimMode::Macs, cores, fabric, 0x51D)))
+    .collect();
+    let want = [
+        (2_693_452_087_300_189_162, 5_010, 501_283, 2_574),
+        (9_628_621_980_420_127_726, 5_377, 521_434, 2_574),
+        (15_552_930_079_927_610_978, 34_230, 324_080, 2_574),
+        (10_720_458_294_028_675_654, 46_011, 431_114, 2_574),
+    ];
+    assert_eq!(
+        got, want,
+        "queens-9 at 64 and 512 cores, latency then contention"
+    );
+
+    let three_level = || MachineTopology::try_new(&[4, 4, 4], 1).unwrap();
+    let esc = qap_model(&QapInstance::esc16e().sub_instance(8));
+    let bnb = macs_cell(
+        &esc,
+        three_level(),
+        CostModel::default(),
+        BoundPolicy::Hierarchical,
+        SearchMode::Exhaustive,
+    );
+    let oracle = solve_seq(&esc, &SeqOptions::default());
+    assert_eq!(Some(bnb.incumbent), oracle.best_cost);
+    let bnb_pin = (15_715_996_091_282_479_124, 25_053, 1_160_346, 23_036);
+    assert_eq!(schedule(&bnb), bnb_pin, "esc16e[8], hierarchical bounds");
+
+    let race = macs_cell(
+        &queens(11, QueensModel::Pairwise),
+        MachineTopology::clustered(512, 4),
+        CostModel::paper_queens(),
+        BoundPolicy::Immediate,
+        SearchMode::FirstSolution,
+    );
+    assert!(race.first_solution_ns.is_some());
+    let race_pin = (2_566_333_153_031_257_054, 11_149, 61_052, 44);
+    assert_eq!(schedule(&race), race_pin, "queens-11 first solution");
+
+    let mut cfg = SimConfig::new(MachineTopology::clustered(512, 4));
+    cfg.costs = CostModel::woodcrest_ib(1_500);
+    let shape = TreeShape::Binomial {
+        root_children: 100,
+        m: 4,
+        q: 0.2375,
+    };
+    let uts = simulate_macs(&cfg, SLOT_WORDS, &[UtsProcessor::root_item(7)], |_| {
+        UtsProcessor::new(shape)
+    });
+    let nodes: u64 = uts.outputs.iter().map(|s| s.nodes).sum();
+    assert_eq!(nodes, uts_sequential(shape, 7).nodes);
+    let uts_pin = (1_242_874_723_668_227_455, 22_664, 198_950, 1_093);
+    assert_eq!(schedule(&uts), uts_pin, "UTS binomial tree at 512 cores");
 }
