@@ -17,9 +17,10 @@
 //! ```
 //!
 //! Every field is required (a model that silently falls back to a
-//! default for a missing latency would defeat calibration); unknown
-//! keys, duplicates, negative values and values above [`MAX_PRICE`] are
-//! typed [`CostModelError`]s.
+//! default for a missing latency would defeat calibration), except the
+//! keys added after model files were first written, which take their
+//! default when absent; unknown keys, duplicates, negative values and
+//! values above [`MAX_PRICE`] are typed [`CostModelError`]s.
 
 use std::fmt;
 use std::path::Path;
@@ -98,6 +99,11 @@ pub struct CostModel {
     /// scan. Flat — it does not grow per idle round as the threaded
     /// worker's spin does.
     pub idle_backoff_ns: u64,
+    /// Floor on an on-node PaCCS request or reply: it arrives
+    /// [`CostModel::local_msg_ns`] after it is sent, and the receiving
+    /// agent's progress check takes at least this long. Optional in a
+    /// model file (default 200).
+    pub local_msg_floor_ns: u64,
 }
 
 impl CostModel {
@@ -127,6 +133,7 @@ impl CostModel {
             ctrl_bytes: 64,
             header_bytes: 64,
             idle_backoff_ns: 500,
+            local_msg_floor_ns: 200,
         }
     }
 
@@ -156,6 +163,13 @@ impl CostModel {
             lat = lat.saturating_mul(self.level_hop_factor.max(1));
         }
         lat.min(MAX_PRICE)
+    }
+
+    /// Delivery time of an on-node PaCCS request or reply: the poll
+    /// latency, at least [`CostModel::local_msg_floor_ns`].
+    #[inline]
+    pub fn local_msg_ns(&self) -> u64 {
+        self.poll_ns.max(self.local_msg_floor_ns)
     }
 
     /// Lock + copy setup cost of a local steal spanning `d` intra-node
@@ -212,7 +226,8 @@ pub enum CostModelError {
         max: u64,
     },
     /// A required key never appeared (a model must be total: silently
-    /// defaulting a missing latency would defeat calibration).
+    /// defaulting a missing latency would defeat calibration; only the
+    /// few keys newer than the format's first files are optional).
     MissingField { key: &'static str },
     /// The file could not be read or written.
     Io { path: String, detail: String },
@@ -260,7 +275,7 @@ impl std::error::Error for CostModelError {}
 
 /// The numeric (plain `u64`) fields, in canonical emit order. `node` is
 /// handled separately (it is a pair).
-const NUMERIC_KEYS: [&str; 15] = [
+const NUMERIC_KEYS: [&str; 16] = [
     "pool_op_ns",
     "release_ns",
     "steal_local_ns",
@@ -276,7 +291,12 @@ const NUMERIC_KEYS: [&str; 15] = [
     "ctrl_bytes",
     "header_bytes",
     "idle_backoff_ns",
+    "local_msg_floor_ns",
 ];
+
+/// The numeric keys a model file may leave out: each was added after
+/// model files were first written, and keeps its default when absent.
+const OPTIONAL_KEYS: [&str; 1] = ["local_msg_floor_ns"];
 
 impl CostModel {
     fn numeric(&self, key: &str) -> u64 {
@@ -296,6 +316,7 @@ impl CostModel {
             "ctrl_bytes" => self.ctrl_bytes,
             "header_bytes" => self.header_bytes,
             "idle_backoff_ns" => self.idle_backoff_ns,
+            "local_msg_floor_ns" => self.local_msg_floor_ns,
             _ => unreachable!("numeric() called with unknown key {key}"),
         }
     }
@@ -317,6 +338,7 @@ impl CostModel {
             "ctrl_bytes" => self.ctrl_bytes = v,
             "header_bytes" => self.header_bytes = v,
             "idle_backoff_ns" => self.idle_backoff_ns = v,
+            "local_msg_floor_ns" => self.local_msg_floor_ns = v,
             _ => unreachable!("set_numeric() called with unknown key {key}"),
         }
     }
@@ -451,7 +473,7 @@ impl FromStr for CostModel {
             return Err(CostModelError::MissingField { key: "node" });
         }
         for key in NUMERIC_KEYS {
-            if !seen.contains(&key) {
+            if !seen.contains(&key) && !OPTIONAL_KEYS.contains(&key) {
                 return Err(CostModelError::MissingField { key });
             }
         }

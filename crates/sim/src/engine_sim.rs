@@ -8,15 +8,15 @@
 //! The simulator is built to run 64k–262k virtual workers in minutes, so
 //! every per-event and per-worker cost is bounded:
 //!
-//! * **Indexed 4-ary min-heap** (`EventHeap`): each worker has at most
+//! * **Two-tier event queue** (`EventQueue`): each worker has at most
 //!   one live event, keyed `(time, seq)` with a globally monotone
 //!   sequence id — a strict total order with unique keys, so same-time
 //!   events fire in schedule order, every same-seed run replays
 //!   bit-identically (the `prop_determinism` suite pins this via the
 //!   event-trace hash), and the pop sequence does not depend on the
-//!   queue's shape. The packed key sits in the heap array itself;
-//!   rescheduling re-keys the worker's slot in place, so no stale
-//!   entries accumulate.
+//!   queue's shape. Idle wakes, most events at scale, wait in sorted
+//!   FIFO lanes; every other event in an indexed 4-ary min-heap whose
+//!   packed keys sit in the heap array itself.
 //! * **Slot arena** (`SlotArena`): work items live in one flat `u64`
 //!   buffer of fixed `slot_words` slots; pools and steal responses move
 //!   `u32` slot ids, not boxed allocations.
@@ -31,9 +31,9 @@
 //!   would cost O(workers²) memory, tens of GB at 64k cores.
 //! * **Lazy processors**: a worker's real search kernel is only built on
 //!   the first node it actually expands; at 64k cores most workers never
-//!   touch the (small) tree during the run. (Teardown still builds a
-//!   transient one per untouched worker for its empty output — the known
-//!   remaining per-worker cost.)
+//!   touch the (small) tree. A worker without one reports
+//!   `P::Output::default()`, which equals what `finish` returns for an
+//!   untouched processor.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -118,43 +118,96 @@ impl SimConfig {
 }
 
 // ---------------------------------------------------------------------------
-// event heap
+// event queue
 // ---------------------------------------------------------------------------
 
 const ABSENT: u32 = u32::MAX;
 
-/// Indexed 4-ary min-heap with one slot per worker, keyed by
-/// `(due instant, monotone sequence id)` packed into one `u128` that
-/// lives *in* the heap array — a sift compares adjacent words, not
-/// `key[heap[i]]`. The sequence id is bumped on every schedule, so keys
-/// are unique and `(due, seq)` is a strict total order: the pop sequence
-/// is fixed by the keys alone, whatever the queue's arity or layout (why
-/// every trace hash survives a change of queue). Rescheduling a worker
-/// re-keys its slot in place (O(log₄ n)) — the event-superseding rule.
-struct EventHeap {
-    /// `due << 64 | seq` of each live event, in heap order.
+/// `lane_seq` of a worker with no live lane entry (sequence ids start
+/// at 1).
+const NO_SEQ: u64 = 0;
+
+/// The event queue: one live event per worker, keyed by `(due instant,
+/// monotone sequence id)` packed into one `u128`. The sequence id is
+/// bumped on every schedule, so keys are unique and `(due, seq)` is a
+/// strict total order: the pop sequence is fixed by the keys alone,
+/// whatever tier an event waits in (why every trace hash survives a
+/// change of queue). Rescheduling a worker supersedes its one pending
+/// event wherever it sits.
+///
+/// Two tiers hold the events:
+/// * an indexed **4-ary min-heap** with the key *in* the heap array (a
+///   sift compares adjacent words, not `key[heap[i]]`); a re-key moves
+///   the worker's slot in place (O(log₄ n));
+/// * **idle lanes**: FIFOs of idle wakes, one per offset between a
+///   wake's due instant and the instant of the pop that scheduled it.
+///   The pops' instants never decrease (every event is scheduled at or
+///   after the clock), so a lane receives its keys in increasing order
+///   and is sorted as it stands: its front is its minimum, and a wake
+///   costs a push and a pop instead of a heap insert and a sift down. A
+///   lane entry whose worker was re-keyed since is stale and is dropped
+///   when it reaches the front.
+///
+/// `pop` takes the smaller of the heap top and the lane fronts.
+struct EventQueue {
+    /// `due << 64 | seq` of each heap event, in heap order.
     keys: Vec<u128>,
-    /// `who[i]` = the worker whose event sits in slot `i`.
+    /// `who[i]` = the worker whose event sits in heap slot `i`.
     who: Vec<u32>,
-    /// `pos[w]` = slot of `w`'s live event, or [`ABSENT`].
+    /// `pos[w]` = heap slot of `w`'s live event, or [`ABSENT`].
     pos: Vec<u32>,
+    lanes: Vec<Lane>,
+    /// `fronts[l]` = key of lane `l`'s front entry, or `u128::MAX` while
+    /// it is empty: what `pop` compares, in one dense array.
+    fronts: Vec<u128>,
+    /// `lane_seq[w]` = sequence id of `w`'s live lane entry, or
+    /// [`NO_SEQ`]: an entry of `w` with any other id is stale.
+    lane_seq: Vec<u64>,
+    /// Due instant of the last pop; no event is scheduled before it.
+    clock: u64,
+    /// Events popped from the heap and from the lanes.
+    heap_pops: u64,
+    lane_pops: u64,
 }
 
-impl EventHeap {
+/// A FIFO of idle wakes scheduled `offset` after the pop that scheduled
+/// them (any offset while it is empty).
+struct Lane {
+    offset: u64,
+    /// `(due << 64 | seq, worker)`, in increasing key order.
+    wakes: VecDeque<(u128, u32)>,
+}
+
+impl EventQueue {
     const ARITY: usize = 4;
 
     fn new(n: usize) -> Self {
-        assert!(n < ABSENT as usize, "too many workers for the event heap");
-        EventHeap {
+        assert!(n < ABSENT as usize, "too many workers for the event queue");
+        EventQueue {
             keys: Vec::with_capacity(n),
             who: Vec::with_capacity(n),
             pos: vec![ABSENT; n],
+            lanes: Vec::new(),
+            fronts: Vec::new(),
+            lane_seq: vec![NO_SEQ; n],
+            clock: 0,
+            heap_pops: 0,
+            lane_pops: 0,
         }
     }
 
-    /// Insert or reschedule worker `w`'s (single) event.
+    /// The packed key of an event at `t` with sequence id `seq`.
+    fn key(&self, t: u64, seq: u64) -> u128 {
+        // The lanes' order rests on a clock that never goes back.
+        assert!(t >= self.clock, "an event before the clock");
+        debug_assert_ne!(seq, NO_SEQ);
+        (t as u128) << 64 | seq as u128
+    }
+
+    /// Insert or reschedule worker `w`'s (single) event in the heap.
     fn schedule(&mut self, w: usize, t: u64, seq: u64) {
-        let key = (t as u128) << 64 | seq as u128;
+        let key = self.key(t, seq);
+        self.lane_seq[w] = NO_SEQ;
         let i = match self.pos[w] {
             ABSENT => {
                 self.keys.push(key);
@@ -163,21 +216,95 @@ impl EventHeap {
             }
             i => i as usize,
         };
-        if i > 0 && key < self.keys[(i - 1) / Self::ARITY] {
-            self.sift_up(i, key, w as u32);
-        } else {
-            self.sift_down(i, key, w as u32);
+        self.settle(i, key, w as u32);
+    }
+
+    /// Schedule worker `w`'s idle wake at `t`, superseding its pending
+    /// event: at the back of the lane of its offset from the clock.
+    fn schedule_idle(&mut self, w: usize, t: u64, seq: u64) {
+        let key = self.key(t, seq);
+        if self.pos[w] != ABSENT {
+            self.remove(self.pos[w] as usize);
+        }
+        self.lane_seq[w] = seq;
+        let offset = t - self.clock;
+        let l = match self.lanes.iter().position(|l| l.offset == offset) {
+            Some(l) => l,
+            None => match self.lanes.iter().position(|l| l.wakes.is_empty()) {
+                Some(l) => l,
+                None => {
+                    self.lanes.push(Lane {
+                        offset,
+                        wakes: VecDeque::new(),
+                    });
+                    self.fronts.push(u128::MAX);
+                    self.lanes.len() - 1
+                }
+            },
+        };
+        let lane = &mut self.lanes[l];
+        lane.offset = offset;
+        debug_assert!(lane.wakes.back().is_none_or(|&(k, _)| k < key));
+        if lane.wakes.is_empty() {
+            self.fronts[l] = key;
+        }
+        lane.wakes.push_back((key, w as u32));
+    }
+
+    /// Take the earliest event: `(due instant, worker)`.
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        loop {
+            // The smallest front: the heap top's key, or a lane's.
+            let (mut key, mut lane) = (self.keys.first().copied(), None);
+            for (l, &k) in self.fronts.iter().enumerate() {
+                if k < key.unwrap_or(u128::MAX) {
+                    (key, lane) = (Some(k), Some(l));
+                }
+            }
+            let key = key?;
+            let w = match lane {
+                None => {
+                    let w = self.who[0];
+                    self.remove(0);
+                    self.heap_pops += 1;
+                    w
+                }
+                Some(l) => {
+                    let wakes = &mut self.lanes[l].wakes;
+                    let (_, w) = wakes.pop_front()?;
+                    self.fronts[l] = wakes.front().map_or(u128::MAX, |&(k, _)| k);
+                    if self.lane_seq[w as usize] != key as u64 {
+                        continue; // stale: its worker was re-keyed since
+                    }
+                    self.lane_seq[w as usize] = NO_SEQ;
+                    self.lane_pops += 1;
+                    w
+                }
+            };
+            self.clock = (key >> 64) as u64;
+            return Some((self.clock, w as usize));
         }
     }
 
-    fn pop(&mut self) -> Option<(u64, usize)> {
-        let (&top, &w) = (self.keys.first()?, self.who.first()?);
-        self.pos[w as usize] = ABSENT;
-        let (key, last) = (self.keys.pop()?, self.who.pop()?);
-        if !self.keys.is_empty() {
-            self.sift_down(0, key, last);
+    /// Take the event in heap slot `i` out of the heap.
+    fn remove(&mut self, i: usize) {
+        self.pos[self.who[i] as usize] = ABSENT;
+        // The last slot's event fills the hole.
+        self.keys.swap_remove(i);
+        self.who.swap_remove(i);
+        if i < self.keys.len() {
+            self.settle(i, self.keys[i], self.who[i]);
         }
-        Some(((top >> 64) as u64, w as usize))
+    }
+
+    /// Put `(key, w)` into heap slot `i`, sifting whichever way restores
+    /// the heap order.
+    fn settle(&mut self, i: usize, key: u128, w: u32) {
+        if i > 0 && key < self.keys[(i - 1) / Self::ARITY] {
+            self.sift_up(i, key, w);
+        } else {
+            self.sift_down(i, key, w);
+        }
     }
 
     /// Store `(key, w)` in slot `i`.
@@ -554,7 +681,7 @@ struct Sim<'c, P: Processor, F: FnMut(usize) -> P> {
     /// `probes[w]` = worker `w`'s pool and mailbox (see [`Probe`]).
     probes: Vec<Probe>,
     arena: SlotArena,
-    events: EventHeap,
+    events: EventQueue,
     /// Monotone event sequence — the deterministic tie-break.
     seq: u64,
     outstanding: i64,
@@ -576,7 +703,7 @@ struct Sim<'c, P: Processor, F: FnMut(usize) -> P> {
     abandoned: u64,
     completed: u64,
     end_time: Option<u64>,
-    /// Events dispatched (one per heap pop).
+    /// Events dispatched (one per queue pop).
     n_events: u64,
     /// FNV-1a fold of `(t, worker, phase tag)` per dispatched event — the
     /// bit-identical replay witness.
@@ -585,10 +712,17 @@ struct Sim<'c, P: Processor, F: FnMut(usize) -> P> {
 
 impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     fn schedule(&mut self, wi: usize, t: u64, state: WorkerState, phase: Phase) {
+        let seq = self.rekey(wi, state, phase);
+        self.events.schedule(wi, t, seq);
+    }
+
+    /// Set what `wi` does at its next event and the state its wait is
+    /// charged to; returns the event's sequence id.
+    fn rekey(&mut self, wi: usize, state: WorkerState, phase: Phase) -> u64 {
         self.workers[wi].charge_state = state;
         self.workers[wi].phase = phase;
         self.seq += 1;
-        self.events.schedule(wi, t, self.seq);
+        self.seq
     }
 
     /// Direct charge: `ns` of `state` at the worker's current instant.
@@ -766,10 +900,12 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
 
     /// Idle until `idle_backoff_ns` from now. The cadence is flat: every
     /// wake of a starving worker comes the same backoff after its steal
-    /// scan, whatever the idle round its phase records.
+    /// scan, whatever the idle round its phase records. The wake waits in
+    /// the queue's idle lanes, not in its heap.
     fn enter_idle(&mut self, wi: usize, now: u64, round: u32) {
         let backoff = self.cfg.costs.idle_backoff_ns.max(1);
-        self.schedule(wi, now + backoff, WorkerState::Idle, Phase::Idle { round });
+        let seq = self.rekey(wi, WorkerState::Idle, Phase::Idle { round });
+        self.events.schedule_idle(wi, now + backoff, seq);
     }
 
     // ----- message fabric ---------------------------------------------------
@@ -817,7 +953,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
 
     /// Step `wi`'s machine from `outcome` at `now`, performing every
     /// action that completes at once and charging it from the cost model,
-    /// until one waits on the event heap — a node, a local steal's lock
+    /// until one waits on the event queue — a node, a local steal's lock
     /// delay, a remote reply, a back-off — or the computation ends.
     fn drive(&mut self, wi: usize, mut now: u64, mut outcome: Outcome) {
         let cfg = self.cfg;
@@ -895,8 +1031,9 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     /// Send `wi`'s steal request to `victim` and wait for the reply. MaCS
     /// pays for the scan and posts into the victim's mailbox. PaCCS sends
     /// a two-sided message into the victim's queue — half the post price,
-    /// poll latency on node — and wakes a victim that itself waits on a
-    /// reply, as a threaded agent serves requests while it waits.
+    /// [`CostModel::local_msg_ns`] on node — and wakes a victim that
+    /// itself waits on a reply, as a threaded agent serves requests while
+    /// it waits.
     fn post_request(&mut self, wi: usize, victim: usize, mut now: u64) {
         let costs = &self.cfg.costs;
         if self.mode == SimMode::Macs {
@@ -908,7 +1045,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             let send_ns = costs.post_request_ns / 2;
             self.charge(wi, WorkerState::FindRemote, send_ns, &mut now);
             let arrival = if self.cfg.topology.is_local(wi, victim) {
-                now + costs.poll_ns.max(200)
+                now + costs.local_msg_ns()
             } else {
                 self.send_ctrl(wi, victim, now)
             };
@@ -1142,7 +1279,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             let t = if give == 0 {
                 self.workers[wi].stats.requests_refused += 1;
                 if local {
-                    *now + self.cfg.costs.poll_ns.max(200)
+                    *now + self.cfg.costs.local_msg_ns()
                 } else {
                     self.send_ctrl(wi, thief, *now)
                 }
@@ -1150,7 +1287,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                 self.workers[wi].stats.requests_served += 1;
                 self.workers[wi].stats.response_chunks += 1;
                 if local {
-                    *now + self.cfg.costs.poll_ns.max(200) + self.cfg.costs.transfer_ns(bytes)
+                    *now + self.cfg.costs.local_msg_ns() + self.cfg.costs.transfer_ns(bytes)
                 } else {
                     self.send_payload(wi, thief, bytes, *now)
                 }
@@ -1172,10 +1309,10 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         for wi in 0..self.workers.len() {
             self.schedule(wi, 0, WorkerState::Barrier, Phase::Boot);
         }
-        while let Some((t, wi)) = self.events.pop() {
-            if self.end_time.is_some() {
+        while self.end_time.is_none() {
+            let Some((t, wi)) = self.events.pop() else {
                 break;
-            }
+            };
             self.n_events += 1;
             let phase = self.workers[wi].phase;
             self.trace = fnv1a(fnv1a(fnv1a(self.trace, t), wi as u64), phase_tag(phase));
@@ -1271,6 +1408,7 @@ fn build_and_run<P, F>(
 ) -> SimReport<P::Output>
 where
     P: Processor,
+    P::Output: Default,
     F: FnMut(usize) -> P,
 {
     let n = cfg.topology.total_workers();
@@ -1333,7 +1471,7 @@ where
         workers,
         probes: (0..n).map(|_| Probe::default()).collect(),
         arena: SlotArena::new(words),
-        events: EventHeap::new(n),
+        events: EventQueue::new(n),
         seq: 0,
         outstanding: 0,
         fabric: Rc::clone(&fabric),
@@ -1359,17 +1497,13 @@ where
         (sim.nodes_after_win, sim.abandoned, sim.completed);
     let fabric_report = sim.net.report(sim.undelivered());
     let (events, trace_hash, peak_live_items) = (sim.n_events, sim.trace, sim.arena.peak);
-    let mut factory = sim.factory;
+    let (heap_pops, lane_pops) = (sim.events.heap_pops, sim.events.lane_pops);
+    // A worker that never expanded a node has no processor: its output
+    // is the default, what `finish` returns for an untouched one.
     let (stats, outputs): (Vec<_>, Vec<_>) = sim
         .workers
         .into_iter()
-        .enumerate()
-        .map(|(wi, w)| {
-            // Workers that never expanded a node get a transient
-            // processor just to produce their (empty) output.
-            let proc = w.proc.unwrap_or_else(|| factory(wi));
-            (w.stats, proc.finish())
-        })
+        .map(|w| (w.stats, w.proc.map_or_else(P::Output::default, P::finish)))
         .unzip();
     SimReport {
         makespan_ns,
@@ -1383,6 +1517,8 @@ where
         abandoned_items,
         completed_items,
         events,
+        heap_pops,
+        lane_pops,
         trace_hash,
         peak_live_items,
         fabric: fabric_report,
@@ -1399,6 +1535,7 @@ pub fn simulate_macs<P, F>(
 ) -> SimReport<P::Output>
 where
     P: Processor,
+    P::Output: Default,
     F: FnMut(usize) -> P,
 {
     build_and_run(cfg, SimMode::Macs, slot_words, roots, factory)
@@ -1413,6 +1550,7 @@ pub fn simulate_paccs<P, F>(
 ) -> SimReport<P::Output>
 where
     P: Processor,
+    P::Output: Default,
     F: FnMut(usize) -> P,
 {
     build_and_run(cfg, SimMode::Paccs, slot_words, roots, factory)
@@ -1469,7 +1607,7 @@ mod tests {
 
     #[test]
     fn event_heap_pops_in_key_order_with_reschedules() {
-        let mut h = EventHeap::new(8);
+        let mut h = EventQueue::new(8);
         // Same time, schedule order breaks the tie.
         for (seq, w) in [(1, 3usize), (2, 1), (3, 5)] {
             h.schedule(w, 100, seq);
@@ -1486,7 +1624,7 @@ mod tests {
 
     #[test]
     fn event_heap_reschedule_can_move_earlier() {
-        let mut h = EventHeap::new(4);
+        let mut h = EventQueue::new(4);
         h.schedule(0, 1_000, 1);
         h.schedule(1, 2_000, 2);
         h.schedule(1, 10, 3); // decrease-key
@@ -1495,16 +1633,31 @@ mod tests {
         assert_eq!(h.pop(), None);
     }
 
-    /// Every slot's worker points back at the slot, absent workers at
-    /// nothing, and no child is smaller than its parent.
-    fn assert_heap_consistent(h: &EventHeap) {
+    /// Heap: every slot's worker points back at the slot, absent workers
+    /// at nothing, and no child is smaller than its parent. Lanes: each is
+    /// sorted, and every worker with a live lane wake has exactly one
+    /// entry of its sequence id and no heap slot.
+    fn assert_heap_consistent(h: &EventQueue) {
         assert_eq!(h.keys.len(), h.who.len());
         for (i, &w) in h.who.iter().enumerate() {
             assert_eq!(h.pos[w as usize], i as u32, "slot {i} ↔ pos[{w}]");
-            assert!(i == 0 || h.keys[(i - 1) / EventHeap::ARITY] < h.keys[i]);
+            assert!(i == 0 || h.keys[(i - 1) / EventQueue::ARITY] < h.keys[i]);
         }
         let live = h.pos.iter().filter(|&&p| p != ABSENT).count();
         assert_eq!(live, h.who.len());
+        let mut entries = vec![0usize; h.pos.len()];
+        for lane in &h.lanes {
+            let keys = lane.wakes.iter().map(|&(k, _)| k);
+            assert!(keys.clone().zip(keys.skip(1)).all(|(a, b)| a < b));
+            for &(k, w) in &lane.wakes {
+                entries[w as usize] += usize::from(h.lane_seq[w as usize] == k as u64);
+            }
+        }
+        for (w, &seq) in h.lane_seq.iter().enumerate() {
+            let want = usize::from(seq != NO_SEQ);
+            assert_eq!(entries[w], want, "live lane entries of {w}");
+            assert!(seq == NO_SEQ || h.pos[w] == ABSENT, "{w} in both tiers");
+        }
     }
 
     #[test]
@@ -1513,42 +1666,61 @@ mod tests {
         // 1–6 and 17 cover every partial last family of a 4-ary heap.
         for n in [1usize, 2, 3, 4, 5, 6, 17, 4096] {
             let mut rng = SplitMix64::new(0xE7E27 ^ n as u64);
-            let mut h = EventHeap::new(n);
+            let mut h = EventQueue::new(n);
             let mut model: BTreeSet<(u64, u64, usize)> = BTreeSet::new();
-            let mut key_of: Vec<Option<(u64, u64)>> = vec![None; n];
-            let mut seq = 0u64;
+            // Each worker's live key, and whether it waits in a lane.
+            let mut key_of: Vec<Option<(u64, u64, bool)>> = vec![None; n];
+            let (mut seq, mut clock, mut superseded) = (0u64, 0u64, 0u64);
+            // Pops the model expects from the heap and from the lanes.
+            let mut tiers = (0u64, 0u64);
             for _ in 0..(40 * n).clamp(400, 20_000) {
-                if rng.below(3) == 0 {
+                let op = rng.below(6);
+                if op < 2 {
                     let want = model.pop_first().map(|(t, _, w)| (t, w));
-                    if let Some((_, w)) = want {
-                        key_of[w] = None;
+                    if let Some((t, w)) = want {
+                        let in_lane = key_of[w].take().is_some_and(|k| k.2);
+                        *if in_lane { &mut tiers.1 } else { &mut tiers.0 } += 1;
+                        clock = t;
                     }
                     assert_eq!(h.pop(), want, "n={n}");
                 } else {
-                    // A fresh worker, or a reschedule to an earlier, a
-                    // later or an equal time.
+                    // A fresh worker or a re-key, at or after the clock:
+                    // an idle wake a few fixed offsets out, or a heap
+                    // event earlier, later or at the same time (few
+                    // distinct instants: ties broken by `seq`).
                     let w = rng.below_usize(n);
+                    let idle = op < 4;
                     let t = match (key_of[w], rng.below(4)) {
-                        (Some((t, _)), 0) => t,
-                        (Some((t, _)), 1) => t.saturating_sub(rng.below(50)),
-                        (Some((t, _)), 2) => t + rng.below(50),
-                        // Few distinct instants: ties broken by `seq`.
-                        _ => rng.below(1 + n as u64 / 2) * 10,
+                        _ if idle => clock + [0, 10, 20, 500][rng.below_usize(4)],
+                        (Some((t, ..)), 0) => t,
+                        (Some((t, ..)), 1) => t.saturating_sub(rng.below(50)).max(clock),
+                        (Some((t, ..)), 2) => t + rng.below(50),
+                        _ => clock + rng.below(1 + n as u64 / 2) * 10,
                     };
                     seq += 1;
-                    if let Some((t0, s0)) = key_of[w].replace((t, seq)) {
+                    if let Some((t0, s0, in_lane)) = key_of[w].replace((t, seq, idle)) {
                         model.remove(&(t0, s0, w));
+                        superseded += u64::from(in_lane);
                     }
                     model.insert((t, seq, w));
-                    h.schedule(w, t, seq);
+                    if idle {
+                        h.schedule_idle(w, t, seq);
+                    } else {
+                        h.schedule(w, t, seq);
+                    }
                 }
                 assert_heap_consistent(&h);
             }
             while let Some((t, _, w)) = model.pop_first() {
+                let in_lane = key_of[w].take().is_some_and(|k| k.2);
+                *if in_lane { &mut tiers.1 } else { &mut tiers.0 } += 1;
                 assert_eq!(h.pop(), Some((t, w)), "n={n}");
                 assert_heap_consistent(&h);
             }
             assert_eq!(h.pop(), None);
+            assert!(superseded > 0, "n={n}: no lane wake was ever re-keyed");
+            assert!(tiers.0 > 0 && tiers.1 > 0, "n={n}: a tier went unused");
+            assert_eq!((h.heap_pops, h.lane_pops), tiers, "n={n}: pops by tier");
         }
     }
 

@@ -16,12 +16,13 @@
 //! not of scripted formulas, so the *shapes* of the paper's figures
 //! (speed-up, efficiency, Mnodes/s, overhead breakdowns, steal tables) can
 //! be reproduced at 512 virtual cores on a 2-core laptop — and
-//! extrapolated far past the paper's testbed: the event core (indexed
-//! min-heap keyed by `(time, monotone seq)`, arena-backed work items,
-//! lazy per-worker rings and processors) replays queens-14 at 65 536
-//! virtual cores in under a minute and reaches 262 144 cores in a few
-//! minutes of wall time. Same-seed runs are bit-identical at every
-//! scale: the heap key is a strict total order, and
+//! extrapolated far past the paper's testbed: the event core (an
+//! indexed min-heap plus FIFO lanes for idle wakes, both keyed by
+//! `(time, monotone seq)`, arena-backed work items, lazy per-worker
+//! rings and processors) replays queens-14 at 65 536 virtual cores in
+//! under a minute and reaches 262 144 cores in a few minutes of wall
+//! time. Same-seed runs are bit-identical at every scale: the queue key
+//! is a strict total order, and
 //! [`SimReport::digest`] folds every counter plus an event-trace hash
 //! so a single reordered event is detectable.
 //!

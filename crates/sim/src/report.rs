@@ -72,9 +72,14 @@ pub struct SimReport<O> {
     /// abandoned_items` — no unit is ever lost or double-counted, raced
     /// or not (the `prop_race` suite pins this).
     pub completed_items: u64,
-    /// Discrete events dispatched (one per event-heap pop) — the
+    /// Discrete events dispatched (one per event-queue pop) — the
     /// numerator of the events/sec throughput `perf_record` tracks.
     pub events: u64,
+    /// Dispatched events the queue took from its heap and from its idle
+    /// lanes: `heap_pops + lane_pops == events`. Host-side attribution,
+    /// not behaviour, so kept out of [`SimReport::digest`].
+    pub heap_pops: u64,
+    pub lane_pops: u64,
     /// FNV-1a fold of `(time, worker, phase)` over every dispatched
     /// event, in dispatch order. Two same-seed runs must produce the same
     /// hash bit for bit — the determinism witness `prop_determinism`

@@ -1,6 +1,6 @@
 //! Same-seed determinism, pinned bit for bit at every scale.
 //!
-//! The event heap's key is `(due time, monotone sequence id)` — a strict
+//! The event queue's key is `(due time, monotone sequence id)` — a strict
 //! total order with no tie-break hole (the old heap keyed
 //! `(t, seq, worker, epoch)`; the worker/epoch components were dead
 //! weight once the sequence id is globally unique, and any key that fell
@@ -9,7 +9,9 @@
 //! with the same seed and demand *identical* `SimReport`s — every
 //! counter, every state time, the event count and the event-trace hash —
 //! via [`SimReport::digest`], which folds all of them. A single
-//! reordered event anywhere diverges the trace hash.
+//! reordered event anywhere diverges the trace hash. Two more tests pin
+//! literal schedules of each protocol, so a change that reorders events
+//! the same way on both runs is caught too.
 
 use macs_core::{CpProcessor, SearchMode};
 use macs_engine::seq::{solve_seq, SeqOptions};
@@ -177,15 +179,16 @@ fn the_simulated_macs_schedule_is_pinned() {
     // sequenced, must reproduce every event of the schedule.
     let latency = FabricModel::Latency;
     let contention = "contention".parse::<FabricModel>().unwrap();
-    let got: Vec<_> = [
+    let runs: Vec<_> = [
         (64, latency),
         (64, contention),
         (512, latency),
         (512, contention),
     ]
     .into_iter()
-    .map(|(cores, fabric)| schedule(&run(SimMode::Macs, cores, fabric, 0x51D)))
+    .map(|(cores, fabric)| run(SimMode::Macs, cores, fabric, 0x51D))
     .collect();
+    let got: Vec<_> = runs.iter().map(schedule).collect();
     let want = [
         (2_693_452_087_300_189_162, 5_010, 501_283, 2_574),
         (9_628_621_980_420_127_726, 5_377, 521_434, 2_574),
@@ -196,6 +199,11 @@ fn the_simulated_macs_schedule_is_pinned() {
         got, want,
         "queens-9 at 64 and 512 cores, latency then contention"
     );
+    // Which tier of the event queue each event left, the heap or the
+    // lanes of idle wakes: attribution, not behaviour, so recorded with
+    // the lanes.
+    let tiers = (runs[2].heap_pops, runs[2].lane_pops);
+    assert_eq!(tiers, (3_455, 30_775), "queens-9 at 512 cores, latency");
 
     let three_level = || MachineTopology::try_new(&[4, 4, 4], 1).unwrap();
     let esc = qap_model(&QapInstance::esc16e().sub_instance(8));

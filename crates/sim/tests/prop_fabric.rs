@@ -41,6 +41,8 @@ fn storm(
 }
 
 fn assert_conservation<O>(r: &SimReport<O>, what: &str) {
+    // Every dispatched event left exactly one tier of the event queue.
+    assert_eq!(r.heap_pops + r.lane_pops, r.events, "{what}: event tiers");
     assert_eq!(
         r.fabric.injected,
         r.fabric.delivered + r.fabric.in_flight,

@@ -46,6 +46,8 @@ fn assert_invariants<O>(r: &SimReport<O>, roots: u64, what: &str) {
         "{what}: fabric message conservation"
     );
     assert!(r.events > 0, "{what}: no events dispatched?");
+    // Every dispatched event left exactly one tier of the event queue.
+    assert_eq!(r.heap_pops + r.lane_pops, r.events, "{what}: event tiers");
     assert!(r.peak_live_items > 0, "{what}: arena never held an item?");
 }
 

@@ -2,10 +2,12 @@
 //! scaling sanity, steal accounting, and the COP bound-dissemination
 //! effect — all on real CP search trees.
 
-use macs_core::{CpProcessor, SearchMode};
+use std::cell::Cell;
+
+use macs_core::{CpOutput, CpProcessor, SearchMode};
 use macs_engine::seq::{solve_seq, SeqOptions};
 use macs_problems::{qap::QapInstance, qap_model, queens, QueensModel};
-use macs_runtime::MachineTopology;
+use macs_runtime::{MachineTopology, Processor};
 use macs_sim::{simulate_macs, simulate_paccs, BoundPolicy, CostModel, SimConfig};
 
 fn queens_cfg(workers: usize, cores_per_node: usize) -> SimConfig {
@@ -286,4 +288,41 @@ fn deterministic_given_seed() {
     });
     assert_eq!(a.makespan_ns, b.makespan_ns);
     assert_eq!(a.steal_totals(), b.steal_totals());
+}
+
+#[test]
+fn teardown_builds_no_processor_for_an_untouched_worker() {
+    // A worker's processor is built on the first node it expands, and
+    // only then: every other worker reports the default output, which is
+    // what an untouched processor would have finished with.
+    let prob = queens(9, QueensModel::Pairwise);
+    let untouched = CpProcessor::new(&prob, 1, SearchMode::Exhaustive).finish();
+    let default = format!("{:?}", CpOutput::default());
+    assert_eq!(format!("{untouched:?}"), default);
+
+    let mut cfg = SimConfig::new(MachineTopology::clustered(512, 4));
+    cfg.costs = CostModel::paper_queens();
+    let calls = Cell::new(0usize);
+    let report = simulate_macs(
+        &cfg,
+        prob.layout.store_words(),
+        &[prob.root.as_words().to_vec()],
+        |_| {
+            calls.set(calls.get() + 1);
+            CpProcessor::new(&prob, 1, SearchMode::Exhaustive)
+        },
+    );
+    let busy = report.workers.iter().filter(|w| w.items > 0).count();
+    assert!(
+        0 < busy && busy < 512,
+        "{busy} of 512 workers expanded a node"
+    );
+    assert_eq!(calls.get(), busy, "one processor per busy worker");
+    for (w, out) in report.workers.iter().zip(&report.outputs) {
+        if w.items == 0 {
+            assert_eq!(format!("{out:?}"), default);
+        } else {
+            assert_eq!(out.nodes, w.items);
+        }
+    }
 }
