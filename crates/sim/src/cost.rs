@@ -17,10 +17,9 @@
 //! ```
 //!
 //! Every field is required (a model that silently falls back to a
-//! default for a missing latency would defeat calibration), except the
-//! keys added after model files were first written, which take their
-//! default when absent; unknown keys, duplicates, negative values and
-//! values above [`MAX_PRICE`] are typed [`CostModelError`]s.
+//! default for a missing latency would defeat calibration); unknown
+//! keys, duplicates, negative values and values above [`MAX_PRICE`] are
+//! typed [`CostModelError`]s.
 
 use std::fmt;
 use std::path::Path;
@@ -31,6 +30,12 @@ use std::str::FromStr;
 /// adds thousands of charges to its clock and scales a node's price by
 /// its jitter; below this ceiling none of that can wrap a `u64`.
 pub const MAX_PRICE: u64 = 1 << 40;
+
+/// Floor on the delivery time of an on-node PaCCS request or reply, and
+/// on the receiving agent's progress check: see
+/// [`CostModel::local_msg_ns`]. A constant, not a model key: no
+/// calibration measures it yet.
+pub const LOCAL_MSG_FLOOR_NS: u64 = 200;
 
 /// How the processing time of one node (propagate + split) is charged:
 /// a fixed mean of `ns` with ±`jitter_pct`% deterministic jitter, so the
@@ -99,11 +104,6 @@ pub struct CostModel {
     /// scan. Flat — it does not grow per idle round as the threaded
     /// worker's spin does.
     pub idle_backoff_ns: u64,
-    /// Floor on an on-node PaCCS request or reply: it arrives
-    /// [`CostModel::local_msg_ns`] after it is sent, and the receiving
-    /// agent's progress check takes at least this long. Optional in a
-    /// model file (default 200).
-    pub local_msg_floor_ns: u64,
 }
 
 impl CostModel {
@@ -133,7 +133,6 @@ impl CostModel {
             ctrl_bytes: 64,
             header_bytes: 64,
             idle_backoff_ns: 500,
-            local_msg_floor_ns: 200,
         }
     }
 
@@ -166,10 +165,10 @@ impl CostModel {
     }
 
     /// Delivery time of an on-node PaCCS request or reply: the poll
-    /// latency, at least [`CostModel::local_msg_floor_ns`].
+    /// latency, at least [`LOCAL_MSG_FLOOR_NS`].
     #[inline]
     pub fn local_msg_ns(&self) -> u64 {
-        self.poll_ns.max(self.local_msg_floor_ns)
+        self.poll_ns.max(LOCAL_MSG_FLOOR_NS)
     }
 
     /// Lock + copy setup cost of a local steal spanning `d` intra-node
@@ -226,8 +225,7 @@ pub enum CostModelError {
         max: u64,
     },
     /// A required key never appeared (a model must be total: silently
-    /// defaulting a missing latency would defeat calibration; only the
-    /// few keys newer than the format's first files are optional).
+    /// defaulting a missing latency would defeat calibration).
     MissingField { key: &'static str },
     /// The file could not be read or written.
     Io { path: String, detail: String },
@@ -275,7 +273,7 @@ impl std::error::Error for CostModelError {}
 
 /// The numeric (plain `u64`) fields, in canonical emit order. `node` is
 /// handled separately (it is a pair).
-const NUMERIC_KEYS: [&str; 16] = [
+const NUMERIC_KEYS: [&str; 15] = [
     "pool_op_ns",
     "release_ns",
     "steal_local_ns",
@@ -291,12 +289,7 @@ const NUMERIC_KEYS: [&str; 16] = [
     "ctrl_bytes",
     "header_bytes",
     "idle_backoff_ns",
-    "local_msg_floor_ns",
 ];
-
-/// The numeric keys a model file may leave out: each was added after
-/// model files were first written, and keeps its default when absent.
-const OPTIONAL_KEYS: [&str; 1] = ["local_msg_floor_ns"];
 
 impl CostModel {
     fn numeric(&self, key: &str) -> u64 {
@@ -316,7 +309,6 @@ impl CostModel {
             "ctrl_bytes" => self.ctrl_bytes,
             "header_bytes" => self.header_bytes,
             "idle_backoff_ns" => self.idle_backoff_ns,
-            "local_msg_floor_ns" => self.local_msg_floor_ns,
             _ => unreachable!("numeric() called with unknown key {key}"),
         }
     }
@@ -338,7 +330,6 @@ impl CostModel {
             "ctrl_bytes" => self.ctrl_bytes = v,
             "header_bytes" => self.header_bytes = v,
             "idle_backoff_ns" => self.idle_backoff_ns = v,
-            "local_msg_floor_ns" => self.local_msg_floor_ns = v,
             _ => unreachable!("set_numeric() called with unknown key {key}"),
         }
     }
@@ -473,7 +464,7 @@ impl FromStr for CostModel {
             return Err(CostModelError::MissingField { key: "node" });
         }
         for key in NUMERIC_KEYS {
-            if !seen.contains(&key) && !OPTIONAL_KEYS.contains(&key) {
+            if !seen.contains(&key) {
                 return Err(CostModelError::MissingField { key });
             }
         }

@@ -712,6 +712,11 @@ struct Sim<'c, P: Processor, F: FnMut(usize) -> P> {
 
 impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     fn schedule(&mut self, wi: usize, t: u64, state: WorkerState, phase: Phase) {
+        // Idle wakes wait in the lanes (`enter_idle`), never in the heap.
+        debug_assert!(
+            !matches!(phase, Phase::Idle { .. }),
+            "idle wake on the heap"
+        );
         let seq = self.rekey(wi, state, phase);
         self.events.schedule(wi, t, seq);
     }

@@ -10,8 +10,8 @@ use std::path::Path;
 use macs_core::{CpProcessor, SearchMode};
 use macs_problems::{queens, QueensModel};
 use macs_sim::{
-    simulate_macs, simulate_paccs, ContentionParams, CostModel, CostModelError, FabricModel,
-    NodeCost, SimConfig, MAX_PRICE,
+    simulate_macs, ContentionParams, CostModel, CostModelError, FabricModel, NodeCost, SimConfig,
+    MAX_PRICE,
 };
 use macs_topo::MachineTopology;
 
@@ -49,7 +49,6 @@ fn random_model(rng: &mut Rng) -> CostModel {
         ctrl_bytes: rng.next() % 4_096,
         header_bytes: rng.next() % 4_096,
         idle_backoff_ns: rng.next() % 100_000,
-        local_msg_floor_ns: rng.next() % 1_000,
     }
 }
 
@@ -161,44 +160,6 @@ fn rejections_are_typed() {
         CostModel::load(Path::new("/no/such/model.cost")),
         Err(CostModelError::Io { .. })
     ));
-}
-
-/// The on-node PaCCS message floor may be left out of a model file and
-/// takes its default; when given, it prices every on-node request and
-/// reply the simulated PaCCS agents exchange.
-#[test]
-fn the_on_node_floor_is_optional_and_priced() {
-    let without: String = CostModel::default()
-        .to_string()
-        .lines()
-        .filter(|l| !l.starts_with("local_msg_floor_ns"))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert_eq!(without.parse::<CostModel>(), Ok(CostModel::default()));
-    let slow_poll = CostModel {
-        poll_ns: 300,
-        ..CostModel::default()
-    };
-    assert_eq!(slow_poll.local_msg_ns(), 300, "a poll above the floor wins");
-
-    let prob = queens(8, QueensModel::Pairwise);
-    let run = |costs: CostModel| {
-        let topo = MachineTopology::try_new(&[4, 2, 2], 1).unwrap();
-        let cfg = SimConfig::new(topo).with_cost_model(costs);
-        simulate_paccs(
-            &cfg,
-            prob.layout.store_words(),
-            &[prob.root.as_words().to_vec()],
-            |_| CpProcessor::new(&prob, 1, SearchMode::Exhaustive),
-        )
-    };
-    let base = run(CostModel::default());
-    let slow = run(CostModel {
-        local_msg_floor_ns: 20_000,
-        ..CostModel::default()
-    });
-    assert_eq!(base.total_solutions(), slow.total_solutions());
-    assert!(slow.makespan_ns > base.makespan_ns);
 }
 
 #[test]

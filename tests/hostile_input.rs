@@ -136,44 +136,6 @@ fn cost_model_mutants_are_rejected_or_valid() {
     );
 }
 
-/// The on-node message floor is the one optional key: a model file
-/// written before it existed (the calibrated host model) loads its
-/// default, and a bad value for it is as typed as for any other key.
-#[test]
-fn the_optional_on_node_floor_is_typed() {
-    let calibrated = include_str!("../crates/bench/data/calibrated_host.cost");
-    assert!(!calibrated.contains("local_msg_floor_ns"));
-    let model: CostModel = calibrated.parse().unwrap();
-    assert_eq!(model.local_msg_floor_ns, 200);
-    assert_eq!(
-        model.local_msg_ns(),
-        200,
-        "poll_ns 1 is raised to the floor"
-    );
-    let with = |line: &str| format!("{calibrated}{line}\n").parse::<CostModel>();
-    assert_eq!(with("local_msg_floor_ns = 3").unwrap().local_msg_ns(), 3);
-    // Each bad value is rejected on its own line, naming the key.
-    let line = calibrated.lines().count() + 1;
-    let bad = [
-        "-1".to_string(),
-        "soon".to_string(),
-        "1e3".to_string(),
-        (MAX_PRICE + 1).to_string(),
-        "1\nlocal_msg_floor_ns = 2".to_string(),
-    ];
-    for value in bad {
-        let err = with(&format!("local_msg_floor_ns = {value}")).unwrap_err();
-        let at = match &err {
-            CostModelError::NegativeValue { line, key, .. }
-            | CostModelError::BadValue { line, key, .. }
-            | CostModelError::AboveCeiling { line, key, .. } => (*line, key.as_str()),
-            CostModelError::DuplicateKey { line, key } => (*line - 1, key.as_str()),
-            _ => panic!("{value}: {err:?}"),
-        };
-        assert_eq!(at, (line, "local_msg_floor_ns"), "{value}: {err:?}");
-    }
-}
-
 /// One past the ceiling, on any key of either base file, is a typed
 /// error naming that key; the ceiling itself parses.
 #[test]
