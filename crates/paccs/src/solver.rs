@@ -17,8 +17,8 @@ use macs_runtime::{
     WorkSink, WorkerState, WorkerStats,
 };
 use macs_search::{
-    Action, BoundPolicy, BroadcastTree, Outcome, RefreshGate, SearchMode, StealPolicy, WorkBatch,
-    WorkItem, WorkerMachine, WorkerView,
+    Action, BoundPolicy, BroadcastTree, Outcome, RefreshGate, ScanView, SearchMode, StealPolicy,
+    WorkBatch, WorkItem, WorkerMachine, WorkerView,
 };
 
 /// Sleep between failed steal sweeps.
@@ -443,19 +443,22 @@ impl<'s, 'p, P: Processor> Agent<'s, 'p, P> {
     }
 }
 
-/// What the machine observes of an agent: the winner flag, whose first
-/// observation settles the race account. An agent scans no peer.
-impl<P: Processor> WorkerView for Agent<'_, '_, P> {
-    fn own_lens(&mut self) -> (u64, u64) {
-        (0, self.stack.len() as u64)
-    }
-
+/// An agent scans no peer: it sweeps requests instead.
+impl<P: Processor> ScanView for Agent<'_, '_, P> {
     fn shared_len(&mut self, _: usize) -> u64 {
         unreachable!("a PaCCS agent scans no peer")
     }
 
     fn probe_remote(&mut self, _: usize) -> Option<u64> {
         unreachable!("a PaCCS agent scans no peer")
+    }
+}
+
+/// What the machine observes of an agent: the winner flag, whose first
+/// observation settles the race account.
+impl<P: Processor> WorkerView for Agent<'_, '_, P> {
+    fn own_lens(&mut self) -> (u64, u64) {
+        (0, self.stack.len() as u64)
     }
 
     fn won(&mut self) -> bool {

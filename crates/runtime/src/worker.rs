@@ -10,7 +10,7 @@ use std::time::Instant;
 use macs_gpi::World;
 use macs_pool::{SplitPool, RESP_FAIL, RESP_PENDING};
 use macs_search::steal::{backoff_factor, PoolView, UNLEASED};
-use macs_search::{Action, AdaptiveBatch, Outcome, WorkerMachine, WorkerView};
+use macs_search::{Action, AdaptiveBatch, Outcome, ScanView, WorkerMachine, WorkerView};
 
 use crate::config::RuntimeConfig;
 use crate::processor::{ProcCtx, Processor, Step, WorkSink};
@@ -539,16 +539,10 @@ impl<'a, P: Processor> Worker<'a, P> {
     }
 }
 
-/// What the machine observes: the own pool (overflow spill drained back
-/// first, so R1 sees everything it may release), the peers' pools —
-/// one-sided through the fabric for remote ones — the winner gate and the
-/// lease register. A scan switches the clock to the state it runs in.
-impl<P: Processor> WorkerView for Worker<'_, P> {
-    fn own_lens(&mut self) -> (u64, u64) {
-        drain_overflow(self.my_pool, &mut self.overflow);
-        self.my_pool.lens()
-    }
-
+/// What a scan reads: the peers' pools — one-sided through the fabric for
+/// remote ones — and no census (every node may hold work). A scan
+/// switches the clock to the state it runs in.
+impl<P: Processor> ScanView for Worker<'_, P> {
     fn shared_len(&mut self, w: usize) -> u64 {
         self.stats.clock.set(WorkerState::Searching);
         self.pools[w].shared_len()
@@ -558,6 +552,16 @@ impl<P: Processor> WorkerView for Worker<'_, P> {
         self.stats.clock.set(WorkerState::SearchingRemote);
         let meta = self.pools[w].meta_remote(&self.world.interconnect);
         (meta.req == 0).then(|| meta.shared_len())
+    }
+}
+
+/// What the machine observes: the own pool (overflow spill drained back
+/// first, so R1 sees everything it may release), the scans' reads, the
+/// winner gate and the lease register.
+impl<P: Processor> WorkerView for Worker<'_, P> {
+    fn own_lens(&mut self) -> (u64, u64) {
+        drain_overflow(self.my_pool, &mut self.overflow);
+        self.my_pool.lens()
     }
 
     fn won(&mut self) -> bool {

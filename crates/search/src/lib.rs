@@ -90,4 +90,4 @@ pub use kernel::{KernelTimers, SearchKernel, SolutionReport, StepOutcome, SAMPLE
 pub use machine::{Action, Outcome, Scan, WorkerMachine, WorkerView};
 pub use mode::{RaceRing, SearchMode};
 pub use rng::SplitMix64;
-pub use steal::{PollPolicy, PoolView, ReleasePolicy, Reply, StealPolicy, VictimSelect};
+pub use steal::{PollPolicy, PoolView, ReleasePolicy, Reply, ScanView, StealPolicy, VictimSelect};

@@ -19,7 +19,7 @@
 use macs_topo::{MachineTopology, VictimOrder};
 
 use crate::rng::SplitMix64;
-use crate::steal::{PollPolicy, StealPolicy, UNLEASED};
+use crate::steal::{PollPolicy, ScanView, StealPolicy, UNLEASED};
 
 /// The idle round saturates here (the simulator's event trace records it;
 /// the threaded back-off yields from round 8 on).
@@ -88,15 +88,12 @@ impl Outcome {
     };
 }
 
-/// What a worker observes.
-pub trait WorkerView {
+/// What a worker observes: what its victim scans read of the others
+/// ([`ScanView`]: pools, mailboxes, and which nodes are dry), and its own
+/// state.
+pub trait WorkerView: ScanView {
     /// The own pool's `(private, shared)` lengths (R1).
     fn own_lens(&mut self) -> (u64, u64);
-    /// Visible shared items of co-located worker `w` (R4).
-    fn shared_len(&mut self, w: usize) -> u64;
-    /// Remote worker `w`'s shared length, `None` while its mailbox is busy
-    /// (R5).
-    fn probe_remote(&mut self, w: usize) -> Option<u64>;
     /// Has the winner flag of a first-solution race reached this worker?
     fn won(&mut self) -> bool;
     /// The lease width, [`UNLEASED`] if none (R2; a worker at or above it
@@ -286,24 +283,12 @@ impl<'a> WorkerMachine<'a> {
         }
         let lease = view.lease();
         let (policy, topo, order, rng) = (&self.policy, self.topo, &self.order, &mut self.rng);
-        let (victim, local) = policy.pick_local(
-            topo,
-            order,
-            lease,
-            |n| rng.below_usize(n),
-            |w| view.shared_len(w),
-        );
+        let (victim, local) = policy.pick_local(topo, order, lease, |n| rng.below_usize(n), view);
         if let Some(victim) = victim {
             self.scan = Scan { local, remote: 0 };
             return Action::StealLocal(victim);
         }
-        let (victim, remote) = policy.pick_remote(
-            topo,
-            order,
-            lease,
-            |n| rng.below_usize(n),
-            |w| view.probe_remote(w),
-        );
+        let (victim, remote) = policy.pick_remote(topo, order, lease, |n| rng.below_usize(n), view);
         let scan = Scan { local, remote };
         match victim {
             Some(victim) => {
@@ -368,10 +353,7 @@ mod tests {
         }
     }
 
-    impl WorkerView for Fake {
-        fn own_lens(&mut self) -> (u64, u64) {
-            (self.private[self.me], self.shared[self.me])
-        }
+    impl ScanView for Fake {
         fn shared_len(&mut self, w: usize) -> u64 {
             self.reads.push(w);
             self.shared[w]
@@ -379,6 +361,12 @@ mod tests {
         fn probe_remote(&mut self, w: usize) -> Option<u64> {
             self.reads.push(w);
             (!self.busy[w]).then_some(self.shared[w])
+        }
+    }
+
+    impl WorkerView for Fake {
+        fn own_lens(&mut self) -> (u64, u64) {
+            (self.private[self.me], self.shared[self.me])
         }
         fn won(&mut self) -> bool {
             self.won

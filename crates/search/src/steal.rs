@@ -246,6 +246,25 @@ pub trait PoolView {
     fn take(&mut self, w: usize, k: u64) -> u64;
 }
 
+/// What a victim scan reads of the other workers (R4, R5): every
+/// [`WorkerView`](crate::machine::WorkerView) is one, and so is a plain
+/// table in the rules' unit tests.
+pub trait ScanView {
+    /// Visible shared items of co-located worker `w` (R4).
+    fn shared_len(&mut self, w: usize) -> u64;
+    /// Remote worker `w`'s shared length, `None` while its mailbox is busy
+    /// (R5).
+    fn probe_remote(&mut self, w: usize) -> Option<u64>;
+    /// `true` only if no pool on node `n` has viable surplus under the
+    /// scan's lease: the scans then skip the node without reading a pool
+    /// of it. `false` means "unknown" — an execution without a census
+    /// reads every pool, as before.
+    fn node_dry(&mut self, n: usize) -> bool {
+        let _ = n;
+        false
+    }
+}
+
 /// What [`StealPolicy::assemble_reply`] put together.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Reply {
@@ -323,21 +342,39 @@ impl StealPolicy {
     /// once per ring visited) to avoid convoys; max-steal reads a whole
     /// ring and takes the largest surplus, affinity breaking ties, and
     /// draws nothing. Returns `(victim, inspected)`.
+    ///
+    /// A thief whose own node is dry ([`ScanView::node_dry`]) reads no
+    /// pool: it finds what the walk would have found — nothing — after the
+    /// same count of candidates and the same draws, so the scan's charge
+    /// and the random stream do not depend on whether the view keeps a
+    /// census.
     #[inline]
     pub fn pick_local(
         &self,
         topo: &MachineTopology,
         order: &VictimOrder,
         lease: u64,
-        rot_for: impl FnMut(usize) -> usize,
-        mut shared_len: impl FnMut(usize) -> u64,
+        mut rot_for: impl FnMut(usize) -> usize,
+        view: &mut impl ScanView,
     ) -> (Option<usize>, u64) {
         let (scan, me) = (self.scan_order, order.me());
         let rings = (0..).map_while(|ri| scan.local_ring(topo, me, ri));
-        let viable = |w| surplus(shared_len(w), w, lease);
-        match self.victim_select {
-            VictimSelect::Greedy => order.pick_first(rings, rot_for, viable),
-            VictimSelect::MaxSteal => order.pick_max(rings, viable),
+        let greedy = self.victim_select == VictimSelect::Greedy;
+        if view.node_dry(topo.node_of(me)) {
+            let mut inspected = 0;
+            for ring in rings {
+                if greedy {
+                    rot_for(ring.len().max(1));
+                }
+                inspected += ring.len() as u64;
+            }
+            return (None, inspected);
+        }
+        let viable = |w| surplus(view.shared_len(w), w, lease);
+        if greedy {
+            order.pick_first(rings, rot_for, viable)
+        } else {
+            order.pick_max(rings, viable)
         }
     }
 
@@ -348,9 +385,10 @@ impl StealPolicy {
     /// is probed before a cross-cluster one; within a ring the node that
     /// last yielded work (affinity) is probed first, then
     /// [`REMOTE_NODE_ATTEMPTS`] distinct candidates from a random start
-    /// (`rot_for`, drawn once per non-empty ring). `probe(w)` reads one
-    /// pool: its shared length, or `None` when its mailbox is busy.
-    /// Returns `(victim, probes)` — `probes` counts nodes scanned.
+    /// (`rot_for`, drawn once per non-empty ring). A node the view knows
+    /// is dry ([`ScanView::node_dry`]) counts as probed and yields
+    /// nothing, as reading its pools would have. Returns
+    /// `(victim, probes)` — `probes` counts nodes scanned.
     #[inline]
     pub fn pick_remote(
         &self,
@@ -358,14 +396,19 @@ impl StealPolicy {
         order: &VictimOrder,
         lease: u64,
         rot_for: impl FnMut(usize) -> usize,
-        mut probe: impl FnMut(usize) -> Option<u64>,
+        view: &mut impl ScanView,
     ) -> (Option<usize>, u64) {
         let (scan, me) = (self.scan_order, order.me());
         let rings = (0..).map_while(|ri| scan.node_ring(topo, me, ri));
         order.pick_node(topo, rings, REMOTE_NODE_ATTEMPTS, rot_for, |node| {
+            if view.node_dry(node) {
+                return None;
+            }
             let mut best: Option<(u64, usize)> = None;
             for w in topo.workers_on(node) {
-                let s = probe(w).map_or(0, |shared| surplus(shared, w, lease));
+                let s = view
+                    .probe_remote(w)
+                    .map_or(0, |shared| surplus(shared, w, lease));
                 if s > best.map_or(0, |(b, _)| b) {
                     best = Some((s, w));
                 }
@@ -491,6 +534,7 @@ impl StealPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     /// A node's pools as a plain table: `shared[w]` visible items each;
     /// `takes` logs every `(pool, asked, got)`.
@@ -517,6 +561,49 @@ mod tests {
             self.shared[w] -= got;
             self.takes.push((w, k, got));
             got
+        }
+    }
+
+    /// What the scans read, as plain tables: `shared[w]` visible items,
+    /// `busy[w]` a busy mailbox. With a census (`census = Some(lease)`)
+    /// `node_dry` answers truthfully under that lease, else never; `reads`
+    /// logs every pool read.
+    struct Table<'t> {
+        topo: &'t MachineTopology,
+        shared: Vec<u64>,
+        busy: Vec<bool>,
+        census: Option<u64>,
+        reads: Vec<usize>,
+    }
+
+    impl<'t> Table<'t> {
+        fn new(topo: &'t MachineTopology, shared: &[u64]) -> Self {
+            Table {
+                topo,
+                shared: shared.to_vec(),
+                busy: vec![false; shared.len()],
+                census: None,
+                reads: Vec::new(),
+            }
+        }
+
+        fn dry(&self, n: usize, lease: u64) -> bool {
+            let mut on = self.topo.workers_on(n);
+            on.all(|w| surplus(self.shared[w], w, lease) == 0)
+        }
+    }
+
+    impl ScanView for Table<'_> {
+        fn shared_len(&mut self, w: usize) -> u64 {
+            self.reads.push(w);
+            self.shared[w]
+        }
+        fn probe_remote(&mut self, w: usize) -> Option<u64> {
+            self.reads.push(w);
+            (!self.busy[w]).then_some(self.shared[w])
+        }
+        fn node_dry(&mut self, n: usize) -> bool {
+            self.census.is_some_and(|lease| self.dry(n, lease))
         }
     }
 
@@ -724,10 +811,10 @@ mod tests {
         assert_eq!(grant(9, 16, 1), 5);
         // The scans agree: a lone item is viable surplus only when parked.
         let order = VictimOrder::new(&t, 0);
-        let lone = |w: usize| (w == 1) as u64;
+        let lone = &mut Table::new(&t, &[0, 1, 0, 0, 0, 0, 0, 0]);
         assert_eq!(policy.pick_local(&t, &order, 2, |_| 0, lone).0, None);
         assert_eq!(policy.pick_local(&t, &order, 1, |_| 0, lone).0, Some(1));
-        let lone_far = |w: usize| Some((w == 5) as u64);
+        let lone_far = &mut Table::new(&t, &[0, 0, 0, 0, 0, 1, 0, 0]);
         assert_eq!(policy.pick_remote(&t, &order, 8, |_| 0, lone_far).0, None);
         assert_eq!(
             policy.pick_remote(&t, &order, 5, |_| 0, lone_far).0,
@@ -827,25 +914,26 @@ mod tests {
         let policy = StealPolicy::default(); // 2 attempts per ring
         let shared = [0u64, 0, 3, 7, 9, 9, 2, 2];
         // Rotation 0 probes nodes 1 then 2: node 1 already has surplus.
-        let all_free = |w: usize| Some(shared[w]);
+        let all_free = &mut Table::new(&t, &shared);
         assert_eq!(
             policy.pick_remote(&t, &order, UNLEASED, |_| 0, all_free),
             (Some(3), 1)
         );
         // Worker 3's mailbox is busy: its node-mate is the pick.
-        let busy3 = |w: usize| (w != 3).then(|| shared[w]);
+        let busy3 = &mut Table::new(&t, &shared);
+        busy3.busy[3] = true;
         assert_eq!(
             policy.pick_remote(&t, &order, UNLEASED, |_| 0, busy3),
             (Some(2), 1)
         );
         // A dry first node costs a probe; the second attempt finds work.
-        let dry1 = |w: usize| Some(if w < 4 { 0 } else { shared[w] });
+        let dry1 = &mut Table::new(&t, &[0, 0, 0, 0, 9, 9, 2, 2]);
         assert_eq!(
             policy.pick_remote(&t, &order, UNLEASED, |_| 0, dry1),
             (Some(4), 2)
         );
         // Two attempts only: nodes 1 and 2 dry, node 3 is never reached.
-        let only3 = |w: usize| Some(if w < 6 { 0 } else { shared[w] });
+        let only3 = &mut Table::new(&t, &[0, 0, 0, 0, 0, 0, 2, 2]);
         assert_eq!(
             policy.pick_remote(&t, &order, UNLEASED, |_| 0, only3),
             (None, 2)
@@ -866,9 +954,100 @@ mod tests {
                 draws += 1;
                 0
             },
-            all_free,
+            &mut Table::new(&flat, &shared[..4]),
         );
         assert_eq!((pick, draws), ((None, 0), 0));
+    }
+
+    #[test]
+    fn a_truthful_census_changes_no_pick_no_count_and_no_draw() {
+        let shapes = [
+            MachineTopology::try_new(&[2, 2, 2], 1).unwrap(),
+            MachineTopology::try_new(&[2, 2, 2, 2], 2).unwrap(),
+            MachineTopology::try_new(&[4, 2], 1).unwrap(),
+            MachineTopology::clustered(64, 4),
+        ];
+        let mut gen = SplitMix64::new(0xD12F);
+        let (mut skipped, mut read) = (0, 0);
+        for t in &shapes {
+            let n = t.total_workers();
+            for (scan_order, victim_select) in [
+                (ScanOrder::DistanceAware, VictimSelect::Greedy),
+                (ScanOrder::DistanceAware, VictimSelect::MaxSteal),
+                (ScanOrder::Flat, VictimSelect::Greedy),
+                (ScanOrder::Flat, VictimSelect::MaxSteal),
+            ] {
+                let policy = StealPolicy {
+                    scan_order,
+                    victim_select,
+                    ..StealPolicy::default()
+                };
+                for table in 0..12 {
+                    // Seeded surplus tables: all zero, one viable pool,
+                    // lone (retained) items only, then sparse ones.
+                    let mut shared = vec![0u64; n];
+                    match table {
+                        0 => {}
+                        1 => shared[gen.below_usize(n)] = 2 + gen.below(6),
+                        2 => shared.iter_mut().for_each(|s| *s = gen.below(2)),
+                        _ => {
+                            for s in &mut shared {
+                                if gen.below(4) == 0 {
+                                    *s = gen.below(8);
+                                }
+                            }
+                        }
+                    }
+                    let busy: Vec<bool> = (0..n).map(|_| gen.below(3) == 0).collect();
+                    for lease in [UNLEASED, n as u64 / 2] {
+                        for me in 0..n {
+                            let mut order = VictimOrder::new(t, me);
+                            for _ in 0..gen.below(3) {
+                                order.record_success(t, gen.below_usize(n));
+                            }
+                            let seed = gen.next_u64();
+                            let scan = |census: bool| {
+                                let mut view = Table::new(t, &shared);
+                                view.busy.clone_from(&busy);
+                                view.census = census.then_some(lease);
+                                let mut rng = SplitMix64::new(seed);
+                                let local = policy.pick_local(
+                                    t,
+                                    &order,
+                                    lease,
+                                    |k| rng.below_usize(k),
+                                    &mut view,
+                                );
+                                let remote = policy.pick_remote(
+                                    t,
+                                    &order,
+                                    lease,
+                                    |k| rng.below_usize(k),
+                                    &mut view,
+                                );
+                                (local, remote, rng.next_u64(), view)
+                            };
+                            let (blind, told) = (scan(false), scan(true));
+                            let what =
+                                format!("{:?} {policy:?} lease {lease} thief {me}", t.shape());
+                            assert_eq!(told.0, blind.0, "{what}: local (victim, inspected)");
+                            assert_eq!(told.1, blind.1, "{what}: remote (victim, probes)");
+                            assert_eq!(told.2, blind.2, "{what}: the random stream");
+                            let view = told.3;
+                            for &w in &view.reads {
+                                assert!(!view.dry(t.node_of(w), lease), "{what}: read {w}");
+                            }
+                            skipped += blind.3.reads.len() - view.reads.len();
+                            read += view.reads.len();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            skipped > read,
+            "dry nodes dominate sparse tables: {skipped} vs {read}"
+        );
     }
 
     #[test]

@@ -20,11 +20,13 @@
 //! * **Slot arena** (`SlotArena`): work items live in one flat `u64`
 //!   buffer of fixed `slot_words` slots; pools and steal responses move
 //!   `u32` slot ids, not boxed allocations.
-//! * **One line per probe** (`Probe`): what other workers read of a
-//!   worker — its pool and MaCS mailbox — is a dense array of
-//!   line-aligned records beside the (1 KB) per-worker state, so a
-//!   failed steal round, nine events in ten at scale, reads the node's
-//!   four adjacent lines and two remote nodes' four each.
+//! * **One line per probe** (`Probe`, in `probes.rs`): what other
+//!   workers read of a worker — its pool and MaCS mailbox — is a dense
+//!   array of line-aligned records beside the (1 KB) per-worker state,
+//!   and a per-node census counts the pools with viable surplus. A
+//!   failed steal round, nine events in ten at scale, reads a node's
+//!   adjacent lines only when its census is non-zero: a dry node is
+//!   passed unread, with the same charge and the same random draws.
 //! * **Lazy rings**: victim rings are O(1) range views computed from the
 //!   topology's mixed-radix arithmetic ([`MachineTopology::peers_at`],
 //!   [`MachineTopology::node_ring_at`]) — materialising them per worker
@@ -42,14 +44,15 @@ use macs_runtime::{
     BoundPolicy, MachineTopology, PhaseTimers, ProcCtx, Processor, ScanOrder, Step, WorkSink,
     WorkerState,
 };
-use macs_search::steal::{PoolView, UNLEASED};
+use macs_search::steal::UNLEASED;
 use macs_search::{
-    Action, AdaptiveBatch, Outcome, StealPolicy, WorkBatch, WorkerMachine, WorkerView,
+    Action, AdaptiveBatch, Outcome, ScanView, StealPolicy, WorkBatch, WorkerMachine, WorkerView,
 };
 
 use crate::cost::{CostModel, NodeCost};
 use crate::fabric::{FabricModel, NetFabric};
 use crate::incumbent::{BoundFabric, SimIncumbent};
+use crate::probes::{Probes, ReplyPools};
 use crate::report::{SimReport, SimWorkerStats};
 
 /// Which balancer protocol to simulate.
@@ -417,97 +420,8 @@ impl SlotArena {
 }
 
 // ---------------------------------------------------------------------------
-// virtual pool
-// ---------------------------------------------------------------------------
-
-/// A worker pool in simulator form: a deque of arena slot ids (front =
-/// tail = oldest) plus the split index; the first `split` items are
-/// shared/stealable.
-#[derive(Debug, Default)]
-struct VPool {
-    ids: VecDeque<u32>,
-    split: usize,
-}
-
-impl VPool {
-    fn push(&mut self, id: u32) {
-        self.ids.push_back(id);
-    }
-
-    fn pop_private(&mut self) -> Option<u32> {
-        if self.ids.len() > self.split {
-            self.ids.pop_back()
-        } else {
-            None
-        }
-    }
-
-    fn private(&self) -> usize {
-        self.ids.len() - self.split
-    }
-
-    fn shared(&self) -> usize {
-        self.split
-    }
-
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn release(&mut self, k: usize) -> usize {
-        let m = k.min(self.private());
-        self.split += m;
-        m
-    }
-
-    fn reacquire(&mut self, k: usize) -> usize {
-        let m = k.min(self.split);
-        self.split -= m;
-        m
-    }
-
-    /// Steal the `m` oldest shared items.
-    fn steal(&mut self, max: usize) -> impl Iterator<Item = u32> + '_ {
-        let m = max.min(self.split);
-        self.split -= m;
-        self.ids.drain(..m)
-    }
-}
-
-/// What *other* workers read of a worker — its pool and its MaCS mailbox
-/// — kept out of [`VW`] in one dense array, one cache line each: a victim
-/// scan loads the probed worker's line and nothing else of it, and a
-/// remote node's pools are adjacent lines.
-#[derive(Default)]
-#[repr(align(64))]
-struct Probe {
-    pool: VPool,
-    /// MaCS: at most one pending remote request (thief, arrival time).
-    pending_req: Option<(usize, u64)>,
-}
-
-// ---------------------------------------------------------------------------
 // shared worker plumbing
 // ---------------------------------------------------------------------------
-
-/// The reply rule's view of the virtual pools: granted items leave as
-/// arena slot ids collected into the reply.
-struct ReplyPools<'a> {
-    probes: &'a mut [Probe],
-    ids: Vec<u32>,
-}
-
-impl PoolView for ReplyPools<'_> {
-    fn shared_len(&self, w: usize) -> u64 {
-        self.probes[w].pool.shared() as u64
-    }
-
-    fn take(&mut self, w: usize, k: u64) -> u64 {
-        let before = self.ids.len();
-        self.ids.extend(self.probes[w].pool.steal(k as usize));
-        (self.ids.len() - before) as u64
-    }
-}
 
 /// A steal reply: the (possibly multi-chunk) batch of arena slot ids —
 /// empty for a refusal — and the serving victim, so the thief can account
@@ -637,30 +551,53 @@ struct VW<'c, P: Processor> {
     adaptive: AdaptiveBatch,
 }
 
-/// What a virtual worker observes at one instant: the probe lines, and
-/// whether the winner flag has reached it. Never leased.
-struct SimView<'a> {
-    me: usize,
-    probes: &'a [Probe],
-    won: bool,
+/// What the victim scans read, for host-time attribution: `Probe` lines
+/// read, and nodes passed unread because the census had them dry.
+#[derive(Default)]
+struct ScanTally {
+    probe_reads: u64,
+    dry_skips: u64,
 }
 
-impl WorkerView for SimView<'_> {
-    fn own_lens(&mut self) -> (u64, u64) {
-        let p = &self.probes[self.me].pool;
-        (p.private() as u64, p.shared() as u64)
-    }
+/// What a virtual worker observes at one instant: the probe lines and
+/// their census, and whether the winner flag has reached it. Never
+/// leased.
+struct SimView<'a> {
+    me: usize,
+    probes: &'a Probes,
+    won: bool,
+    tally: &'a mut ScanTally,
+}
 
+impl ScanView for SimView<'_> {
     fn shared_len(&mut self, w: usize) -> u64 {
-        self.probes[w].pool.shared() as u64
+        self.tally.probe_reads += 1;
+        self.probes[w].shared() as u64
     }
 
     fn probe_remote(&mut self, w: usize) -> Option<u64> {
         // An empty pool has no surplus whatever its mailbox holds: skip
         // that second read (most probes at scale end here).
+        self.tally.probe_reads += 1;
         let p = &self.probes[w];
-        let shared = p.pool.shared() as u64;
+        let shared = p.shared() as u64;
         (shared == 0 || p.pending_req.is_none()).then_some(shared)
+    }
+
+    fn node_dry(&mut self, n: usize) -> bool {
+        let dry = self.probes.dry(n);
+        // No message: formatting one here costs the release scan its
+        // inlining (measured, in the `debug = true` release profile).
+        debug_assert!(self.probes.census_holds(n));
+        self.tally.dry_skips += u64::from(dry);
+        dry
+    }
+}
+
+impl WorkerView for SimView<'_> {
+    fn own_lens(&mut self) -> (u64, u64) {
+        let p = &self.probes[self.me];
+        (p.private() as u64, p.shared() as u64)
     }
 
     fn won(&mut self) -> bool {
@@ -678,8 +615,10 @@ struct Sim<'c, P: Processor, F: FnMut(usize) -> P> {
     slot_words: usize,
     factory: F,
     workers: Vec<VW<'c, P>>,
-    /// `probes[w]` = worker `w`'s pool and mailbox (see [`Probe`]).
-    probes: Vec<Probe>,
+    /// `probes[w]` = worker `w`'s pool and mailbox (see
+    /// [`Probe`](crate::probes::Probe)), with the per-node census.
+    probes: Probes,
+    tally: ScanTally,
     arena: SlotArena,
     events: EventQueue,
     /// Monotone event sequence — the deterministic tie-break.
@@ -826,12 +765,10 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     /// abandon path of an observed win. Returns `true` if the whole
     /// computation just ended.
     fn drain_observed(&mut self, wi: usize, now: u64) -> bool {
-        let pool = &mut self.probes[wi].pool;
-        let n = pool.len() as i64;
-        for id in pool.ids.drain(..) {
+        let n = self.probes[wi].len() as i64;
+        for id in self.probes.clear(wi) {
             self.arena.release(id);
         }
-        pool.split = 0;
         self.outstanding -= n;
         self.abandoned += n as u64;
         if std::mem::take(&mut self.workers[wi].has_cur) {
@@ -889,7 +826,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             self.outstanding -= 1;
         } else {
             self.outstanding += children as i64;
-            self.probes[wi].pool.ids.extend(w.staged.drain(..));
+            self.probes.extend(wi, w.staged.drain(..));
             if w.staged_step == Step::Leaf {
                 w.has_cur = false;
                 self.outstanding -= 1;
@@ -969,12 +906,13 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
                 me,
                 won,
                 probes: &self.probes,
+                tally: &mut self.tally,
             };
             outcome = match self.workers[wi].machine.step(outcome, view) {
                 Action::Expand => return self.start_node(wi, now),
                 Action::Release(k) => {
                     self.charge(wi, WorkerState::Releasing, costs.release_ns, &mut now);
-                    let m = self.probes[wi].pool.release(k as usize);
+                    let m = self.probes.release(wi, k as usize);
                     let stats = &mut self.workers[wi].stats;
                     stats.releases += 1;
                     stats.released_items += m as u64;
@@ -1084,13 +1022,13 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
     fn acquire_own(&mut self, wi: usize, now: &mut u64) -> bool {
         let pool_op = self.cfg.costs.pool_op_ns;
         self.charge(wi, WorkerState::Searching, pool_op, now);
-        let mut popped = self.probes[wi].pool.pop_private();
-        if popped.is_none() && self.probes[wi].pool.shared() > 0 {
+        let mut popped = self.probes.pop_private(wi);
+        if popped.is_none() && self.probes[wi].shared() > 0 {
             let release_ns = self.cfg.costs.release_ns;
             self.charge(wi, WorkerState::Searching, release_ns, now);
             let width = self.cfg.steal.reacquire_width() as usize;
-            self.probes[wi].pool.reacquire(width);
-            popped = self.probes[wi].pool.pop_private();
+            self.probes.reacquire(wi, width);
+            popped = self.probes.pop_private(wi);
         }
         popped.map(|id| self.adopt(wi, id)).is_some()
     }
@@ -1107,11 +1045,11 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             return Outcome::Stole { items: 0, won };
         }
         let cfg = self.cfg;
-        let shared = self.probes[v].pool.shared() as u64;
+        let shared = self.probes[v].shared() as u64;
         let want = cfg
             .steal
             .local_grant(&cfg.topology, wi, v, shared, UNLEASED);
-        let batch: Vec<u32> = self.probes[v].pool.steal(want as usize).collect();
+        let batch: Vec<u32> = self.probes.steal(v, want as usize).collect();
         if batch.is_empty() {
             // The victim looked loaded at scan time but was drained: a
             // failed local steal (the race the paper counts).
@@ -1192,7 +1130,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         let d = self.cfg.topology.distance(wi, victim);
         self.workers[wi].stats.steals_by_distance.record(d);
         self.adopt(wi, first);
-        self.probes[wi].pool.ids.extend(it);
+        self.probes.extend(wi, it);
         n
     }
 
@@ -1275,11 +1213,11 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             self.charge(wi, WorkerState::Poll, poll_ns, now);
             self.workers[wi].stats.polls += 1;
 
-            let have = self.probes[wi].pool.len();
+            let have = self.probes[wi].len();
             let cap = cfg.steal.chunk_cap(topo, topo.distance(wi, thief));
             let give = WorkBatch::share_floor(have as u64, cap) as usize;
             // The oldest items (a PaCCS deque never releases: no split).
-            let batch: Vec<u32> = self.probes[wi].pool.ids.drain(..give).collect();
+            let batch: Vec<u32> = self.probes.take_oldest(wi, give).collect();
             let bytes = (batch.len() * self.slot_words * 8) as u64;
             let t = if give == 0 {
                 self.workers[wi].stats.requests_refused += 1;
@@ -1309,7 +1247,7 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         self.outstanding = roots.len() as i64;
         for r in roots {
             let id = self.arena.alloc(r);
-            self.probes[0].pool.push(id);
+            self.probes.extend(0, [id]);
         }
         for wi in 0..self.workers.len() {
             self.schedule(wi, 0, WorkerState::Barrier, Phase::Boot);
@@ -1474,7 +1412,8 @@ where
         slot_words,
         factory,
         workers,
-        probes: (0..n).map(|_| Probe::default()).collect(),
+        probes: Probes::new(&cfg.topology),
+        tally: ScanTally::default(),
         arena: SlotArena::new(words),
         events: EventQueue::new(n),
         seq: 0,
@@ -1492,6 +1431,8 @@ where
         trace: FNV_OFFSET,
     };
     sim.run(roots);
+    // The census the scans skipped nodes by must equal a full recount.
+    sim.probes.assert_census();
 
     let makespan_ns = sim.end_time.unwrap_or(0);
     let incumbent = sim.fabric.global_min();
@@ -1503,6 +1444,10 @@ where
     let fabric_report = sim.net.report(sim.undelivered());
     let (events, trace_hash, peak_live_items) = (sim.n_events, sim.trace, sim.arena.peak);
     let (heap_pops, lane_pops) = (sim.events.heap_pops, sim.events.lane_pops);
+    let ScanTally {
+        probe_reads,
+        dry_skips,
+    } = sim.tally;
     // A worker that never expanded a node has no processor: its output
     // is the default, what `finish` returns for an untouched one.
     let (stats, outputs): (Vec<_>, Vec<_>) = sim
@@ -1524,6 +1469,8 @@ where
         events,
         heap_pops,
         lane_pops,
+        probe_reads,
+        dry_skips,
         trace_hash,
         peak_live_items,
         fabric: fabric_report,
@@ -1754,14 +1701,6 @@ mod tests {
             let (h, v) = (rng.next_u64(), rng.next_u64() >> rng.below(64));
             assert_eq!(fnv1a(h, v), textbook(h, v), "h={h:#x} v={v:#x}");
         }
-    }
-
-    #[test]
-    fn a_probe_is_one_cache_line() {
-        // A victim scan reads `probes[v]` and nothing else of `v`: a field
-        // added to `Probe` must not push that read over a line.
-        assert!(std::mem::size_of::<Probe>() <= 64);
-        assert_eq!(std::mem::align_of::<Probe>(), 64);
     }
 
     #[test]

@@ -76,6 +76,7 @@ pub mod cost;
 pub mod engine_sim;
 pub mod fabric;
 pub mod incumbent;
+mod probes;
 pub mod report;
 
 pub use cost::{CostModel, CostModelError, NodeCost, LOCAL_MSG_FLOOR_NS, MAX_PRICE};

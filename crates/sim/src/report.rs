@@ -80,6 +80,12 @@ pub struct SimReport<O> {
     /// not behaviour, so kept out of [`SimReport::digest`].
     pub heap_pops: u64,
     pub lane_pops: u64,
+    /// Pools the MaCS victim scans read (one `Probe` line each), and the
+    /// nodes they passed unread because no pool there held viable surplus
+    /// (the per-node census). Host-side attribution, like the pop counts:
+    /// not in the digest.
+    pub probe_reads: u64,
+    pub dry_skips: u64,
     /// FNV-1a fold of `(time, worker, phase)` over every dispatched
     /// event, in dispatch order. Two same-seed runs must produce the same
     /// hash bit for bit — the determinism witness `prop_determinism`

@@ -204,6 +204,11 @@ fn the_simulated_macs_schedule_is_pinned() {
     // the lanes.
     let tiers = (runs[2].heap_pops, runs[2].lane_pops);
     assert_eq!(tiers, (3_455, 30_775), "queens-9 at 512 cores, latency");
+    // What the victim scans read and which nodes the census let them
+    // pass unread: attribution too, so a change to either counts a
+    // change in host work, never in the schedule.
+    let scans = (runs[2].probe_reads, runs[2].dry_skips);
+    assert_eq!(scans, (8_876, 91_925), "queens-9 at 512 cores, latency");
 
     let three_level = || MachineTopology::try_new(&[4, 4, 4], 1).unwrap();
     let esc = qap_model(&QapInstance::esc16e().sub_instance(8));
