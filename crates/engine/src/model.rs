@@ -175,6 +175,9 @@ pub trait CostEval: Send + Sync + std::fmt::Debug {
     /// Prune using `incumbent` (exclusive upper bound for minimisation).
     /// The default fails the store when `lower_bound ≥ incumbent`;
     /// problem-specific implementations may additionally prune values.
+    /// An override must fail exactly the stores the default fails. A bound
+    /// that is a sum of non-negative terms may stop summing once the partial
+    /// sum reaches `incumbent`: the rest can only raise it.
     fn prune(&self, st: &mut PropState<'_>, incumbent: i64) -> Result<(), Failed> {
         let view = StoreView::new(st.layout(), st.store_words());
         if self.lower_bound(view) >= incumbent {

@@ -23,7 +23,9 @@ use std::sync::Arc;
 /// (regenerate with `REGEN_QAP_DATA=1 cargo test -p macs-problems
 /// regen_embedded_esc16e`).
 pub const ESC16E_DAT: &str = include_str!("data/esc16e.dat");
-use macs_engine::{bits, CompiledProblem, CostEval, Model, Propag, StoreView, Val, VarId};
+use macs_engine::{
+    CompiledProblem, CostEval, Failed, Model, PropState, Propag, StoreView, Val, VarId,
+};
 
 /// A QAP instance: `n` facilities/locations, flow and distance matrices.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -299,20 +301,26 @@ impl Rings {
 /// when one side is assigned, and the global minimum off-diagonal distance
 /// for unassigned pairs. Monotone in domain shrinkage by construction.
 ///
-/// The instance is compiled once: the flowing pairs into one flat list,
-/// and each location's distances into rings (`Rings`), one set along
-/// rows (`d(a, ·)`) and one along columns (`d(·, b)`). A one-sided term is
-/// then the first ring that meets the open side's domain word.
+/// The instance is compiled once: the flowing pairs into one flat list of
+/// weighted terms, heaviest first, and each location's distances into rings
+/// (`Rings`), one set along rows (`d(a, ·)`) and one along columns
+/// (`d(·, b)`). A one-sided term is then the first ring that meets the open
+/// side's domain word. When `dist` is symmetric the terms of `(i, j)` and
+/// `(j, i)` are equal in every case, so one term `i < j` carries both flows.
 ///
 /// Every term is a least *distance*, which bounds its pair's cost only if
 /// flows and distances are non-negative; [`QapBound::new`] asserts that.
+/// The sum therefore only grows, and [`CostEval::prune`] stops it at the
+/// incumbent.
 #[derive(Debug)]
 pub struct QapBound {
     inst: QapInstance,
     vars: Vec<VarId>,
     min_offdiag: i64,
-    /// Every `(i, j, f[i][j])` with `i ≠ j` and a non-zero flow, row-major.
-    pairs: Vec<(u32, u32, i64)>,
+    /// `(vars[i], vars[j], weight)`, heaviest first: every `i ≠ j` with a
+    /// non-zero flow, or under a symmetric `dist` every `i < j` with a
+    /// non-zero `f[i][j] + f[j][i]`.
+    terms: Vec<(u32, u32, i64)>,
     rows: Rings,
     cols: Rings,
 }
@@ -333,62 +341,84 @@ impl QapBound {
             inst.flow.iter().chain(&inst.dist).all(|&x| x >= 0),
             "QapBound needs non-negative flows and distances: its terms are least distances"
         );
+        let symmetric = (0..n).all(|a| (0..a).all(|b| inst.d(a, b) == inst.d(b, a)));
         let mut min_offdiag = i64::MAX;
-        let mut pairs = Vec::new();
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    min_offdiag = min_offdiag.min(inst.d(a, b));
-                    if inst.f(a, b) != 0 {
-                        pairs.push((a as u32, b as u32, inst.f(a, b)));
-                    }
+        let mut terms = Vec::new();
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                min_offdiag = min_offdiag.min(inst.d(i, j));
+                if symmetric && i > j {
+                    continue;
+                }
+                let w = inst.f(i, j) + if symmetric { inst.f(j, i) } else { 0 };
+                if w != 0 {
+                    terms.push((vars[i] as u32, vars[j] as u32, w));
                 }
             }
         }
+        // Heaviest first: the sum reaches an incumbent in fewer terms.
+        terms.sort_by_key(|&(_, _, w)| std::cmp::Reverse(w));
         QapBound {
             rows: Rings::new(n, |a, b| inst.d(a, b)),
             cols: Rings::new(n, |b, a| inst.d(a, b)),
             inst,
             vars,
             min_offdiag,
-            pairs,
+            terms,
         }
     }
-}
 
-/// No single location: a domain that is empty or holds several.
-const OPEN: Val = Val::MAX;
-
-impl CostEval for QapBound {
-    fn lower_bound(&self, view: StoreView<'_>) -> i64 {
-        // Each domain word and singleton, read once.
-        let mut word = [0u64; 64];
-        let mut single = [OPEN; 64];
-        for (i, &v) in self.vars.iter().enumerate() {
-            let dom = view.dom(v);
-            word[i] = dom[0];
-            single[i] = bits::singleton(dom).unwrap_or(OPEN);
-        }
+    /// The bound, summed term by term until it reaches `stop`: the full
+    /// bound if it stays below `stop`, `i64::MAX` if a term is dead, and
+    /// otherwise a partial sum `≥ stop`.
+    #[inline]
+    fn sum(&self, view: StoreView<'_>, stop: i64) -> i64 {
+        // A domain fits one word, read in place; a side is assigned iff its
+        // word has exactly one bit.
+        let word = |v: u32| view.words[view.layout.var_offset(v as VarId)];
         let mut lb = 0i64;
-        for &(i, j, f) in &self.pairs {
-            let (a, b) = (single[i as usize], single[j as usize]);
-            let term = match (a != OPEN, b != OPEN) {
-                (true, true) => self.inst.d(a as usize, b as usize),
+        for &(x, y, w) in &self.terms {
+            let (wx, wy) = (word(x), word(y));
+            let (a, b) = (wx.trailing_zeros() as usize, wy.trailing_zeros() as usize);
+            let term = match (wx.is_power_of_two(), wy.is_power_of_two()) {
+                (true, true) => self.inst.d(a, b),
                 // Cheapest location still open to the other facility; none
                 // but the same location left: dead.
-                (true, false) => match self.rows.nearest(a as usize, word[j as usize]) {
+                (true, false) => match self.rows.nearest(a, wy) {
                     Some(d) => d,
                     None => return i64::MAX,
                 },
-                (false, true) => match self.cols.nearest(b as usize, word[i as usize]) {
+                (false, true) => match self.cols.nearest(b, wx) {
                     Some(d) => d,
                     None => return i64::MAX,
                 },
                 (false, false) => self.min_offdiag,
             };
-            lb += f * term;
+            lb += w * term;
+            if lb >= stop {
+                return lb;
+            }
         }
         lb
+    }
+}
+
+impl CostEval for QapBound {
+    fn lower_bound(&self, view: StoreView<'_>) -> i64 {
+        self.sum(view, i64::MAX)
+    }
+
+    /// Fails iff `lower_bound ≥ incumbent`, but stops summing once the
+    /// partial sum reaches the incumbent: every term is non-negative.
+    fn prune(&self, st: &mut PropState<'_>, incumbent: i64) -> Result<(), Failed> {
+        let view = StoreView::new(st.layout(), st.store_words());
+        let fails = self.sum(view, incumbent) >= incumbent;
+        debug_assert!(fails == (self.lower_bound(view) >= incumbent));
+        if fails {
+            Err(Failed)
+        } else {
+            Ok(())
+        }
     }
 
     fn eval(&self, assignment: &[Val]) -> i64 {
@@ -418,6 +448,7 @@ pub fn qap_model(inst: &QapInstance) -> CompiledProblem {
 mod tests {
     use super::*;
     use macs_engine::seq::{solve_seq, SeqOptions};
+    use macs_engine::{bits, ChangeLog, Store, StoreLayout};
 
     /// Brute-force optimum by permutation enumeration (n ≤ 8).
     fn brute_force(inst: &QapInstance) -> i64 {
@@ -654,11 +685,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compiled_bound_equals_the_double_loop() {
-        let mut rng = Rng(0x0B0D_1FF5);
+    /// Visits 12 000 random stores: 400 instances, alternately an
+    /// `esc16e` sub-instance (symmetric distances) and an asymmetric random
+    /// one, each with 30 stores whose domains are emptied, assigned,
+    /// thinned or left whole at random.
+    fn for_random_stores(
+        seed: u64,
+        mut visit: impl FnMut(&QapInstance, &QapBound, &StoreLayout, &mut Store),
+    ) {
+        let mut rng = Rng(seed);
         let esc = QapInstance::esc16e();
-        let (mut stores, mut dead) = (0u32, 0u32);
         for case in 0..400 {
             let n = 2 + rng.below(15) as usize;
             let inst = if case % 2 == 0 {
@@ -687,19 +723,92 @@ mod tests {
                         _ => {}
                     }
                 }
-                let view = StoreView::new(&prob.layout, s.as_words());
-                let expect = lower_bound_oracle(&inst, view);
-                assert_eq!(bound.lower_bound(view), expect, "{} {s:?}", inst.name);
-                stores += 1;
-                dead += (expect == i64::MAX) as u32;
+                visit(&inst, &bound, &prob.layout, &mut s);
             }
         }
+    }
+
+    #[test]
+    fn compiled_bound_equals_the_double_loop() {
+        let (mut stores, mut dead) = (0u32, 0u32);
+        for_random_stores(0x0B0D_1FF5, |inst, bound, layout, s| {
+            let view = StoreView::new(layout, s.as_words());
+            let expect = lower_bound_oracle(inst, view);
+            assert_eq!(bound.lower_bound(view), expect, "{} {s:?}", inst.name);
+            stores += 1;
+            dead += (expect == i64::MAX) as u32;
+        });
         assert!(stores >= 10_000);
         // Both kinds of answer occur, and often.
         assert!(
             dead > 1000 && stores - dead > 1000,
             "{dead} dead of {stores}"
         );
+    }
+
+    #[test]
+    fn pruning_at_the_incumbent_matches_the_full_bound() {
+        let (mut kept, mut failed) = (0u32, 0u32);
+        for_random_stores(0x1AC0_4B3E, |inst, bound, layout, s| {
+            let oracle = lower_bound_oracle(inst, StoreView::new(layout, s.as_words()));
+            let mut log = ChangeLog::new(layout.num_vars());
+            for incumbent in [
+                oracle.saturating_sub(1),
+                oracle,
+                oracle.saturating_add(1),
+                0,
+                i64::MAX,
+            ] {
+                let mut st = PropState::new(layout, s.as_words_mut(), &mut log, incumbent);
+                let fails = bound.prune(&mut st, incumbent).is_err();
+                assert_eq!(
+                    fails,
+                    oracle >= incumbent,
+                    "{} bound {oracle} incumbent {incumbent}",
+                    inst.name
+                );
+                kept += !fails as u32;
+                failed += fails as u32;
+            }
+        });
+        assert!(
+            kept > 10_000 && failed > 10_000,
+            "{kept} kept, {failed} failed"
+        );
+    }
+
+    #[test]
+    fn symmetric_distances_fold_twin_pairs() {
+        let ordered = |inst: &QapInstance| -> Vec<(u32, u32, i64)> {
+            let n = inst.n;
+            let mut pairs: Vec<_> = (0..n)
+                .flat_map(|i| (0..n).map(move |j| (i, j)))
+                .filter(|&(i, j)| i != j && inst.f(i, j) != 0)
+                .map(|(i, j)| (i as u32, j as u32, inst.f(i, j)))
+                .collect();
+            pairs.sort_unstable();
+            pairs
+        };
+        let heaviest_first = |b: &QapBound| b.terms.windows(2).all(|t| t[0].2 >= t[1].2);
+        // esc16e[9]: hypercube distances, 16 flowing ordered pairs in twins.
+        let esc9 = QapInstance::esc16e().sub_instance(9);
+        assert_eq!(ordered(&esc9).len(), 16);
+        let bound = QapBound::new(esc9.clone(), (0..9).collect());
+        assert_eq!(bound.terms.len(), 8);
+        assert!(heaviest_first(&bound));
+        for &(i, j, w) in &bound.terms {
+            let (i, j) = (i as usize, j as usize);
+            assert!(i < j);
+            assert_eq!(w, esc9.f(i, j) + esc9.f(j, i));
+        }
+        // An asymmetric `dist` keeps every ordered pair at its own flow.
+        let inst = random_instance(&mut Rng(0xA5F1), 7);
+        assert!((0..7).any(|a| (0..7).any(|b| inst.d(a, b) != inst.d(b, a))));
+        let bound = QapBound::new(inst.clone(), (0..7).collect());
+        assert!(heaviest_first(&bound));
+        let mut terms = bound.terms.clone();
+        terms.sort_unstable();
+        assert_eq!(terms, ordered(&inst));
     }
 
     #[test]
