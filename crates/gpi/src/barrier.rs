@@ -2,11 +2,18 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+/// Checks a waiter spins before each further check yields: some 50–500 µs,
+/// past the few tens of µs a spawned party takes to arrive, so a solve's
+/// rendezvous stays a spin unless a party is kept off the cores.
+const SPINS: u32 = 1 << 14;
+
 /// A reusable barrier for a fixed set of participants. Implemented with a
 /// central counter and a generation word (sense reversal), like the
 /// fabric-level barrier GPI provides; workers spin rather than block, which
 /// is appropriate for the short rendezvous at start/end of a solve (the
-/// paper's "Barrier" state).
+/// paper's "Barrier" state). A wait that outlasts `SPINS` checks yields the core
+/// on every further check: with more threads than cores, the party still
+/// to arrive may need the very core a waiter spins on.
 #[derive(Debug)]
 pub struct GpiBarrier {
     parties: usize,
@@ -37,8 +44,14 @@ impl GpiBarrier {
             self.generation.fetch_add(1, Ordering::AcqRel);
             true
         } else {
+            let mut checks = 0u32;
             while self.generation.load(Ordering::Acquire) == gen {
-                std::hint::spin_loop();
+                if checks < SPINS {
+                    checks += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
             }
             false
         }

@@ -9,31 +9,31 @@
 //! shared-memory system. Failing that, it then expands the considered
 //! neighbourhood until it encompasses the whole parallel search system."
 //!
-//! This crate reproduces that architecture with two-sided message passing
-//! (std `mpsc` channels standing in for MPI, cross-node messages charged to
-//! the same [`Interconnect`](macs_gpi::Interconnect) model MaCS uses):
+//! This crate reproduces that protocol on the MaCS runtime, so that a
+//! threaded MaCS-vs-PaCCS number compares two *work* protocols and nothing
+//! else: each agent is a `macs-runtime` worker (same pools, termination
+//! counts, bound and winner registers, panic containment, back-off and
+//! thread placement) whose [`WorkerMachine::paccs`](macs_search::WorkerMachine::paccs)
+//! sequences it the PaCCS way:
 //!
-//! * a **controller** is notified of solutions (one billed message each;
-//!   the assignments stay in the agents' processor outputs), detects
-//!   termination and broadcasts it. The state it *holds* — the best
-//!   bound, the first-solution winner flag and win instant — is the root
-//!   register block of a [`World`](macs_gpi::World) on node 0, exactly
-//!   what a MaCS run keeps there: agents read and publish bounds through the
-//!   runtime's [`GlobalIncumbent`](macs_runtime::GlobalIncumbent) and
-//!   watch the race through its [`WinnerGate`](macs_runtime::WinnerGate),
-//!   so a threaded MaCS-vs-PaCCS number compares two *work* protocols
-//!   over one bound fabric, not two bound fabrics;
-//! * **search agents** drive the runtime's
-//!   [`Processor`](macs_runtime::Processor) contract over a plain private
-//!   deque and report in its [`WorkerStats`](macs_runtime::WorkerStats),
-//!   as MaCS workers do; a CP solve ([`paccs_solve`]) runs MaCS's own
+//! * an idle agent posts a steal *request* to its peers in neighbourhood
+//!   order (same socket, same node, then expanding) and blocks for each
+//!   reply — the two-sided hand-shake MaCS' one-sided design removes;
+//! * a victim checks its mailbox after every node and serves its queued
+//!   requests first come, first served, granting the oldest half of its
+//!   own queue under the distance cap
+//!   ([`StealPolicy::paccs_grant`](macs_search::StealPolicy::paccs_grant))
+//!   — it never releases work ahead of a request;
+//! * requests, replies and solution notices that cross nodes are charged
+//!   to the same [`Interconnect`](macs_gpi::Interconnect) model MaCS
+//!   uses; the distinguished process's state — the best bound, the winner
+//!   flag and win instant — is the root register block on node 0, and
+//!   termination is detected by the runtime's counts instead of a
+//!   controller;
+//! * a CP solve ([`paccs_solve`]) runs MaCS's own
 //!   [`CpProcessor`](macs_core::CpProcessor) — the paper notes the two
 //!   systems share their constraint-propagation implementation, which is
-//!   why their sequential performance is comparable;
-//! * an idle agent sends steal *requests* in neighbourhood order (same
-//!   node first, then expanding) and blocks for each reply — the two-sided
-//!   protocol whose extra hand-shakes are exactly what MaCS' one-sided
-//!   design removes.
+//!   why their sequential performance is comparable.
 
 pub mod solve;
 pub mod solver;

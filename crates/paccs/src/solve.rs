@@ -5,23 +5,24 @@
 use macs_core::{CpOutput, CpProcessor, SolveOutcome};
 use macs_domain::Val;
 use macs_engine::CompiledProblem;
-use macs_runtime::RunReport;
+use macs_runtime::{RunReport, WorkerStats};
+use macs_search::BroadcastTree;
 
 use crate::solver::{run_paccs, PaccsConfig};
 
 /// Result of a PaCCS solve.
 #[derive(Debug)]
 pub struct PaccsOutcome {
-    /// Solutions reported to the controller (for optimisation: improving
-    /// solutions).
+    /// Solutions found (for optimisation: improving solutions), each
+    /// noticed to the root registers.
     pub solutions: u64,
     /// Total stores processed.
     pub nodes: u64,
     pub best_cost: Option<i64>,
     pub best_assignment: Option<Vec<Val>>,
     pub kept: Vec<Vec<Val>>,
-    /// Total messages exchanged: every agent's sends plus the controller's
-    /// one `Terminate` per agent.
+    /// Total messages exchanged: steal requests, their replies, solution
+    /// notices, and one terminate per agent.
     pub messages: u64,
     /// Cross-node messages attributable to bound dissemination (relay
     /// fan-out on improvements, plus periodic refresh pulls).
@@ -31,7 +32,17 @@ pub struct PaccsOutcome {
     pub report: RunReport<CpOutput>,
 }
 
-/// Solve `prob` with the PaCCS architecture (controller + search agents).
+/// Requests an agent posted: each ends in exactly one steal, refusal or
+/// drain.
+pub(crate) fn posts(w: &WorkerStats) -> u64 {
+    w.local_steals
+        + w.remote_steals
+        + w.local_steal_failures
+        + w.remote_steal_failures
+        + w.drain_steals
+}
+
+/// Solve `prob` with the PaCCS architecture.
 pub fn paccs_solve(prob: &CompiledProblem, cfg: &PaccsConfig) -> PaccsOutcome {
     let report = run_paccs(
         cfg,
@@ -39,9 +50,14 @@ pub fn paccs_solve(prob: &CompiledProblem, cfg: &PaccsConfig) -> PaccsOutcome {
         &[CpProcessor::root_item(prob)],
         |_agent| CpProcessor::new(prob, cfg.keep_solutions, cfg.mode),
     );
-    let terminations = report.workers.len() as u64;
-    let messages = report.workers.iter().map(|w| w.messages).sum::<u64>() + terminations;
-    let bound_msgs = report.workers.iter().map(|w| w.bound_msgs).sum();
+    let tree = BroadcastTree::new(&cfg.topology);
+    let (mut messages, mut bound_msgs) = (0, 0);
+    for w in &report.workers {
+        let replies = w.requests_served + w.requests_refused;
+        messages += posts(w) + replies + w.solutions + 1;
+        bound_msgs +=
+            w.bound_pulls + w.improvements * tree.improvement_msgs(cfg.bound_policy, w.id);
+    }
     let SolveOutcome {
         solutions,
         nodes,

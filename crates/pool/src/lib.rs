@@ -20,11 +20,14 @@
 //!   work), **reacquire** moves it back towards `tail`, and a **steal**
 //!   advances `tail` (taking the oldest shared work — the largest
 //!   sub-trees);
-//! * the remote-steal mailbox (`REQ`/`RESP` words) lives in the pool
-//!   metadata, so a thief on another node can *read* a pool's state and
-//!   *post* a request with one-sided operations only, and a victim can
-//!   write stolen work **in place, directly to the head of the thief's
-//!   pool** — the paper's zero-copy response.
+//! * the steal-request mailbox lives in the pool metadata, so a thief on
+//!   another node can *read* a pool's state and *post* a request with
+//!   one-sided operations only, and a victim can write stolen work **in
+//!   place, directly to the head of the thief's pool** — the paper's
+//!   zero-copy response. Its capacity is fixed at construction: a MaCS
+//!   mailbox holds one request (a second thief looks elsewhere), a PaCCS
+//!   one holds a request from every other agent, served first come, first
+//!   served.
 //!
 //! # Lock-freedom
 //!
@@ -60,8 +63,10 @@
 //! lines by who writes them — `head` and the owner's two published
 //! termination counts (owner: every push/pop, and the counts before each
 //! release and idle check), the packed `tail|split` (CAS by owner and
-//! thieves; read by every idle thief's scan), the `REQ`/`RESP` mailbox
-//! (remote thief and victim) — with the slots starting on a fourth.
+//! thieves; read by every idle thief's scan), the mailbox (its thieves,
+//! its owner and the victim answering the owner) — with the slots
+//! starting on the next line after it (the fourth, for a mailbox of up to
+//! five requests).
 //! Moving a word changes which line an access pulls, not its ordering.
 //! The full map, with readers, is in ARCHITECTURE.md beside the
 //! happens-before argument.
@@ -77,10 +82,14 @@ const META_CREATED: usize = 1;
 const META_FINISHED: usize = 2;
 /// Packed `tail` (low 32 bits) | `split` (high 32 bits).
 const META_TS: usize = LINE_WORDS;
-const META_REQ: usize = 2 * LINE_WORDS;
-const META_RESP: usize = 2 * LINE_WORDS + 1;
-/// First slot word.
-const META_WORDS: usize = 3 * LINE_WORDS;
+/// The mailbox: the response word a victim writes for this pool's owner,
+/// the requests ever posted into this pool (thieves CAS it) and served
+/// (the owner stores it), then one cell per request it can hold, each a
+/// thief id + 1 or 0. Request `t` sits in cell `t % requests`.
+const META_RESP: usize = 2 * LINE_WORDS;
+const META_POSTED: usize = 2 * LINE_WORDS + 1;
+const META_SERVED: usize = 2 * LINE_WORDS + 2;
+const META_REQ: usize = 2 * LINE_WORDS + 3;
 
 /// Positions handed out over a pool's lifetime stay below this, so the
 /// packed 32-bit halves never wrap.
@@ -101,7 +110,8 @@ const fn unpack(ts: u64) -> (u64, u64) {
     (ts & 0xffff_ffff, ts >> 32)
 }
 
-/// A snapshot of a pool's pointers and request word.
+/// A snapshot of a pool's pointers and its oldest request cell (0: the
+/// mailbox is empty).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolMeta {
     pub head: u64,
@@ -139,24 +149,38 @@ pub struct SplitPool {
     capacity: u64,
     mask: u64,
     slot_words: usize,
+    /// Requests the mailbox holds at once.
+    requests: u64,
+    /// First slot word: the line after the mailbox.
+    slots: usize,
 }
 
 impl SplitPool {
     /// A pool of at least `capacity` slots of `slot_words` words each
-    /// (capacity is rounded up to a power of two).
+    /// (capacity is rounded up to a power of two), with a one-request
+    /// mailbox.
     pub fn new(capacity: usize, slot_words: usize) -> Self {
-        assert!(capacity > 0 && slot_words > 0);
+        SplitPool::with_mailbox(capacity, slot_words, 1)
+    }
+
+    /// [`SplitPool::new`] with a mailbox that holds `requests` requests
+    /// at once.
+    pub fn with_mailbox(capacity: usize, slot_words: usize, requests: usize) -> Self {
+        assert!(capacity > 0 && slot_words > 0 && requests > 0);
         let capacity = capacity.next_power_of_two() as u64;
         assert!(
             capacity < u32::MAX as u64,
             "capacity must fit the packed positions"
         );
-        let seg = Segment::new(META_WORDS + capacity as usize * slot_words);
+        let slots = (META_REQ + requests).next_multiple_of(LINE_WORDS);
+        let seg = Segment::new(slots + capacity as usize * slot_words);
         SplitPool {
             seg,
             capacity,
             mask: capacity - 1,
             slot_words,
+            requests: requests as u64,
+            slots,
         }
     }
 
@@ -172,7 +196,7 @@ impl SplitPool {
 
     #[inline]
     fn slot_off(&self, pos: u64) -> usize {
-        META_WORDS + (pos & self.mask) as usize * self.slot_words
+        self.slots + (pos & self.mask) as usize * self.slot_words
     }
 
     // ----- pointer accessors ------------------------------------------------
@@ -200,15 +224,18 @@ impl SplitPool {
             head: self.head(),
             split,
             tail,
-            req: self.seg.load_notify(META_REQ),
+            req: self.seg.load_notify(self.front()),
         }
     }
 
     /// Snapshot the pool pointers from another node: a one-sided read of
-    /// the metadata words, charged to the interconnect. This is how a
-    /// remote thief inspects victims "without disturbing" them.
-    pub fn meta_remote(&self, ic: &Interconnect) -> PoolMeta {
-        ic.charge_read(4 * 8);
+    /// the metadata words, charged to `via` (`None`: a co-located reader,
+    /// uncharged). This is how a remote thief inspects victims "without
+    /// disturbing" them.
+    pub fn meta_remote<'i>(&self, via: impl Into<Option<&'i Interconnect>>) -> PoolMeta {
+        if let Some(ic) = via.into() {
+            ic.charge_read(4 * 8);
+        }
         self.meta()
     }
 
@@ -409,31 +436,82 @@ impl SplitPool {
         }
     }
 
-    // ----- remote-steal mailbox -------------------------------------------------
+    // ----- steal-request mailbox ----------------------------------------------
 
-    /// Thief side: try to claim the victim's request slot with a one-sided
-    /// CAS (`0 → thief_id + 1`). At most one remote request can be pending
-    /// per victim; a second thief's CAS fails and it looks elsewhere.
-    pub fn try_post_request_remote(&self, ic: &Interconnect, thief_id: usize) -> bool {
-        self.seg
-            .cas_remote(ic, META_REQ, 0, thief_id as u64 + 1)
-            .is_ok()
+    /// The cell of request `ticket`.
+    #[inline]
+    fn req_cell(&self, ticket: u64) -> usize {
+        META_REQ + (ticket % self.requests) as usize
     }
 
-    /// Victim side: the pending remote request, if any (polled in the main
-    /// work loop).
+    /// The cell of the oldest unserved request. A one-request mailbox has
+    /// one cell, so its empty poll stays one load.
+    #[inline]
+    fn front(&self) -> usize {
+        if self.requests == 1 {
+            META_REQ
+        } else {
+            self.req_cell(self.seg.load(META_SERVED))
+        }
+    }
+
+    /// Thief side: post `thief_id`'s request — read both counts, claim the
+    /// next ticket with a CAS, write the id into its cell — one-sided and
+    /// charged to `via` (`None`: a co-located thief, uncharged). `false`
+    /// when the mailbox already holds as many requests as it can: a second
+    /// thief at a one-request mailbox looks elsewhere.
+    ///
+    /// `posted` is read before `served`: a served request happens-before
+    /// its thief's next post, so the counts never show a mailbox fuller
+    /// than it is.
+    pub fn try_post_request_remote<'i>(
+        &self,
+        via: impl Into<Option<&'i Interconnect>>,
+        thief_id: usize,
+    ) -> bool {
+        let via = via.into();
+        loop {
+            if let Some(ic) = via {
+                ic.charge_read(2 * 8);
+            }
+            let posted = self.seg.load_notify(META_POSTED);
+            let served = self.seg.load_notify(META_SERVED);
+            if posted.saturating_sub(served) >= self.requests {
+                return false;
+            }
+            if let Some(ic) = via {
+                ic.charge_atomic();
+            }
+            if self.seg.cas(META_POSTED, posted, posted + 1).is_ok() {
+                if let Some(ic) = via {
+                    ic.charge_write(8);
+                }
+                self.seg
+                    .store_notify(self.req_cell(posted), thief_id as u64 + 1);
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Victim side: the oldest unserved request, if any (polled in the
+    /// main work loop).
     #[inline]
     pub fn pending_request(&self) -> Option<usize> {
-        match self.seg.load_notify(META_REQ) {
+        match self.seg.load_notify(self.front()) {
             0 => None,
             id1 => Some(id1 as usize - 1),
         }
     }
 
-    /// Victim side: clear the request slot after serving it.
+    /// Victim side: retire the oldest request after serving it. Its cell is
+    /// cleared before the count is published, so a thief that reads the
+    /// new count finds the cell free.
     #[inline]
     pub fn clear_request(&self) {
-        self.seg.store_notify(META_REQ, 0);
+        let served = self.seg.load(META_SERVED);
+        self.seg.store(self.req_cell(served), 0);
+        self.seg.store_notify(META_SERVED, served + 1);
     }
 
     /// Thief side: poll the response word of *this* (own) pool.
@@ -449,9 +527,12 @@ impl SplitPool {
     }
 
     /// Victim side: write the response word of the thief's pool (one-sided,
-    /// release-ordered so the in-place slot writes below are published).
-    pub fn write_response_remote(&self, ic: &Interconnect, resp: u64) {
-        ic.charge_write(8);
+    /// release-ordered so the in-place slot writes below are published),
+    /// charged to `via`.
+    pub fn write_response_remote<'i>(&self, via: impl Into<Option<&'i Interconnect>>, resp: u64) {
+        if let Some(ic) = via.into() {
+            ic.charge_write(8);
+        }
         self.seg.store_notify(META_RESP, resp);
     }
 
@@ -459,10 +540,17 @@ impl SplitPool {
     /// in place at positions `[pos, pos + n)` of the thief's ring — the
     /// paper's zero-copy write "directly to the head of the thief's pool".
     /// Queued (non-blocking) flavour: the victim pays only posting
-    /// overhead.
-    pub fn write_slots_remote(&self, ic: &Interconnect, pos: u64, items: &[u64]) {
+    /// overhead, to `via`.
+    pub fn write_slots_remote<'i>(
+        &self,
+        via: impl Into<Option<&'i Interconnect>>,
+        pos: u64,
+        items: &[u64],
+    ) {
         debug_assert_eq!(items.len() % self.slot_words, 0);
-        ic.charge_queued_write(items.len() * 8);
+        if let Some(ic) = via.into() {
+            ic.charge_queued_write(items.len() * 8);
+        }
         for (i, chunk) in items.chunks_exact(self.slot_words).enumerate() {
             self.seg.write_local(self.slot_off(pos + i as u64), chunk);
         }
@@ -483,7 +571,7 @@ impl SplitPool {
     /// Addresses of `[head, tail|split, REQ, RESP, slot 0]` (layout
     /// tests).
     pub fn word_addrs(&self) -> [usize; 5] {
-        [META_HEAD, META_TS, META_REQ, META_RESP, META_WORDS].map(|w| self.seg.word_addr(w))
+        [META_HEAD, META_TS, META_REQ, META_RESP, self.slots].map(|w| self.seg.word_addr(w))
     }
 }
 
@@ -696,6 +784,56 @@ mod tests {
         assert_eq!(p.pending_request(), None);
         assert!(p.try_post_request_remote(&ic, 9));
         assert_eq!(p.pending_request(), Some(9));
+    }
+
+    #[test]
+    fn a_mailbox_of_capacity_k_takes_k_posts_and_serves_them_in_post_order() {
+        let ic = Interconnect::new(LatencyModel::zero());
+        for k in [2usize, 3, 7, 12] {
+            let p = SplitPool::with_mailbox(4, 1, k);
+            // Three rounds, so the tickets wrap the cells.
+            for round in 0..3 {
+                let thieves: Vec<usize> = (0..k).map(|i| 100 * round + i * 3 + 1).collect();
+                for &t in &thieves {
+                    assert!(p.try_post_request_remote(&ic, t), "k {k}: post {t}");
+                }
+                assert!(!p.try_post_request_remote(&ic, 999), "k {k}: full");
+                for &t in &thieves {
+                    assert_eq!(p.pending_request(), Some(t), "k {k}: FIFO");
+                    p.clear_request();
+                }
+                assert_eq!(p.pending_request(), None);
+            }
+            // A served request frees its cell for the next post at once.
+            assert!(p.try_post_request_remote(None, 5));
+            assert!(p.try_post_request_remote(None, 6));
+            p.clear_request();
+            assert_eq!(p.pending_request(), Some(6));
+        }
+        // Only the fabric-charged posts moved bytes.
+        assert!(ic.counters.snapshot().remote_atomics > 0);
+        let free = SplitPool::with_mailbox(4, 1, 3);
+        let quiet = Interconnect::new(LatencyModel::zero());
+        assert!(free.try_post_request_remote(None, 1));
+        assert_eq!(free.pending_request(), Some(1));
+        assert_eq!(quiet.counters.snapshot(), Default::default());
+    }
+
+    #[test]
+    fn a_large_mailbox_keeps_the_slots_off_its_lines() {
+        for k in [1usize, 5, 6, 40] {
+            let p = SplitPool::with_mailbox(4, 3, k);
+            let [_, _, req, resp, slot0] = p.word_addrs();
+            assert_eq!(
+                req / 64,
+                resp / 64,
+                "k {k}: the first cell shares the response line"
+            );
+            let last_cell = p.seg.word_addr(META_REQ + k - 1);
+            assert!(slot0 / 64 > last_cell / 64, "k {k}");
+            assert_eq!(slot0 % 64, 0);
+            assert_eq!(p.slots == 3 * LINE_WORDS, k <= 5, "k {k}: one mailbox line");
+        }
     }
 
     #[test]

@@ -330,16 +330,23 @@ impl QapBound {
     /// location, within `0..inst.n`).
     ///
     /// # Panics
-    /// If a flow or distance is negative (the bound would be unsound), if
+    /// If a flow or distance is negative (the bound would be unsound) or
+    /// above [`QapInstance::MAX_ENTRY`] (a weighted term, the bound's sum
+    /// or the objective could wrap — silently, in a release build), if
     /// `inst.n > 64` (a domain must fit one word), or if `vars` does not
-    /// name one variable per facility.
+    /// name one variable per facility. The fields are public, so the
+    /// parser's checks do not cover a directly built instance.
     pub fn new(inst: QapInstance, vars: Vec<VarId>) -> Self {
         let n = inst.n;
         assert!(n <= 64, "QapBound reads a domain as one word: n = {n} > 64");
         assert_eq!(vars.len(), n, "QapBound needs one variable per facility");
         assert!(
-            inst.flow.iter().chain(&inst.dist).all(|&x| x >= 0),
-            "QapBound needs non-negative flows and distances: its terms are least distances"
+            inst.flow
+                .iter()
+                .chain(&inst.dist)
+                .all(|x| (0..=QapInstance::MAX_ENTRY).contains(x)),
+            "QapBound needs flows and distances in 0..=MAX_ENTRY: non-negative, as its terms \
+             are least distances, and bounded, so no sum wraps"
         );
         let symmetric = (0..n).all(|a| (0..a).all(|b| inst.d(a, b) == inst.d(b, a)));
         let mut min_offdiag = i64::MAX;
@@ -592,6 +599,24 @@ mod tests {
         let mut inst = tiny(3);
         inst.dist[1] = -1;
         QapBound::new(inst, (0..3).collect());
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_ENTRY")]
+    fn bound_refuses_entries_above_max_entry() {
+        let mut inst = tiny(3);
+        inst.flow[1] = QapInstance::MAX_ENTRY + 1;
+        QapBound::new(inst, (0..3).collect());
+    }
+
+    #[test]
+    fn entries_at_max_entry_solve_exactly() {
+        let mut inst = tiny(4);
+        inst.flow[1] = QapInstance::MAX_ENTRY;
+        inst.dist[4 + 2] = QapInstance::MAX_ENTRY;
+        inst.dist[2 * 4 + 1] = QapInstance::MAX_ENTRY;
+        let r = solve_seq(&qap_model(&inst), &SeqOptions::default());
+        assert_eq!(r.best_cost, Some(brute_force(&inst)));
     }
 
     /// The bound as it was first written: a double loop over facility

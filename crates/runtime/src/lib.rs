@@ -21,7 +21,10 @@
 //!   proved that no work item exists anywhere, including in flight (see
 //!   [`term`]);
 //! * per-worker [`stats`] mirror the paper's worker-state taxonomy
-//!   (Fig. 3/5) and steal accounting (Tables I/II).
+//!   (Fig. 3/5) and steal accounting (Tables I/II);
+//! * the same workers run the PaCCS baseline's request/reply protocol
+//!   ([`run_parallel_paccs`]), so the two protocols share everything
+//!   else.
 
 pub mod affinity;
 pub mod config;
@@ -39,7 +42,7 @@ pub use config::{
 pub use macs_search::SplitMix64;
 pub use processor::{Incumbent, NoIncumbent, ProcCtx, Processor, Step, WorkSink};
 pub use registers::{GlobalIncumbent, WinnerGate};
-pub use run::{run_parallel, run_parallel_on, RunReport};
+pub use run::{run_parallel, run_parallel_on, run_parallel_paccs, RunReport};
 pub use stats::{PhaseTimers, RaceRing, StateClock, WorkerState, WorkerStats, NUM_STATES};
 
 pub use macs_gpi::{

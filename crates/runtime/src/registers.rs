@@ -1,9 +1,9 @@
 //! A worker's view of its run's two root registers: the branch-and-bound
 //! incumbent ([`GlobalIncumbent`]) and the winner flag ([`WinnerGate`]),
 //! each on node 0 with one mirror per shared-memory node that the node's
-//! leader alone refreshes over the fabric. Every threaded backend — the
-//! MaCS worker, the PaCCS agent — holds one of each. A MaCS worker that
-//! panics raises every cancel register at once (`poison`).
+//! leader alone refreshes over the fabric. Every worker — MaCS or PaCCS —
+//! holds one of each. A worker that panics raises every cancel register at
+//! once (`poison`).
 
 use std::cell::Cell;
 use std::time::Duration;
@@ -39,6 +39,10 @@ pub struct GlobalIncumbent<'a> {
     leader: bool,
     cache: Cell<i64>,
     gate: RefreshGate,
+    /// Improvements published, and `Periodic` refreshes over the fabric:
+    /// what a bound-message bill is derived from.
+    improvements: Cell<u64>,
+    pulls: Cell<u64>,
 }
 
 impl<'a> GlobalIncumbent<'a> {
@@ -60,7 +64,15 @@ impl<'a> GlobalIncumbent<'a> {
             leader,
             cache: Cell::new(i64::MAX),
             gate: RefreshGate::new(),
+            improvements: Cell::new(0),
+            pulls: Cell::new(0),
         }
+    }
+
+    /// `(improvements, pulls)`: the improvements this worker published,
+    /// and its `Periodic` refreshes that crossed the fabric.
+    pub fn bill(&self) -> (u64, u64) {
+        (self.improvements.get(), self.pulls.get())
     }
 
     fn reload(&self) -> i64 {
@@ -76,6 +88,8 @@ impl Incumbent for GlobalIncumbent<'_> {
             BoundPolicy::Immediate => self.reload(),
             BoundPolicy::Periodic { every } => {
                 if self.gate.due(every) {
+                    self.pulls
+                        .set(self.pulls.get() + u64::from(self.via.is_some()));
                     self.reload()
                 } else {
                     self.cache.get()
@@ -103,7 +117,10 @@ impl Incumbent for GlobalIncumbent<'_> {
             .cells
             .fetch_min_i64_via(self.via, self.root_cell, value);
         self.cache.set(value.min(self.cache.get()));
-        value < prev
+        let improved = value < prev;
+        self.improvements
+            .set(self.improvements.get() + u64::from(improved));
+        improved
     }
 }
 

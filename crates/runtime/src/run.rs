@@ -13,7 +13,7 @@ use crate::processor::Processor;
 use crate::registers::{poison, WinnerGate};
 use crate::stats::{WorkerState, WorkerStats, NUM_STATES};
 use crate::term::TermBoard;
-use crate::worker::Worker;
+use crate::worker::{Protocol, Worker};
 
 /// Everything a parallel run produced: wall time, per-worker statistics,
 /// per-worker processor outputs, and interconnect traffic.
@@ -117,13 +117,46 @@ where
     F: Fn(usize) -> P + Sync,
     P::Output: Send,
 {
-    let pools = build_seeded_pools(cfg, slot_words, roots);
+    run_fresh(Protocol::Macs, cfg, slot_words, roots, factory)
+}
+
+/// [`run_parallel`] under PaCCS's request/reply protocol: an idle agent
+/// asks its peers for work, nearest first, and blocks for each reply; a
+/// victim grants part of its own queue. Pools, termination, bounds, the
+/// winner flag and panic containment are the MaCS run's.
+pub fn run_parallel_paccs<P, F>(
+    cfg: &RuntimeConfig,
+    slot_words: usize,
+    roots: &[Vec<u64>],
+    factory: F,
+) -> RunReport<P::Output>
+where
+    P: Processor,
+    F: Fn(usize) -> P + Sync,
+    P::Output: Send,
+{
+    run_fresh(Protocol::Paccs, cfg, slot_words, roots, factory)
+}
+
+fn run_fresh<P, F>(
+    protocol: Protocol,
+    cfg: &RuntimeConfig,
+    slot_words: usize,
+    roots: &[Vec<u64>],
+    factory: F,
+) -> RunReport<P::Output>
+where
+    P: Processor,
+    F: Fn(usize) -> P + Sync,
+    P::Output: Send,
+{
+    let pools = build_seeded_pools(protocol, cfg, slot_words, roots);
     // The world is created last, just before the workers spawn, so its
     // `start` instant is the one epoch for *both* the run's wall clock
     // and the race's win timestamps — `first_solution ≤ wall` by
     // construction, with no setup time leaking into either.
     let world = World::new(cfg.topology.clone(), cfg.latency, 16);
-    run_on_pools(&world, cfg, pools, roots.len() as u64, factory)
+    run_on_pools(protocol, &world, cfg, pools, roots.len() as u64, factory)
 }
 
 /// [`run_parallel`] against a caller-supplied [`World`] — the multi-tenant
@@ -149,8 +182,15 @@ where
         world.topology.total_workers(),
         "config topology must match the world's"
     );
-    let pools = build_seeded_pools(cfg, slot_words, roots);
-    run_on_pools(world, cfg, pools, roots.len() as u64, factory)
+    let pools = build_seeded_pools(Protocol::Macs, cfg, slot_words, roots);
+    run_on_pools(
+        Protocol::Macs,
+        world,
+        cfg,
+        pools,
+        roots.len() as u64,
+        factory,
+    )
 }
 
 /// Slots per worker pool (a power of two).
@@ -160,6 +200,7 @@ const POOL_CAPACITY: usize = 4096;
 /// worker "initiates the search" (paper §IV) and thieves pull everyone
 /// else in.
 fn build_seeded_pools(
+    protocol: Protocol,
     cfg: &RuntimeConfig,
     slot_words: usize,
     roots: &[Vec<u64>],
@@ -170,8 +211,9 @@ fn build_seeded_pools(
         assert_eq!(r.len(), slot_words, "root size must match slot_words");
     }
 
+    let requests = protocol.mailbox(n_workers);
     let pools: Vec<SplitPool> = (0..n_workers)
-        .map(|_| SplitPool::new(POOL_CAPACITY, slot_words))
+        .map(|_| SplitPool::with_mailbox(POOL_CAPACITY, slot_words, requests))
         .collect();
     for r in roots {
         assert!(pools[0].push(r), "root seed overflowed pool 0");
@@ -180,6 +222,7 @@ fn build_seeded_pools(
 }
 
 fn run_on_pools<P, F>(
+    protocol: Protocol,
     world: &World,
     cfg: &RuntimeConfig,
     pools: Vec<SplitPool>,
@@ -213,7 +256,7 @@ where
                         crate::affinity::pin_current_thread(cpu);
                     }
                     let built = catch_unwind(AssertUnwindSafe(|| {
-                        Worker::new(w, cfg, world, pools, board, factory(w))
+                        Worker::new(w, protocol, cfg, world, pools, board, factory(w))
                     }));
                     match built {
                         Ok(worker) => worker.run(),

@@ -349,11 +349,10 @@ pub struct WorkerStats {
     /// Rounds of the restore loop that found nothing to steal and backed
     /// off (each makes a bounded number of exact clock reads).
     pub idle_rounds: u64,
-    /// Threaded PaCCS: messages sent (steal requests and replies, solution
-    /// notifications).
-    pub messages: u64,
-    /// Threaded PaCCS: bound-dissemination messages billed.
-    pub bound_msgs: u64,
+    /// Incumbent improvements this worker published.
+    pub improvements: u64,
+    /// Fabric reads of the root incumbent on the `Periodic` cadence.
+    pub bound_pulls: u64,
 }
 
 impl WorkerStats {
@@ -387,8 +386,8 @@ impl WorkerStats {
             abandoned_items: 0,
             parks: 0,
             idle_rounds: 0,
-            messages: 0,
-            bound_msgs: 0,
+            improvements: 0,
+            bound_pulls: 0,
         }
     }
 }

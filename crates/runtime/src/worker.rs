@@ -3,11 +3,16 @@
 //! serves remote steal requests, and detects termination. The sequencing is
 //! [`WorkerMachine`]'s; this is its threaded driver, performing each action
 //! on the real pools, registers and termination board.
+//!
+//! A PaCCS agent is the same worker under `Protocol::Paccs`: its machine
+//! never releases and sweeps requests over its peers nearest first, its
+//! mailbox queues one request per peer, and it grants by the PaCCS rule.
+//! Pools, termination, panic containment and back-off are shared.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use macs_gpi::World;
+use macs_gpi::{Interconnect, World};
 use macs_pool::{SplitPool, RESP_FAIL, RESP_PENDING};
 use macs_search::steal::{backoff_factor, PoolView, UNLEASED};
 use macs_search::{Action, AdaptiveBatch, Outcome, ScanView, WorkerMachine, WorkerView};
@@ -19,9 +24,34 @@ use crate::registers::{poison, WinnerGate};
 use crate::stats::{RaceRing, WorkerState, WorkerStats};
 use crate::term::{TermBoard, TermHandle};
 
+/// Which load-balancing protocol a run's workers follow.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Protocol {
+    /// Release, local steals, one-sided remote requests (paper §V).
+    Macs,
+    /// PaCCS's request/reply stealing: an idle agent asks its peers,
+    /// nearest first, and each victim grants part of its own queue.
+    Paccs,
+}
+
+impl Protocol {
+    /// Requests one worker's mailbox must hold at once among `workers`:
+    /// MaCS refuses a second concurrent thief; a PaCCS agent queues one
+    /// request from every peer, and a thief posts one at a time, so its
+    /// mailbox never fills.
+    pub(crate) fn mailbox(self, workers: usize) -> usize {
+        match self {
+            Protocol::Macs => 1,
+            Protocol::Paccs => workers.saturating_sub(1).max(1),
+        }
+    }
+}
+
 /// Sink plugged under [`ProcCtx`]: pushes children into the worker's own
 /// pool (spilling to a local overflow stack when the ring is full) and
-/// counts each one as created before the next release can publish it.
+/// counts each one as created before the next release can publish it. A
+/// PaCCS agent off node 0 also pays a fabric message per solution, its
+/// notice to the root registers.
 struct PoolSink<'b, 'a> {
     pool: &'b SplitPool,
     overflow: &'b mut Vec<Box<[u64]>>,
@@ -30,6 +60,7 @@ struct PoolSink<'b, 'a> {
     pushes: &'b mut u64,
     spills: &'b mut u64,
     solutions: &'b mut u64,
+    notify: Option<&'a Interconnect>,
 }
 
 impl WorkSink for PoolSink<'_, '_> {
@@ -44,6 +75,9 @@ impl WorkSink for PoolSink<'_, '_> {
 
     fn solution(&mut self) {
         *self.solutions += 1;
+        if let Some(ic) = self.notify {
+            ic.charge_write(64);
+        }
     }
 
     fn cancel(&mut self) {
@@ -94,6 +128,7 @@ fn drain_overflow(pool: &SplitPool, overflow: &mut Vec<Box<[u64]>>) {
 pub(crate) struct Worker<'a, P: Processor> {
     id: usize,
     node: usize,
+    protocol: Protocol,
     cfg: &'a RuntimeConfig,
     world: &'a World,
     pools: &'a [SplitPool],
@@ -118,11 +153,14 @@ pub(crate) struct Worker<'a, P: Processor> {
     /// Response-batch tuner for [`macs_search::ChunkPolicy::Adaptive`]:
     /// tracks this worker's own served-reply thinness.
     adaptive: AdaptiveBatch,
+    /// The fabric a solution notice crosses (PaCCS off node 0 only).
+    notify: Option<&'a Interconnect>,
 }
 
 impl<'a, P: Processor> Worker<'a, P> {
     pub fn new(
         id: usize,
+        protocol: Protocol,
         cfg: &'a RuntimeConfig,
         world: &'a World,
         pools: &'a [SplitPool],
@@ -136,6 +174,7 @@ impl<'a, P: Processor> Worker<'a, P> {
         Worker {
             id,
             node,
+            protocol,
             cfg,
             world,
             pools,
@@ -160,6 +199,7 @@ impl<'a, P: Processor> Worker<'a, P> {
             gate: WinnerGate::new(world, id, cfg.mode.is_race()),
             race_ring: RaceRing::new(),
             adaptive: AdaptiveBatch::starting_at(cfg.steal.response_batch),
+            notify: (protocol == Protocol::Paccs && node != 0).then_some(&world.interconnect),
         }
     }
 
@@ -176,6 +216,10 @@ impl<'a, P: Processor> Worker<'a, P> {
         self.stats.clock.set(WorkerState::Barrier);
         self.world.barrier.wait();
         body?;
+        // Every thief posted before it met the barrier: refuse what is
+        // left, so each request gets exactly one reply.
+        self.serve_request();
+        (self.stats.improvements, self.stats.bound_pulls) = self.incumbent.bill();
         self.stats.clock.finish();
         Ok((self.stats, self.processor.finish()))
     }
@@ -184,7 +228,11 @@ impl<'a, P: Processor> Worker<'a, P> {
     /// the real pools and registers, and feed back what happened.
     fn work(&mut self) {
         let (world, cfg) = (self.world, self.cfg);
-        let mut machine = WorkerMachine::new(self.id, &world.topology, &cfg.steal, cfg.seed);
+        let (id, topo) = (self.id, &world.topology);
+        let mut machine = match self.protocol {
+            Protocol::Macs => WorkerMachine::new(id, topo, &cfg.steal, cfg.seed),
+            Protocol::Paccs => WorkerMachine::paccs(id, topo, &cfg.steal, cfg.seed),
+        };
         let mut outcome = Outcome::Ok;
         loop {
             outcome = match machine.step(outcome, self) {
@@ -205,7 +253,7 @@ impl<'a, P: Processor> Worker<'a, P> {
                     Outcome::Acquired(self.have)
                 }
                 Action::StealLocal(victim) => self.steal_local(victim),
-                Action::PostRequest(victim) => self.steal_remote(victim),
+                Action::PostRequest(victim) => self.request(victim),
                 Action::Drain => {
                     self.drain();
                     Outcome::Ok
@@ -215,9 +263,6 @@ impl<'a, P: Processor> Worker<'a, P> {
                 Action::Done => break,
             };
         }
-        // Someone may have posted a request just before we observed
-        // termination: refuse it so no thief waits on a dead victim.
-        self.serve_request();
     }
 
     // ----- inner cycle ------------------------------------------------------
@@ -238,6 +283,7 @@ impl<'a, P: Processor> Worker<'a, P> {
                 pushes: &mut self.stats.pushes,
                 spills: &mut self.stats.overflow_spills,
                 solutions: &mut self.stats.solutions,
+                notify: self.notify,
             };
             let mut ctx = ProcCtx {
                 worker_id: self.id,
@@ -369,18 +415,27 @@ impl<'a, P: Processor> Worker<'a, P> {
         self.landed(v, n, true)
     }
 
-    /// Post a request into remote `v`'s mailbox and wait for the (possibly
-    /// proxied) reply, serving the own mailbox meanwhile.
-    fn steal_remote(&mut self, v: usize) -> Outcome {
-        let ic = &self.world.interconnect;
+    /// The fabric between this worker and `peer`: `None` on the same node,
+    /// where nothing is charged.
+    fn fabric(&self, peer: usize) -> Option<&'a Interconnect> {
+        let world = self.world;
+        (!world.topology.is_local(self.id, peer)).then_some(&world.interconnect)
+    }
+
+    /// Post a request into `v`'s mailbox and wait for the (possibly
+    /// proxied) reply, serving the own mailbox meanwhile. MaCS posts only
+    /// off node; a PaCCS agent asks any peer.
+    fn request(&mut self, v: usize) -> Outcome {
+        let via = self.fabric(v);
         self.stats.clock.set(WorkerState::FindRemote);
         self.my_pool.reset_response();
         let t0 = Instant::now();
-        if !self.pools[v].try_post_request_remote(ic, self.id) {
+        if !self.pools[v].try_post_request_remote(via, self.id) {
             // Another thief got there first.
             return Outcome::MISSED;
         }
         self.stats.clock.set(WorkerState::WaitRemote);
+        let mut round: u32 = 0;
         loop {
             match self.my_pool.response() {
                 RESP_PENDING => {
@@ -391,27 +446,46 @@ impl<'a, P: Processor> Worker<'a, P> {
                         self.stats.clock.set(WorkerState::WaitRemote);
                     }
                     if self.term.terminated() {
+                        // The victim refuses it after the end barrier.
+                        self.refused(v);
                         return Outcome::Terminated;
                     }
-                    std::hint::spin_loop();
+                    // A victim answers between its nodes: wait as an idle
+                    // worker backs off, so a long wait yields the core
+                    // (perhaps to the victim itself).
+                    Self::backoff(round);
+                    round = round.saturating_add(1);
                 }
                 RESP_FAIL => {
                     self.my_pool.reset_response();
-                    self.stats.remote_steal_failures += 1;
+                    self.refused(v);
                     return Outcome::MISSED;
                 }
                 n => {
                     // Items were written in place at our head; the fabric
                     // cannot deliver them faster than one round trip.
-                    ic.enforce_rtt_floor(t0, n as usize * self.slot_words * 8);
+                    if let Some(ic) = via {
+                        ic.enforce_rtt_floor(t0, n as usize * self.slot_words * 8);
+                    }
                     self.my_pool.reset_response();
                     self.my_pool.adopt_written(n);
                     self.have = self.my_pool.pop_private(&mut self.current);
                     debug_assert!(self.have, "adopted items must be poppable");
-                    return self.landed(v, n, false);
+                    return self.landed(v, n, via.is_none());
                 }
             }
         }
+    }
+
+    /// `v` refused a request: a failed steal, local or remote by `v`'s
+    /// node.
+    fn refused(&mut self, v: usize) {
+        let s = &mut self.stats;
+        *if self.world.topology.is_local(self.id, v) {
+            &mut s.local_steal_failures
+        } else {
+            &mut s.remote_steal_failures
+        } += 1;
     }
 
     /// `n` stolen items arrived from `v`. If the winner flag went up while
@@ -490,27 +564,47 @@ impl<'a, P: Processor> Worker<'a, P> {
 
     // ----- victim side -------------------------------------------------------
 
-    /// Serve a pending remote steal request, if any: let the rulebook
-    /// assemble the reply from this node's pools, write everything in
-    /// place into the thief's pool and notify once — or refuse with
-    /// `RESP_FAIL` when nothing can be found anywhere on the node.
+    /// Serve every request that has arrived (a MaCS mailbox holds one):
+    /// retire it, let the rulebook size the reply — R6 over this node's
+    /// pools, or a PaCCS agent's grant from its own queue — write the items
+    /// in place into the thief's pool and notify once, or refuse with
+    /// `RESP_FAIL` when there is nothing to give. Retiring first frees the
+    /// thief's cell before it can read the reply and post again.
     fn serve_request(&mut self) {
-        let Some(thief) = self.my_pool.pending_request() else {
-            return;
-        };
-        self.stats.clock.set(WorkerState::Poll);
-        self.stats.polls += 1;
-        let ic = &self.world.interconnect;
-        let thief_pool = &self.pools[thief];
+        while let Some(thief) = self.my_pool.pending_request() {
+            self.my_pool.clear_request();
+            self.stats.clock.set(WorkerState::Poll);
+            self.stats.polls += 1;
+            let via = self.fabric(thief);
+            let thief_pool = &self.pools[thief];
 
-        // How many slots the thief can accept at its head.
-        let tm = thief_pool.meta_remote(ic);
-        self.steal_flat.clear();
+            // How many slots the thief can accept at its head.
+            let tm = thief_pool.meta_remote(via);
+            let room = thief_pool.room(&tm);
+            self.steal_flat.clear();
+            let n = match self.protocol {
+                Protocol::Macs => self.assemble_reply(thief, room),
+                Protocol::Paccs => self.grant_own(thief, room),
+            };
+            if n > 0 {
+                thief_pool.write_slots_remote(via, tm.head, &self.steal_flat);
+                thief_pool.write_response_remote(via, n);
+                self.stats.requests_served += 1;
+            } else {
+                thief_pool.write_response_remote(via, RESP_FAIL);
+                self.stats.requests_refused += 1;
+            }
+        }
+    }
+
+    /// R6: the reply to `thief`, assembled from this node's pools into the
+    /// flat buffer.
+    fn assemble_reply(&mut self, thief: usize, room: u64) -> u64 {
         let reply = self.cfg.steal.assemble_reply(
             &self.world.topology,
             self.id,
             thief,
-            thief_pool.room(&tm),
+            room,
             lease_width(self.world),
             &mut self.adaptive,
             &mut ReplyPools {
@@ -518,24 +612,32 @@ impl<'a, P: Processor> Worker<'a, P> {
                 flat: &mut self.steal_flat,
             },
         );
-        let (n, chunks) = (reply.items, reply.chunks);
-
-        if n > 0 {
-            thief_pool.write_slots_remote(ic, tm.head, &self.steal_flat);
-            thief_pool.write_response_remote(ic, n);
-            self.stats.requests_served += 1;
-            self.stats.response_chunks += chunks;
-            if chunks > 1 {
-                self.stats.batched_responses += 1;
-            }
-            if reply.proxy {
-                self.stats.proxy_serves += 1;
-            }
-        } else {
-            thief_pool.write_response_remote(ic, RESP_FAIL);
-            self.stats.requests_refused += 1;
+        if reply.items > 0 {
+            let s = &mut self.stats;
+            s.response_chunks += reply.chunks;
+            s.batched_responses += u64::from(reply.chunks > 1);
+            s.proxy_serves += u64::from(reply.proxy);
         }
-        self.my_pool.clear_request();
+        reply.items
+    }
+
+    /// A PaCCS grant: the oldest of the own queued items, under the
+    /// rulebook's share for `thief`, published, released and taken back
+    /// out of the own pool into the flat buffer.
+    fn grant_own(&mut self, thief: usize, room: u64) -> u64 {
+        let queued = self.my_pool.private_len();
+        let topo = &self.world.topology;
+        let grant = self.cfg.steal.paccs_grant(topo, self.id, thief, queued);
+        let k = grant.min(room);
+        if k == 0 {
+            return 0;
+        }
+        self.term.publish_created();
+        self.my_pool.release(k);
+        let flat = &mut self.steal_flat;
+        let n = self.my_pool.steal(k, |item| flat.extend_from_slice(item));
+        self.stats.response_chunks += 1;
+        n
     }
 }
 

@@ -1,13 +1,9 @@
-//! The steal-chunk transfer unit and its granularity policy.
+//! The steal-chunk sizing rules and their granularity policy.
 //!
 //! Every victim in the system answers a steal with "the oldest half of my
 //! work, capped" — those are the largest sub-problems, the ones worth the
-//! transfer. Before this type existed the split arithmetic and the
-//! front-drain were re-implemented at each victim site; worse, the PaCCS
-//! agent kept its depth-first stack in a `Vec`, so handing over the *front*
-//! memmoved the entire remaining stack on every steal. [`WorkBatch`] owns
-//! both the policy and the mechanics, over a `VecDeque` whose front-range
-//! removal is O(chunk), not O(stack).
+//! transfer. [`WorkBatch`] holds that split arithmetic; the items
+//! themselves move through each execution's own pools.
 //!
 //! The *cap* itself is a policy, not a constant: steal cost grows with
 //! topological distance (a cross-cluster round trip is orders of magnitude
@@ -19,13 +15,12 @@
 //! tunes the *response batch* (how many co-located pools top up one thin
 //! reply) online from an EWMA of observed reply thinness.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
 /// How large a reservation a victim grants one thief — the steal-chunk
-/// granularity policy threaded through every backend (threaded MaCS victim
-/// replies, PaCCS `reply_steal`, the simulator's steal-response events).
+/// granularity policy threaded through every backend (MaCS replies and
+/// local steals, PaCCS grants, threaded and simulated alike).
 ///
 /// The configured `max_steal_chunk` stays the *static* reference cap; the
 /// policy maps it (and the steal's topological distance) to the effective
@@ -210,20 +205,10 @@ impl Default for AdaptiveBatch {
 /// One relocatable work item: a fixed-size store image.
 pub type WorkItem = Box<[u64]>;
 
-/// A chunk of work items in transit from a victim to a thief, oldest
-/// first.
-///
-/// A batch can carry work reserved from *several* victim pools — the
-/// serving worker appends one chunk per co-located pool with
-/// [`push_chunk`](WorkBatch::push_chunk) — so a single response (one
-/// round trip) can deliver a whole node's surplus.
-/// [`chunks`](WorkBatch::chunks) reports how many pools contributed.
-#[derive(Debug, Default)]
-pub struct WorkBatch {
-    items: Vec<WorkItem>,
-    /// Number of items contributed by each source pool, in append order.
-    chunk_lens: Vec<usize>,
-}
+/// The split arithmetic of a steal: how much of a victim's work one thief
+/// is granted, and when a reply counts as thin.
+#[derive(Debug)]
+pub struct WorkBatch;
 
 impl WorkBatch {
     /// The MaCS share policy: up to ⌈available/2⌉ items, capped — and the
@@ -258,93 +243,11 @@ impl WorkBatch {
     pub fn thin_threshold(cap: u64) -> u64 {
         (cap / 4).max(2).min(cap.max(1))
     }
-
-    /// Victim side, PaCCS policy: split the oldest ⌊len/2⌋ (≤ `cap`) items
-    /// off the front of a depth-first work queue.
-    pub fn split_front(stack: &mut VecDeque<WorkItem>, cap: usize) -> WorkBatch {
-        let give = Self::share_floor(stack.len() as u64, cap as u64) as usize;
-        Self::take_front(stack, give)
-    }
-
-    /// Take exactly `n` items (clamped to the queue length) off the front.
-    pub fn take_front(stack: &mut VecDeque<WorkItem>, n: usize) -> WorkBatch {
-        let n = n.min(stack.len());
-        let items: Vec<WorkItem> = stack.drain(..n).collect();
-        WorkBatch::from_items(items)
-    }
-
-    /// Build a batch from already-collected items (oldest first), as a
-    /// single chunk.
-    pub fn from_items(items: Vec<WorkItem>) -> WorkBatch {
-        let chunk_lens = if items.is_empty() {
-            Vec::new()
-        } else {
-            vec![items.len()]
-        };
-        WorkBatch { items, chunk_lens }
-    }
-
-    /// Append one further victim pool's chunk (batched responses: several
-    /// pools' reservations travel in one reply).
-    pub fn push_chunk(&mut self, items: impl IntoIterator<Item = WorkItem>) {
-        let before = self.items.len();
-        self.items.extend(items);
-        let added = self.items.len() - before;
-        if added > 0 {
-            self.chunk_lens.push(added);
-        }
-    }
-
-    /// How many victim pools contributed to this batch.
-    pub fn chunks(&self) -> usize {
-        self.chunk_lens.len()
-    }
-
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Payload size on the wire (message-passing byte accounting).
-    pub fn payload_bytes(&self) -> usize {
-        self.items.iter().map(|i| i.len() * 8).sum()
-    }
-
-    /// Thief side: append the batch to the back of a depth-first queue.
-    /// The next pop works on the newest of the stolen items, preserving
-    /// the victim's exploration order within the batch.
-    pub fn adopt_into(self, stack: &mut VecDeque<WorkItem>) {
-        stack.extend(self.items);
-    }
-
-    /// Consume the batch into its items, oldest first.
-    pub fn into_items(self) -> Vec<WorkItem> {
-        self.items
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &WorkItem> {
-        self.items.iter()
-    }
-}
-
-impl IntoIterator for WorkBatch {
-    type Item = WorkItem;
-    type IntoIter = std::vec::IntoIter<WorkItem>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.into_iter()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn item(v: u64) -> WorkItem {
-        vec![v; 2].into_boxed_slice()
-    }
 
     #[test]
     fn share_policies() {
@@ -496,50 +399,5 @@ mod tests {
         }
         let b = m.batch();
         assert!((AdaptiveBatch::MIN_BATCH..=AdaptiveBatch::MAX_BATCH).contains(&b));
-    }
-
-    #[test]
-    fn split_front_takes_oldest() {
-        let mut stack: VecDeque<WorkItem> = (0..6).map(item).collect();
-        let batch = WorkBatch::split_front(&mut stack, 16);
-        assert_eq!(batch.len(), 3);
-        let vals: Vec<u64> = batch.iter().map(|i| i[0]).collect();
-        assert_eq!(vals, vec![0, 1, 2], "front = oldest items");
-        assert_eq!(stack.front().unwrap()[0], 3);
-        assert_eq!(stack.back().unwrap()[0], 5, "victim stack order intact");
-    }
-
-    #[test]
-    fn adopt_preserves_order() {
-        let mut victim: VecDeque<WorkItem> = (0..8).map(item).collect();
-        let batch = WorkBatch::split_front(&mut victim, 2);
-        let mut thief: VecDeque<WorkItem> = VecDeque::new();
-        batch.adopt_into(&mut thief);
-        assert_eq!(thief.pop_back().unwrap()[0], 1, "newest of the batch first");
-        assert_eq!(thief.pop_back().unwrap()[0], 0);
-    }
-
-    #[test]
-    fn payload_bytes_counts_words() {
-        let batch = WorkBatch::from_items(vec![item(1), item(2)]);
-        assert_eq!(batch.payload_bytes(), 2 * 2 * 8);
-    }
-
-    #[test]
-    fn chunk_bookkeeping_tracks_sources() {
-        let mut batch = WorkBatch::default();
-        assert_eq!(batch.chunks(), 0);
-        batch.push_chunk(vec![item(1), item(2)]);
-        batch.push_chunk(Vec::new()); // a dry pool contributes no chunk
-        batch.push_chunk(vec![item(3)]);
-        assert_eq!(batch.chunks(), 2);
-        assert_eq!(batch.len(), 3);
-        let vals: Vec<u64> = batch.iter().map(|i| i[0]).collect();
-        assert_eq!(vals, vec![1, 2, 3], "chunks concatenate in order");
-
-        assert_eq!(WorkBatch::from_items(vec![item(9)]).chunks(), 1);
-        assert_eq!(WorkBatch::from_items(Vec::new()).chunks(), 0);
-        let mut stack: VecDeque<WorkItem> = (0..4).map(item).collect();
-        assert_eq!(WorkBatch::split_front(&mut stack, 8).chunks(), 1);
     }
 }

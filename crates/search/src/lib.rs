@@ -20,9 +20,7 @@
 //! * [`SearchMode`] — whether a run explores the whole tree or races to
 //!   the first solution (the winner flag then travels the same
 //!   node-leader tree as a hierarchical bound update);
-//! * [`WorkBatch`] — the steal-chunk transfer unit shared by every
-//!   victim-side reply (threaded PaCCS, simulated MaCS/PaCCS) together
-//!   with the half-split share policies;
+//! * [`WorkBatch`] — the half-split share rules every grant is sized by;
 //! * [`ChunkPolicy`] — *how much* one steal moves: a static cap, a
 //!   distance-scaled reservation (small near, large far — matching how
 //!   steal cost grows with topological distance), or the adaptive variant

@@ -335,6 +335,23 @@ impl StealPolicy {
         grant(shared, cap, retained(victim, lease))
     }
 
+    /// R3 for a PaCCS agent — how many of its `queued` items `victim`
+    /// grants `thief`'s request: the oldest half, rounded down, under the
+    /// cap for their distance ([`WorkBatch::share_floor`]). A PaCCS agent
+    /// never releases, so everything it has queued is open to a request;
+    /// the item in hand is not queued.
+    #[inline]
+    pub fn paccs_grant(
+        &self,
+        topo: &MachineTopology,
+        victim: usize,
+        thief: usize,
+        queued: u64,
+    ) -> u64 {
+        let cap = self.chunk_cap(topo, topo.distance(victim, thief));
+        WorkBatch::share_floor(queued, cap)
+    }
+
     /// R4 — the local victim: walk the thief's rings nearest level first
     /// (affinity victim ahead of its ring) and apply the configured
     /// heuristic within a ring — greedy takes the first pool with viable
@@ -1064,6 +1081,26 @@ mod tests {
             policy.record_outcome(&t, &mut order, 2, false);
             assert_eq!(order.affinity_at(1), None);
         }
+    }
+
+    #[test]
+    fn a_paccs_grant_is_the_floor_half_under_the_distance_cap() {
+        let t = MachineTopology::try_new(&[2, 2, 2], 1).unwrap();
+        let policy = StealPolicy {
+            chunk_policy: ChunkPolicy::DistanceScaled { base: 4, factor: 2 },
+            ..StealPolicy::default()
+        };
+        // Caps 4, 6, 8 at distances 1, 2, 3 from agent 0.
+        for (thief, cap) in [(1, 4), (2, 6), (4, 8)] {
+            for queued in 0..40u64 {
+                assert_eq!(
+                    policy.paccs_grant(&t, 0, thief, queued),
+                    (queued / 2).min(cap),
+                    "thief {thief}, {queued} queued"
+                );
+            }
+        }
+        assert_eq!(policy.paccs_grant(&t, 0, 4, 1), 0, "a lone item stays");
     }
 
     #[test]

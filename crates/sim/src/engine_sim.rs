@@ -46,7 +46,7 @@ use macs_runtime::{
 };
 use macs_search::steal::UNLEASED;
 use macs_search::{
-    Action, AdaptiveBatch, Outcome, ScanView, StealPolicy, WorkBatch, WorkerMachine, WorkerView,
+    Action, AdaptiveBatch, Outcome, ScanView, StealPolicy, WorkerMachine, WorkerView,
 };
 
 use crate::cost::{CostModel, NodeCost};
@@ -878,16 +878,16 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
         self.net.send(fa, fb, bytes, prop, 0, now)
     }
 
-    /// Send a work reply carrying `payload_bytes` from `a` to `b` at
+    /// Send a work reply carrying `payload` bytes from `a` to `b` at
     /// `now`; under the flat model this is propagation + the per-byte
     /// transfer cost, under contention the payload serialises on both
     /// link directions.
-    fn send_payload(&mut self, a: usize, b: usize, payload_bytes: u64, now: u64) -> u64 {
+    fn send_payload(&mut self, a: usize, b: usize, payload: u64, now: u64) -> u64 {
         let prop = self.fabric_latency(a, b);
-        let flat = self.cfg.costs.transfer_ns(payload_bytes);
+        let flat = self.cfg.costs.transfer_ns(payload);
         let topo = &self.cfg.topology;
         let (fa, fb) = (topo.node_of(a), topo.node_of(b));
-        let bytes = payload_bytes + self.net.params().header_bytes;
+        let bytes = payload + self.net.params().header_bytes;
         self.net.send(fa, fb, bytes, prop, flat, now)
     }
 
@@ -1213,9 +1213,8 @@ impl<'c, P: Processor, F: FnMut(usize) -> P> Sim<'c, P, F> {
             self.charge(wi, WorkerState::Poll, poll_ns, now);
             self.workers[wi].stats.polls += 1;
 
-            let have = self.probes[wi].len();
-            let cap = cfg.steal.chunk_cap(topo, topo.distance(wi, thief));
-            let give = WorkBatch::share_floor(have as u64, cap) as usize;
+            let have = self.probes[wi].len() as u64;
+            let give = cfg.steal.paccs_grant(topo, wi, thief, have) as usize;
             // The oldest items (a PaCCS deque never releases: no split).
             let batch: Vec<u32> = self.probes.take_oldest(wi, give).collect();
             let bytes = (batch.len() * self.slot_words * 8) as u64;

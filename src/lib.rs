@@ -10,13 +10,13 @@
 //! |---|---|---|
 //! | [`domain`] | `macs-domain` | bitmap finite domains, the relocatable [`Store`](domain::Store) |
 //! | [`engine`] | `macs-engine` | propagators, fixpoint engine, models, branching, sequential oracle |
-//! | [`search`] | `macs-search` | **the** node-processing kernel: [`SearchKernel`](search::SearchKernel), [`IncumbentSource`](search::IncumbentSource), the [`StoreSlab`](search::StoreSlab) arena, [`WorkBatch`](search::WorkBatch), and the steal rulebook ([`StealPolicy`](search::StealPolicy)) both MaCS executions run |
+//! | [`search`] | `macs-search` | **the** node-processing kernel: [`SearchKernel`](search::SearchKernel), [`IncumbentSource`](search::IncumbentSource), the [`StoreSlab`](search::StoreSlab) arena, and the steal rulebook ([`StealPolicy`](search::StealPolicy), with its share rules in [`WorkBatch`](search::WorkBatch)) every execution runs |
 //! | [`topo`] | `macs-topo` | the N-level machine model: [`MachineTopology`](topo::MachineTopology) distances/rings, [`VictimOrder`](topo::VictimOrder) |
 //! | [`gpi`] | `macs-gpi` | the simulated GPI/PGAS layer: topology, segments, one-sided ops |
 //! | [`pool`] | `macs-pool` | the split private/shared work pool |
 //! | [`runtime`] | `macs-runtime` | the generic hierarchical work-stealing runtime, and the root-register views ([`GlobalIncumbent`](runtime::GlobalIncumbent), [`WinnerGate`](runtime::WinnerGate)) both threaded backends share |
 //! | [`solver`] | `macs-core` | MaCS itself: the kernel on the work-stealing runtime |
-//! | [`paccs`] | `macs-paccs` | the PaCCS message-passing baseline (`run_paccs`: the runtime's `Processor` contract over channels for work, the runtime's registers for bounds and the winner flag) |
+//! | [`paccs`] | `macs-paccs` | the PaCCS baseline (`run_paccs`: the runtime's workers under PaCCS's request/reply protocol) |
 //! | [`uts`] | `macs-uts` | the Unbalanced Tree Search benchmark |
 //! | [`sim`] | `macs-sim` | discrete-event simulation at 8–512 virtual cores |
 //! | [`problems`] | `macs-problems` | N-Queens, QAP/QAPLIB, Golomb, magic squares, Langford, knapsack |
